@@ -57,9 +57,10 @@ def read_documents(path: str) -> list[bytes]:
                 if not line:
                     continue
                 rec = json.loads(line)
-                if not rec.get("text"):
+                text = rec.get("text") if isinstance(rec, dict) else None
+                if not isinstance(text, str) or not text:
                     raise ValueError(f"{path}:{lineno}: record without text")
-                docs.append(rec["text"].encode("utf-8"))
+                docs.append(text.encode("utf-8"))
         return docs
     with open(path, "rb") as f:
         return [f.read()]

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LanguageModel
+from .model import LanguageModel, target_nll
 from .tokenizer import TokenizerModel, encode
 
 CALIBRATION_CONTEXT = b"Answer:"
@@ -62,13 +62,9 @@ def _token_nll(lm: LanguageModel, tokens: list[int], scored: list[int]) -> float
     """NLL (nats) of tokens at the given positions (>= 1), conditioning on
     all earlier tokens in ``tokens``."""
     logits = lm.logits(tokens[:-1])  # column t predicts token t+1
-    lt = logits.T  # (T-1, V)
-    m = lt.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(lt - m).sum(axis=1))
-    total = 0.0
-    for pos in scored:
-        total += float(lse[pos - 1] - lt[pos - 1, tokens[pos]])
-    return total
+    scored = np.asarray(scored, dtype=np.intp)
+    _, nll = target_nll(np.asarray(logits)[:, scored - 1], np.asarray(tokens)[scored])
+    return float(nll.sum())
 
 
 def _windowed_nll(
@@ -149,8 +145,8 @@ def classify(
             score = lp
         elif method == "calibration":
             score = lp - candidate_logprob(lm, tok, CALIBRATION_CONTEXT, cand)
-        else:
-            score = math.exp(lp) / len(encode(tok, cand))
+        else:  # log of p / n_tokens: p itself underflows for long candidates
+            score = lp - math.log(len(encode(tok, cand)))
         scores.append(score)
     return task.candidates[int(np.argmax(scores))]
 
@@ -277,6 +273,8 @@ def load_tasks(path: str) -> list[dict]:
                 continue
             try:
                 rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("not a JSON object")
                 if "context" not in rec:
                     raise ValueError("missing 'context'")
                 if "candidates" not in rec and "gold" not in rec:

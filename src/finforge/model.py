@@ -5,9 +5,22 @@ self-attention with ALiBi biases, then a GELU feed-forward), and a tied
 LM head without bias. Forward, cross-entropy loss, and hand-derived
 reverse-mode gradients, all in float64 for verification.
 
-Attention is computed one query column at a time with `np.einsum`, so every
-output position depends only on its prefix bit-for-bit: logits for positions
-1..t are identical whether or not later tokens are present.
+Every matrix product runs through BLAS GEMM on fixed row blocks aligned to
+absolute positions. The residual stream is zero-padded once, at the
+embedding, to a multiple of ``_BLOCK`` rows; each projection, the FFN and
+the LM head multiply one ``_BLOCK``-row block at a time, every block with
+the same shape. Attention runs per query block, batched over heads: query
+block ``qb`` scores against keys ``[0, (qb+1)*_BLOCK)``, takes its ALiBi
+bias and causal mask from absolute positions, and multiplies the row
+softmax with the values of those keys (blockwise attention as in
+FlashAttention, arXiv:2205.14135).
+
+This makes outputs prefix-invariant by construction: logits for positions
+1..t are bit-identical whether or not later tokens are present. Each row's
+value comes out of GEMMs whose shapes depend only on the row's block, never
+on the sequence length, so BLAS reduces it in the same order; keys after a
+query get exact-zero probabilities, and adding a zero product is exact.
+Padded rows never reach a real position: they sit after it.
 """
 
 from __future__ import annotations
@@ -23,6 +36,10 @@ GELU_C0 = 0.79788456
 GELU_C1 = 0.044715
 
 _DROP_ATTN, _DROP_HIDDEN, _DROP_FFN = 0, 1, 2
+
+# Rows per GEMM block: of 16, 32 and 64, the fastest overall when measured at
+# the benchmark's model shapes and sequence lengths (32 to 288).
+_BLOCK = 32
 
 
 class NonFiniteError(FloatingPointError):
@@ -87,11 +104,7 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
 
 def layer_norm(x, gain, bias, eps):
     """Row-wise LayerNorm with population variance; x is (T, D)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    return xhat * gain + bias
+    return _ln_fwd(x, gain, bias, eps)[0]
 
 
 def _ln_fwd(x, gain, bias, eps):
@@ -197,8 +210,46 @@ def _check_finite(x: np.ndarray, where: str) -> None:
         raise NonFiniteError(f"non-finite values at {where}")
 
 
+def _padded(x, shape):
+    """``x`` zero-padded at the end of every axis to ``shape``; None stays None."""
+    if x is None:
+        return None
+    out = np.zeros(shape)
+    out[tuple(slice(0, n) for n in x.shape)] = x
+    return out
+
+
+def _rows(x, w):
+    """``x @ w`` for ``x`` of shape (Tp, K), Tp a multiple of ``_BLOCK``: one
+    GEMM per aligned ``_BLOCK``-row block, all of the same shape, so each
+    output row depends on its own input row only, never on Tp."""
+    return np.matmul(x.reshape(-1, _BLOCK, x.shape[1]), w).reshape(x.shape[0], -1)
+
+
+def _block_bias(slopes, Tp):
+    """ALiBi bias and causal mask for one query block, (N, _BLOCK, Tp).
+
+    Query block ``qb`` uses the last ``(qb+1)*_BLOCK`` columns, which are its
+    keys ``[0, (qb+1)*_BLOCK)``: key minus query there is
+    ``column - (Tp - _BLOCK) - row`` whatever ``qb`` is. Keys after the query
+    get -inf, so their probabilities are exact zeros."""
+    rel = np.arange(Tp)[None, :] - (Tp - _BLOCK) - np.arange(_BLOCK)[:, None]
+    return np.where(rel <= 0, slopes[:, None, None] * rel, -np.inf)
+
+
+def _attn_maps(params, p, shape: ModelShape):
+    """Layer ``p``'s Q, K and V projections stacked into one (3*N*Dh, D)
+    matrix, and its output map as (N*Dh, D)."""
+    N, D, Dh = shape.heads, shape.hidden, shape.head_dim
+    Wqkv = np.concatenate([params[p + "attn.W" + k] for k in "qkv"]).reshape(3 * N * Dh, D)
+    return Wqkv, params[p + "attn.U"].transpose(0, 2, 1).reshape(N * Dh, D)
+
+
 def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig):
-    """Run the network; returns (logits (V, T), cache for backward)."""
+    """Run the network; returns (logits (V, T), cache for backward).
+
+    The cache holds activations of all Tp padded rows; rows from T on are
+    padding that no real position attends to."""
     L, N = shape.layers, shape.heads
     D, Dh, V = shape.hidden, shape.head_dim, shape.vocab
     tokens = np.asarray(tokens, dtype=np.intp)
@@ -208,11 +259,12 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig):
     if tokens.min() < 0 or tokens.max() >= V:
         raise ValueError("token id out of range")
 
+    Tp = -(-T // _BLOCK) * _BLOCK
     inv_sqrt_dh = 1.0 / math.sqrt(Dh)
-    alibi = alibi_matrices(N, T)
+    bias = _block_bias(alibi_slopes(N), Tp)
     p_at, p_h, p_f = cfg.dropout(cfg.p_at), cfg.dropout(cfg.p_h), cfg.dropout(cfg.p_f)
 
-    emb = params["Wem"][:, tokens].T  # (T, D)
+    emb = _padded(params["Wem"][:, tokens].T, (Tp, D))
     h, ln_em_cache = _ln_fwd(emb, params["ln_em.g"], params["ln_em.b"], cfg.eps)
     _check_finite(h, "embedding LayerNorm")
 
@@ -221,31 +273,36 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig):
         p = f"layer{l}."
         xn, ln_in_cache = _ln_fwd(h, params[p + "ln_in.g"], params[p + "ln_in.b"], cfg.eps)
 
-        Wq, Wk, Wv = params[p + "attn.Wq"], params[p + "attn.Wk"], params[p + "attn.Wv"]
-        bq, bk, bv = params[p + "attn.bq"], params[p + "attn.bk"], params[p + "attn.bv"]
-        Q = np.einsum("td,nhd->nth", xn, Wq) + bq[:, None, :]
-        K = np.einsum("td,nhd->nth", xn, Wk) + bk[:, None, :]
-        Vv = np.einsum("td,nhd->nth", xn, Wv) + bv[:, None, :]
+        Wqkv, Ucat = _attn_maps(params, p, shape)
+        qkv = _rows(xn, Wqkv.T).reshape(Tp, 3, N, Dh)
+        # attn.bk adds q.bk to every score of query q, which the softmax
+        # cancels exactly: it is left out, and its gradient is exactly zero.
+        qkv[:, 0] += params[p + "attn.bq"]
+        qkv[:, 2] += params[p + "attn.bv"]
+        Q, K, Vv = qkv.transpose(1, 2, 0, 3)  # each (N, Tp, Dh)
 
+        # (N, query, key), transposed from the (N, key, query) draw
         amask = _dropout_mask(cfg, l, _DROP_ATTN, p_at, N, T, T)
+        amask = _padded(None if amask is None else amask.transpose(0, 2, 1), (N, Tp, Tp))
         scale = float(l + 1) if cfg.qk_layer_scaling else 1.0
-        probs = []  # per query: pre-dropout softmax over its prefix keys
-        ybar = np.empty((N, T, Dh))
-        for j in range(T):
-            s = (
-                np.einsum("nih,nh->ni", K[:, : j + 1, :], Q[:, j, :]) * inv_sqrt_dh
-                + alibi.biases[:, : j + 1, j]
-            ) / scale
-            s = s - s.max(axis=1, keepdims=True)
-            e = np.exp(s)
-            pj = e / e.sum(axis=1, keepdims=True)
-            probs.append(pj)
-            pd = pj if amask is None else pj * amask[:, : j + 1, j]
-            ybar[:, j, :] = np.einsum("ni,nih->nh", pd, Vv[:, : j + 1, :])
+        probs = []  # per query block: pre-dropout softmax over keys [0, k1)
+        ybar = np.empty((Tp, N, Dh))
+        for q0 in range(0, Tp, _BLOCK):
+            k1 = q0 + _BLOCK
+            s = Q[:, q0:k1] @ K[:, :k1].transpose(0, 2, 1)
+            s *= inv_sqrt_dh
+            s += bias[:, :, Tp - k1 :]
+            s /= scale
+            s -= s.max(axis=2, keepdims=True)
+            np.exp(s, out=s)
+            s /= s.sum(axis=2, keepdims=True)
+            probs.append(s)
+            pd = s if amask is None else s * amask[:, q0:k1, :k1]
+            ybar[q0:k1] = (pd @ Vv[:, :k1]).transpose(1, 0, 2)
+        ybar = ybar.reshape(Tp, N * Dh)
 
-        U, c = params[p + "attn.U"], params[p + "attn.c"]
-        y = np.einsum("nth,ndh->td", ybar, U) + c
-        hmask = _dropout_mask(cfg, l, _DROP_HIDDEN, p_h, T, D)
+        y = _rows(ybar, Ucat) + params[p + "attn.c"]
+        hmask = _padded(_dropout_mask(cfg, l, _DROP_HIDDEN, p_h, T, D), (Tp, D))
         yd = y if hmask is None else y * hmask
         hbar = h + yd
         _check_finite(hbar, f"layer {l} attention output")
@@ -253,29 +310,29 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig):
         xf, ln_at_cache = _ln_fwd(
             hbar, params[p + "ln_at.g"], params[p + "ln_at.b"], cfg.eps
         )
-        a = np.einsum("td,fd->tf", xf, params[p + "ffn.W"]) + params[p + "ffn.b"]
+        a = _rows(xf, params[p + "ffn.W"].T) + params[p + "ffn.b"]
         g = gelu(a)
-        o = np.einsum("tf,df->td", g, params[p + "ffn.U"]) + params[p + "ffn.c"]
-        fmask = _dropout_mask(cfg, l, _DROP_FFN, p_f, T, D)
+        o = _rows(g, params[p + "ffn.U"].T) + params[p + "ffn.c"]
+        fmask = _padded(_dropout_mask(cfg, l, _DROP_FFN, p_f, T, D), (Tp, D))
         od = o if fmask is None else o * fmask
         h_next = hbar + od
         _check_finite(h_next, f"layer {l} FFN output")
 
         layer_caches.append(
             dict(
-                h=h, ln_in=ln_in_cache, xn=xn, Q=Q, K=K, Vv=Vv, probs=probs,
-                amask=amask, ybar=ybar, hmask=hmask, hbar=hbar, ln_at=ln_at_cache,
+                ln_in=ln_in_cache, xn=xn, qkv=(Q, K, Vv), probs=probs, amask=amask,
+                ybar=ybar, hmask=hmask, ln_at=ln_at_cache,
                 xf=xf, a=a, g=g, fmask=fmask, scale=scale,
             )
         )
         h = h_next
 
     z, ln_f_cache = _ln_fwd(h, params["ln_f.g"], params["ln_f.b"], cfg.eps)
-    logits = np.einsum("td,dv->tv", z, params["Wem"])  # tied head, no bias
+    logits = _rows(z, params["Wem"])[:T]  # tied head, no bias
     _check_finite(logits, "lm head")
     cache = dict(
         tokens=tokens, ln_em=ln_em_cache, layers=layer_caches, ln_f=ln_f_cache,
-        z=z, alibi=alibi, inv_sqrt_dh=inv_sqrt_dh,
+        z=z, inv_sqrt_dh=inv_sqrt_dh,
     )
     return logits.T, cache
 
@@ -287,112 +344,114 @@ def forward(params, tokens, shape: ModelShape, cfg: ForwardConfig | None = None)
     return logits
 
 
+def target_nll(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Log-softmax (T, V) of logits (V, T), and each position's negative
+    log-likelihood (nats) of its target: the one log-softmax/NLL primitive."""
+    targets = np.asarray(targets, dtype=np.intp)
+    shifted = np.asarray(logits).T
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return logp, -logp[np.arange(targets.shape[0]), targets]
+
+
+def _weighted_mean(x: np.ndarray, weights) -> tuple[float, np.ndarray]:
+    """Mean of ``x`` under optional position weights, and its derivative."""
+    if weights is None:
+        return float(np.mean(x)), np.full(x.shape[0], 1.0 / x.shape[0])
+    w = np.asarray(weights, dtype=float)
+    return float((x * w).sum() / w.sum()), w / w.sum()
+
+
 def cross_entropy_loss(logits: np.ndarray, targets, weights=None) -> float:
     """Mean next-token negative log-likelihood in nats; logits are (V, T).
 
     ``weights`` optionally weights positions (e.g. to exclude document
     separators); the default is uniform."""
-    targets = np.asarray(targets, dtype=np.intp)
-    lt = logits.T  # (T, V)
-    m = lt.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(lt - m).sum(axis=1))
-    nll = lse - lt[np.arange(lt.shape[0]), targets]
-    if weights is None:
-        return float(np.mean(nll))
-    w = np.asarray(weights, dtype=float)
-    return float((nll * w).sum() / w.sum())
+    return _weighted_mean(target_nll(logits, targets)[1], weights)[0]
 
 
 def _loss_grad_logits(logits, targets, weights=None) -> tuple[float, np.ndarray]:
-    targets = np.asarray(targets, dtype=np.intp)
-    lt = logits.T
-    T = lt.shape[0]
-    m = lt.max(axis=1, keepdims=True)
-    e = np.exp(lt - m)
-    probs = e / e.sum(axis=1, keepdims=True)
-    nll = -np.log(probs[np.arange(T), targets])
-    dlt = probs.copy()
-    dlt[np.arange(T), targets] -= 1.0
-    if weights is None:
-        return float(nll.mean()), dlt / T  # (T, V)
-    w = np.asarray(weights, dtype=float)
-    return float((nll * w).sum() / w.sum()), dlt * (w / w.sum())[:, None]
+    logp, nll = target_nll(logits, targets)
+    loss, dloss = _weighted_mean(nll, weights)
+    dlt = np.exp(logp)
+    dlt[np.arange(nll.shape[0]), targets] -= 1.0
+    return loss, dlt * dloss[:, None]  # (T, V)
 
 
 def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, weights=None):
-    """Loss and exact gradients of cross_entropy_loss(forward(.))."""
+    """Loss and exact gradients of cross_entropy_loss(forward(.)).
+
+    Padded rows get exactly zero upstream gradient, so they add nothing to
+    the weight gradients."""
     logits, cache = _forward(params, tokens, shape, cfg)
     loss, dlt = _loss_grad_logits(logits, targets, weights)
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    tok = cache["tokens"]
+    N, D, Dh = shape.heads, shape.hidden, shape.head_dim
     z = cache["z"]
-    alibi = cache["alibi"]
-    inv_sqrt_dh = cache["inv_sqrt_dh"]
+    Tp = z.shape[0]
+    dlt = _padded(dlt, (Tp, shape.vocab))
+    grads = {}
 
     # Tied LM head: gradient flows into the embedding matrix twice.
-    grads["Wem"] += np.einsum("tv,td->dv", dlt, z)
-    dz = np.einsum("tv,dv->td", dlt, params["Wem"])
-    dh, dg, db = _ln_bwd(dz, cache["ln_f"])
-    grads["ln_f.g"] += dg
-    grads["ln_f.b"] += db
+    dWem = z.T @ dlt
+    dh, grads["ln_f.g"], grads["ln_f.b"] = _ln_bwd(dlt @ params["Wem"].T, cache["ln_f"])
 
     for l in range(shape.layers - 1, -1, -1):
         p = f"layer{l}."
-        c = cache["layers"][l]
+        c = cache["layers"].pop()  # frees each layer's activations once used
+        Wqkv, Ucat = _attn_maps(params, p, shape)
         # h_next = hbar + drop(o)
         do = dh if c["fmask"] is None else dh * c["fmask"]
-        grads[p + "ffn.U"] += np.einsum("td,tf->df", do, c["g"])
-        grads[p + "ffn.c"] += do.sum(axis=0)
-        dgel = np.einsum("td,df->tf", do, params[p + "ffn.U"])
-        da = dgel * gelu_grad(c["a"])
-        grads[p + "ffn.W"] += np.einsum("tf,td->fd", da, c["xf"])
-        grads[p + "ffn.b"] += da.sum(axis=0)
-        dxf = np.einsum("tf,fd->td", da, params[p + "ffn.W"])
-        dhbar_ln, dgat, dbat = _ln_bwd(dxf, c["ln_at"])
-        grads[p + "ln_at.g"] += dgat
-        grads[p + "ln_at.b"] += dbat
+        grads[p + "ffn.U"] = do.T @ c["g"]
+        grads[p + "ffn.c"] = do.sum(axis=0)
+        da = (do @ params[p + "ffn.U"]) * gelu_grad(c["a"])
+        grads[p + "ffn.W"] = da.T @ c["xf"]
+        grads[p + "ffn.b"] = da.sum(axis=0)
+        dhbar_ln, grads[p + "ln_at.g"], grads[p + "ln_at.b"] = _ln_bwd(
+            da @ params[p + "ffn.W"], c["ln_at"]
+        )
         dhbar = dh + dhbar_ln
 
-        dyd = dhbar
-        dy = dyd if c["hmask"] is None else dyd * c["hmask"]
-        grads[p + "attn.c"] += dy.sum(axis=0)
-        grads[p + "attn.U"] += np.einsum("td,nth->ndh", dy, c["ybar"])
-        dybar = np.einsum("td,ndh->nth", dy, params[p + "attn.U"])
+        dy = dhbar if c["hmask"] is None else dhbar * c["hmask"]
+        grads[p + "attn.c"] = dy.sum(axis=0)
+        dU = (dy.T @ c["ybar"]).reshape(D, N, Dh).transpose(1, 0, 2)
+        grads[p + "attn.U"] = np.ascontiguousarray(dU)
+        dybar = (dy @ Ucat.T).reshape(Tp, N, Dh).transpose(1, 0, 2)
 
-        Q, K, Vv = c["Q"], c["K"], c["Vv"]
-        dQ = np.zeros_like(Q)
-        dK = np.zeros_like(K)
-        dV = np.zeros_like(Vv)
-        T = Q.shape[1]
-        for j in range(T):
-            pj = c["probs"][j]  # (N, j+1)
-            am = None if c["amask"] is None else c["amask"][:, : j + 1, j]
-            pd = pj if am is None else pj * am
-            dyb = dybar[:, j, :]  # (N, Dh)
-            dpd = np.einsum("nh,nih->ni", dyb, Vv[:, : j + 1, :])
-            dV[:, : j + 1, :] += np.einsum("ni,nh->nih", pd, dyb)
-            dpj = dpd if am is None else dpd * am
-            ds = pj * (dpj - (dpj * pj).sum(axis=1, keepdims=True))
-            ds = ds * (inv_sqrt_dh / c["scale"])
-            dK[:, : j + 1, :] += np.einsum("ni,nh->nih", ds, Q[:, j, :])
-            dQ[:, j, :] = np.einsum("ni,nih->nh", ds, K[:, : j + 1, :])
+        Q, K, Vv = c["qkv"]
+        amask = c["amask"]
+        dqkv = np.zeros((Tp, 3, N, Dh))
+        dQ, dK, dV = dqkv.transpose(1, 2, 0, 3)  # each (N, Tp, Dh)
+        coef = cache["inv_sqrt_dh"] / c["scale"]
+        for qb, P in enumerate(c["probs"]):
+            q0, k1 = qb * _BLOCK, (qb + 1) * _BLOCK
+            am = None if amask is None else amask[:, q0:k1, :k1]
+            pd = P if am is None else P * am
+            dyb = dybar[:, q0:k1]
+            dV[:, :k1] += pd.transpose(0, 2, 1) @ dyb
+            dp = dyb @ Vv[:, :k1].transpose(0, 2, 1)
+            if am is not None:
+                dp *= am
+            ds = P * (dp - (dp * P).sum(axis=2, keepdims=True))
+            ds *= coef
+            dK[:, :k1] += ds.transpose(0, 2, 1) @ Q[:, q0:k1]
+            dQ[:, q0:k1] = ds @ K[:, :k1]
 
-        xn = c["xn"]
-        dxn = np.zeros_like(xn)
-        for name, dmat in (("q", dQ), ("k", dK), ("v", dV)):
-            grads[p + f"attn.W{name}"] += np.einsum("nth,td->nhd", dmat, xn)
-            grads[p + f"attn.b{name}"] += dmat.sum(axis=1)
-            dxn += np.einsum("nth,nhd->td", dmat, params[p + f"attn.W{name}"])
-        dh_ln, dgin, dbin = _ln_bwd(dxn, c["ln_in"])
-        grads[p + "ln_in.g"] += dgin
-        grads[p + "ln_in.b"] += dbin
+        dqkv = dqkv.reshape(Tp, 3 * N * Dh)
+        dW = (dqkv.T @ c["xn"]).reshape(3, N, Dh, D)
+        db = dqkv.sum(axis=0).reshape(3, N, Dh)
+        db[1] = 0.0  # attn.bk, left out of the forward
+        for i, k in enumerate("qkv"):
+            grads[p + "attn.W" + k] = dW[i]
+            grads[p + "attn.b" + k] = db[i]
+        dh_ln, grads[p + "ln_in.g"], grads[p + "ln_in.b"] = _ln_bwd(
+            dqkv @ Wqkv, c["ln_in"]
+        )
         dh = dhbar + dh_ln
 
-    demb, dgem, dbem = _ln_bwd(dh, cache["ln_em"])
-    grads["ln_em.g"] += dgem
-    grads["ln_em.b"] += dbem
-    np.add.at(grads["Wem"].T, tok, demb)
-    return loss, grads
+    demb, grads["ln_em.g"], grads["ln_em.b"] = _ln_bwd(dh, cache["ln_em"])
+    np.add.at(dWem.T, cache["tokens"], demb[: len(cache["tokens"])])
+    grads["Wem"] = dWem
+    return loss, {k: grads[k] for k in params}
 
 
 # ---------------------------------------------------------------------------

@@ -450,12 +450,16 @@ def save_tokenizer(model: TokenizerModel, path: str) -> None:
 def load_tokenizer(path: str) -> TokenizerModel:
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != _HEADER:
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != _HEADER or len(lines) < 2:
         raise ValueError(f"not a {_HEADER} file: {path}")
     vocab_size = int(head[1])
     special = lines[1].split()
-    if special[:2] != ["special", ENDOFTEXT] or int(special[2]) != ENDOFTEXT_ID:
+    if (
+        len(special) != 3
+        or special[:2] != ["special", ENDOFTEXT]
+        or int(special[2]) != ENDOFTEXT_ID
+    ):
         raise ValueError("malformed special-token line")
     id_to_token: list[bytes] = [b""]
     token_to_id: dict[bytes, int] = {}

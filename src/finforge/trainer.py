@@ -287,29 +287,34 @@ def load_checkpoint(path):
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a checkpoint (bad magic {magic!r})")
-        (version,) = struct.unpack("<I", f.read(4))
+        prefix = f.read(12)
+        if len(prefix) < 12:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        version, hlen = struct.unpack("<IQ", prefix)
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", f.read(8))
         header = json.loads(f.read(hlen))
         payload = f.read()
-    shape = ModelShape(**header["shape"])
-    cfg = TrainConfig(**header["config"])
-    groups: dict[str, dict[str, np.ndarray]] = {"param": {}, "m": {}, "v": {}}
-    for entry in header["manifest"]:
-        kind, name = entry["name"].split(":", 1)
-        n = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        arr = np.frombuffer(
-            payload, dtype=entry["dtype"], count=n, offset=entry["offset"]
-        ).reshape(entry["shape"]).copy()
-        groups[kind][name] = arr
-    st = header["state"]
-    state = TrainState(
-        step=header["step"], m=groups["m"], v=groups["v"],
-        smooth_num=st["smooth_num"], smooth_den=st["smooth_den"],
-        epoch=st["epoch"], stream_pos=st["stream_pos"], order=st["order"],
-        shuffle_salt=st["shuffle_salt"],
-    )
+    try:
+        shape = ModelShape(**header["shape"])
+        cfg = TrainConfig(**header["config"])
+        groups: dict[str, dict[str, np.ndarray]] = {"param": {}, "m": {}, "v": {}}
+        for entry in header["manifest"]:
+            kind, name = entry["name"].split(":", 1)
+            n = int(np.prod(entry["shape"])) if entry["shape"] else 1
+            arr = np.frombuffer(
+                payload, dtype=entry["dtype"], count=n, offset=entry["offset"]
+            ).reshape(entry["shape"]).copy()
+            groups[kind][name] = arr
+        st = header["state"]
+        state = TrainState(
+            step=header["step"], m=groups["m"], v=groups["v"],
+            smooth_num=st["smooth_num"], smooth_den=st["smooth_den"],
+            epoch=st["epoch"], stream_pos=st["stream_pos"], order=st["order"],
+            shuffle_salt=st["shuffle_salt"],
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header: {exc!r}") from exc
     return shape, cfg, groups["param"], state
 
 

@@ -1,0 +1,188 @@
+"""Reference implementation of the decoder's forward and backward passes.
+
+This is the per-query formulation: attention is computed one query column
+at a time with `np.einsum` over that query's prefix keys, and every
+projection is an `np.einsum` contraction. It is slow and kept only as the
+oracle that tests compare the blocked kernels in `finforge.model` against.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from finforge.model import (
+    _DROP_ATTN,
+    _DROP_FFN,
+    _DROP_HIDDEN,
+    _check_finite,
+    _dropout_mask,
+    _ln_bwd,
+    _ln_fwd,
+    ForwardConfig,
+    _loss_grad_logits,
+    alibi_matrices,
+    gelu,
+    gelu_grad,
+)
+from finforge.scaling import ModelShape
+
+
+def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig):
+    """Run the network; returns (logits (V, T), cache for backward)."""
+    L, N = shape.layers, shape.heads
+    D, Dh, V = shape.hidden, shape.head_dim, shape.vocab
+    tokens = np.asarray(tokens, dtype=np.intp)
+    T = tokens.shape[0]
+    if T < 1:
+        raise ValueError("need at least one token")
+    if tokens.min() < 0 or tokens.max() >= V:
+        raise ValueError("token id out of range")
+
+    inv_sqrt_dh = 1.0 / math.sqrt(Dh)
+    alibi = alibi_matrices(N, T)
+    p_at, p_h, p_f = cfg.dropout(cfg.p_at), cfg.dropout(cfg.p_h), cfg.dropout(cfg.p_f)
+
+    emb = params["Wem"][:, tokens].T  # (T, D)
+    h, ln_em_cache = _ln_fwd(emb, params["ln_em.g"], params["ln_em.b"], cfg.eps)
+    _check_finite(h, "embedding LayerNorm")
+
+    layer_caches = []
+    for l in range(L):
+        p = f"layer{l}."
+        xn, ln_in_cache = _ln_fwd(h, params[p + "ln_in.g"], params[p + "ln_in.b"], cfg.eps)
+
+        Wq, Wk, Wv = params[p + "attn.Wq"], params[p + "attn.Wk"], params[p + "attn.Wv"]
+        bq, bk, bv = params[p + "attn.bq"], params[p + "attn.bk"], params[p + "attn.bv"]
+        Q = np.einsum("td,nhd->nth", xn, Wq) + bq[:, None, :]
+        K = np.einsum("td,nhd->nth", xn, Wk) + bk[:, None, :]
+        Vv = np.einsum("td,nhd->nth", xn, Wv) + bv[:, None, :]
+
+        amask = _dropout_mask(cfg, l, _DROP_ATTN, p_at, N, T, T)
+        scale = float(l + 1) if cfg.qk_layer_scaling else 1.0
+        probs = []  # per query: pre-dropout softmax over its prefix keys
+        ybar = np.empty((N, T, Dh))
+        for j in range(T):
+            s = (
+                np.einsum("nih,nh->ni", K[:, : j + 1, :], Q[:, j, :]) * inv_sqrt_dh
+                + alibi.biases[:, : j + 1, j]
+            ) / scale
+            s = s - s.max(axis=1, keepdims=True)
+            e = np.exp(s)
+            pj = e / e.sum(axis=1, keepdims=True)
+            probs.append(pj)
+            pd = pj if amask is None else pj * amask[:, : j + 1, j]
+            ybar[:, j, :] = np.einsum("ni,nih->nh", pd, Vv[:, : j + 1, :])
+
+        U, c = params[p + "attn.U"], params[p + "attn.c"]
+        y = np.einsum("nth,ndh->td", ybar, U) + c
+        hmask = _dropout_mask(cfg, l, _DROP_HIDDEN, p_h, T, D)
+        yd = y if hmask is None else y * hmask
+        hbar = h + yd
+        _check_finite(hbar, f"layer {l} attention output")
+
+        xf, ln_at_cache = _ln_fwd(
+            hbar, params[p + "ln_at.g"], params[p + "ln_at.b"], cfg.eps
+        )
+        a = np.einsum("td,fd->tf", xf, params[p + "ffn.W"]) + params[p + "ffn.b"]
+        g = gelu(a)
+        o = np.einsum("tf,df->td", g, params[p + "ffn.U"]) + params[p + "ffn.c"]
+        fmask = _dropout_mask(cfg, l, _DROP_FFN, p_f, T, D)
+        od = o if fmask is None else o * fmask
+        h_next = hbar + od
+        _check_finite(h_next, f"layer {l} FFN output")
+
+        layer_caches.append(
+            dict(
+                h=h, ln_in=ln_in_cache, xn=xn, Q=Q, K=K, Vv=Vv, probs=probs,
+                amask=amask, ybar=ybar, hmask=hmask, hbar=hbar, ln_at=ln_at_cache,
+                xf=xf, a=a, g=g, fmask=fmask, scale=scale,
+            )
+        )
+        h = h_next
+
+    z, ln_f_cache = _ln_fwd(h, params["ln_f.g"], params["ln_f.b"], cfg.eps)
+    logits = np.einsum("td,dv->tv", z, params["Wem"])  # tied head, no bias
+    _check_finite(logits, "lm head")
+    cache = dict(
+        tokens=tokens, ln_em=ln_em_cache, layers=layer_caches, ln_f=ln_f_cache,
+        z=z, alibi=alibi, inv_sqrt_dh=inv_sqrt_dh,
+    )
+    return logits.T, cache
+
+
+def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, weights=None):
+    """Loss and exact gradients of cross_entropy_loss(forward(.))."""
+    logits, cache = _forward(params, tokens, shape, cfg)
+    loss, dlt = _loss_grad_logits(logits, targets, weights)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    tok = cache["tokens"]
+    z = cache["z"]
+    alibi = cache["alibi"]
+    inv_sqrt_dh = cache["inv_sqrt_dh"]
+
+    # Tied LM head: gradient flows into the embedding matrix twice.
+    grads["Wem"] += np.einsum("tv,td->dv", dlt, z)
+    dz = np.einsum("tv,dv->td", dlt, params["Wem"])
+    dh, dg, db = _ln_bwd(dz, cache["ln_f"])
+    grads["ln_f.g"] += dg
+    grads["ln_f.b"] += db
+
+    for l in range(shape.layers - 1, -1, -1):
+        p = f"layer{l}."
+        c = cache["layers"][l]
+        # h_next = hbar + drop(o)
+        do = dh if c["fmask"] is None else dh * c["fmask"]
+        grads[p + "ffn.U"] += np.einsum("td,tf->df", do, c["g"])
+        grads[p + "ffn.c"] += do.sum(axis=0)
+        dgel = np.einsum("td,df->tf", do, params[p + "ffn.U"])
+        da = dgel * gelu_grad(c["a"])
+        grads[p + "ffn.W"] += np.einsum("tf,td->fd", da, c["xf"])
+        grads[p + "ffn.b"] += da.sum(axis=0)
+        dxf = np.einsum("tf,fd->td", da, params[p + "ffn.W"])
+        dhbar_ln, dgat, dbat = _ln_bwd(dxf, c["ln_at"])
+        grads[p + "ln_at.g"] += dgat
+        grads[p + "ln_at.b"] += dbat
+        dhbar = dh + dhbar_ln
+
+        dyd = dhbar
+        dy = dyd if c["hmask"] is None else dyd * c["hmask"]
+        grads[p + "attn.c"] += dy.sum(axis=0)
+        grads[p + "attn.U"] += np.einsum("td,nth->ndh", dy, c["ybar"])
+        dybar = np.einsum("td,ndh->nth", dy, params[p + "attn.U"])
+
+        Q, K, Vv = c["Q"], c["K"], c["Vv"]
+        dQ = np.zeros_like(Q)
+        dK = np.zeros_like(K)
+        dV = np.zeros_like(Vv)
+        T = Q.shape[1]
+        for j in range(T):
+            pj = c["probs"][j]  # (N, j+1)
+            am = None if c["amask"] is None else c["amask"][:, : j + 1, j]
+            pd = pj if am is None else pj * am
+            dyb = dybar[:, j, :]  # (N, Dh)
+            dpd = np.einsum("nh,nih->ni", dyb, Vv[:, : j + 1, :])
+            dV[:, : j + 1, :] += np.einsum("ni,nh->nih", pd, dyb)
+            dpj = dpd if am is None else dpd * am
+            ds = pj * (dpj - (dpj * pj).sum(axis=1, keepdims=True))
+            ds = ds * (inv_sqrt_dh / c["scale"])
+            dK[:, : j + 1, :] += np.einsum("ni,nh->nih", ds, Q[:, j, :])
+            dQ[:, j, :] = np.einsum("ni,nih->nh", ds, K[:, : j + 1, :])
+
+        xn = c["xn"]
+        dxn = np.zeros_like(xn)
+        for name, dmat in (("q", dQ), ("k", dK), ("v", dV)):
+            grads[p + f"attn.W{name}"] += np.einsum("nth,td->nhd", dmat, xn)
+            grads[p + f"attn.b{name}"] += dmat.sum(axis=1)
+            dxn += np.einsum("nth,nhd->td", dmat, params[p + f"attn.W{name}"])
+        dh_ln, dgin, dbin = _ln_bwd(dxn, c["ln_in"])
+        grads[p + "ln_in.g"] += dgin
+        grads[p + "ln_in.b"] += dbin
+        dh = dhbar + dh_ln
+
+    demb, dgem, dbem = _ln_bwd(dh, cache["ln_em"])
+    grads["ln_em.g"] += dgem
+    grads["ln_em.b"] += dbem
+    np.add.at(grads["Wem"].T, tok, demb)
+    return loss, grads

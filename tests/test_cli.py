@@ -377,3 +377,60 @@ def test_eval_cli_malformed_tasks_exit_2(capsys, workspace, tmp_path):
         "--tasks", str(tasks),
     )
     assert code == 2
+
+
+def _write_checkpoint(path, drop_key=None):
+    """A tiny valid checkpoint, or one whose header lacks ``drop_key``."""
+    from finforge import model as M
+    from finforge.scaling import ModelShape
+
+    shape = ModelShape(1, 1, 4, 4, 16, 8)
+    R.save_checkpoint(str(path), shape, TrainConfig(), M.init_params(shape, 0), R.TrainState())
+    if drop_key is None:
+        return
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + hlen])
+    del header[drop_key]
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen :])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "empty-tokenizer",
+        "checkpoint-without-state",
+        "checkpoint-without-shape",
+        "checkpoint-without-manifest",
+        "checkpoint-truncated",
+        "jsonl-line-not-an-object",
+        "task-line-not-an-object",
+    ],
+)
+def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
+    ckpt = tmp_path / "model.ckpt"
+    tokpath = tmp_path / "tok.txt"
+    T.save_tokenizer(T.finalize(T.UnigramVocab({b"a": 1.0}, 1.0)), str(tokpath))
+    if case.startswith("checkpoint-without-"):
+        _write_checkpoint(ckpt, drop_key=case.rsplit("-", 1)[1])
+    else:
+        _write_checkpoint(ckpt)
+    if case == "empty-tokenizer":
+        tokpath.write_bytes(b"")
+    if case == "checkpoint-truncated":
+        ckpt.write_bytes(ckpt.read_bytes()[:10])
+    model_args = ["--model", str(ckpt), "--tokenizer", str(tokpath)]
+    if case == "jsonl-line-not-an-object":
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"text": "fine"}\n["a", "list"]\n')
+        argv = ["train-tokenizer", "--corpus", str(corpus), "--out", str(tmp_path / "o.txt")]
+    elif case == "task-line-not-an-object":
+        tasks = tmp_path / "tasks.ndjson"
+        tasks.write_text("5\n")
+        argv = ["eval", "classify", *model_args, "--tasks", str(tasks)]
+    else:
+        argv = ["eval", "generate", *model_args, "--prompt", "a"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2, err
+    assert "data error" in err and "Traceback" not in err

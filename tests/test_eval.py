@@ -223,6 +223,18 @@ def test_classify_normalization_divides_by_token_count(monkeypatch):
     assert E.classify(None, tok, task, "normalization") == b"x"
 
 
+def test_classify_normalization_survives_tiny_probabilities(monkeypatch):
+    # exp(-800) underflows to 0.0: compared as probabilities, both candidates
+    # would tie and the first would win; per token, "xy" is more likely
+    table = {(b"c", b"x"): -801.0, (b"c", b"xy"): -800.0}
+    monkeypatch.setattr(
+        E, "candidate_logprob", lambda lm, tok, c, cand, **kw: table[(c, cand)]
+    )
+    tok = byte_tokenizer(b"xy")
+    task = E.ClassificationTask(context=b"c", candidates=(b"x", b"xy"))
+    assert E.classify(None, tok, task, "normalization") == b"xy"
+
+
 def test_classify_tie_goes_to_first_candidate(monkeypatch):
     monkeypatch.setattr(E, "candidate_logprob", lambda *a, **k: math.log(0.5))
     tok = byte_tokenizer(b"ab")
