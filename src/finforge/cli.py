@@ -19,7 +19,7 @@ from . import model as M
 from . import scaling as S
 from . import tokenizer as T
 from . import trainer as R
-from .vocabselect import round_up_pow2, sweep
+from .vocabselect import best_size, round_up_pow2, sweep
 
 EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 1, 2, 3
 
@@ -131,9 +131,9 @@ def cmd_sweep_vocab(args) -> int:
     print("size,tokens,bits,bits_per_byte")
     for c in swept:
         print(f"{c.size},{c.encoded_tokens},{c.encoded_bits:.6f},{c.encoded_bits / total_bytes:.6f}")
-    best = min(swept, key=lambda c: (c.encoded_bits, c.size))
-    print(f"chosen_raw,{best.size}")
-    print(f"chosen_rounded,{round_up_pow2(best.size)}")
+    best = best_size(swept)
+    print(f"chosen_raw,{best}")
+    print(f"chosen_rounded,{round_up_pow2(best)}")
     return 0
 
 
@@ -188,18 +188,15 @@ def cmd_train(args) -> int:
             : values["val_max_chunks"]
         ]
 
-    diag = None
     if args.resume:
-        diag = R.DiagnosticsLog(os.path.join(values["out_dir"], "diagnostics.csv"))
-        overrides = {}
-        for ov in args.override or []:
-            key, raw = ov.split("=", 1)
-            if key not in C.TRAIN_KEYS:
-                raise _UsageError(f"unknown override key {key!r}")
-            overrides[key] = C._coerce(key, raw, C.TRAIN_KEYS[key])
-        shape, cfg, params, state = R.resume_with_overrides(
-            args.resume, overrides, reshuffle_remaining=args.reshuffle, diag=diag
-        )
+        try:
+            overrides = C.parse_overrides(args.override)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
+        with R.DiagnosticsLog(os.path.join(values["out_dir"], "diagnostics.csv")) as diag:
+            shape, cfg, params, state = R.resume_with_overrides(
+                args.resume, overrides, reshuffle_remaining=args.reshuffle, diag=diag
+            )
     else:
         params = M.init_params(shape, values["init_seed"])
         state = None
@@ -303,8 +300,8 @@ def build_parser() -> _Parser:
         e.add_argument("--tokenizer", required=True)
         if name == "bpb":
             e.add_argument("--docs", required=True)
-            e.add_argument("--window", type=int, default=2048)
-            e.add_argument("--stride", type=int, default=1024)
+            e.add_argument("--window", type=int, default=E.WINDOW)
+            e.add_argument("--stride", type=int, default=E.STRIDE)
         elif name == "classify":
             e.add_argument("--tasks", required=True)
             e.add_argument("--method", default="all", choices=("all",) + E.METHODS)

@@ -39,10 +39,19 @@ TRAIN_KEYS: dict[str, type] = {
     for f in fields(TrainConfig)
 }
 
+_KEY_TYPES: dict[str, type] = {k: t for k, (t, _) in RUN_KEYS.items()} | TRAIN_KEYS
 
-def _coerce(key: str, raw: str, typ: type):
+
+def _pair(text: str, types: dict[str, type]) -> tuple[str, Any]:
+    """The typed ``key = value`` in ``text``; the key must be one of ``types``."""
+    key, sep, raw = (s.strip() for s in text.partition("="))
+    if not sep:
+        raise ValueError("expected 'key = value'")
+    if key not in types:
+        raise ValueError(f"unknown config key {key!r}")
+    typ = types[key]
     try:
-        return _bool(raw) if typ is bool else typ(raw)
+        return key, _bool(raw) if typ is bool else typ(raw)
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: cannot parse {raw!r} as {typ.__name__}") from exc
 
@@ -55,22 +64,23 @@ def parse_config(path: str) -> dict[str, Any]:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (s.strip() for s in line.split("=", 1))
+            try:
+                key, value = _pair(line, _KEY_TYPES)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if key in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             seen.add(key)
-            if key in RUN_KEYS:
-                values[key] = _coerce(key, raw, RUN_KEYS[key][0])
-            elif key in TRAIN_KEYS:
-                values[key] = _coerce(key, raw, TRAIN_KEYS[key])
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[key] = value
     missing = [k for k, (_, d) in RUN_KEYS.items() if d is None and values.get(k) is None]
     if missing:
         raise ValueError(f"{path}: missing required keys: {missing}")
     return values
+
+
+def parse_overrides(specs: list[str]) -> dict[str, Any]:
+    """Typed training-config overrides from ``key=value`` strings."""
+    return dict(_pair(spec, TRAIN_KEYS) for spec in specs)
 
 
 def train_config_from(values: dict[str, Any]) -> TrainConfig:

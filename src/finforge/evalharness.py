@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,14 +13,13 @@ from .model import LanguageModel, target_nll
 from .tokenizer import TokenizerModel, encode
 
 CALIBRATION_CONTEXT = b"Answer:"
+WINDOW, STRIDE = 2048, 1024  # sliding-window scoring; see _windowed_nll
 
 
 @dataclass(frozen=True)
 class ClassificationTask:
     context: bytes
     candidates: tuple[bytes, ...]
-    shots: tuple[tuple[bytes, bytes], ...] = ()  # (context, gold) exemplars
-    shot_seed: int = 0
     gold: bytes | None = None
 
     def __post_init__(self):
@@ -30,32 +29,18 @@ class ClassificationTask:
             raise ValueError("candidates must be distinct")
 
 
-@dataclass
-class EvalResult:
-    example_id: int
-    chosen: dict[str, bytes]  # method -> candidate
-    correct: dict[str, bool] = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
 # Log-likelihoods
 
 
-def sequence_logprob(
-    lm: LanguageModel,
-    context: list[int],
-    continuation: list[int],
-    window: int = 2048,
-    stride: int = 1024,
-) -> float:
+def sequence_logprob(lm: LanguageModel, context: list[int], continuation: list[int]) -> float:
     """Sum of next-token log-probabilities (nats) of the continuation given
     the context. Long inputs fall back to sliding-window scoring with at
-    least ``window - stride`` tokens of context per scored position."""
+    least ``WINDOW - STRIDE`` tokens of context per scored position."""
     if not continuation:
         raise ValueError("continuation must be non-empty")
     full = list(context) + list(continuation)
-    nll = _windowed_nll(lm, full, first_scored=len(context), window=window, stride=stride)
-    return -nll
+    return -_windowed_nll(lm, full, first_scored=len(context), window=WINDOW, stride=STRIDE)
 
 
 def _token_nll(lm: LanguageModel, tokens: list[int], scored: list[int]) -> float:
@@ -98,8 +83,8 @@ def bits_per_byte(
     lm: LanguageModel,
     docs: list[bytes],
     tok: TokenizerModel,
-    window: int = 2048,
-    stride: int = 1024,
+    window: int = WINDOW,
+    stride: int = STRIDE,
 ) -> float:
     """Total negative log-likelihood in bits over all documents divided by
     their raw byte length. Each document is scored independently (windows
@@ -123,10 +108,10 @@ def bits_per_byte(
 METHODS = ("regular", "calibration", "normalization")
 
 
-def candidate_logprob(lm, tok, context: bytes, candidate: bytes, **win) -> float:
+def candidate_logprob(lm, tok, context: bytes, candidate: bytes) -> float:
     ctx_ids = [tok.eot_id] + encode(tok, context)
     cand_ids = encode(tok, candidate)
-    return sequence_logprob(lm, ctx_ids, cand_ids, **win)
+    return sequence_logprob(lm, ctx_ids, cand_ids)
 
 
 def classify(

@@ -144,50 +144,50 @@ def param_names(shape: ModelShape) -> list[str]:
     return names
 
 
-def init_params(shape: ModelShape, seed: int, dtype=np.float64) -> dict[str, np.ndarray]:
+def init_std(hidden: int) -> float:
+    return 1.0 / math.sqrt(3.0 * hidden)
+
+
+def init_params(shape: ModelShape, seed: int) -> dict[str, np.ndarray]:
     """Gaussian init with std 1/sqrt(3D); the attention output map and the
     second FFN layer are rescaled by 1/sqrt(2L). Gains start at 1, biases 0."""
     L, N = shape.layers, shape.heads
     D, Dh, Df, V = shape.hidden, shape.head_dim, shape.ffn_hidden, shape.vocab
-    z = 1.0 / math.sqrt(3.0 * D)
+    z = init_std(D)
     zp = z / math.sqrt(2.0 * L) if L > 0 else z
     rng = np.random.default_rng(seed)
 
     def normal(std, *dims):
-        return rng.normal(0.0, std, size=dims).astype(dtype)
+        return rng.normal(0.0, std, size=dims)
 
     params = {
         "Wem": normal(z, D, V),
-        "ln_em.g": np.ones(D, dtype=dtype),
-        "ln_em.b": np.zeros(D, dtype=dtype),
+        "ln_em.g": np.ones(D),
+        "ln_em.b": np.zeros(D),
     }
     for l in range(L):
         p = f"layer{l}."
-        params[p + "ln_in.g"] = np.ones(D, dtype=dtype)
-        params[p + "ln_in.b"] = np.zeros(D, dtype=dtype)
+        params[p + "ln_in.g"] = np.ones(D)
+        params[p + "ln_in.b"] = np.zeros(D)
         params[p + "attn.Wq"] = normal(z, N, Dh, D)
         params[p + "attn.Wk"] = normal(z, N, Dh, D)
         params[p + "attn.Wv"] = normal(z, N, Dh, D)
-        params[p + "attn.bq"] = np.zeros((N, Dh), dtype=dtype)
-        params[p + "attn.bk"] = np.zeros((N, Dh), dtype=dtype)
-        params[p + "attn.bv"] = np.zeros((N, Dh), dtype=dtype)
+        params[p + "attn.bq"] = np.zeros((N, Dh))
+        params[p + "attn.bk"] = np.zeros((N, Dh))
+        params[p + "attn.bv"] = np.zeros((N, Dh))
         params[p + "attn.U"] = normal(zp, N, D, Dh)
-        params[p + "attn.c"] = np.zeros(D, dtype=dtype)
-        params[p + "ln_at.g"] = np.ones(D, dtype=dtype)
-        params[p + "ln_at.b"] = np.zeros(D, dtype=dtype)
+        params[p + "attn.c"] = np.zeros(D)
+        params[p + "ln_at.g"] = np.ones(D)
+        params[p + "ln_at.b"] = np.zeros(D)
         params[p + "ffn.W"] = normal(z, Df, D)
-        params[p + "ffn.b"] = np.zeros(Df, dtype=dtype)
+        params[p + "ffn.b"] = np.zeros(Df)
         params[p + "ffn.U"] = normal(zp, D, Df)
-        params[p + "ffn.c"] = np.zeros(D, dtype=dtype)
-    params["ln_f.g"] = np.ones(D, dtype=dtype)
-    params["ln_f.b"] = np.zeros(D, dtype=dtype)
+        params[p + "ffn.c"] = np.zeros(D)
+    params["ln_f.g"] = np.ones(D)
+    params["ln_f.b"] = np.zeros(D)
 
     assert sum(v.size for v in params.values()) == count_parameters(shape).grand_total
     return params
-
-
-def init_std(hidden: int) -> float:
-    return 1.0 / math.sqrt(3.0 * hidden)
 
 
 def _dropout_mask(cfg: ForwardConfig, layer: int, site: int, p: float, *dims):
@@ -245,8 +245,9 @@ def _attn_maps(params, p, shape: ModelShape):
     return Wqkv, params[p + "attn.U"].transpose(0, 2, 1).reshape(N * Dh, D)
 
 
-def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig):
-    """Run the network; returns (logits (V, T), cache for backward).
+def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: bool):
+    """Run the network; returns (logits (V, T), cache for backward), the
+    cache None unless ``keep_cache``.
 
     The cache holds activations of all Tp padded rows; rows from T on are
     padding that no real position attends to."""
@@ -296,7 +297,8 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig):
             s -= s.max(axis=2, keepdims=True)
             np.exp(s, out=s)
             s /= s.sum(axis=2, keepdims=True)
-            probs.append(s)
+            if keep_cache:
+                probs.append(s)
             pd = s if amask is None else s * amask[:, q0:k1, :k1]
             ybar[q0:k1] = (pd @ Vv[:, :k1]).transpose(1, 0, 2)
         ybar = ybar.reshape(Tp, N * Dh)
@@ -318,30 +320,31 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig):
         h_next = hbar + od
         _check_finite(h_next, f"layer {l} FFN output")
 
-        layer_caches.append(
-            dict(
-                ln_in=ln_in_cache, xn=xn, qkv=(Q, K, Vv), probs=probs, amask=amask,
-                ybar=ybar, hmask=hmask, ln_at=ln_at_cache,
-                xf=xf, a=a, g=g, fmask=fmask, scale=scale,
+        if keep_cache:
+            layer_caches.append(
+                dict(
+                    ln_in=ln_in_cache, xn=xn, qkv=(Q, K, Vv), probs=probs, amask=amask,
+                    ybar=ybar, hmask=hmask, ln_at=ln_at_cache,
+                    xf=xf, a=a, g=g, fmask=fmask, scale=scale,
+                )
             )
-        )
         h = h_next
 
     z, ln_f_cache = _ln_fwd(h, params["ln_f.g"], params["ln_f.b"], cfg.eps)
     logits = _rows(z, params["Wem"])[:T]  # tied head, no bias
     _check_finite(logits, "lm head")
-    cache = dict(
+    if not keep_cache:
+        return logits.T, None
+    return logits.T, dict(
         tokens=tokens, ln_em=ln_em_cache, layers=layer_caches, ln_f=ln_f_cache,
         z=z, inv_sqrt_dh=inv_sqrt_dh,
     )
-    return logits.T, cache
 
 
 def forward(params, tokens, shape: ModelShape, cfg: ForwardConfig | None = None):
     """Logits (V, T) for a token sequence."""
     cfg = cfg or ForwardConfig()
-    logits, _ = _forward(params, tokens, shape, cfg)
-    return logits
+    return _forward(params, tokens, shape, cfg, False)[0]
 
 
 def target_nll(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -383,7 +386,7 @@ def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, wei
 
     Padded rows get exactly zero upstream gradient, so they add nothing to
     the weight gradients."""
-    logits, cache = _forward(params, tokens, shape, cfg)
+    logits, cache = _forward(params, tokens, shape, cfg, True)
     loss, dlt = _loss_grad_logits(logits, targets, weights)
     N, D, Dh = shape.heads, shape.hidden, shape.head_dim
     z = cache["z"]
@@ -475,8 +478,7 @@ def finite_diff_check(
     report = {}
 
     def loss_fn():
-        logits, _ = _forward(params, tokens, shape, cfg)
-        return _loss_grad_logits(logits, targets)[0]
+        return cross_entropy_loss(forward(params, tokens, shape, cfg), targets)
 
     for name, tensor in params.items():
         flat = tensor.reshape(-1)

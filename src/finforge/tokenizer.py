@@ -10,10 +10,8 @@ Viterbi maximum-probability segmentation per pretoken.
 from __future__ import annotations
 
 import math
-import os
 import re
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 ENDOFTEXT = "<|endoftext|>"
@@ -337,6 +335,17 @@ class TokenizerModel:
     def eot_id(self) -> int:
         return self.special_tokens[ENDOFTEXT]
 
+    @classmethod
+    def from_ranked(cls, ranked: list[tuple[bytes, float]]) -> TokenizerModel:
+        """Tokens with their log-probabilities take ids 1, 2, ... in order."""
+        id_to_token = [b""] + [t for t, _ in ranked]  # id 0: <|endoftext|>
+        return cls(
+            logp=dict(ranked),
+            id_to_token=id_to_token,
+            token_to_id={t: i for i, t in enumerate(id_to_token) if i},
+            max_token_len=max(len(t) for t, _ in ranked),
+        )
+
 
 def finalize(vocab: UnigramVocab) -> TokenizerModel:
     """Add any absent single-byte tokens at a floor probability, add
@@ -347,19 +356,19 @@ def finalize(vocab: UnigramVocab) -> TokenizerModel:
             probs[b] = BYTE_FLOOR
     probs = _normalized(probs)
     ranked = sorted(probs.items(), key=lambda tp: (-tp[1], tp[0]))
-    id_to_token: list[bytes] = [b""]  # id 0: <|endoftext|>
-    logp: dict[bytes, float] = {}
-    token_to_id: dict[bytes, int] = {}
-    for t, p in ranked:
-        token_to_id[t] = len(id_to_token)
-        id_to_token.append(t)
-        logp[t] = math.log(p)
-    return TokenizerModel(
-        logp=logp,
-        id_to_token=id_to_token,
-        token_to_id=token_to_id,
-        max_token_len=max(len(t) for t in logp),
-    )
+    return TokenizerModel.from_ranked([(t, math.log(p)) for t, p in ranked])
+
+
+def finalize_to_size(vocab: UnigramVocab, size: int) -> TokenizerModel:
+    """Prune ``vocab`` so that the finalized tokenizer, with the missing
+    single bytes and ``<|endoftext|>`` added, has exactly ``size`` entries."""
+    singles = {t for t in vocab.probs if len(t) == 1}
+    keep = size - (256 - len(singles)) - 1
+    if keep < len(singles):
+        raise ValueError(f"target size {size} too small for byte coverage")
+    if len(vocab) > keep:
+        vocab = prune_to_size(vocab, keep, protected=singles)
+    return finalize(vocab)
 
 
 def encode(model: TokenizerModel, data: bytes) -> list[int]:
@@ -386,17 +395,6 @@ def decode(model: TokenizerModel, ids: list[int], eot_surface: bytes = b"") -> b
 # Split-and-merge parallel training
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FINFORGE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _train_chunk(args: tuple[bytes, int]) -> UnigramVocab:
-    return train_chunk_unigram(*args)
-
-
 def train_parallel(
     domains: list[list[bytes]],
     chunk_vocab: int = 65536,
@@ -408,27 +406,10 @@ def train_parallel(
     grouping is fixed for determinism but does not affect the result."""
     if not domains or any(not chunks for chunks in domains):
         raise InsufficientCorpusError("corpus partition has an empty domain")
-    jobs = [(chunk, chunk_vocab) for chunks in domains for chunk in chunks]
-    workers = _max_workers()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trained = list(pool.map(_train_chunk, jobs))
-    else:
-        trained = [_train_chunk(j) for j in jobs]
-
-    merged_domains = []
-    pos = 0
-    for chunks in domains:
-        merged_domains.append(merge_vocabs(trained[pos : pos + len(chunks)]))
-        pos += len(chunks)
-    merged = merge_vocabs(merged_domains)
-
-    singles = {t for t in merged.probs if len(t) == 1}
-    missing = 256 - len(singles)
-    keep = final_vocab - missing - 1  # room for missing bytes + <|endoftext|>
-    if len(merged) > keep:
-        merged = prune_to_size(merged, keep, protected=singles)
-    return finalize(merged)
+    merged = merge_vocabs(
+        [merge_vocabs([train_chunk_unigram(c, chunk_vocab) for c in chunks]) for chunks in domains]
+    )
+    return finalize_to_size(merged, final_vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -461,22 +442,13 @@ def load_tokenizer(path: str) -> TokenizerModel:
         or int(special[2]) != ENDOFTEXT_ID
     ):
         raise ValueError("malformed special-token line")
-    id_to_token: list[bytes] = [b""]
-    token_to_id: dict[bytes, int] = {}
-    logp: dict[bytes, float] = {}
+    ranked: list[tuple[bytes, float]] = []
     for line in lines[2:]:
         sid, hextok, lp = line.split("\t")
         tok = bytes.fromhex(hextok)
-        if int(sid) != len(id_to_token):
+        if int(sid) != len(ranked) + 1:
             raise ValueError("ids are not dense and ascending")
-        id_to_token.append(tok)
-        token_to_id[tok] = int(sid)
-        logp[tok] = float(lp)
-    if len(id_to_token) != vocab_size:
+        ranked.append((tok, float(lp)))
+    if len(ranked) + 1 != vocab_size:
         raise ValueError("vocab size mismatch")
-    return TokenizerModel(
-        logp=logp,
-        id_to_token=id_to_token,
-        token_to_id=token_to_id,
-        max_token_len=max(len(t) for t in logp),
-    )
+    return TokenizerModel.from_ranked(ranked)

@@ -187,12 +187,10 @@ def smoothed_loss(series: list[float], alpha: float = 0.001) -> float:
     """Normalized exponential running average of the last series value."""
     if not series:
         raise ValueError("series is empty")
-    num = 0.0
-    den = 0.0
+    state = TrainState()
     for x in series:
-        num = x + (1.0 - alpha) * num
-        den = 1.0 + (1.0 - alpha) * den
-    return num / den
+        smooth = state.smooth_update(x, alpha)
+    return smooth
 
 
 def component_weight_norms(params: dict[str, np.ndarray]) -> dict[str, float]:
@@ -323,20 +321,32 @@ def load_checkpoint(path):
 
 
 class DiagnosticsLog:
-    """Comma-separated diagnostics: ``step,kind,name,value`` per line."""
+    """Comma-separated diagnostics: ``step,kind,name,value`` per line,
+    appended to ``path`` through one handle. ``rows`` holds the rows of the
+    latest step only, so a long run does not grow it."""
 
-    def __init__(self, path: str | None):
-        self.path = path
+    def __init__(self, path: str):
+        self._file = open(path, "a")
         self.rows: list[tuple[int, str, str, str]] = []
-        if path:
-            open(path, "a").close()
 
     def record(self, step: int, kind: str, name: str, value) -> None:
         row = (step, kind, name, repr(value) if isinstance(value, float) else str(value))
+        if self.rows and self.rows[-1][0] != step:
+            self.rows.clear()
         self.rows.append(row)
-        if self.path:
-            with open(self.path, "a") as f:
-                f.write(f"{row[0]},{row[1]},{row[2]},{row[3]}\n")
+        self._file.write(f"{row[0]},{row[1]},{row[2]},{row[3]}\n")
+
+    def flush(self) -> None:
+        self._file.flush()
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def _epoch_order(n: int, cfg: TrainConfig, epoch: int, salt: int) -> list[int]:
@@ -370,89 +380,90 @@ def train(
     non-finite loss or gradient appears.
     """
     os.makedirs(out_dir, exist_ok=True)
-    diag = DiagnosticsLog(os.path.join(out_dir, "diagnostics.csv"))
-    chunks = pack_documents(train_docs, cfg.seq_len, eot_id)
-    if not chunks:
-        raise ValueError("corpus too small to fill a single training sequence")
-    val_chunks = (
-        pack_documents(val_docs, cfg.seq_len, eot_id) if val_docs else []
-    )
-    if state is None:
-        state = TrainState.fresh(params)
-    if not state.order:
-        state.order = _epoch_order(len(chunks), cfg, state.epoch, state.shuffle_salt)
-
-    last_ckpt: str | None = None
-
-    def checkpoint() -> str:
-        path = os.path.join(out_dir, f"checkpoint-{state.step:08d}.bin")
-        save_checkpoint(path, shape, cfg, params, state)
-        diag.record(state.step, "checkpoint", "path", os.path.basename(path))
-        return path
-
-    def next_batch(size: int) -> list[list[int]]:
-        batch = []
-        while len(batch) < size:
-            if state.stream_pos >= len(state.order):
-                state.epoch += 1
-                state.stream_pos = 0
-                state.order = _epoch_order(len(chunks), cfg, state.epoch, state.shuffle_salt)
-            batch.append(chunks[state.order[state.stream_pos]])
-            state.stream_pos += 1
-        return batch
-
-    while state.step < steps:
-        step = state.step + 1
-        batch = next_batch(batch_size_at(step, cfg))
-        fcfg = M.ForwardConfig(
-            p_at=cfg.dropout_at, p_h=cfg.dropout_h, p_f=cfg.dropout_f,
-            training=True, rng_seed=derive_seed(cfg.seed, "dropout"), step=step,
-            eps=cfg.ln_eps, qk_layer_scaling=cfg.qk_layer_scaling,
+    with DiagnosticsLog(os.path.join(out_dir, "diagnostics.csv")) as diag:
+        chunks = pack_documents(train_docs, cfg.seq_len, eot_id)
+        if not chunks:
+            raise ValueError("corpus too small to fill a single training sequence")
+        val_chunks = (
+            pack_documents(val_docs, cfg.seq_len, eot_id) if val_docs else []
         )
-        total_loss = 0.0
-        grads = None
-        try:
-            for chunk in batch:
-                loss, g = M.backward(
-                    params, chunk[:-1], chunk[1:], shape, fcfg,
-                    weights=_loss_weights(chunk, eot_id, cfg),
-                )
-                total_loss += loss
-                if grads is None:
-                    grads = g
-                else:
-                    for k in grads:
-                        grads[k] += g[k]
-            loss = total_loss / len(batch)
-            for k in grads:
-                grads[k] /= len(batch)
-            if not math.isfinite(loss):
-                raise M.NonFiniteError(f"non-finite loss at step {step}")
-            grads, gnorm = clip_gradients(grads, cfg.clip_norm)
-        except M.NonFiniteError as exc:
-            diag.record(step, "halt", "non_finite", str(exc))
-            raise TrainingDiverged(str(exc), last_ckpt) from exc
+        if state is None:
+            state = TrainState.fresh(params)
+        if not state.order:
+            state.order = _epoch_order(len(chunks), cfg, state.epoch, state.shuffle_salt)
 
-        adamw_step(params, grads, state, lr_at(step, cfg), cfg)
+        last_ckpt: str | None = None
 
-        diag.record(step, "grad_norm", "global", gnorm)
-        for name, norm in component_weight_norms(params).items():
-            diag.record(step, "weight_norm", name, norm)
-        smooth = state.smooth_update(loss, cfg.smooth_alpha)
-        if step % cfg.train_loss_interval == 0:
-            diag.record(step, "train_loss", "raw", loss)
-            diag.record(step, "train_loss", "smoothed", smooth)
-        if val_chunks and step % cfg.val_interval == 0:
-            vloss = validation_loss(params, shape, val_chunks, cfg)
-            diag.record(step, "val_loss", "mean", vloss)
-        if step % cfg.checkpoint_interval == 0:
-            last_ckpt = checkpoint()
-        if callbacks:
-            for cb in callbacks:
-                cb(step, params, state, diag)
+        def checkpoint() -> str:
+            path = os.path.join(out_dir, f"checkpoint-{state.step:08d}.bin")
+            save_checkpoint(path, shape, cfg, params, state)
+            diag.record(state.step, "checkpoint", "path", os.path.basename(path))
+            return path
 
-    last_ckpt = checkpoint()
-    return state, last_ckpt
+        def next_batch(size: int) -> list[list[int]]:
+            batch = []
+            while len(batch) < size:
+                if state.stream_pos >= len(state.order):
+                    state.epoch += 1
+                    state.stream_pos = 0
+                    state.order = _epoch_order(len(chunks), cfg, state.epoch, state.shuffle_salt)
+                batch.append(chunks[state.order[state.stream_pos]])
+                state.stream_pos += 1
+            return batch
+
+        while state.step < steps:
+            step = state.step + 1
+            batch = next_batch(batch_size_at(step, cfg))
+            fcfg = M.ForwardConfig(
+                p_at=cfg.dropout_at, p_h=cfg.dropout_h, p_f=cfg.dropout_f,
+                training=True, rng_seed=derive_seed(cfg.seed, "dropout"), step=step,
+                eps=cfg.ln_eps, qk_layer_scaling=cfg.qk_layer_scaling,
+            )
+            total_loss = 0.0
+            grads = None
+            try:
+                for chunk in batch:
+                    loss, g = M.backward(
+                        params, chunk[:-1], chunk[1:], shape, fcfg,
+                        weights=_loss_weights(chunk, eot_id, cfg),
+                    )
+                    total_loss += loss
+                    if grads is None:
+                        grads = g
+                    else:
+                        for k in grads:
+                            grads[k] += g[k]
+                loss = total_loss / len(batch)
+                for k in grads:
+                    grads[k] /= len(batch)
+                if not math.isfinite(loss):
+                    raise M.NonFiniteError(f"non-finite loss at step {step}")
+                grads, gnorm = clip_gradients(grads, cfg.clip_norm)
+            except M.NonFiniteError as exc:
+                diag.record(step, "halt", "non_finite", str(exc))
+                raise TrainingDiverged(str(exc), last_ckpt) from exc
+
+            adamw_step(params, grads, state, lr_at(step, cfg), cfg)
+
+            diag.record(step, "grad_norm", "global", gnorm)
+            for name, norm in component_weight_norms(params).items():
+                diag.record(step, "weight_norm", name, norm)
+            smooth = state.smooth_update(loss, cfg.smooth_alpha)
+            if step % cfg.train_loss_interval == 0:
+                diag.record(step, "train_loss", "raw", loss)
+                diag.record(step, "train_loss", "smoothed", smooth)
+            if val_chunks and step % cfg.val_interval == 0:
+                vloss = validation_loss(params, shape, val_chunks, cfg)
+                diag.record(step, "val_loss", "mean", vloss)
+            if step % cfg.checkpoint_interval == 0:
+                last_ckpt = checkpoint()
+            diag.flush()
+            if callbacks:
+                for cb in callbacks:
+                    cb(step, params, state, diag)
+
+        last_ckpt = checkpoint()
+        return state, last_ckpt
 
 
 def validation_loss(params, shape, val_chunks, cfg: TrainConfig) -> float:
@@ -468,11 +479,10 @@ def resume_with_overrides(
     ckpt_path: str,
     overrides: dict | None = None,
     reshuffle_remaining: bool = False,
-    reshuffle_seed: int | None = None,
     diag: DiagnosticsLog | None = None,
 ):
     """Load a checkpoint, apply partial config overrides, and optionally
-    re-permute the not-yet-seen chunks with a new seed. Returns
+    re-permute the not-yet-seen chunks with a newly derived seed. Returns
     (shape, cfg, params, state). Override provenance goes to ``diag``."""
     shape, cfg, params, state = load_checkpoint(ckpt_path)
     if overrides:
@@ -485,11 +495,7 @@ def resume_with_overrides(
                 diag.record(state.step, "override", k, v)
     if reshuffle_remaining:
         state.shuffle_salt += 1
-        seed = (
-            reshuffle_seed
-            if reshuffle_seed is not None
-            else derive_seed(cfg.seed, f"reshuffle:{state.shuffle_salt}")
-        )
+        seed = derive_seed(cfg.seed, f"reshuffle:{state.shuffle_salt}")
         rest = state.order[state.stream_pos :]
         perm = _fisher_yates(len(rest), seed)
         state.order = state.order[: state.stream_pos] + [rest[i] for i in perm]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .tokenizer import TokenizerModel, UnigramVocab, encode, finalize, prune_to_size
+from .tokenizer import TokenizerModel, UnigramVocab, encode, finalize_to_size
 
 
 @dataclass(frozen=True)
@@ -28,15 +28,8 @@ def encoded_size_bits(model: TokenizerModel, corpus: list[bytes]) -> float:
 
 
 def tokenizer_at_size(base: UnigramVocab, size: int) -> TokenizerModel:
-    """Prune the base vocabulary so that the finalized tokenizer (with byte
-    coverage and the separator token) has exactly ``size`` entries."""
-    singles = {t for t in base.probs if len(t) == 1}
-    missing = 256 - len(singles)
-    keep = size - missing - 1
-    if keep < len(singles):
-        raise ValueError(f"candidate size {size} too small for byte coverage")
-    pruned = prune_to_size(base, keep, protected=singles) if len(base) > keep else base
-    return finalize(pruned)
+    """The finalized tokenizer of exactly ``size`` entries pruned from ``base``."""
+    return finalize_to_size(base, size)
 
 
 def sweep(
@@ -60,11 +53,15 @@ def round_up_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+def best_size(swept: list[VocabCandidate]) -> int:
+    """Candidate size with the fewest encoded bits (ties to the smaller size)."""
+    return min(swept, key=lambda c: (c.encoded_bits, c.size)).size
+
+
 def select_vocab_size(
     corpus: list[bytes], candidates: list[int], base: UnigramVocab
 ) -> tuple[int, int]:
-    """argmin of encoded bits over candidate sizes (ties to the smaller
-    size), and that size rounded up to the nearest power of two."""
-    swept = sweep(base, corpus, candidates)
-    best = min(swept, key=lambda c: (c.encoded_bits, c.size))
-    return best.size, round_up_pow2(best.size)
+    """argmin of encoded bits over candidate sizes, and that size rounded up
+    to the nearest power of two."""
+    best = best_size(sweep(base, corpus, candidates))
+    return best, round_up_pow2(best)

@@ -157,7 +157,8 @@ def test_criterion_06_loss_sanity(capsys):
 
         with tempfile.TemporaryDirectory() as tmp:
             state, _ = R.train(params, shape, docs, cfg, 200, tmp)
-            lines = open(f"{tmp}/diagnostics.csv").read().splitlines()
+            with open(f"{tmp}/diagnostics.csv") as f:
+                lines = f.read().splitlines()
         smoothed = [
             float(l.split(",")[3])
             for l in lines
@@ -373,7 +374,9 @@ def _pipeline(tmp_path, tag):
             "--docs", str(corpus), "--window", "16", "--stride", "8",
         ]) == 0
     (root / "result.csv").write_text(eval_out.getvalue())
-    return tokfile.read_bytes(), open(ckpt, "rb").read(), (
+    with open(ckpt, "rb") as f:
+        ckpt_bytes = f.read()
+    return tokfile.read_bytes(), ckpt_bytes, (
         (root / "plan.csv").read_bytes(), (root / "result.csv").read_bytes()
     )
 

@@ -302,6 +302,11 @@ def test_train_cli_override_validation(capsys, workspace):
         capsys, "train", "--config", cfgpath, "--resume", ckpt, "--override", "bogus=1"
     )
     assert code == 1 and "usage error" in err
+    for bad in ("max_lr", "max_lr=abc"):  # no '=', and a value that is not a float
+        code, _, err = run_cli(
+            capsys, "train", "--config", cfgpath, "--resume", ckpt, "--override", bad
+        )
+        assert code == 1 and "usage error" in err and "Traceback" not in err, err
     cfg4, _, _ = make_train_setup(workspace, capsys, "ov", steps=3)
     code, _, _ = run_cli(
         capsys, "train", "--config", cfg4, "--resume", ckpt,
@@ -310,6 +315,7 @@ def test_train_cli_override_validation(capsys, workspace):
     assert code == 0
     diag = (out / "diagnostics.csv").read_text()
     assert "override,max_lr" in diag
+    assert diag.index("override,max_lr") < diag.index("\n3,")  # before the resumed steps
 
 
 def test_eval_cli_matches_api(capsys, workspace):
@@ -406,6 +412,7 @@ def _write_checkpoint(path, drop_key=None):
         "checkpoint-truncated",
         "jsonl-line-not-an-object",
         "task-line-not-an-object",
+        "target-vocab-too-small",
     ],
 )
 def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
@@ -425,6 +432,11 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text('{"text": "fine"}\n["a", "list"]\n')
         argv = ["train-tokenizer", "--corpus", str(corpus), "--out", str(tmp_path / "o.txt")]
+    elif case == "target-vocab-too-small":
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"the quick brown fox jumps over the lazy dog")
+        argv = ["train-tokenizer", "--corpus", str(corpus), "--target-vocab", "100",
+                "--chunk-vocab", "50", "--out", str(tmp_path / "o.txt")]
     elif case == "task-line-not-an-object":
         tasks = tmp_path / "tasks.ndjson"
         tasks.write_text("5\n")
@@ -434,3 +446,5 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2, err
     assert "data error" in err and "Traceback" not in err
+    if case == "target-vocab-too-small":
+        assert "too small for byte coverage" in err

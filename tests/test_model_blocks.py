@@ -34,7 +34,7 @@ def sequence(T, seed):
 def test_logits_match_reference(T, name):
     params = M.init_params(SHAPE, 21)
     tokens, _ = sequence(T, T)
-    got, _ = M._forward(params, tokens, SHAPE, CONFIGS[name])
+    got = M.forward(params, tokens, SHAPE, CONFIGS[name])
     want, _ = R._forward(params, tokens, SHAPE, CONFIGS[name])
     assert got.shape == want.shape == (SHAPE.vocab, T)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-13)

@@ -344,6 +344,19 @@ def test_train_initial_loss_near_log_vocab(tmp_path):
     assert losses and abs(losses[0] - math.log(SHAPE.vocab)) < 0.35
 
 
+def test_train_diagnostics_rows_hold_one_step(tmp_path):
+    seen = []
+
+    def grab(step, params, state, diag):
+        last_line = (tmp_path / "r" / "diagnostics.csv").read_text().splitlines()[-1]
+        seen.append(({s for s, *_ in diag.rows}, last_line.split(",")[0]))
+
+    cfg = tiny_cfg()
+    TR.train(M.init_params(SHAPE, 3), SHAPE, synth_docs(), cfg, 6, str(tmp_path / "r"), callbacks=[grab])
+    # rows hold the current step only, and that step is on disk when it ends
+    assert seen == [({step}, str(step)) for step in range(1, 7)]
+
+
 def test_train_loss_decreases(tmp_path):
     cfg = tiny_cfg(max_lr=3e-3, final_lr=3e-4, warmup_steps=5, horizon_steps=200)
     docs = synth_docs(60, seed=9)
@@ -363,7 +376,8 @@ def test_train_determinism_same_seed_same_bytes(tmp_path):
     ckpts = []
     for i in range(2):
         _, _, ckpt, _ = run_training(tmp_path, steps=5, subdir=f"d{i}")
-        ckpts.append(open(ckpt, "rb").read())
+        with open(ckpt, "rb") as f:
+            ckpts.append(f.read())
     assert ckpts[0] == ckpts[1]
 
 
