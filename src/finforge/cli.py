@@ -138,6 +138,7 @@ def cmd_sweep_vocab(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    shape = None if args.shape is None else _parse_shape(args.shape, args.vocab)
     if args.params_only is not None:
         target = args.params_only
     else:
@@ -151,7 +152,8 @@ def cmd_plan(args) -> int:
         p1, _ = S.chinchilla_predict(flops, S.APPROACH_1)
         p2, _ = S.chinchilla_predict(flops, S.APPROACH_2)
         target = 0.5 * (p1 + p2)
-    shape = S.propose_shape(target, args.vocab) if args.shape is None else _parse_shape(args.shape, args.vocab)
+    if shape is None:
+        shape = S.propose_shape(target, args.vocab)
     print(
         f"shape,layers={shape.layers},heads={shape.heads},hidden={shape.hidden},"
         f"head_dim={shape.head_dim},ffn={shape.ffn_hidden},vocab={shape.vocab}"
@@ -166,11 +168,18 @@ def cmd_plan(args) -> int:
 
 
 def _parse_shape(spec: str, vocab: int) -> S.ModelShape:
-    layers, heads, head_dim = (int(x) for x in spec.split(","))
+    try:
+        layers, heads, head_dim = (int(x) for x in spec.split(","))
+    except ValueError:
+        raise _UsageError(f"--shape takes layers,heads,head_dim as integers, got {spec!r}") from None
+    if min(layers, heads, head_dim) < 1:
+        raise _UsageError(f"--shape needs layers, heads and head_dim of at least 1, got {spec!r}")
     return S.ModelShape(layers, heads, heads * head_dim, head_dim, 4 * heads * head_dim, vocab)
 
 
 def cmd_train(args) -> int:
+    if not args.resume and (args.override or args.reshuffle):
+        raise _UsageError("--override and --reshuffle apply only with --resume")
     values = C.parse_config(args.config)
     tok = T.load_tokenizer(values["tokenizer"])
     cfg = C.train_config_from(values)

@@ -14,6 +14,8 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
+from .atomic import atomic_write
+
 ENDOFTEXT = "<|endoftext|>"
 ENDOFTEXT_ID = 0
 
@@ -121,57 +123,92 @@ def _seed_candidates(counts: Counter, target_size: int) -> dict[bytes, float]:
     return _normalized(seed)
 
 
+def _prefixes(vocab) -> set[bytes]:
+    """Every non-empty prefix of every token of ``vocab``."""
+    return {t[:k] for t in vocab for k in range(1, len(t) + 1)}
+
+
+def _lattice(
+    word: bytes, vocab: dict[bytes, float], prefixes: set[bytes]
+) -> list[tuple[int, int, bytes]]:
+    """The segmentation lattice of ``word``: every ``(i, j, word[i:j])`` with
+    ``word[i:j]`` in ``vocab`` and at most ``MAX_TOKEN_LEN`` bytes, in
+    ``(i, j)`` order. ``prefixes`` is ``_prefixes(vocab)``; the scan from
+    ``i`` stops at the first substring that no token starts with."""
+    m = len(word)
+    edges = []
+    for i in range(m):
+        for j in range(i + 1, min(i + MAX_TOKEN_LEN, m) + 1):
+            piece = word[i:j]
+            if piece not in prefixes:
+                break
+            if piece in vocab:
+                edges.append((i, j, piece))
+    return edges
+
+
 def _expected_counts(
-    counts: Counter, logp: dict[bytes, float]
+    lattices: list[tuple[int, int, list[tuple[int, int, bytes]]]], logp: dict[bytes, float]
 ) -> tuple[dict[bytes, float], float]:
     """E-step: expected token counts over all segmentations (forward-backward
-    on the segmentation lattice of each unique pretoken), and the total
-    corpus log-likelihood."""
+    on the lattice of each unique pretoken, given as ``(freq, len(word),
+    edges)``), and the total corpus log-likelihood. Edges whose token is not
+    in ``logp`` are left out, so one lattice serves every E-step of a prune
+    round, while EM drops tokens.
+
+    ``_logsumexp`` sums with ``math.fsum``, so alpha and beta do not depend
+    on the order of their terms; the counts are added in ``(word, i, j)``
+    order."""
     exp_counts: dict[bytes, float] = defaultdict(float)
     total_ll = 0.0
     neg_inf = float("-inf")
-    for word, freq in counts.items():
-        m = len(word)
+    for freq, m, edges in lattices:
+        live = [(i, j, t, logp[t]) for i, j, t in edges if t in logp]
+        # Forward, in start order: every edge into i starts before i, so
+        # alpha[i] is complete when the first edge out of i is reached.
+        into: list[list[float]] = [[] for _ in range(m + 1)]
         alpha = [neg_inf] * (m + 1)
         alpha[0] = 0.0
-        for j in range(1, m + 1):
-            terms = []
-            for i in range(max(0, j - MAX_TOKEN_LEN), j):
-                lp = logp.get(word[i:j])
-                if lp is not None and alpha[i] != neg_inf:
-                    terms.append(alpha[i] + lp)
-            if terms:
-                alpha[j] = _logsumexp(terms)
-        z = alpha[m]
-        if z == neg_inf:
+        last = 0
+        for i, j, _, lp in live:
+            if i != last:
+                last = i
+                if into[i]:
+                    alpha[i] = _logsumexp(into[i])
+            if alpha[i] != neg_inf:
+                into[j].append(alpha[i] + lp)
+        if not into[m]:
             continue  # unsegmentable under current vocab; contributes nothing
+        z = _logsumexp(into[m])
+        # Backward, in reverse start order: beta[j] is complete before any
+        # edge that ends at j is reached.
         beta = [neg_inf] * (m + 1)
         beta[m] = 0.0
-        for i in range(m - 1, -1, -1):
-            terms = []
-            for j in range(i + 1, min(i + MAX_TOKEN_LEN, m) + 1):
-                lp = logp.get(word[i:j])
-                if lp is not None and beta[j] != neg_inf:
-                    terms.append(lp + beta[j])
-            if terms:
-                beta[i] = _logsumexp(terms)
+        terms: list[float] = []
+        last = m
+        for i, j, _, lp in reversed(live):
+            if i != last:
+                if terms:
+                    beta[last] = _logsumexp(terms)
+                    terms = []
+                last = i
+            if beta[j] != neg_inf:
+                terms.append(lp + beta[j])
+        # The first start's beta is never read: no edge ends there.
         total_ll += freq * z
-        for i in range(m):
-            if alpha[i] == neg_inf:
-                continue
-            for j in range(i + 1, min(i + MAX_TOKEN_LEN, m) + 1):
-                lp = logp.get(word[i:j])
-                if lp is None or beta[j] == neg_inf:
-                    continue
-                exp_counts[word[i:j]] += freq * math.exp(alpha[i] + lp + beta[j] - z)
+        for i, j, t, lp in live:
+            if alpha[i] != neg_inf and beta[j] != neg_inf:
+                exp_counts[t] += freq * math.exp(alpha[i] + lp + beta[j] - z)
     return exp_counts, total_ll
 
 
 def _logsumexp(xs: list[float]) -> float:
+    if len(xs) == 1:
+        return xs[0]  # the general form gives x + log(1.0), which is x
     m = max(xs)
     if m == float("-inf"):
         return m
-    return m + math.log(math.fsum(math.exp(x - m) for x in xs))
+    return m + math.log(math.fsum([math.exp(x - m) for x in xs]))
 
 
 def _viterbi(
@@ -225,6 +262,26 @@ def _better(a: tuple[float, int, bytes], b: tuple[float, int, bytes]) -> bool:
     return a[2] < b[2]
 
 
+def _split_logp(t: bytes, logp: dict[bytes, float]) -> float:
+    """Log-probability of the best segmentation of ``t`` into two or more
+    tokens, or -inf if there is none: the score of
+    ``_viterbi(t, logp, MAX_TOKEN_LEN, exclude=t)`` without its tie-breaks
+    and back-pointers, for ``t`` of at most ``MAX_TOKEN_LEN`` bytes. A
+    max-product over the substrings of ``t``, right to left, that leaves
+    out the full span; the sums are ``lp + best[j]`` as in ``_viterbi``, so
+    the float is the same."""
+    m = len(t)
+    best = [float("-inf")] * m + [0.0]
+    for i in range(m - 1, -1, -1):
+        top = best[i]
+        for j in range(i + 1, m + 1 if i else m):
+            lp = logp.get(t[i:j])
+            if lp is not None and lp + best[j] > top:
+                top = lp + best[j]
+        best[i] = top
+    return best[0]
+
+
 def train_chunk_unigram(chunk: bytes, target_size: int) -> UnigramVocab:
     """EM-train a unigram vocabulary of (at most) ``target_size`` tokens on a
     single corpus chunk. ``training_weight`` records the raw chunk bytes."""
@@ -238,9 +295,11 @@ def train_chunk_unigram(chunk: bytes, target_size: int) -> UnigramVocab:
     singles = {t for t in probs if len(t) == 1}
 
     while True:
+        prefixes = _prefixes(probs)
+        lattices = [(f, len(w), _lattice(w, probs, prefixes)) for w, f in counts.items()]
         for _ in range(EM_ITERS_PER_ROUND):
             logp = {t: math.log(p) for t, p in probs.items()}
-            exp_counts, _ = _expected_counts(counts, logp)
+            exp_counts, _ = _expected_counts(lattices, logp)
             new = {}
             for t in probs:
                 c = exp_counts.get(t, 0.0)
@@ -255,16 +314,14 @@ def train_chunk_unigram(chunk: bytes, target_size: int) -> UnigramVocab:
         if not prunable:
             break
         logp = {t: math.log(p) for t, p in probs.items()}
-        exp_counts, _ = _expected_counts(counts, logp)
+        exp_counts, _ = _expected_counts(lattices, logp)
         scored = []
         for t in prunable:
             c = exp_counts.get(t, 0.0)
             if c == 0.0:
                 scored.append((0.0, t))
                 continue
-            alt = _viterbi(t, logp, MAX_TOKEN_LEN, exclude=t)
-            alt_lp = alt[1] if alt is not None else float("-inf")
-            scored.append((c * (logp[t] - alt_lp), t))
+            scored.append((c * (logp[t] - _split_logp(t, logp)), t))
         scored.sort(key=lambda st: (st[0], st[1]))
         n_drop = min(
             max(1, int(PRUNE_FRACTION * len(prunable))), len(probs) - target_size
@@ -373,12 +430,17 @@ def finalize_to_size(vocab: UnigramVocab, size: int) -> TokenizerModel:
 
 def encode(model: TokenizerModel, data: bytes) -> list[int]:
     """Viterbi-encode raw bytes; the ``<|endoftext|>`` token is never
-    produced from text (only the packing layer inserts it)."""
+    produced from text (only the packing layer inserts it). Each unique
+    pretoken is segmented once per call."""
     ids: list[int] = []
+    memo: dict[bytes, list[int]] = {}
     for pt in pretokenize(data):
-        seg = _viterbi(pt.data, model.logp, model.max_token_len)
-        assert seg is not None  # single-byte coverage guarantees totality
-        ids.extend(model.token_to_id[t] for t in seg[0])
+        seg = memo.get(pt.data)
+        if seg is None:
+            best = _viterbi(pt.data, model.logp, model.max_token_len)
+            assert best is not None  # single-byte coverage guarantees totality
+            seg = memo[pt.data] = [model.token_to_id[t] for t in best[0]]
+        ids.extend(seg)
     return ids
 
 
@@ -419,13 +481,14 @@ _HEADER = "unigram-tokenizer-v1"
 
 
 def save_tokenizer(model: TokenizerModel, path: str) -> None:
-    """Write the tokenizer file format; load->save is byte-identical."""
+    """Write the tokenizer file format, atomically; load->save is
+    byte-identical."""
     lines = [f"{_HEADER} {model.vocab_size}", f"special {ENDOFTEXT} {model.eot_id}"]
     for i in range(1, model.vocab_size):
         tok = model.id_to_token[i]
         lines.append(f"{i}\t{tok.hex()}\t{model.logp[tok]:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    with atomic_write(path) as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_tokenizer(path: str) -> TokenizerModel:

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import model as M
+from .atomic import atomic_write
 from .scaling import ModelShape
 
 CHECKPOINT_MAGIC = b"BGPT"
@@ -238,8 +239,8 @@ class TrainingDiverged(RuntimeError):
 
 def save_checkpoint(path, shape: ModelShape, cfg: TrainConfig, params, state: TrainState):
     """Binary checkpoint: magic, version, JSON header, raw little-endian
-    float64 tensor payloads in manifest order. save->load->save is
-    byte-identical."""
+    float64 tensor payloads in manifest order, written atomically.
+    save->load->save is byte-identical."""
     tensors = []
     for name in sorted(params):
         tensors.append((f"param:{name}", params[name]))
@@ -270,7 +271,7 @@ def save_checkpoint(path, shape: ModelShape, cfg: TrainConfig, params, state: Tr
         "manifest": manifest,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<Q", len(blob)))

@@ -1,0 +1,143 @@
+"""Reference implementation of Unigram EM training and encoding.
+
+This is the per-word formulation: every E-step slices and looks up each
+substring of each unique pretoken, prune scoring runs a full tie-breaking
+`_viterbi` per candidate, and `encode` segments every pretoken afresh. It is
+slow and kept only as the oracle that tests compare the lattice E-step, the
+prune score and the memoized encode of `finforge.tokenizer` against, bit for
+bit.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter, defaultdict
+
+from finforge.tokenizer import (
+    BYTE_FLOOR,
+    EM_ITERS_PER_ROUND,
+    MAX_TOKEN_LEN,
+    PRUNE_FRACTION,
+    InsufficientCorpusError,
+    TokenizerModel,
+    UnigramVocab,
+    _normalized,
+    _pretoken_counts,
+    _seed_candidates,
+    _viterbi,
+    pretokenize,
+)
+
+
+def _expected_counts(
+    counts: Counter, logp: dict[bytes, float]
+) -> tuple[dict[bytes, float], float]:
+    """E-step: expected token counts over all segmentations (forward-backward
+    on the segmentation lattice of each unique pretoken), and the total
+    corpus log-likelihood."""
+    exp_counts: dict[bytes, float] = defaultdict(float)
+    total_ll = 0.0
+    neg_inf = float("-inf")
+    for word, freq in counts.items():
+        m = len(word)
+        alpha = [neg_inf] * (m + 1)
+        alpha[0] = 0.0
+        for j in range(1, m + 1):
+            terms = []
+            for i in range(max(0, j - MAX_TOKEN_LEN), j):
+                lp = logp.get(word[i:j])
+                if lp is not None and alpha[i] != neg_inf:
+                    terms.append(alpha[i] + lp)
+            if terms:
+                alpha[j] = _logsumexp(terms)
+        z = alpha[m]
+        if z == neg_inf:
+            continue  # unsegmentable under current vocab; contributes nothing
+        beta = [neg_inf] * (m + 1)
+        beta[m] = 0.0
+        for i in range(m - 1, -1, -1):
+            terms = []
+            for j in range(i + 1, min(i + MAX_TOKEN_LEN, m) + 1):
+                lp = logp.get(word[i:j])
+                if lp is not None and beta[j] != neg_inf:
+                    terms.append(lp + beta[j])
+            if terms:
+                beta[i] = _logsumexp(terms)
+        total_ll += freq * z
+        for i in range(m):
+            if alpha[i] == neg_inf:
+                continue
+            for j in range(i + 1, min(i + MAX_TOKEN_LEN, m) + 1):
+                lp = logp.get(word[i:j])
+                if lp is None or beta[j] == neg_inf:
+                    continue
+                exp_counts[word[i:j]] += freq * math.exp(alpha[i] + lp + beta[j] - z)
+    return exp_counts, total_ll
+
+
+def _logsumexp(xs: list[float]) -> float:
+    m = max(xs)
+    if m == float("-inf"):
+        return m
+    return m + math.log(math.fsum(math.exp(x - m) for x in xs))
+
+
+def train_chunk_unigram(chunk: bytes, target_size: int) -> UnigramVocab:
+    """EM-train a unigram vocabulary of (at most) ``target_size`` tokens on a
+    single corpus chunk. ``training_weight`` records the raw chunk bytes."""
+    if target_size <= 0:
+        raise ValueError("target_size must be positive")
+    counts = _pretoken_counts(chunk)
+    if not counts:
+        raise InsufficientCorpusError("chunk has no pretokens")
+
+    probs = _seed_candidates(counts, target_size)
+    singles = {t for t in probs if len(t) == 1}
+
+    while True:
+        for _ in range(EM_ITERS_PER_ROUND):
+            logp = {t: math.log(p) for t, p in probs.items()}
+            exp_counts, _ = _expected_counts(counts, logp)
+            new = {}
+            for t in probs:
+                c = exp_counts.get(t, 0.0)
+                if c > 0.0:
+                    new[t] = c
+                elif len(t) == 1:
+                    new[t] = BYTE_FLOOR  # coverage: single bytes never dropped
+            probs = _normalized(new)
+        if len(probs) <= target_size:
+            break
+        prunable = [t for t in probs if t not in singles]
+        if not prunable:
+            break
+        logp = {t: math.log(p) for t, p in probs.items()}
+        exp_counts, _ = _expected_counts(counts, logp)
+        scored = []
+        for t in prunable:
+            c = exp_counts.get(t, 0.0)
+            if c == 0.0:
+                scored.append((0.0, t))
+                continue
+            alt = _viterbi(t, logp, MAX_TOKEN_LEN, exclude=t)
+            alt_lp = alt[1] if alt is not None else float("-inf")
+            scored.append((c * (logp[t] - alt_lp), t))
+        scored.sort(key=lambda st: (st[0], st[1]))
+        n_drop = min(
+            max(1, int(PRUNE_FRACTION * len(prunable))), len(probs) - target_size
+        )
+        dropped = {t for _, t in scored[:n_drop]}
+        probs = _normalized({t: p for t, p in probs.items() if t not in dropped})
+
+    return UnigramVocab(probs=probs, training_weight=float(len(chunk)))
+
+
+def encode(model: TokenizerModel, data: bytes) -> list[int]:
+    """Viterbi-encode raw bytes; the ``<|endoftext|>`` token is never
+    produced from text (only the packing layer inserts it)."""
+    ids: list[int] = []
+    for pt in pretokenize(data):
+        seg = _viterbi(pt.data, model.logp, model.max_token_len)
+        assert seg is not None  # single-byte coverage guarantees totality
+        ids.extend(model.token_to_id[t] for t in seg[0])
+    return ids

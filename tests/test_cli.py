@@ -251,6 +251,14 @@ def test_plan_cli_explicit_shape_and_params_only(capsys):
     assert "heads=4" in rows["shape"]
 
 
+@pytest.mark.parametrize("spec", ["2,4", "2,4,x", "0,4,8", "2,-4,8"])
+def test_plan_cli_malformed_shape_is_usage_error(capsys, spec):
+    code, stdout, err = run_cli(capsys, "plan", "--shape", spec, "--params-only", "1e9")
+    assert code == 1, err
+    assert "usage error" in err and "--shape" in err
+    assert stdout == ""
+
+
 def make_train_setup(workspace, cap, out_name="run", steps=3):
     tokpath = workspace / "tok.txt"
     if not tokpath.exists():
@@ -316,6 +324,15 @@ def test_train_cli_override_validation(capsys, workspace):
     diag = (out / "diagnostics.csv").read_text()
     assert "override,max_lr" in diag
     assert diag.index("override,max_lr") < diag.index("\n3,")  # before the resumed steps
+
+
+@pytest.mark.parametrize("extra", [["--override", "max_lr=5e-4"], ["--reshuffle"]])
+def test_train_cli_resume_options_without_resume_are_usage_errors(capsys, workspace, extra):
+    cfgpath, out, _ = make_train_setup(workspace, capsys, "noresume", steps=2)
+    code, stdout, err = run_cli(capsys, "train", "--config", cfgpath, *extra)
+    assert code == 1 and "usage error" in err and "--resume" in err, err
+    assert stdout == ""
+    assert not out.exists()  # neither diagnostics.csv nor a checkpoint
 
 
 def test_eval_cli_matches_api(capsys, workspace):

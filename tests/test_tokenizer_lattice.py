@@ -1,0 +1,212 @@
+"""The lattice E-step, the score-only prune pass and the memoized encode of
+`finforge.tokenizer` against the per-word reference
+(`reference_tokenizer.py`), bit for bit; EM convergence within a prune
+round; and byte-identical training whatever the hash seed."""
+
+import math
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import finforge
+import reference_tokenizer as R
+from finforge import tokenizer as T
+from test_cli import CORPUS_TEXT
+
+
+def _text(alphabet, max_size):
+    return st.lists(st.sampled_from(alphabet), min_size=1, max_size=max_size).map(bytes)
+
+
+# Tokens are drawn independently, so a vocabulary often holds a token without
+# its shorter prefixes ("aab" without "aa"). Short tokens over two letters
+# recur within a word, so their expected counts sum many terms; longer ones
+# reach MAX_TOKEN_LEN, and words run past it. The few distinct probabilities
+# make equal-scoring segmentations common.
+TOKENS = st.one_of(_text(b"ab", 4), _text(b"abc", T.MAX_TOKEN_LEN))
+PROBS = st.dictionaries(
+    TOKENS, st.sampled_from((0.05, 0.1, 0.2, 0.4)), min_size=1, max_size=30
+)
+WORDS = st.dictionaries(
+    st.one_of(_text(b"ab", 10), _text(b"abc", 2 * T.MAX_TOKEN_LEN)), st.integers(1, 5),
+    min_size=1, max_size=6,
+)
+
+
+def _logp(probs):
+    return {t: math.log(p) for t, p in probs.items()}
+
+
+def finance_text(seed, nbytes):
+    """Seeded text with all three pretoken classes and repeated words."""
+    rng = random.Random(seed)
+    words = ["the", "bond", "yield", "rose", "fell", "shares", "bank", "rate", "cut",
+             "EPS", "guidance", "quarter", "margin", "net", "income", "of", "on"]
+    out = []
+    while sum(map(len, out)) < nbytes:
+        r = rng.random()
+        if r < 0.7:
+            out.append(" " + rng.choice(words))
+        elif r < 0.9:
+            out.append(" " + str(rng.randint(0, 999)))
+        else:
+            out.append(rng.choice([".", ",", " $", "%", " --", " (Q3)"]))
+    return "".join(out).encode()
+
+
+# ---------------------------------------------------------------------------
+# Lattice E-step
+
+
+@given(words=WORDS, probs=PROBS, drop=st.sets(st.integers(0, 29), max_size=10))
+@example(
+    words={b"abcab": 2, b"cabc": 1, b"bbb": 1},
+    probs={b"abc": 0.2, b"a": 0.1, b"b": 0.1, b"c": 0.1, b"cab": 0.2, b"bc": 0.1},
+    drop={2},  # b"b" leaves logp: b"bbb" becomes unsegmentable
+)
+@example(
+    words={b"baababab": 3, b"aabbbb": 1},
+    probs={b"a": 0.1, b"b": 0.4, b"aa": 0.05, b"aaa": 0.05, b"abb": 0.1},
+    drop=set(),
+)
+@settings(max_examples=200, deadline=None)
+def test_lattice_e_step_matches_reference(words, probs, drop):
+    counts = Counter(words)
+    prefixes = T._prefixes(probs)
+    lattices = []
+    for w, f in counts.items():
+        edges = T._lattice(w, probs, prefixes)
+        assert edges == [
+            (i, j, w[i:j])
+            for i in range(len(w))
+            for j in range(i + 1, min(i + T.MAX_TOKEN_LEN, len(w)) + 1)
+            if w[i:j] in probs
+        ]
+        lattices.append((f, len(w), edges))
+    # EM drops tokens within a round: logp may be a strict subset of the
+    # vocabulary the lattices were built from.
+    logp = {t: lp for k, (t, lp) in enumerate(_logp(probs).items()) if k not in drop}
+    got_counts, got_ll = T._expected_counts(lattices, logp)
+    want_counts, want_ll = R._expected_counts(counts, logp)
+    assert dict(got_counts) == dict(want_counts)
+    assert got_ll == want_ll
+
+
+# ---------------------------------------------------------------------------
+# Prune score
+
+
+@given(probs=PROBS)
+@example(probs={b"ab": 0.4, b"a": 0.2})  # b"ab" has no split: -inf
+@settings(max_examples=200, deadline=None)
+def test_split_logp_matches_viterbi_score(probs):
+    logp = _logp(probs)
+    for t in logp:
+        alt = T._viterbi(t, logp, T.MAX_TOKEN_LEN, exclude=t)
+        assert T._split_logp(t, logp) == (alt[1] if alt is not None else float("-inf"))
+
+
+# ---------------------------------------------------------------------------
+# Chunk training
+
+
+CHUNKS = st.lists(
+    st.sampled_from([b"ab", b"ba", b"abc ", b" the", b"1", b"2", b"!!", b"$", b"cab", b"\xe2\x82\xac"]),
+    min_size=1, max_size=60,
+).map(b"".join)
+
+
+@given(chunk=CHUNKS, target=st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_train_chunk_unigram_matches_reference(chunk, target):
+    got = T.train_chunk_unigram(chunk, target)
+    want = R.train_chunk_unigram(chunk, target)
+    assert list(got.probs.items()) == list(want.probs.items())
+    assert got.training_weight == want.training_weight
+
+
+def test_train_chunk_unigram_matches_reference_over_many_rounds():
+    chunk = finance_text(3, 1500)
+    got = T.train_chunk_unigram(chunk, 60)
+    want = R.train_chunk_unigram(chunk, 60)
+    assert len(got.probs) == 60
+    assert list(got.probs.items()) == list(want.probs.items())
+
+
+def test_em_log_likelihood_does_not_decrease_within_a_round(monkeypatch):
+    # Each prune round builds its lattices once; every E-step of the round
+    # (the EM iterations and the scoring pass) receives that same list.
+    calls = []
+    real = T._expected_counts
+
+    def spy(lattices, logp):
+        exp_counts, total_ll = real(lattices, logp)
+        calls.append((lattices, total_ll))
+        return exp_counts, total_ll
+
+    monkeypatch.setattr(T, "_expected_counts", spy)
+    T.train_chunk_unigram(finance_text(5, 3000), 80)
+    rounds = []
+    for lattices, total_ll in calls:
+        if rounds and rounds[-1][0] is lattices:
+            rounds[-1][1].append(total_ll)
+        else:
+            rounds.append((lattices, [total_ll]))
+    assert len(rounds) >= 5
+    for _, lls in rounds:
+        assert len(lls) >= T.EM_ITERS_PER_ROUND
+        for before, after in zip(lls, lls[1:]):
+            assert after >= before - 1e-9 * abs(before), lls
+
+
+# ---------------------------------------------------------------------------
+# Memoized encode
+
+
+@pytest.fixture(scope="module")
+def encode_model():
+    return T.finalize(T.train_chunk_unigram(finance_text(9, 1200), 50))
+
+
+@given(
+    pieces=st.lists(
+        st.sampled_from([b" the", b" bond", b"7", b"7", b"%", b".", b"\xe2\x82\xac", b"ab", b" "]),
+        max_size=80,
+    )
+)
+@example(pieces=[b" bond", b"7", b" bond", b"7", b" bond", b"7"])
+@settings(max_examples=100, deadline=None)
+def test_encode_matches_reference_on_repeated_pretokens(encode_model, pieces):
+    data = b"".join(pieces)
+    assert T.encode(encode_model, data) == R.encode(encode_model, data)
+
+
+# ---------------------------------------------------------------------------
+# Determinism across processes
+
+
+def test_training_byte_identical_across_hash_seeds(tmp_path):
+    # The prefix sets and the encode memo are hashed containers, whose
+    # iteration order follows PYTHONHASHSEED; only a fresh process shows it.
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(CORPUS_TEXT)
+    src = os.path.dirname(os.path.dirname(finforge.__file__))
+    blobs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"tok{seed}.txt"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "finforge.cli", "train-tokenizer", "--corpus", str(corpus),
+             "--chunk-vocab", "150", "--target-vocab", "350", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
