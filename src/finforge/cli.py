@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -31,6 +32,30 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _number(kind, low, high=math.inf, above=False):
+    """An argparse ``type=`` for a ``kind`` of at least ``low`` (above
+    ``low`` when ``above``) and at most ``high``. argparse turns a rejected
+    value into a usage error that names the flag."""
+    want = f"{kind.__name__} {'above' if above else 'at least'} {low}"
+    if high < math.inf:
+        want += f" and at most {high}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan  # fails every comparison below, as a NaN input does
+        if not (low < value if above else low <= value) or not value <= high:
+            raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
+        return value
+
+    return parse
+
+
+_count = _number(int, 1)
+_positive = _number(float, 0, above=True)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +150,7 @@ def cmd_sweep_vocab(args) -> int:
     docs = read_documents(args.corpus)
     blob = b"".join(docs)
     base = T.train_chunk_unigram(blob, args.base_vocab)
-    candidates = sorted(int(c) for c in args.candidates.split(","))
-    swept = sweep(base, docs, candidates)
+    swept = sweep(base, docs, sorted(args.candidates))
     total_bytes = sum(len(d) for d in docs)
     print("size,tokens,bits,bits_per_byte")
     for c in swept:
@@ -222,6 +246,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.eval_cmd == "bpb" and args.stride >= args.window:
+        raise _UsageError(
+            f"--stride must be less than --window, got {args.stride} and {args.window}"
+        )
     lm, _ = _load_model(args.model)
     tok = T.load_tokenizer(args.tokenizer)
     if args.eval_cmd == "bpb":
@@ -272,25 +300,28 @@ def build_parser() -> _Parser:
 
     t = sub.add_parser("train-tokenizer")
     t.add_argument("--corpus", required=True)
-    t.add_argument("--domains", type=int, default=1)
-    t.add_argument("--chunks", type=int, default=1)
-    t.add_argument("--chunk-vocab", type=int, default=65536)
-    t.add_argument("--target-vocab", type=int, default=2**17)
+    t.add_argument("--domains", type=_count, default=1)
+    t.add_argument("--chunks", type=_count, default=1)
+    t.add_argument("--chunk-vocab", type=_count, default=65536)
+    t.add_argument("--target-vocab", type=_count, default=2**17)
     t.add_argument("--out", required=True)
     t.set_defaults(fn=cmd_train_tokenizer)
 
     v = sub.add_parser("sweep-vocab")
     v.add_argument("--corpus", required=True)
-    v.add_argument("--candidates", required=True, help="comma-separated sizes")
-    v.add_argument("--base-vocab", type=int, default=4096)
+    v.add_argument(
+        "--candidates", required=True, help="comma-separated sizes",
+        type=lambda text: [_count(c) for c in text.split(",")],
+    )
+    v.add_argument("--base-vocab", type=_count, default=4096)
     v.set_defaults(fn=cmd_sweep_vocab)
 
     pl = sub.add_parser("plan")
-    pl.add_argument("--gpu-hours", type=float, default=1.3e6)
-    pl.add_argument("--tflops", type=float, default=102.0)
-    pl.add_argument("--discount", type=float, default=0.75)
-    pl.add_argument("--vocab", type=int, default=2**17)
-    pl.add_argument("--params-only", type=float, default=None)
+    pl.add_argument("--gpu-hours", type=_positive, default=1.3e6)
+    pl.add_argument("--tflops", type=_positive, default=102.0)
+    pl.add_argument("--discount", type=_number(float, 0, high=1, above=True), default=0.75)
+    pl.add_argument("--vocab", type=_count, default=2**17)
+    pl.add_argument("--params-only", type=_positive, default=None)
     pl.add_argument("--shape", default=None, help="layers,heads,head_dim")
     pl.set_defaults(fn=cmd_plan)
 
@@ -309,16 +340,16 @@ def build_parser() -> _Parser:
         e.add_argument("--tokenizer", required=True)
         if name == "bpb":
             e.add_argument("--docs", required=True)
-            e.add_argument("--window", type=int, default=E.WINDOW)
-            e.add_argument("--stride", type=int, default=E.STRIDE)
+            e.add_argument("--window", type=_number(int, 2), default=E.WINDOW)
+            e.add_argument("--stride", type=_count, default=E.STRIDE)
         elif name == "classify":
             e.add_argument("--tasks", required=True)
             e.add_argument("--method", default="all", choices=("all",) + E.METHODS)
-            e.add_argument("--shots", type=int, default=0)
+            e.add_argument("--shots", type=_number(int, 0), default=0)
             e.add_argument("--seed", type=int, default=0)
         else:
             e.add_argument("--prompt", required=True)
-            e.add_argument("--max-new-tokens", type=int, default=32)
+            e.add_argument("--max-new-tokens", type=_count, default=32)
         e.set_defaults(fn=cmd_eval)
     return p
 

@@ -46,6 +46,8 @@ def sequence_logprob(lm: LanguageModel, context: list[int], continuation: list[i
 def _token_nll(lm: LanguageModel, tokens: list[int], scored: list[int]) -> float:
     """NLL (nats) of tokens at the given positions (>= 1), conditioning on
     all earlier tokens in ``tokens``."""
+    if min(scored, default=1) < 1:
+        raise ValueError("position 0 has no context to be scored from")
     logits = lm.logits(tokens[:-1])  # column t predicts token t+1
     scored = np.asarray(scored, dtype=np.intp)
     _, nll = target_nll(np.asarray(logits)[:, scored - 1], np.asarray(tokens)[scored])
@@ -59,19 +61,16 @@ def _windowed_nll(
 
     The first window scores everything it covers; each later window scores
     only its final ``stride`` positions, so every scored token after the
-    first window keeps at least ``window - stride`` context tokens."""
+    first window keeps at least ``window - stride`` context tokens. That
+    needs ``1 <= stride < window``, and so ``window >= 2``."""
+    if not 1 <= stride < window:
+        raise ValueError(f"need 1 <= stride < window, got stride {stride} and window {window}")
     n = len(tokens)
-    if first_scored < 1:
-        raise ValueError("position 0 has no context to be scored from")
-    if n <= window:
-        return _token_nll(lm, tokens, list(range(first_scored, n)))
     total = 0.0
-    scored_to = max(window, first_scored)
-    if first_scored < window:
-        total += _token_nll(lm, tokens[:window], list(range(first_scored, window)))
+    scored_to = first_scored
     while scored_to < n:
-        end = min(scored_to + stride, n)
-        start = end - window
+        end = min(window if scored_to < window else scored_to + stride, n)
+        start = max(0, end - window)
         total += _token_nll(
             lm, tokens[start:end], [p - start for p in range(scored_to, end)]
         )
@@ -247,9 +246,15 @@ def win_rate(scores: dict[str, dict[str, float]]) -> dict[str, float]:
 # Task file IO
 
 
+def _is_strings(values) -> bool:
+    return isinstance(values, list) and all(isinstance(v, str) for v in values)
+
+
 def load_tasks(path: str) -> list[dict]:
-    """Newline-delimited JSON task records with ``context`` plus either
-    ``candidates`` (and optional ``gold``) or ``gold`` alone."""
+    """Newline-delimited JSON task records with a string ``context`` plus
+    either ``candidates`` (a list of strings, with an optional string
+    ``gold``) or ``gold`` alone. An optional ``shots_pool`` is a list of
+    objects with string ``context`` and ``gold``."""
     records = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -264,6 +269,18 @@ def load_tasks(path: str) -> list[dict]:
                     raise ValueError("missing 'context'")
                 if "candidates" not in rec and "gold" not in rec:
                     raise ValueError("need 'candidates' or 'gold'")
+                if not isinstance(rec["context"], str) or not isinstance(rec.get("gold", ""), str):
+                    raise ValueError("'context' and 'gold' must be strings")
+                if not _is_strings(rec.get("candidates", [])):
+                    raise ValueError("'candidates' must be a list of strings")
+                pool = rec.get("shots_pool", [])
+                if not isinstance(pool, list) or not all(
+                    isinstance(s, dict) and _is_strings([s.get("context"), s.get("gold")])
+                    for s in pool
+                ):
+                    raise ValueError(
+                        "'shots_pool' must be a list of objects with string 'context' and 'gold'"
+                    )
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed task record: {exc}") from exc
             records.append(rec)

@@ -91,7 +91,9 @@ class ModelShape:
     @property
     def hardware_friendly(self) -> bool:
         """Whether hidden and head dims are multiples of 8 (Tensor Core
-        alignment). Enforced for planned shapes, not for toy test shapes."""
+        alignment). Nothing enforces it: ``propose_shape`` only picks from
+        ``HEAD_DIMS`` and ``HEAD_COUNTS``, which guarantee it, and explicit
+        and toy test shapes need not have it."""
         return self.hidden % 8 == 0 and self.head_dim % 8 == 0
 
 

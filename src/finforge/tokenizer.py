@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .atomic import atomic_write
 
@@ -25,8 +25,7 @@ EM_ITERS_PER_ROUND = 2
 PRUNE_FRACTION = 0.25
 BYTE_FLOOR = 1e-12
 
-_PRETOKEN_RE = re.compile(rb"([ A-Za-z]+)|([0-9])|([^ A-Za-z0-9]+)")
-_CLASS_NAMES = ("alpha_space", "digit", "other")
+_PRETOKEN_RE = re.compile(rb"[ A-Za-z]+|[0-9]|[^ A-Za-z0-9]+")
 
 _ALL_BYTES = [bytes([b]) for b in range(256)]
 
@@ -35,22 +34,13 @@ class InsufficientCorpusError(ValueError):
     """Corpus slice is too small to seed a vocabulary."""
 
 
-@dataclass(frozen=True)
-class Pretoken:
-    data: bytes
-    klass: str
-
-
-def pretokenize(data: bytes) -> list[Pretoken]:
+def pretokenize(data: bytes) -> list[bytes]:
     """Split raw bytes into pretokens by greedy leftmost-longest matching.
 
     The three classes are mutually exclusive byte sets, so the alternation
     ``[ A-Za-z]+ | [0-9] | [^ A-Za-z0-9]+`` partitions any input exactly.
     """
-    out = []
-    for m in _PRETOKEN_RE.finditer(data):
-        out.append(Pretoken(m.group(0), _CLASS_NAMES[m.lastindex - 1]))
-    return out
+    return _PRETOKEN_RE.findall(data)
 
 
 @dataclass
@@ -92,13 +82,6 @@ def _normalized(probs: dict[bytes, float]) -> dict[bytes, float]:
 
 # ---------------------------------------------------------------------------
 # Per-chunk EM training
-
-
-def _pretoken_counts(chunk: bytes) -> Counter:
-    counts = Counter()
-    for pt in pretokenize(chunk):
-        counts[pt.data] += 1
-    return counts
 
 
 def _seed_candidates(counts: Counter, target_size: int) -> dict[bytes, float]:
@@ -212,10 +195,7 @@ def _logsumexp(xs: list[float]) -> float:
 
 
 def _viterbi(
-    data: bytes,
-    logp: dict[bytes, float],
-    max_len: int,
-    exclude: bytes | None = None,
+    data: bytes, logp: dict[bytes, float], max_len: int
 ) -> tuple[list[bytes], float] | None:
     """Maximum-product segmentation of ``data``.
 
@@ -231,8 +211,6 @@ def _viterbi(
         chosen = None
         for l in range(1, min(max_len, m - i) + 1):
             tok = data[i : i + l]
-            if tok == exclude:
-                continue
             lp = logp.get(tok)
             if lp is None:
                 continue
@@ -264,12 +242,12 @@ def _better(a: tuple[float, int, bytes], b: tuple[float, int, bytes]) -> bool:
 
 def _split_logp(t: bytes, logp: dict[bytes, float]) -> float:
     """Log-probability of the best segmentation of ``t`` into two or more
-    tokens, or -inf if there is none: the score of
-    ``_viterbi(t, logp, MAX_TOKEN_LEN, exclude=t)`` without its tie-breaks
-    and back-pointers, for ``t`` of at most ``MAX_TOKEN_LEN`` bytes. A
-    max-product over the substrings of ``t``, right to left, that leaves
-    out the full span; the sums are ``lp + best[j]`` as in ``_viterbi``, so
-    the float is the same."""
+    tokens, or -inf if there is none, for ``t`` of at most ``MAX_TOKEN_LEN``
+    bytes. A max-product over the substrings of ``t``, right to left, that
+    leaves out the full span; the sums are ``lp + best[j]`` as in
+    ``_viterbi``. Its oracle is the reference ``_viterbi`` in
+    ``tests/reference_tokenizer.py`` run with the full span left out: the
+    score it returns is the same float."""
     m = len(t)
     best = [float("-inf")] * m + [0.0]
     for i in range(m - 1, -1, -1):
@@ -287,7 +265,7 @@ def train_chunk_unigram(chunk: bytes, target_size: int) -> UnigramVocab:
     single corpus chunk. ``training_weight`` records the raw chunk bytes."""
     if target_size <= 0:
         raise ValueError("target_size must be positive")
-    counts = _pretoken_counts(chunk)
+    counts = Counter(pretokenize(chunk))
     if not counts:
         raise InsufficientCorpusError("chunk has no pretokens")
 
@@ -372,16 +350,13 @@ def prune_to_size(
 
 @dataclass
 class TokenizerModel:
-    """Finalized tokenizer: log-probability table, dense id assignment, and
-    special tokens. Id 0 is always ``<|endoftext|>``; every single byte has a
-    token, so any byte string is encodable."""
+    """Finalized tokenizer: log-probability table and dense id assignment.
+    Id 0 is always ``<|endoftext|>``; every single byte has a token, so any
+    byte string is encodable."""
 
     logp: dict[bytes, float]
-    id_to_token: list[bytes]  # index 0 holds b"" as the special-token slot
+    id_to_token: list[bytes]  # index 0 holds b"", the <|endoftext|> slot
     token_to_id: dict[bytes, int]
-    special_tokens: dict[str, int] = field(
-        default_factory=lambda: {ENDOFTEXT: ENDOFTEXT_ID}
-    )
     max_token_len: int = 1
 
     @property
@@ -390,7 +365,7 @@ class TokenizerModel:
 
     @property
     def eot_id(self) -> int:
-        return self.special_tokens[ENDOFTEXT]
+        return ENDOFTEXT_ID
 
     @classmethod
     def from_ranked(cls, ranked: list[tuple[bytes, float]]) -> TokenizerModel:
@@ -435,22 +410,21 @@ def encode(model: TokenizerModel, data: bytes) -> list[int]:
     ids: list[int] = []
     memo: dict[bytes, list[int]] = {}
     for pt in pretokenize(data):
-        seg = memo.get(pt.data)
+        seg = memo.get(pt)
         if seg is None:
-            best = _viterbi(pt.data, model.logp, model.max_token_len)
+            best = _viterbi(pt, model.logp, model.max_token_len)
             assert best is not None  # single-byte coverage guarantees totality
-            seg = memo[pt.data] = [model.token_to_id[t] for t in best[0]]
+            seg = memo[pt] = [model.token_to_id[t] for t in best[0]]
         ids.extend(seg)
     return ids
 
 
-def decode(model: TokenizerModel, ids: list[int], eot_surface: bytes = b"") -> bytes:
-    out = []
+def decode(model: TokenizerModel, ids: list[int]) -> bytes:
+    """Join the tokens' bytes; ``<|endoftext|>`` decodes to nothing."""
     for i in ids:
         if i < 0 or i >= model.vocab_size:
             raise ValueError(f"token id {i} out of range [0, {model.vocab_size})")
-        out.append(eot_surface if i == model.eot_id else model.id_to_token[i])
-    return b"".join(out)
+    return b"".join([model.id_to_token[i] for i in ids])
 
 
 # ---------------------------------------------------------------------------

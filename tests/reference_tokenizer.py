@@ -2,10 +2,10 @@
 
 This is the per-word formulation: every E-step slices and looks up each
 substring of each unique pretoken, prune scoring runs a full tie-breaking
-`_viterbi` per candidate, and `encode` segments every pretoken afresh. It is
-slow and kept only as the oracle that tests compare the lattice E-step, the
-prune score and the memoized encode of `finforge.tokenizer` against, bit for
-bit.
+`_viterbi` per candidate with the candidate itself excluded, and `encode`
+segments every pretoken afresh. It is slow and kept only as the oracle that
+tests compare the lattice E-step, the prune score and the memoized encode of
+`finforge.tokenizer` against, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from finforge.tokenizer import (
     InsufficientCorpusError,
     TokenizerModel,
     UnigramVocab,
+    _better,
     _normalized,
-    _pretoken_counts,
     _seed_candidates,
-    _viterbi,
     pretokenize,
 )
 
@@ -82,12 +81,55 @@ def _logsumexp(xs: list[float]) -> float:
     return m + math.log(math.fsum(math.exp(x - m) for x in xs))
 
 
+def _viterbi(
+    data: bytes,
+    logp: dict[bytes, float],
+    max_len: int,
+    exclude: bytes | None = None,
+) -> tuple[list[bytes], float] | None:
+    """Maximum-product segmentation of ``data``.
+
+    Ties break by fewer tokens, then lexicographically smallest token,
+    applied greedily from the left over suffix-optimal continuations.
+    Returns None when no segmentation exists.
+    """
+    m = len(data)
+    # best[i]: (logp, ntokens, first_token) for the suffix starting at i
+    best: list[tuple[float, int, bytes] | None] = [None] * (m + 1)
+    best[m] = (0.0, 0, b"")
+    for i in range(m - 1, -1, -1):
+        chosen = None
+        for l in range(1, min(max_len, m - i) + 1):
+            tok = data[i : i + l]
+            if tok == exclude:
+                continue
+            lp = logp.get(tok)
+            if lp is None:
+                continue
+            nxt = best[i + l]
+            if nxt is None:
+                continue
+            cand = (lp + nxt[0], 1 + nxt[1], tok)
+            if chosen is None or _better(cand, chosen):
+                chosen = cand
+        best[i] = chosen
+    if best[0] is None:
+        return None
+    tokens = []
+    i = 0
+    while i < m:
+        tok = best[i][2]  # type: ignore[index]
+        tokens.append(tok)
+        i += len(tok)
+    return tokens, best[0][0]
+
+
 def train_chunk_unigram(chunk: bytes, target_size: int) -> UnigramVocab:
     """EM-train a unigram vocabulary of (at most) ``target_size`` tokens on a
     single corpus chunk. ``training_weight`` records the raw chunk bytes."""
     if target_size <= 0:
         raise ValueError("target_size must be positive")
-    counts = _pretoken_counts(chunk)
+    counts = Counter(pretokenize(chunk))
     if not counts:
         raise InsufficientCorpusError("chunk has no pretokens")
 
@@ -137,7 +179,7 @@ def encode(model: TokenizerModel, data: bytes) -> list[int]:
     produced from text (only the packing layer inserts it)."""
     ids: list[int] = []
     for pt in pretokenize(data):
-        seg = _viterbi(pt.data, model.logp, model.max_token_len)
+        seg = _viterbi(pt, model.logp, model.max_token_len)
         assert seg is not None  # single-byte coverage guarantees totality
         ids.extend(model.token_to_id[t] for t in seg[0])
     return ids

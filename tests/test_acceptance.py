@@ -185,14 +185,14 @@ def test_criterion_07_tokenizer_properties(capsys, tmp_path):
         # Viterbi equals brute force on all pretokens <= 12 bytes
         fuzz = b"the cat! 12 dogs ate 3 mats?? on %% days " * 5
         for pt in T.pretokenize(fuzz):
-            if len(pt.data) > 12:
+            if len(pt) > 12:
                 continue
-            seg = T._viterbi(pt.data, model.logp, model.max_token_len)
+            seg = T._viterbi(pt, model.logp, model.max_token_len)
             best = None
-            m = len(pt.data)
+            m = len(pt)
             for mask in range(1 << max(0, m - 1)):
                 cuts = [0] + [i + 1 for i in range(m - 1) if mask >> i & 1] + [m]
-                toks = [pt.data[cuts[k]: cuts[k + 1]] for k in range(len(cuts) - 1)]
+                toks = [pt[cuts[k]: cuts[k + 1]] for k in range(len(cuts) - 1)]
                 if all(t in model.logp for t in toks):
                     sc = sum(model.logp[t] for t in toks)
                     if best is None or sc > best:

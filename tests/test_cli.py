@@ -173,6 +173,36 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        "plan --params-only 1e9 --vocab 0",
+        "plan --params-only -5",
+        "plan --gpu-hours -1",
+        "plan --discount 1.5",
+        "train-tokenizer --corpus c.txt --out o.txt --domains 0",
+        "train-tokenizer --corpus c.txt --out o.txt --chunks 0",
+        "sweep-vocab --corpus c.txt --candidates 300,abc",
+        "eval generate --prompt a --max-new-tokens 0",
+        "eval classify --tasks t.ndjson --shots -1",
+        "eval bpb --docs d.txt --window 1",
+        "eval bpb --docs d.txt --stride 0",
+        "eval bpb --docs d.txt --window 4 --stride 8",
+        "eval bpb --docs d.txt --window 8 --stride 8",
+    ],
+)
+def test_out_of_range_numeric_flags_are_usage_errors(capsys, tmp_path, monkeypatch, args):
+    # None of the named files exists, so the check must come before any read.
+    monkeypatch.chdir(tmp_path)
+    argv = args.split()
+    if argv[0] == "eval":
+        argv[2:2] = ["--model", "m.ckpt", "--tokenizer", "tok.txt"]
+    flag = [a for a in argv if a.startswith("--")][-1]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1 and "usage error" in err and flag in err, err
+    assert stdout == ""
+
+
 def test_data_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "train-tokenizer", "--corpus", str(tmp_path / "nope.txt"), "--out", "o"
@@ -429,6 +459,11 @@ def _write_checkpoint(path, drop_key=None):
         "checkpoint-truncated",
         "jsonl-line-not-an-object",
         "task-line-not-an-object",
+        "task-context-not-a-string",
+        "task-candidates-not-strings",
+        "task-gold-not-a-string",
+        "task-shots-pool-not-a-list",
+        "task-shot-without-gold",
         "target-vocab-too-small",
     ],
 )
@@ -454,9 +489,17 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         corpus.write_bytes(b"the quick brown fox jumps over the lazy dog")
         argv = ["train-tokenizer", "--corpus", str(corpus), "--target-vocab", "100",
                 "--chunk-vocab", "50", "--out", str(tmp_path / "o.txt")]
-    elif case == "task-line-not-an-object":
+    elif case.startswith("task-"):
         tasks = tmp_path / "tasks.ndjson"
-        tasks.write_text("5\n")
+        rec = {"context": "a", "candidates": ["a", "b"], "gold": "a"}
+        rec.update({
+            "task-context-not-a-string": {"context": 5},
+            "task-candidates-not-strings": {"candidates": [1, 2]},
+            "task-gold-not-a-string": {"gold": 3},
+            "task-shots-pool-not-a-list": {"shots_pool": 7},
+            "task-shot-without-gold": {"shots_pool": [{"context": "b"}]},
+        }.get(case, {}))
+        tasks.write_text("5\n" if case == "task-line-not-an-object" else json.dumps(rec) + "\n")
         argv = ["eval", "classify", *model_args, "--tasks", str(tasks)]
     else:
         argv = ["eval", "generate", *model_args, "--prompt", "a"]

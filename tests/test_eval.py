@@ -151,6 +151,19 @@ def test_windowed_matches_full_context_for_alibi_free_positions():
     assert full == pytest.approx(manual, rel=1e-12)
 
 
+@pytest.mark.parametrize("window, stride", [(8, 0), (4, 8), (8, 8), (1, 1)])
+def test_windowed_needs_stride_from_1_to_below_window(window, stride):
+    # stride 0 never advances; stride >= window would score a window's
+    # position 0 from the logits of its last column
+    with pytest.raises(ValueError, match="stride < window"):
+        E._windowed_nll(uniform_stub(4), [1, 2, 3] * 10, 1, window=window, stride=stride)
+
+
+def test_token_nll_rejects_position_0():
+    with pytest.raises(ValueError, match="position 0"):
+        E._token_nll(uniform_stub(4), [1, 2, 3], [0, 1])
+
+
 # ---------------------------------------------------------------------------
 # Bits per byte
 
@@ -169,6 +182,10 @@ def test_bits_per_byte_weights_documents_by_bytes():
     one = E.bits_per_byte(lm, [b"abab", b"aa"], tok)
     # (4+2) tokens * 2 bits over 6 bytes
     assert one == pytest.approx(2.0, rel=1e-12)
+    # an empty document adds no bytes and never reaches the model
+    lm.calls.clear()
+    assert E.bits_per_byte(lm, [b"abab", b"", b"aa"], tok) == one
+    assert len(lm.calls) == 2 and all(lm.calls)
 
 
 def test_bits_per_byte_documents_scored_independently():

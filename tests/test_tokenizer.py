@@ -14,6 +14,7 @@ from finforge import tokenizer as T
 
 
 REFERENCE_RE = re.compile(rb"[ A-Za-z]+|[0-9]|[^ A-Za-z0-9]+")
+CLASS_RES = (rb"[ A-Za-z]+", rb"[0-9]", rb"[^ A-Za-z0-9]+")  # digits one at a time
 
 
 def reference_pretokenize(data):
@@ -25,30 +26,23 @@ def test_pretokenize_empty():
 
 
 def test_pretokenize_worked_example():
-    parts = [p.data for p in T.pretokenize(b"Get me 25 apples!")]
+    parts = T.pretokenize(b"Get me 25 apples!")
     assert parts == [b"Get me ", b"2", b"5", b" apples", b"!"]
     assert parts == reference_pretokenize(b"Get me 25 apples!")
 
 
 def test_pretokenize_utf8_multibyte_is_one_other_chunk():
     euro = b"\xe2\x82\xac"
-    pts = T.pretokenize(euro)
-    assert [p.data for p in pts] == [euro]
-    assert pts[0].klass == "other"
+    assert T.pretokenize(euro) == [euro]
 
 
 @given(st.binary(max_size=200))
 def test_pretokenize_partitions_input(data):
     pts = T.pretokenize(data)
-    assert b"".join(p.data for p in pts) == data
-    assert [p.data for p in pts] == reference_pretokenize(data)
+    assert b"".join(pts) == data
+    assert pts == reference_pretokenize(data)
     for p in pts:
-        if p.klass == "digit":
-            assert len(p.data) == 1 and p.data.isdigit()
-        elif p.klass == "alpha_space":
-            assert re.fullmatch(rb"[ A-Za-z]+", p.data)
-        else:
-            assert re.fullmatch(rb"[^ A-Za-z0-9]+", p.data)
+        assert sum(bool(re.fullmatch(c, p)) for c in CLASS_RES) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +256,7 @@ def test_finalize_adds_all_missing_bytes_and_eot():
     model = T.finalize(v)
     present = {t for t in model.logp if len(t) == 1}
     assert len(present) == 256
-    assert model.special_tokens[T.ENDOFTEXT] == 0
+    assert model.eot_id == 0 and model.id_to_token[0] == b""
     assert model.vocab_size == len(model.logp) + 1
     missing_before = 256 - sum(1 for t in v.probs if len(t) == 1)
     assert model.vocab_size == len(v.probs) + missing_before + 1
@@ -299,8 +293,7 @@ def test_decode_roundtrip_and_errors():
     assert T.decode(model, ids) == b"ab"
     with pytest.raises(ValueError):
         T.decode(model, [model.vocab_size])
-    assert T.decode(model, [0]) == b""  # separator decodes to empty by default
-    assert T.decode(model, [0], eot_surface=b"<eot>") == b"<eot>"
+    assert T.decode(model, [0]) == b""  # separator decodes to empty
 
 
 def brute_force_segment(data, logp):

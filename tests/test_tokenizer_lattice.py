@@ -108,7 +108,7 @@ def test_lattice_e_step_matches_reference(words, probs, drop):
 def test_split_logp_matches_viterbi_score(probs):
     logp = _logp(probs)
     for t in logp:
-        alt = T._viterbi(t, logp, T.MAX_TOKEN_LEN, exclude=t)
+        alt = R._viterbi(t, logp, T.MAX_TOKEN_LEN, exclude=t)
         assert T._split_logp(t, logp) == (alt[1] if alt is not None else float("-inf"))
 
 
