@@ -269,6 +269,8 @@ def cmd_eval(args) -> int:
     print("example_id,method,chosen,correct")
     for i, rec in enumerate(records):
         try:
+            if "candidates" not in rec:
+                raise ValueError("record has no 'candidates' to classify")
             pool = [
                 (s["context"].encode(), s["gold"].encode())
                 for s in rec.get("shots_pool", [])
@@ -285,7 +287,7 @@ def cmd_eval(args) -> int:
                 chosen = E.classify(lm, tok, task, method)
                 correct = "" if task.gold is None else int(chosen == task.gold)
                 print(f"{i},{method},{chosen.decode('utf-8', 'replace')},{correct}")
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             failures += 1
             print(f"example {i}: {exc}", file=sys.stderr)
     return EXIT_DATA if failures else 0

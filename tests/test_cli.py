@@ -432,19 +432,19 @@ def test_eval_cli_malformed_tasks_exit_2(capsys, workspace, tmp_path):
     assert code == 2
 
 
-def _write_checkpoint(path, drop_key=None):
-    """A tiny valid checkpoint, or one whose header lacks ``drop_key``."""
+def _write_checkpoint(path, edit=None):
+    """A tiny valid checkpoint, or one whose header ``edit`` changed in place."""
     from finforge import model as M
     from finforge.scaling import ModelShape
 
     shape = ModelShape(1, 1, 4, 4, 16, 8)
     R.save_checkpoint(str(path), shape, TrainConfig(), M.init_params(shape, 0), R.TrainState())
-    if drop_key is None:
+    if edit is None:
         return
     raw = path.read_bytes()
     hlen = int.from_bytes(raw[8:16], "little")
     header = json.loads(raw[16 : 16 + hlen])
-    del header[drop_key]
+    edit(header)
     blob = json.dumps(header).encode()
     path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen :])
 
@@ -472,7 +472,7 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     tokpath = tmp_path / "tok.txt"
     T.save_tokenizer(T.finalize(T.UnigramVocab({b"a": 1.0}, 1.0)), str(tokpath))
     if case.startswith("checkpoint-without-"):
-        _write_checkpoint(ckpt, drop_key=case.rsplit("-", 1)[1])
+        _write_checkpoint(ckpt, edit=lambda header: header.pop(case.rsplit("-", 1)[1]))
     else:
         _write_checkpoint(ckpt)
     if case == "empty-tokenizer":
@@ -508,3 +508,42 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     assert "data error" in err and "Traceback" not in err
     if case == "target-vocab-too-small":
         assert "too small for byte coverage" in err
+
+
+@pytest.mark.parametrize(
+    "entry, renamed, named",
+    [
+        (0, "param:layer0.attn.Wx", "param:layer0.attn.Wx"),  # not a parameter
+        (3, "param:ln_em.g", "param:ln_em.g"),  # a parameter of another shape
+        (3, "param:layer0.attn.Wk", "param:layer0.attn.Wq"),  # a duplicate: Wq is missing
+        (5, "state:Wem", "state:Wem"),  # not a tensor kind
+    ],
+)
+def test_checkpoint_manifest_must_fit_the_model_shape(capsys, tmp_path, entry, renamed, named):
+    ckpt = tmp_path / "model.ckpt"
+    tokpath = tmp_path / "tok.txt"
+    T.save_tokenizer(T.finalize(T.UnigramVocab({b"a": 1.0}, 1.0)), str(tokpath))
+    _write_checkpoint(ckpt, edit=lambda header: header["manifest"][entry].update(name=renamed))
+    code, _, err = run_cli(
+        capsys, "eval", "generate", "--model", str(ckpt), "--tokenizer", str(tokpath),
+        "--prompt", "a",
+    )
+    assert code == 2, err
+    assert "data error" in err and "Traceback" not in err
+    assert repr(named) in err, err
+
+
+def test_classify_record_without_candidates_says_so(capsys, tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    tokpath = tmp_path / "tok.txt"
+    T.save_tokenizer(T.finalize(T.UnigramVocab({b"a": 1.0}, 1.0)), str(tokpath))
+    _write_checkpoint(ckpt)
+    tasks = tmp_path / "tasks.ndjson"
+    tasks.write_text('{"context": "a", "gold": "b"}\n')
+    code, out, err = run_cli(
+        capsys, "eval", "classify", "--model", str(ckpt), "--tokenizer", str(tokpath),
+        "--tasks", str(tasks),
+    )
+    assert code == 2
+    assert out == "example_id,method,chosen,correct\n"
+    assert err == "example 0: record has no 'candidates' to classify\n"

