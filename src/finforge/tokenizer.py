@@ -34,6 +34,14 @@ class InsufficientCorpusError(ValueError):
     """Corpus slice is too small to seed a vocabulary."""
 
 
+class BadTokenError(ValueError):
+    """A token table entry that ``encode`` cannot use; ``token_id`` is its id."""
+
+    def __init__(self, token_id: int, what: str):
+        super().__init__(f"token id {token_id}: {what}")
+        self.token_id = token_id
+
+
 def pretokenize(data: bytes) -> list[bytes]:
     """Split raw bytes into pretokens by greedy leftmost-longest matching.
 
@@ -130,14 +138,27 @@ def _lattice(
     return edges
 
 
+def _filtered(
+    lattices: list[tuple[int, int, list[tuple[int, int, bytes]]]], vocab: dict[bytes, float]
+) -> list[tuple[int, int, list[tuple[int, int, bytes]]]]:
+    """``lattices`` without the edges whose token is not in ``vocab``. When
+    ``vocab`` is a subset of the vocabulary they were built from, as after a
+    prune, these are the lattices ``_lattice`` builds from ``vocab``: the
+    same edges in the same ``(i, j)`` order."""
+    return [(f, m, [e for e in edges if e[2] in vocab]) for f, m, edges in lattices]
+
+
 def _expected_counts(
     lattices: list[tuple[int, int, list[tuple[int, int, bytes]]]], logp: dict[bytes, float]
 ) -> tuple[dict[bytes, float], float]:
     """E-step: expected token counts over all segmentations (forward-backward
     on the lattice of each unique pretoken, given as ``(freq, len(word),
-    edges)``), and the total corpus log-likelihood. Edges whose token is not
-    in ``logp`` are left out, so one lattice serves every E-step of a prune
-    round, while EM drops tokens.
+    edges)``), and the total corpus log-likelihood.
+
+    The lattices are built once per chunk from the seed vocabulary and
+    ``_filtered`` after each prune, so one list serves every E-step of a
+    prune round. EM also drops tokens within a round; edges whose token is
+    not in ``logp`` are left out here.
 
     ``_logsumexp`` sums with ``math.fsum``, so alpha and beta do not depend
     on the order of their terms; the counts are added in ``(word, i, j)``
@@ -240,24 +261,33 @@ def _better(a: tuple[float, int, bytes], b: tuple[float, int, bytes]) -> bool:
     return a[2] < b[2]
 
 
-def _split_logp(t: bytes, logp: dict[bytes, float]) -> float:
-    """Log-probability of the best segmentation of ``t`` into two or more
-    tokens, or -inf if there is none, for ``t`` of at most ``MAX_TOKEN_LEN``
-    bytes. A max-product over the substrings of ``t``, right to left, that
-    leaves out the full span; the sums are ``lp + best[j]`` as in
-    ``_viterbi``. Its oracle is the reference ``_viterbi`` in
-    ``tests/reference_tokenizer.py`` run with the full span left out: the
-    score it returns is the same float."""
-    m = len(t)
-    best = [float("-inf")] * m + [0.0]
-    for i in range(m - 1, -1, -1):
-        top = best[i]
-        for j in range(i + 1, m + 1 if i else m):
-            lp = logp.get(t[i:j])
-            if lp is not None and lp + best[j] > top:
-                top = lp + best[j]
-        best[i] = top
-    return best[0]
+def _split_logps(tokens: list[bytes], logp: dict[bytes, float]) -> list[float]:
+    """For each of ``tokens`` (of at most ``MAX_TOKEN_LEN`` bytes), the
+    log-probability of its best segmentation into two or more tokens, or
+    -inf if there is none.
+
+    The best full segmentation of a suffix is computed once, keyed by its
+    bytes, and shared by every token that ends with it. Each best is a max
+    over the same ``lp + best`` sums as in ``_viterbi``, so every score is
+    the float that the per-token ``_split_logp`` of
+    ``tests/reference_tokenizer.py`` returns."""
+    full = {b"": 0.0}  # suffix -> its best segmentation's log-probability
+
+    def best(s: bytes, stop: int) -> float:
+        # The best of s[:j] followed by the best of s[j:], for j in 1..stop.
+        top = float("-inf")
+        for j in range(1, stop + 1):
+            lp = logp.get(s[:j])
+            if lp is not None:
+                rest = s[j:]
+                tail = full.get(rest)
+                if tail is None:
+                    tail = full[rest] = best(rest, len(rest))
+                if lp + tail > top:
+                    top = lp + tail
+        return top
+
+    return [best(t, len(t) - 1) for t in tokens]
 
 
 def train_chunk_unigram(chunk: bytes, target_size: int) -> UnigramVocab:
@@ -271,10 +301,12 @@ def train_chunk_unigram(chunk: bytes, target_size: int) -> UnigramVocab:
 
     probs = _seed_candidates(counts, target_size)
     singles = {t for t in probs if len(t) == 1}
+    # Built once: a prune only removes tokens, so each later round's
+    # lattices are these, filtered.
+    prefixes = _prefixes(probs)
+    lattices = [(f, len(w), _lattice(w, probs, prefixes)) for w, f in counts.items()]
 
     while True:
-        prefixes = _prefixes(probs)
-        lattices = [(f, len(w), _lattice(w, probs, prefixes)) for w, f in counts.items()]
         for _ in range(EM_ITERS_PER_ROUND):
             logp = {t: math.log(p) for t, p in probs.items()}
             exp_counts, _ = _expected_counts(lattices, logp)
@@ -294,18 +326,16 @@ def train_chunk_unigram(chunk: bytes, target_size: int) -> UnigramVocab:
         logp = {t: math.log(p) for t, p in probs.items()}
         exp_counts, _ = _expected_counts(lattices, logp)
         scored = []
-        for t in prunable:
+        for t, alt in zip(prunable, _split_logps(prunable, logp)):
             c = exp_counts.get(t, 0.0)
-            if c == 0.0:
-                scored.append((0.0, t))
-                continue
-            scored.append((c * (logp[t] - _split_logp(t, logp)), t))
+            scored.append((c * (logp[t] - alt) if c != 0.0 else 0.0, t))
         scored.sort(key=lambda st: (st[0], st[1]))
         n_drop = min(
             max(1, int(PRUNE_FRACTION * len(prunable))), len(probs) - target_size
         )
         dropped = {t for _, t in scored[:n_drop]}
         probs = _normalized({t: p for t, p in probs.items() if t not in dropped})
+        lattices = _filtered(lattices, probs)
 
     return UnigramVocab(probs=probs, training_weight=float(len(chunk)))
 
@@ -369,12 +399,28 @@ class TokenizerModel:
 
     @classmethod
     def from_ranked(cls, ranked: list[tuple[bytes, float]]) -> TokenizerModel:
-        """Tokens with their log-probabilities take ids 1, 2, ... in order."""
-        id_to_token = [b""] + [t for t, _ in ranked]  # id 0: <|endoftext|>
+        """Tokens with their log-probabilities take ids 1, 2, ... in order.
+
+        A table that ``encode`` cannot use is a ``ValueError``: an empty or
+        repeated token, or a log-probability that is not finite or is above
+        0 (a ``BadTokenError``, which names the id), or a byte with no
+        single-byte token."""
+        token_to_id: dict[bytes, int] = {}
+        for i, (t, lp) in enumerate(ranked, 1):
+            if not t:
+                raise BadTokenError(i, "empty token")
+            if t in token_to_id:
+                raise BadTokenError(i, f"token {t.hex()} repeats id {token_to_id[t]}")
+            if not -math.inf < lp <= 0.0:  # also false for nan
+                raise BadTokenError(i, f"log-probability {lp!r} is not finite and at most 0")
+            token_to_id[t] = i
+        missing = [b.hex() for b in _ALL_BYTES if b not in token_to_id]
+        if missing:
+            raise ValueError(f"no single-byte token for {len(missing)} bytes, first 0x{missing[0]}")
         return cls(
             logp=dict(ranked),
-            id_to_token=id_to_token,
-            token_to_id={t: i for i, t in enumerate(id_to_token) if i},
+            id_to_token=[b""] + [t for t, _ in ranked],  # id 0: <|endoftext|>
+            token_to_id=token_to_id,
             max_token_len=max(len(t) for t, _ in ranked),
         )
 
@@ -466,26 +512,31 @@ def save_tokenizer(model: TokenizerModel, path: str) -> None:
 
 
 def load_tokenizer(path: str) -> TokenizerModel:
+    """Read a file written by ``save_tokenizer``. A malformed file is a
+    ``ValueError`` that names the file and, where there is one, the line."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     head = lines[0].split() if lines else []
-    if len(head) != 2 or head[0] != _HEADER or len(lines) < 2:
+    if len(head) != 2 or head[0] != _HEADER or not head[1].isdecimal() or len(lines) < 2:
         raise ValueError(f"not a {_HEADER} file: {path}")
     vocab_size = int(head[1])
-    special = lines[1].split()
-    if (
-        len(special) != 3
-        or special[:2] != ["special", ENDOFTEXT]
-        or int(special[2]) != ENDOFTEXT_ID
-    ):
-        raise ValueError("malformed special-token line")
+    if lines[1].split() != ["special", ENDOFTEXT, str(ENDOFTEXT_ID)]:
+        raise ValueError(f"{path}:2: malformed special-token line")
     ranked: list[tuple[bytes, float]] = []
-    for line in lines[2:]:
-        sid, hextok, lp = line.split("\t")
-        tok = bytes.fromhex(hextok)
-        if int(sid) != len(ranked) + 1:
-            raise ValueError("ids are not dense and ascending")
-        ranked.append((tok, float(lp)))
+    for lineno, line in enumerate(lines[2:], 3):  # token id k is on line k + 2
+        try:
+            sid, hextok, lp = line.split("\t")
+            ranked.append((bytes.fromhex(hextok), float(lp)))
+            dense = int(sid) == len(ranked)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not dense:
+            raise ValueError(f"{path}:{lineno}: ids are not dense and ascending")
     if len(ranked) + 1 != vocab_size:
-        raise ValueError("vocab size mismatch")
-    return TokenizerModel.from_ranked(ranked)
+        raise ValueError(f"{path}: vocab size mismatch")
+    try:
+        return TokenizerModel.from_ranked(ranked)
+    except BadTokenError as exc:
+        raise ValueError(f"{path}:{exc.token_id + 2}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

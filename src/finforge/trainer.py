@@ -142,17 +142,29 @@ def batch_size_at(step: int, cfg: TrainConfig) -> int:
 
 
 def grad_global_norm(grads: dict[str, np.ndarray]) -> float:
-    sq = math.fsum(float(np.sum(g * g)) for g in grads.values())
-    return math.sqrt(sq)
+    """Global L2 norm; ``inf`` when a group's or the total's square overflows."""
+    with np.errstate(over="ignore"):
+        squares = [float(np.sum(g * g)) for g in grads.values()]
+    try:
+        return math.sqrt(math.fsum(squares))
+    except OverflowError:
+        return math.inf
 
 
 def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float):
-    """Scale all gradients so the global L2 norm is at most ``clip_norm``."""
+    """Scale all gradients so the global L2 norm is at most ``clip_norm``.
+
+    A non-finite norm raises ``NonFiniteError`` naming the first group, in
+    ``grads``'s order, whose gradient is not finite, or saying that the
+    squared norm overflowed while every group was finite."""
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")
     norm = grad_global_norm(grads)
     if not math.isfinite(norm):
-        raise M.NonFiniteError("non-finite gradient norm")
+        for name in grads:
+            if not np.isfinite(grads[name]).all():
+                raise M.NonFiniteError(f"non-finite gradient in {name}")
+        raise M.NonFiniteError("gradient norm overflows float64; every group is finite")
     if norm > clip_norm:
         scale = clip_norm / norm
         grads = {k: g * scale for k, g in grads.items()}

@@ -2,9 +2,10 @@
 
 This is the per-word formulation: every E-step slices and looks up each
 substring of each unique pretoken, prune scoring runs a full tie-breaking
-`_viterbi` per candidate with the candidate itself excluded, and `encode`
-segments every pretoken afresh. It is slow and kept only as the oracle that
-tests compare the lattice E-step, the prune score and the memoized encode of
+`_viterbi` per candidate with the candidate itself excluded, `_split_logp`
+scores one candidate with no result shared, and `encode` segments every
+pretoken afresh. It is slow and kept only as the oracle that tests compare
+the lattice E-step, the shared prune scores and the memoized encode of
 `finforge.tokenizer` against, bit for bit.
 """
 
@@ -122,6 +123,25 @@ def _viterbi(
         tokens.append(tok)
         i += len(tok)
     return tokens, best[0][0]
+
+
+def _split_logp(t: bytes, logp: dict[bytes, float]) -> float:
+    """Log-probability of the best segmentation of ``t`` into two or more
+    tokens, or -inf if there is none, for ``t`` of at most ``MAX_TOKEN_LEN``
+    bytes. A max-product over the substrings of ``t``, right to left, that
+    leaves out the full span; the sums are ``lp + best[j]`` as in
+    ``_viterbi``, so it returns the score of ``_viterbi(t, logp,
+    MAX_TOKEN_LEN, exclude=t)``."""
+    m = len(t)
+    best = [float("-inf")] * m + [0.0]
+    for i in range(m - 1, -1, -1):
+        top = best[i]
+        for j in range(i + 1, m + 1 if i else m):
+            lp = logp.get(t[i:j])
+            if lp is not None and lp + best[j] > top:
+                top = lp + best[j]
+        best[i] = top
+    return best[0]
 
 
 def train_chunk_unigram(chunk: bytes, target_size: int) -> UnigramVocab:

@@ -465,6 +465,14 @@ def _write_checkpoint(path, edit=None):
         "task-shots-pool-not-a-list",
         "task-shot-without-gold",
         "target-vocab-too-small",
+        "tokenizer-missing-byte",
+        "tokenizer-duplicate-token",
+        "tokenizer-empty-token",
+        "tokenizer-nan-logp",
+        "tokenizer-inf-logp",
+        "tokenizer-positive-logp",
+        "tokenizer-header-size-not-a-number",
+        "tokenizer-special-id-not-a-number",
     ],
 )
 def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
@@ -477,6 +485,28 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         _write_checkpoint(ckpt)
     if case == "empty-tokenizer":
         tokpath.write_bytes(b"")
+    if case in ("tokenizer-header-size-not-a-number", "tokenizer-special-id-not-a-number"):
+        lines = tokpath.read_text().splitlines()
+        if case == "tokenizer-header-size-not-a-number":
+            lines[0] = lines[0].split()[0] + " x"
+        else:
+            lines[1] = lines[1].rsplit(" ", 1)[0] + " x"
+        tokpath.write_text("\n".join(lines) + "\n")
+    elif case.startswith("tokenizer-"):
+        # Edit the last token line: a single byte, whose token id is the
+        # vocabulary size minus one.
+        lines = tokpath.read_text().splitlines()
+        sid, hextok, lp = lines[-1].split("\t")
+        hextok, lp = {
+            "tokenizer-missing-byte": (hextok * 2, lp),
+            "tokenizer-duplicate-token": (lines[2].split("\t")[1], lp),
+            "tokenizer-empty-token": ("", lp),
+            "tokenizer-nan-logp": (hextok, "nan"),
+            "tokenizer-inf-logp": (hextok, "-inf"),
+            "tokenizer-positive-logp": (hextok, "0.5"),
+        }[case]
+        lines[-1] = f"{sid}\t{hextok}\t{lp}"
+        tokpath.write_text("\n".join(lines) + "\n")
     if case == "checkpoint-truncated":
         ckpt.write_bytes(ckpt.read_bytes()[:10])
     model_args = ["--model", str(ckpt), "--tokenizer", str(tokpath)]
@@ -508,6 +538,12 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     assert "data error" in err and "Traceback" not in err
     if case == "target-vocab-too-small":
         assert "too small for byte coverage" in err
+    if case == "tokenizer-missing-byte":
+        assert f"{tokpath}: no single-byte token" in err
+    elif case.endswith("-not-a-number"):
+        assert str(tokpath) in err, err
+    elif case.startswith("tokenizer-"):
+        assert f"{tokpath}:{len(lines)}: token id {sid}:" in err, err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
-"""The lattice E-step, the score-only prune pass and the memoized encode of
-`finforge.tokenizer` against the per-word reference
+"""The lattice E-step, the filtered lattices, the shared prune scores and
+the memoized encode of `finforge.tokenizer` against the per-word reference
 (`reference_tokenizer.py`), bit for bit; EM convergence within a prune
 round; and byte-identical training whatever the hash seed."""
 
@@ -99,6 +99,41 @@ def test_lattice_e_step_matches_reference(words, probs, drop):
 
 
 # ---------------------------------------------------------------------------
+# Lattices filtered after a prune
+
+
+@given(words=WORDS, probs=PROBS, drop=st.sets(st.integers(0, 29), max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_filtered_lattice_equals_fresh_lattice(words, probs, drop):
+    lattices = [(f, len(w), T._lattice(w, probs, T._prefixes(probs))) for w, f in words.items()]
+    kept = {t: p for k, (t, p) in enumerate(probs.items()) if k not in drop}
+    want = [(f, len(w), T._lattice(w, kept, T._prefixes(kept))) for w, f in words.items()]
+    assert T._filtered(lattices, kept) == want
+
+
+def test_each_round_sees_the_lattices_of_its_vocabulary(monkeypatch):
+    # The first E-step of a round gets the log-probabilities of the whole
+    # vocabulary the round starts with; the filtered lattices it gets must be
+    # the ones built from that vocabulary afresh.
+    chunk = finance_text(5, 3000)
+    firsts = []
+    real = T._expected_counts
+
+    def spy(lattices, logp):
+        if not firsts or firsts[-1][0] is not lattices:
+            firsts.append((lattices, dict(logp)))
+        return real(lattices, logp)
+
+    monkeypatch.setattr(T, "_expected_counts", spy)
+    T.train_chunk_unigram(chunk, 80)
+    counts = Counter(T.pretokenize(chunk))
+    assert len(firsts) >= 5
+    for lattices, logp in firsts:
+        prefixes = T._prefixes(logp)
+        assert lattices == [(f, len(w), T._lattice(w, logp, prefixes)) for w, f in counts.items()]
+
+
+# ---------------------------------------------------------------------------
 # Prune score
 
 
@@ -109,7 +144,26 @@ def test_split_logp_matches_viterbi_score(probs):
     logp = _logp(probs)
     for t in logp:
         alt = R._viterbi(t, logp, T.MAX_TOKEN_LEN, exclude=t)
-        assert T._split_logp(t, logp) == (alt[1] if alt is not None else float("-inf"))
+        assert R._split_logp(t, logp) == (alt[1] if alt is not None else float("-inf"))
+
+
+@given(probs=PROBS, drop=st.sets(st.integers(0, 29), max_size=10), order=st.randoms())
+@example(  # b"cab" and b"ab" share the suffix b"b"; b"ab" is also a suffix of b"cab"
+    probs={b"cab": 0.2, b"ab": 0.1, b"b": 0.4, b"c": 0.1, b"a": 0.05},
+    drop=set(), order=random.Random(0),
+)
+@settings(max_examples=200, deadline=None)
+def test_shared_split_scores_match_per_token_oracle(probs, drop, order):
+    # Tokens left out of logp are gaps that the shared suffix results must
+    # see; the candidates come in any order, as the suffix memo fills up.
+    logp = {t: lp for k, (t, lp) in enumerate(_logp(probs).items()) if k not in drop}
+    tokens = list(probs)
+    order.shuffle(tokens)
+    got = T._split_logps(tokens, logp)
+    assert got == [R._split_logp(t, logp) for t in tokens]
+    for t, score in zip(tokens, got):
+        alt = R._viterbi(t, logp, T.MAX_TOKEN_LEN, exclude=t)
+        assert score == (alt[1] if alt is not None else float("-inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +194,7 @@ def test_train_chunk_unigram_matches_reference_over_many_rounds():
 
 
 def test_em_log_likelihood_does_not_decrease_within_a_round(monkeypatch):
-    # Each prune round builds its lattices once; every E-step of the round
+    # Each prune round filters its lattices once; every E-step of the round
     # (the EM iterations and the scoring pass) receives that same list.
     calls = []
     real = T._expected_counts

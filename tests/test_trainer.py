@@ -1,5 +1,6 @@
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,26 @@ def test_clip_noop_below_threshold_and_idempotent():
 def test_clip_raises_on_nonfinite():
     with pytest.raises(M.NonFiniteError):
         TR.clip_gradients({"a": np.array([np.nan])}, 0.3)
+
+
+def test_clip_names_the_first_nonfinite_group_in_order():
+    grads = {"b": np.array([np.inf]), "a": np.array([1.0, np.nan]), "c": np.array([1.0])}
+    with pytest.raises(M.NonFiniteError, match="non-finite gradient in b$"):
+        TR.clip_gradients(grads, 0.3)
+    grads = {"c": np.array([1.0]), "a": np.array([1.0, np.nan]), "b": np.array([np.inf])}
+    with pytest.raises(M.NonFiniteError, match="non-finite gradient in a$"):
+        TR.clip_gradients(grads, 0.3)
+
+
+@pytest.mark.parametrize("grads", [
+    {"a": np.array([1e200]), "b": np.array([1.0])},  # one group's square overflows
+    {"a": np.array([1e154]), "b": np.array([1e154])},  # only the total overflows
+], ids=["in-one-group", "in-the-total"])
+def test_clip_names_a_squared_norm_overflow(grads):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(M.NonFiniteError, match="every group is finite"):
+            TR.clip_gradients(grads, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +463,27 @@ def test_train_diverges_cleanly_on_nonfinite(tmp_path):
     # the checkpoint it points to is loadable and finite
     _, _, p2, _ = TR.load_checkpoint(exc.value.last_checkpoint)
     assert all(np.all(np.isfinite(v)) for v in p2.values())
+
+
+def test_nonfinite_gradient_halt_row_names_the_group(tmp_path, monkeypatch):
+    # A NaN in one group's gradient: the halt row and the error name that
+    # group, and the loss stays finite.
+    real = M.backward
+    bad = "layer0.attn.Wv"
+
+    def backward(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        grads[bad][0, 1] = np.nan
+        return loss, grads
+
+    monkeypatch.setattr(M, "backward", backward)
+    cfg = tiny_cfg()
+    params = M.init_params(SHAPE, 3)
+    assert bad in params
+    with pytest.raises(TR.TrainingDiverged, match=f"non-finite gradient in {bad}"):
+        TR.train(params, SHAPE, synth_docs(), cfg, 3, str(tmp_path / "x"))
+    last = (tmp_path / "x" / "diagnostics.csv").read_text().splitlines()[-1]
+    assert last == f"1,halt,non_finite,non-finite gradient in {bad}"
 
 
 def test_loss_on_separator_flag_changes_weights():
