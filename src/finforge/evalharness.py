@@ -46,11 +46,12 @@ def sequence_logprob(lm: LanguageModel, context: list[int], continuation: list[i
 def _token_nll(lm: LanguageModel, tokens: list[int], scored: list[int]) -> float:
     """NLL (nats) of tokens at the given positions (>= 1), conditioning on
     all earlier tokens in ``tokens``."""
-    if min(scored, default=1) < 1:
+    start = min(scored, default=1) - 1
+    if start < 0:
         raise ValueError("position 0 has no context to be scored from")
-    logits = lm.logits(tokens[:-1])  # column t predicts token t+1
+    logits = lm.logits(tokens[:-1], start)  # column j predicts token start + j + 1
     scored = np.asarray(scored, dtype=np.intp)
-    _, nll = target_nll(np.asarray(logits)[:, scored - 1], np.asarray(tokens)[scored])
+    _, nll = target_nll(np.asarray(logits)[:, scored - 1 - start], np.asarray(tokens)[scored])
     return float(nll.sum())
 
 
@@ -177,8 +178,7 @@ def greedy_decode(
     tokens = list(prompt)
     out: list[int] = []
     for _ in range(max_new_tokens):
-        logits = lm.logits(tokens)
-        nxt = int(np.argmax(logits[:, -1]))
+        nxt = int(np.argmax(lm.logits(tokens, len(tokens) - 1)[:, 0]))
         if nxt == eot_id or nxt in stop:
             break
         out.append(nxt)

@@ -23,13 +23,14 @@ query get exact-zero probabilities, and adding a zero product is exact.
 Padded rows never reach a real position: they sit after it.
 
 The same alignment makes a cached prefix exact. Once a block is complete,
-its K and V rows, and its logits, are the same bits whatever comes after
-it, so ``forward`` can start from the K/V rows of the completed blocks of
-a prefix (``past``) and compute only the blocks after them: each of those
-runs the same per-block GEMMs and scores against the same keys
-``[0, (qb+1)*_BLOCK)`` with the same bias as in a full forward.
-``LanguageModel`` keeps a bounded cache of such blocks, keyed by the tokens
-up to each block's end (K/V caching, Pope et al. 2022, arXiv:2211.05102).
+its K and V rows are the same bits whatever comes after it, so ``forward``
+can start from the K/V rows of the completed blocks of a prefix (``past``)
+and compute only the blocks after them: each of those runs the same
+per-block GEMMs and scores against the same keys ``[0, (qb+1)*_BLOCK)``
+with the same bias as in a full forward. ``LanguageModel`` keeps a bounded
+cache of the K/V rows of such blocks, keyed by the tokens up to each
+block's end (K/V caching, Pope et al. 2022, arXiv:2211.05102); its callers
+ask only for the logit columns they read, so no logits are cached.
 """
 
 from __future__ import annotations
@@ -50,10 +51,9 @@ _DROP_ATTN, _DROP_HIDDEN, _DROP_FFN = 0, 1, 2
 # Rows per GEMM block: of 16, 32 and 64, the fastest overall when measured at
 # the benchmark's model shapes and sequence lengths (32 to 288).
 _BLOCK = 32
-# Bytes of completed blocks (K/V rows and logit rows) a LanguageModel keeps,
-# least recently used out first: 64 blocks at the benchmark's eval shape
-# (L2 N4 Dh16 V1024), none once one block's logit rows alone pass it
-# (V above 81,920).
+# Bytes of K/V rows of completed blocks a LanguageModel keeps, least recently
+# used out first: 320 blocks at the benchmark's eval shape (L2 N4 Dh16),
+# whatever the vocabulary size.
 _CACHE_BYTES = 20 << 20
 
 
@@ -503,11 +503,12 @@ def finite_diff_check(
 class LanguageModel:
     """Bundle of shape, parameters, and inference settings.
 
-    ``logits`` keeps the K/V rows and logits of completed blocks, up to
+    ``logits`` keeps the K/V rows of completed blocks, up to
     ``_CACHE_BYTES``, keyed by the tokens up to each block's end, and
-    computes only the blocks after the longest cached prefix; the logits
-    are the bits ``forward`` gives. The cache assumes that ``params`` are
-    not changed in place."""
+    computes only the blocks after the longest cached prefix that ends at
+    or before the first column asked for; the columns are the bits
+    ``forward`` gives. The cache assumes that ``params`` are not changed in
+    place."""
 
     shape: ModelShape
     params: dict[str, np.ndarray]
@@ -516,17 +517,21 @@ class LanguageModel:
     _blocks: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
 
     def cache_capacity(self) -> int:
-        """Blocks that fit in ``_CACHE_BYTES``: each holds (_BLOCK, V) logit
-        rows and, per layer, (N, _BLOCK, Dh) K and V rows, all float64."""
+        """Blocks that fit in ``_CACHE_BYTES``: each holds, per layer,
+        (N, _BLOCK, Dh) K and V rows, all float64. A model without layers
+        has none to keep."""
         s = self.shape
-        return _CACHE_BYTES // (_BLOCK * (s.vocab + 2 * s.layers * s.heads * s.head_dim) * 8)
+        block_bytes = _BLOCK * 2 * s.layers * s.heads * s.head_dim * 8
+        return _CACHE_BYTES // block_bytes if block_bytes else 0
 
-    def logits(self, tokens) -> np.ndarray:
+    def logits(self, tokens, start: int = 0) -> np.ndarray:
+        """Columns ``start .. T-1`` of ``forward(tokens)``, shape (V, T - start)."""
+        if not 0 <= start < len(tokens):
+            raise ValueError(f"start {start} is outside [0, {len(tokens)})")
         cfg = ForwardConfig(eps=self.eps, qk_layer_scaling=self.qk_layer_scaling)
-        # per cached block: the per-layer K and V rows, each (N, _BLOCK, Dh),
-        # and the block's logits as (_BLOCK, V) rows
+        # per cached block: the per-layer K and V rows, each (N, _BLOCK, Dh)
         hits = []
-        while (len(hits) + 1) * _BLOCK < len(tokens):  # never an empty tail
+        while (len(hits) + 1) * _BLOCK <= start:
             key = tuple(tokens[: (len(hits) + 1) * _BLOCK])
             if key not in self._blocks:
                 break
@@ -546,14 +551,9 @@ class LanguageModel:
             r = slice(b * _BLOCK, (b + 1) * _BLOCK)
             key = tuple(tokens[: r.stop])
             self._blocks[key] = (
-                [k[:, r].copy() for k, _ in past],
-                [v[:, r].copy() for _, v in past],
-                tail.T[r.start - s0 : r.stop - s0].copy(),
+                [k[:, r].copy() for k, _ in past], [v[:, r].copy() for _, v in past]
             )
             self._blocks.move_to_end(key)  # a recomputed last block is in use too
             if len(self._blocks) > capacity:
                 self._blocks.popitem(last=False)
-        if not hits:
-            return tail
-        # (T, V) rows transposed, the layout forward's logits have
-        return np.concatenate([h[2] for h in hits] + [tail.T]).T
+        return tail[:, start - s0 :]

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import struct
 from dataclasses import asdict, dataclass, field, replace
 
@@ -292,6 +293,28 @@ def save_checkpoint(path, shape: ModelShape, cfg: TrainConfig, params, state: Tr
             f.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# What a checkpoint header's training-state fields must hold, and how to tell.
+_STATE_FIELDS = {
+    "step": ("a non-negative int", _is_count),
+    "epoch": ("a non-negative int", _is_count),
+    "stream_pos": ("a non-negative int", _is_count),
+    "shuffle_salt": ("a non-negative int", _is_count),
+    "order": (
+        "a list of non-negative ints", lambda x: isinstance(x, list) and all(map(_is_count, x))
+    ),
+    "smooth_num": ("a number", _is_number),
+    "smooth_den": ("a number", _is_number),
+}
+
+
 def load_checkpoint(path):
     """Returns (shape, cfg, params, state)."""
     with open(path, "rb") as f:
@@ -318,21 +341,26 @@ def load_checkpoint(path):
                     f"{path}: manifest entry {entry['name']!r} with shape {entry['shape']} "
                     "is not a tensor of the model shape"
                 )
+            if entry["dtype"] != "<f8":
+                raise ValueError(
+                    f"{path}: manifest entry {entry['name']!r} has dtype {entry['dtype']!r}, "
+                    "not little-endian float64 ('<f8')"
+                )
             arr = np.frombuffer(
-                payload, dtype=entry["dtype"], count=math.prod(entry["shape"]),
+                payload, dtype="<f8", count=math.prod(entry["shape"]),
                 offset=entry["offset"],
             ).reshape(entry["shape"]).copy()
             groups[kind][name] = arr
         missing = [k for k in expected if k not in groups["param"]]
         if missing:
             raise ValueError(f"{path}: manifest has no entry 'param:{missing[0]}'")
-        st = header["state"]
-        state = TrainState(
-            step=header["step"], m=groups["m"], v=groups["v"],
-            smooth_num=st["smooth_num"], smooth_den=st["smooth_den"],
-            epoch=st["epoch"], stream_pos=st["stream_pos"], order=st["order"],
-            shuffle_salt=st["shuffle_salt"],
-        )
+        st = dict(header["state"], step=header["step"])
+        for key, (what, ok) in _STATE_FIELDS.items():
+            if not ok(st[key]):
+                raise ValueError(
+                    f"{path}: checkpoint field {key!r} must be {what}, got {reprlib.repr(st[key])}"
+                )
+        state = TrainState(m=groups["m"], v=groups["v"], **{k: st[k] for k in _STATE_FIELDS})
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header: {exc!r}") from exc
     return shape, cfg, groups["param"], state

@@ -569,6 +569,50 @@ def test_checkpoint_manifest_must_fit_the_model_shape(capsys, tmp_path, entry, r
     assert repr(named) in err, err
 
 
+@pytest.mark.parametrize("dtype", ["<i8", "|u1", "<f4", ">f8"])
+def test_checkpoint_tensors_must_be_little_endian_float64(capsys, tmp_path, dtype):
+    ckpt = tmp_path / "model.ckpt"
+    tokpath = tmp_path / "tok.txt"
+    T.save_tokenizer(T.finalize(T.UnigramVocab({b"a": 1.0}, 1.0)), str(tokpath))
+    _write_checkpoint(ckpt, edit=lambda header: header["manifest"][0].update(dtype=dtype))
+    code, _, err = run_cli(
+        capsys, "eval", "generate", "--model", str(ckpt), "--tokenizer", str(tokpath),
+        "--prompt", "a",
+    )
+    assert code == 2, err
+    assert "data error" in err and "Traceback" not in err and "Warning" not in err
+    assert f"entry 'param:Wem' has dtype {dtype!r}" in err, err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("step", "2"),
+        ("step", -1),
+        ("stream_pos", 1.5),
+        ("order", "x"),
+        ("order", [0, "1"]),
+        ("epoch", None),
+        ("shuffle_salt", True),
+        ("smooth_num", "0.5"),
+        ("smooth_den", None),
+    ],
+)
+def test_resume_needs_a_well_typed_checkpoint_state(capsys, tmp_path, key, value):
+    ckpt = tmp_path / "model.ckpt"
+    edit = lambda header: (header if key == "step" else header["state"]).update({key: value})
+    _write_checkpoint(ckpt, edit=edit)
+    tokpath = tmp_path / "tok.txt"
+    T.save_tokenizer(T.finalize(T.UnigramVocab({b"a": 1.0}, 1.0)), str(tokpath))
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"a" * 64)
+    cfgpath = write_config(tmp_path, BASE_CFG.format(corpus=corpus, tok=tokpath, out=tmp_path))
+    code, _, err = run_cli(capsys, "train", "--config", cfgpath, "--resume", str(ckpt))
+    assert code == 2, err
+    assert "data error" in err and "Traceback" not in err
+    assert f"checkpoint field {key!r}" in err, err
+
+
 def test_classify_record_without_candidates_says_so(capsys, tmp_path):
     ckpt = tmp_path / "model.ckpt"
     tokpath = tmp_path / "tok.txt"

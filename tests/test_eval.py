@@ -23,9 +23,9 @@ class StubLM:
         self.fn = fn
         self.calls = []
 
-    def logits(self, tokens):
+    def logits(self, tokens, start=0):
         self.calls.append(list(tokens))
-        return self.fn(list(tokens))
+        return self.fn(list(tokens))[:, start:]
 
 
 def uniform_stub(vocab):

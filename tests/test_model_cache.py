@@ -1,6 +1,6 @@
 """The prefix cache of `finforge.model.LanguageModel` and the `past` argument
 of `forward` against the uncached forward: logits bit for bit, and the same
-generated ids and classification choices."""
+generated ids, classification choices and bits per byte."""
 
 import os
 import subprocess
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import finforge
+from finforge import evalharness as E
 from finforge import model as M
 from finforge.scaling import ModelShape
 
@@ -26,36 +27,50 @@ from finforge.scaling import ModelShape
 
 B = M._BLOCK
 bad = []
-for shape in (ModelShape(2, 2, 8, 4, 32, 16), ModelShape(2, 4, 64, 16, 256, 512)):
+for shape in (
+    ModelShape(2, 2, 8, 4, 32, 16),
+    ModelShape(2, 4, 64, 16, 256, 512),
+    ModelShape(0, 2, 8, 4, 32, 16),  # no layers: nothing to cache
+):
     params = M.init_params(shape, 3)
     tokens = np.random.default_rng(4).integers(0, shape.vocab, 3 * B + 1).tolist()
     grown = M.LanguageModel(shape, params)
     for t in range(1, 3 * B + 2):
         want = M.forward(params, tokens[:t], shape)
-        # the cache split at every block boundary, in mid-block, and one
-        # token before the end
-        for s in sorted({s for s in range(1, t) if s % B in (0, B // 2)} | {1, t - 1} - {0}):
-            lm = M.LanguageModel(shape, params)
-            lm.logits(tokens[:s])
-            if not np.array_equal(lm.logits(tokens[:t]), want):
-                bad.append(("split", shape.hidden, t, s))
-            if s % B == 0:
+        # the cache cold, and warmed at every block boundary, in mid-block
+        # and one token before the end; a mid-block warm-up caches what the
+        # boundary before it does. A fresh copy of each distinct cache is
+        # asked for every start from the end of its blocks on, where all of
+        # them are reused, and for 0 and that end minus 1, where the reuse
+        # stops early (a smaller cache reuses all its blocks at the others).
+        caches = {(): M.LanguageModel(shape, params)}
+        for s in sorted({s for s in range(1, t) if s % B in (0, B // 2)} | {t - 1} - {0}):
+            warm = M.LanguageModel(shape, params)
+            warm.logits(tokens[:s])
+            caches.setdefault(tuple(warm._blocks), warm)
+            if s % B == 0 and shape.layers:
                 past = []
                 head = M.forward(params, tokens[:s], shape, past=past)
                 tail = M.forward(params, tokens[s:t], shape, past=past)
                 if not np.array_equal(np.concatenate([head, tail], axis=1), want):
                     bad.append(("past", shape.hidden, t, s))
-        # the cache grown one token at a time
-        if not np.array_equal(grown.logits(tokens[:t]), want):
-            bad.append(("grow", shape.hidden, t))
+        for blocks, warm in caches.items():
+            for start in sorted(({0, len(blocks) * B - 1} | set(range(len(blocks) * B, t))) - {-1}):
+                lm = M.LanguageModel(shape, params)
+                lm._blocks.update(warm._blocks)
+                if not np.array_equal(lm.logits(tokens[:t], start), want[:, start:]):
+                    bad.append(("split", shape.layers, shape.hidden, t, len(blocks), start))
+        # the cache grown one token at a time, as greedy decoding asks
+        if not np.array_equal(grown.logits(tokens[:t], t - 1), want[:, t - 1 :]):
+            bad.append(("grow", shape.layers, shape.hidden, t))
 
 
 class Uncached:
     def __init__(self, shape, params):
         self.shape, self.params = shape, params
 
-    def logits(self, tokens):
-        return M.forward(self.params, tokens, self.shape)
+    def logits(self, tokens, start=0):
+        return M.forward(self.params, tokens, self.shape)[:, start:]
 
 
 tok = T.finalize(T.UnigramVocab({bytes([b]): 1.0 for b in b"abcdefgh "}, 1.0))
@@ -85,6 +100,17 @@ for i in range(3):
     for cand in task.candidates:
         if E.candidate_logprob(cached, tok, context, cand) != E.candidate_logprob(plain, tok, context, cand):
             bad.append(("logprob", i, cand))
+# sliding bpb windows: every window after the first starts past position 0
+docs = [bytes(rng.choice(list(b"abcdefgh "), n).tolist()) for n in (150, 97, 64)]
+for window, stride in ((40, 8), (64, 63)):
+    bpb = [E.bits_per_byte(lm, docs, tok, window, stride) for lm in (cached, plain)]
+    if bpb[0] != bpb[1]:
+        bad.append(("bpb", window, stride))
+    ids = [tok.eot_id] + T.encode(tok, docs[0])
+    for first in (1, 17, 45):
+        nll = [E._windowed_nll(lm, ids, first, window, stride) for lm in (cached, plain)]
+        if nll[0] != nll[1]:
+            bad.append(("windowed", window, stride, first))
 print(bad)
 sys.exit(1 if bad else 0)
 """
@@ -104,20 +130,20 @@ def test_cached_logits_and_choices_bit_exact(threads):
 
 
 def _block_bytes(shape):
-    return B * (shape.vocab + 2 * shape.layers * shape.heads * shape.head_dim) * 8
+    return B * 2 * shape.layers * shape.heads * shape.head_dim * 8
 
 
 def test_cache_capacity_is_set_in_bytes():
     eval_shape = ModelShape(2, 4, 64, 16, 256, 1024)  # the benchmark's eval shape
-    assert M.LanguageModel(eval_shape, {}).cache_capacity() == 64
-    # at a 2**17 vocab one block's logit rows alone outgrow the budget
-    assert M.LanguageModel(ModelShape(2, 4, 64, 16, 256, 2**17), {}).cache_capacity() == 0
+    assert M.LanguageModel(eval_shape, {}).cache_capacity() == 320
+    # blocks hold no logit rows, so the paper's 2**17 vocab takes no room
+    assert M.LanguageModel(ModelShape(2, 4, 64, 16, 256, 2**17), {}).cache_capacity() == 320
+    assert M.LanguageModel(ModelShape(0, 4, 64, 16, 256, 1024), {}).cache_capacity() == 0
 
 
 def _held_bytes(lm):
     return sum(
-        sum(a.nbytes for a in ks) + sum(a.nbytes for a in vs) + rows.nbytes
-        for ks, vs, rows in lm._blocks.values()
+        sum(a.nbytes for a in ks) + sum(a.nbytes for a in vs) for ks, vs in lm._blocks.values()
     )
 
 
@@ -143,7 +169,8 @@ def test_long_input_keeps_its_own_prefix(monkeypatch):
     real = M.forward
     monkeypatch.setattr(M, "forward", lambda p, t, *a: seen.append(len(t)) or real(p, t, *a))
     tokens.append(7)
-    assert np.array_equal(lm.logits(tokens), real(params, tokens, SHAPE))
+    last = len(tokens) - 1
+    assert np.array_equal(lm.logits(tokens, last), real(params, tokens, SHAPE)[:, last:])
     assert seen == [len(tokens) - 2 * B]
 
 
@@ -154,10 +181,29 @@ def test_cache_hit_computes_only_the_tail(monkeypatch):
     seen = []
     real = M.forward
     monkeypatch.setattr(M, "forward", lambda p, t, *a: seen.append(len(t)) or real(p, t, *a))
-    lm.logits(tokens)
-    lm.logits(tokens)  # every block cached: the last one is recomputed
-    lm.logits(tokens[:B])  # one block: nothing to reuse
+    lm.logits(tokens, 2 * B - 1)
+    lm.logits(tokens, 2 * B - 1)  # every block cached: the last one is recomputed
+    lm.logits(tokens[:B], B - 1)  # one block: nothing to reuse
     assert seen == [B, B, B]
+
+
+def test_greedy_steps_at_the_paper_vocab_compute_at_most_one_block(monkeypatch):
+    shape = ModelShape(2, 2, 8, 4, 32, 2**17)
+    lm = M.LanguageModel(shape, M.init_params(shape, 1))
+    prompt = np.random.default_rng(6).integers(0, shape.vocab, B + 5).tolist()
+    seen = []
+    real = M.forward
+    monkeypatch.setattr(M, "forward", lambda p, t, *a: seen.append(len(t)) or real(p, t, *a))
+    assert len(E.greedy_decode(lm, prompt, B + 2, eot_id=-1)) == B + 2
+    assert seen[0] == len(prompt) and len(seen) == B + 2
+    assert max(seen[1:]) <= B
+
+
+def test_start_must_name_a_column():
+    lm = M.LanguageModel(SHAPE, M.init_params(SHAPE, 1))
+    for tokens, start in (([1, 2, 3], 3), ([1, 2, 3], -1), ([], 0)):
+        with pytest.raises(ValueError, match="outside"):
+            lm.logits(tokens, start)
 
 
 def test_past_needs_an_inference_config_and_a_block_boundary():
