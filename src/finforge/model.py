@@ -85,13 +85,20 @@ def alibi_slopes(heads: int) -> np.ndarray:
     return 2.0 ** (-(8.0 / heads) * n_tilde)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(GELU_C0 * x * (1.0 + GELU_C1 * x * x)))
+def gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """``tanh(C0*x*(1 + C1*x*x))``, the term GELU and its gradient share."""
+    return np.tanh(GELU_C0 * x * (1.0 + GELU_C1 * x * x))
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    u = GELU_C0 * x * (1.0 + GELU_C1 * x * x)
-    t = np.tanh(u)
+def gelu(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """Tanh-approximated GELU; ``t`` is ``gelu_tanh(x)`` when the caller has it."""
+    return 0.5 * x * (1.0 + (gelu_tanh(x) if t is None else t))
+
+
+def gelu_grad(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """d gelu / dx; ``t`` is ``gelu_tanh(x)`` when the caller has it, as the
+    forward does, so the gradient does not compute the tanh again."""
+    t = gelu_tanh(x) if t is None else t
     du = GELU_C0 * (1.0 + 3.0 * GELU_C1 * x * x)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 
@@ -101,9 +108,15 @@ def layer_norm(x, gain, bias, eps):
     return _ln_fwd(x, gain, bias, eps)[0]
 
 
+def _row_mean(x):
+    """``x.mean(axis=-1, keepdims=True)``: the same sum and division, without
+    the Python wrapper around them."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _ln_fwd(x, gain, bias, eps):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    mu = _row_mean(x)
+    var = _row_mean((x - mu) ** 2)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv
     return xhat * gain + bias, (xhat, inv, gain)
@@ -112,13 +125,9 @@ def _ln_fwd(x, gain, bias, eps):
 def _ln_bwd(dy, cache):
     xhat, inv, gain = cache
     dxhat = dy * gain
-    dx = (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    ) * inv
-    dgain = (dy * xhat).sum(axis=0)
-    dbias = dy.sum(axis=0)
+    dx = (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat)) * inv
+    dgain = np.add.reduce(dy * xhat, axis=0)
+    dbias = np.add.reduce(dy, axis=0)
     return dx, dgain, dbias
 
 
@@ -216,6 +225,23 @@ def _block_bias(slopes, Tp):
     return np.where(rel <= 0, slopes[:, None, None] * rel, -np.inf)
 
 
+# Per head count: the read-only ``_block_bias`` of the longest padded length
+# asked for so far.
+_BIASES: dict[int, np.ndarray] = {}
+
+
+def _cached_block_bias(heads: int, Tp: int) -> np.ndarray:
+    """``_block_bias(alibi_slopes(heads), Tp)``, sliced from the one array
+    kept per head count: a bias's last ``Tp`` columns are the bias for
+    ``Tp``, since its values depend only on the distance to the last one."""
+    full = _BIASES.get(heads)
+    if full is None or full.shape[2] < Tp:
+        full = _block_bias(alibi_slopes(heads), Tp)
+        full.flags.writeable = False
+        _BIASES[heads] = full
+    return full[:, :, full.shape[2] - Tp :]
+
+
 def _attn_maps(params, p, shape: ModelShape):
     """Layer ``p``'s Q, K and V projections stacked into one (3*N*Dh, D)
     matrix, and its output map as (N*Dh, D)."""
@@ -255,7 +281,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
     Tp = s0 + -(-T // _BLOCK) * _BLOCK  # padded length of the whole sequence
     rows = Tp - s0  # the rows computed here
     inv_sqrt_dh = 1.0 / math.sqrt(Dh)
-    bias = _block_bias(alibi_slopes(N), Tp)
+    bias = _cached_block_bias(N, Tp)
     p_at, p_h, p_f = cfg.dropout(cfg.p_at), cfg.dropout(cfg.p_h), cfg.dropout(cfg.p_f)
 
     emb = _padded(params["Wem"][:, tokens].T, (rows, D))
@@ -312,7 +338,8 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
             hbar, params[p + "ln_at.g"], params[p + "ln_at.b"], cfg.eps
         )
         a = _rows(xf, params[p + "ffn.W"].T) + params[p + "ffn.b"]
-        g = gelu(a)
+        t = gelu_tanh(a)
+        g = gelu(a, t)
         o = _rows(g, params[p + "ffn.U"].T) + params[p + "ffn.c"]
         fmask = _padded(_dropout_mask(cfg, l, _DROP_FFN, p_f, T, D), (rows, D))
         od = o if fmask is None else o * fmask
@@ -324,7 +351,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
                 dict(
                     ln_in=ln_in_cache, xn=xn, qkv=(Q, K, Vv), probs=probs, amask=amask,
                     ybar=ybar, hmask=hmask, ln_at=ln_at_cache,
-                    xf=xf, a=a, g=g, fmask=fmask, scale=scale,
+                    xf=xf, a=a, t=t, g=g, fmask=fmask, scale=scale,
                 )
             )
         h = h_next
@@ -406,7 +433,7 @@ def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, wei
         do = dh if c["fmask"] is None else dh * c["fmask"]
         grads[p + "ffn.U"] = do.T @ c["g"]
         grads[p + "ffn.c"] = do.sum(axis=0)
-        da = (do @ params[p + "ffn.U"]) * gelu_grad(c["a"])
+        da = (do @ params[p + "ffn.U"]) * gelu_grad(c["a"], c["t"])
         grads[p + "ffn.W"] = da.T @ c["xf"]
         grads[p + "ffn.b"] = da.sum(axis=0)
         dhbar_ln, grads[p + "ln_at.g"], grads[p + "ln_at.b"] = _ln_bwd(

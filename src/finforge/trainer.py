@@ -2,6 +2,11 @@
 learning-rate and batch-size warmup schedules, gradient clipping, smoothed
 loss, per-component diagnostics, and checkpoint/rollback with overrides.
 
+The optimizer runs on flat buffers: the parameters, the step's gradients and
+the two AdamW moments each tile one float64 buffer, in the order of the
+parameter names, so one AdamW pass covers every group. Dicts of views keep
+the per-group names for the model, the diagnostics and the checkpoints.
+
 Determinism contract: (seed, config, corpus) fully determine the parameter
 trajectory. All randomness (shuffles, dropout) is derived from the root seed
 by labeled hashing, so resuming from a checkpoint is bit-identical to an
@@ -13,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import reprlib
 import struct
@@ -145,7 +151,8 @@ def batch_size_at(step: int, cfg: TrainConfig) -> int:
 def grad_global_norm(grads: dict[str, np.ndarray]) -> float:
     """Global L2 norm; ``inf`` when a group's or the total's square overflows."""
     with np.errstate(over="ignore"):
-        squares = [float(np.sum(g * g)) for g in grads.values()]
+        # np.add.reduce is the reduction np.sum makes, without its wrapper.
+        squares = [float(np.add.reduce(g * g, axis=None)) for g in grads.values()]
     try:
         return math.sqrt(math.fsum(squares))
     except OverflowError:
@@ -153,7 +160,8 @@ def grad_global_norm(grads: dict[str, np.ndarray]) -> float:
 
 
 def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float):
-    """Scale all gradients so the global L2 norm is at most ``clip_norm``.
+    """Scale all gradients, in place, so the global L2 norm is at most
+    ``clip_norm``; returns ``grads`` itself and the norm before scaling.
 
     A non-finite norm raises ``NonFiniteError`` naming the first group, in
     ``grads``'s order, whose gradient is not finite, or saying that the
@@ -168,7 +176,8 @@ def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float):
         raise M.NonFiniteError("gradient norm overflows float64; every group is finite")
     if norm > clip_norm:
         scale = clip_norm / norm
-        grads = {k: g * scale for k, g in grads.items()}
+        for g in grads.values():
+            g *= scale
     return grads, norm
 
 
@@ -177,24 +186,124 @@ def decayed(name: str) -> bool:
     return name.rsplit(".", 1)[-1][0] in ("W", "U")
 
 
+# Elements per pass of ``adamw_step``: its two scratch slices, 128 KiB each,
+# stay in cache while every operation of the update runs over them.
+_SLICE = 16_384
+
+
+def _tiled(shapes: dict, fill=np.empty) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A new float64 buffer from ``fill`` and its consecutive C-ordered
+    views, one per ``name: shape`` of ``shapes``, in order."""
+    buf = fill(sum(math.prod(s) for s in shapes.values()))
+    views, off = {}, 0
+    for name, shape in shapes.items():
+        n = math.prod(shape)
+        views[name] = buf[off : off + n].reshape(shape)
+        off += n
+    return buf, views
+
+
+def _flat(tensors: dict, names: list[str]) -> np.ndarray:
+    """The float64 buffer whose consecutive slices are ``tensors[name]``,
+    C-ordered, for ``names`` in order.
+
+    Arrays that do not tile one buffer that way (a hand-made dict,
+    ``init_params``' output, an entry someone rebound) are copied into a
+    new buffer, and each entry of ``tensors`` is rebound to its view, with
+    the same values."""
+    buf = tensors[names[0]].base if names else None
+    if isinstance(buf, np.ndarray) and buf.ndim == 1 and buf.dtype == np.float64:
+        start = buf.__array_interface__["data"][0]
+        ptr = start
+        for name in names:
+            a = tensors[name]
+            if (
+                a.base is not buf or a.dtype != np.float64 or not a.flags.c_contiguous
+                or a.__array_interface__["data"][0] != ptr
+            ):
+                break
+            ptr += a.nbytes
+        else:
+            if ptr == start + buf.nbytes:
+                return buf
+    buf, views = _tiled({name: tensors[name].shape for name in names})
+    for name, view in views.items():
+        view[...] = tensors[name]
+        tensors[name] = view  # drops the old array before the next copy
+    return buf
+
+
+def _layout(params, grads, state: "TrainState"):
+    """``adamw_step``'s flat buffers (parameters, gradients, m, v), laid out
+    by the names of ``params`` in dict order, and the merged index ranges of
+    the decayed groups.
+
+    ``state.layout`` keeps them with the keys and arrays the four dicts
+    held, so a step whose dicts hold the same array objects under the same
+    keys checks identity only."""
+    dicts = (params, grads, state.m, state.v)
+    if state.layout is not None:
+        held, flat = state.layout
+        if all(
+            tuple(d) == keys and all(map(operator.is_, d.values(), arrays))
+            for d, (keys, arrays) in zip(dicts, held)
+        ):
+            return flat
+    names = list(params)
+    buffers = [_flat(d, names) for d in dicts]
+    ranges, off = [], 0
+    for name in names:
+        n = params[name].size
+        if decayed(name):
+            if ranges and ranges[-1][1] == off:
+                ranges[-1] = (ranges[-1][0], off + n)
+            else:
+                ranges.append((off, off + n))
+        off += n
+    flat = (*buffers, ranges)
+    state.layout = ([(tuple(d), tuple(d.values())) for d in dicts], flat)
+    return flat
+
+
 def adamw_step(params, grads, state: "TrainState", lr: float, cfg: TrainConfig) -> None:
-    """One AdamW update with bias correction, in place."""
+    """One AdamW update with bias correction, in place.
+
+    It makes one pass over the flat buffers of ``_layout`` (so the entries
+    of ``params``, ``grads`` and the moments of ``state`` may be rebound to
+    views of one buffer each), ``_SLICE`` elements at a time through two
+    scratch slices. Per element it computes, with exactly these operations
+    in this order, ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+    ``u = (m/bc1) / (sqrt(v/bc2) + eps)``, then ``u = u + wd*theta`` on the
+    decayed groups only, and ``theta -= lr*u``."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
-    for name, theta in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
+    P, G, Mo, Vo, ranges = _layout(params, grads, state)
+    scratch, upd = np.empty(_SLICE), np.empty(_SLICE)
+    for lo in range(0, P.size, _SLICE):
+        hi = min(lo + _SLICE, P.size)
+        theta, g, m, v = P[lo:hi], G[lo:hi], Mo[lo:hi], Vo[lo:hi]
+        tmp, update = scratch[: hi - lo], upd[: hi - lo]
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(1.0 - cfg.beta1, g, out=tmp)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
-        if decayed(name):
-            update = update + cfg.weight_decay * theta
-        theta -= lr * update
+        np.multiply(1.0 - cfg.beta2, g, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.adam_eps
+        np.divide(m, bc1, out=update)
+        update /= tmp
+        # Index ranges, not a 0/1 mask: adding 0.0 would turn an update of
+        # -0.0 into +0.0.
+        for a, b in ranges:
+            a, b = max(a, lo) - lo, min(b, hi) - lo
+            if a < b:
+                update[a:b] += np.multiply(cfg.weight_decay, theta[a:b], out=tmp[a:b])
+        update *= lr
+        theta -= update
 
 
 def smoothed_loss(series: list[float], alpha: float = 0.001) -> float:
@@ -209,10 +318,12 @@ def smoothed_loss(series: list[float], alpha: float = 0.001) -> float:
 
 def component_weight_norms(params: dict[str, np.ndarray]) -> dict[str, float]:
     """L2 norm of each parameter group divided by sqrt(element count)."""
-    return {
-        name: float(np.linalg.norm(t.reshape(-1)) / math.sqrt(t.size))
-        for name, t in params.items()
-    }
+    norms = {}
+    for name, t in params.items():
+        x = t.reshape(-1)
+        # sqrt(x . x) is what np.linalg.norm computes for a float vector
+        norms[name] = math.sqrt(x.dot(x)) / math.sqrt(x.size)
+    return norms
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +341,14 @@ class TrainState:
     stream_pos: int = 0
     order: list[int] = field(default_factory=list)
     shuffle_salt: int = 0
+    # ``_layout``'s check of the arrays ``adamw_step`` last ran on; not saved.
+    layout: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, params):
-        return cls(
-            m={k: np.zeros_like(v) for k, v in params.items()},
-            v={k: np.zeros_like(v) for k, v in params.items()},
-        )
+        """Zero moments, each dict views of one buffer laid out like ``params``."""
+        shapes = {name: t.shape for name, t in params.items()}
+        return cls(m=_tiled(shapes, np.zeros)[1], v=_tiled(shapes, np.zeros)[1])
 
     def smooth_update(self, x: float, alpha: float) -> float:
         self.smooth_num = x + (1.0 - alpha) * self.smooth_num
@@ -290,7 +402,9 @@ def save_checkpoint(path, shape: ModelShape, cfg: TrainConfig, params, state: Tr
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
         for _, t in tensors:
-            f.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+            if not (t.flags.c_contiguous and t.dtype == "<f8"):
+                t = np.ascontiguousarray(t, dtype="<f8")
+            f.write(memoryview(t).cast("B"))  # the bytes, without a copy
 
 
 def _is_count(x) -> bool:
@@ -333,10 +447,10 @@ def load_checkpoint(path):
         shape = ModelShape(**header["shape"])
         cfg = TrainConfig(**header["config"])
         expected = M.param_shapes(shape)
-        groups: dict[str, dict[str, np.ndarray]] = {"param": {}, "m": {}, "v": {}}
+        entries: dict[str, dict[str, dict]] = {"param": {}, "m": {}, "v": {}}
         for entry in header["manifest"]:
             kind, _, name = entry["name"].partition(":")
-            if kind not in groups or expected.get(name) != tuple(entry["shape"]):
+            if kind not in entries or expected.get(name) != tuple(entry["shape"]):
                 raise ValueError(
                     f"{path}: manifest entry {entry['name']!r} with shape {entry['shape']} "
                     "is not a tensor of the model shape"
@@ -346,11 +460,15 @@ def load_checkpoint(path):
                     f"{path}: manifest entry {entry['name']!r} has dtype {entry['dtype']!r}, "
                     "not little-endian float64 ('<f8')"
                 )
-            arr = np.frombuffer(
-                payload, dtype="<f8", count=math.prod(entry["shape"]),
-                offset=entry["offset"],
-            ).reshape(entry["shape"]).copy()
-            groups[kind][name] = arr
+            entries[kind][name] = entry
+        # Each kind (param, m, v) is copied into one buffer, in manifest order.
+        groups = {}
+        for kind, named in entries.items():
+            _, groups[kind] = _tiled({name: tuple(e["shape"]) for name, e in named.items()})
+            for name, e in named.items():
+                groups[kind][name][...] = np.frombuffer(
+                    payload, dtype="<f8", count=math.prod(e["shape"]), offset=e["offset"]
+                ).reshape(e["shape"])
         missing = [k for k in expected if k not in groups["param"]]
         if missing:
             raise ValueError(f"{path}: manifest has no entry 'param:{missing[0]}'")
@@ -411,6 +529,27 @@ def _loss_weights(chunk: list[int], eot_id: int, cfg: TrainConfig):
     return w if w.sum() > 0 else None
 
 
+def _mean_gradients(params, shape, batch, fcfg, cfg: TrainConfig, eot_id, grads, acc) -> float:
+    """Mean loss over ``batch``; its mean gradients go into ``grads``, views
+    that tile ``acc``. The first sequence's gradients are copied in, each
+    later one's added, in batch order, and ``acc`` is then divided by the
+    batch size once. Each sequence's gradient dict is dropped once added."""
+    total_loss = 0.0
+    for i, chunk in enumerate(batch):
+        loss, g = M.backward(
+            params, chunk[:-1], chunk[1:], shape, fcfg, weights=_loss_weights(chunk, eot_id, cfg)
+        )
+        total_loss += loss
+        for name, a in grads.items():
+            if i:
+                a += g[name]
+            else:
+                a[...] = g[name]
+        del g
+    acc /= len(batch)
+    return total_loss / len(batch)
+
+
 def train(
     params,
     shape: ModelShape,
@@ -427,7 +566,12 @@ def train(
 
     Returns the final state and the path of the last checkpoint written.
     Raises TrainingDiverged, pointing at the last good checkpoint, if a
-    non-finite loss or gradient appears.
+    non-finite loss or gradient appears, and ValueError, before the first
+    step, if ``state.order`` names a chunk the corpus does not have.
+
+    The optimizer works on flat buffers (see ``adamw_step``): the entries of
+    ``params`` are rebound to views of one buffer, unless they already are,
+    and updated in place from then on.
     """
     os.makedirs(out_dir, exist_ok=True)
     with DiagnosticsLog(os.path.join(out_dir, "diagnostics.csv")) as diag:
@@ -441,6 +585,13 @@ def train(
             state = TrainState.fresh(params)
         if not state.order:
             state.order = _epoch_order(len(chunks), cfg, state.epoch, state.shuffle_salt)
+        if max(state.order) >= len(chunks):
+            raise ValueError(
+                f"checkpoint field 'order' holds chunk {max(state.order)}, but the corpus "
+                f"packs into {len(chunks)} chunks"
+            )
+        # One gradient accumulator for the whole run, laid out like ``params``.
+        acc, grads = _tiled({name: t.shape for name, t in params.items()})
 
         last_ckpt: str | None = None
 
@@ -469,31 +620,16 @@ def train(
                 training=True, rng_seed=derive_seed(cfg.seed, "dropout"), step=step,
                 eps=cfg.ln_eps, qk_layer_scaling=cfg.qk_layer_scaling,
             )
-            total_loss = 0.0
-            grads = None
             try:
-                for chunk in batch:
-                    loss, g = M.backward(
-                        params, chunk[:-1], chunk[1:], shape, fcfg,
-                        weights=_loss_weights(chunk, eot_id, cfg),
-                    )
-                    total_loss += loss
-                    if grads is None:
-                        grads = g
-                    else:
-                        for k in grads:
-                            grads[k] += g[k]
-                loss = total_loss / len(batch)
-                for k in grads:
-                    grads[k] /= len(batch)
+                loss = _mean_gradients(params, shape, batch, fcfg, cfg, eot_id, grads, acc)
                 if not math.isfinite(loss):
                     raise M.NonFiniteError(f"non-finite loss at step {step}")
-                grads, gnorm = clip_gradients(grads, cfg.clip_norm)
+                clipped, gnorm = clip_gradients(grads, cfg.clip_norm)
             except M.NonFiniteError as exc:
                 diag.record(step, "halt", "non_finite", str(exc))
                 raise TrainingDiverged(str(exc), last_ckpt) from exc
 
-            adamw_step(params, grads, state, lr_at(step, cfg), cfg)
+            adamw_step(params, clipped, state, lr_at(step, cfg), cfg)
 
             diag.record(step, "grad_norm", "global", gnorm)
             for name, norm in component_weight_norms(params).items():

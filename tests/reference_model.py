@@ -19,17 +19,52 @@ from finforge.model import (
     _DROP_ATTN,
     _DROP_FFN,
     _DROP_HIDDEN,
+    GELU_C0,
+    GELU_C1,
     _check_finite,
     _dropout_mask,
-    _ln_bwd,
-    _ln_fwd,
     ForwardConfig,
     _loss_grad_logits,
     alibi_slopes,
-    gelu,
-    gelu_grad,
 )
 from finforge.scaling import ModelShape
+
+
+# LayerNorm and GELU in their plain form (`ndarray.mean` and `.sum`, the
+# tanh computed inside each function), kept here so that the primitives in
+# `finforge.model` are checked against an oracle they share no code with.
+
+
+def gelu(x: np.ndarray) -> np.ndarray:
+    return 0.5 * x * (1.0 + np.tanh(GELU_C0 * x * (1.0 + GELU_C1 * x * x)))
+
+
+def gelu_grad(x: np.ndarray) -> np.ndarray:
+    u = GELU_C0 * x * (1.0 + GELU_C1 * x * x)
+    t = np.tanh(u)
+    du = GELU_C0 * (1.0 + 3.0 * GELU_C1 * x * x)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+
+
+def _ln_fwd(x, gain, bias, eps):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return xhat * gain + bias, (xhat, inv, gain)
+
+
+def _ln_bwd(dy, cache):
+    xhat, inv, gain = cache
+    dxhat = dy * gain
+    dx = (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    ) * inv
+    dgain = (dy * xhat).sum(axis=0)
+    dbias = dy.sum(axis=0)
+    return dx, dgain, dbias
 
 
 @dataclass(frozen=True)

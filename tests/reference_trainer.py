@@ -1,0 +1,90 @@
+"""Reference implementation of the trainer's optimizer step.
+
+These are the per-group forms of `clip_gradients`, `adamw_step` and the
+per-step gradient accumulation of `train`: every operation runs on each
+parameter group's own array, with a fresh temporary per operation, and
+clipping returns a new dict. They are slow and kept only as the oracle that
+tests compare the flat-buffer optimizer in `finforge.trainer` against.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from finforge import model as M
+from finforge.trainer import TrainConfig, _loss_weights, decayed
+
+
+def grad_global_norm(grads: dict[str, np.ndarray]) -> float:
+    """Global L2 norm; ``inf`` when a group's or the total's square overflows."""
+    with np.errstate(over="ignore"):
+        squares = [float(np.sum(g * g)) for g in grads.values()]
+    try:
+        return math.sqrt(math.fsum(squares))
+    except OverflowError:
+        return math.inf
+
+
+def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float):
+    """Scale all gradients so the global L2 norm is at most ``clip_norm``.
+
+    A non-finite norm raises ``NonFiniteError`` naming the first group, in
+    ``grads``'s order, whose gradient is not finite, or saying that the
+    squared norm overflowed while every group was finite."""
+    if clip_norm <= 0:
+        raise ValueError("clip_norm must be positive")
+    norm = grad_global_norm(grads)
+    if not math.isfinite(norm):
+        for name in grads:
+            if not np.isfinite(grads[name]).all():
+                raise M.NonFiniteError(f"non-finite gradient in {name}")
+        raise M.NonFiniteError("gradient norm overflows float64; every group is finite")
+    if norm > clip_norm:
+        scale = clip_norm / norm
+        grads = {k: g * scale for k, g in grads.items()}
+    return grads, norm
+
+
+def adamw_step(params, grads, state, lr: float, cfg: TrainConfig) -> None:
+    """One AdamW update with bias correction, in place."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - cfg.beta1**t
+    bc2 = 1.0 - cfg.beta2**t
+    for name, theta in params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        if decayed(name):
+            update = update + cfg.weight_decay * theta
+        theta -= lr * update
+
+
+def batch_gradients(params, shape, batch, fcfg, cfg: TrainConfig, eot_id):
+    """Mean loss and mean gradients of one step's batch: the first
+    sequence's gradient dict is kept and every later one added to it, group
+    by group, in batch order, then each group is divided by the batch size."""
+    total_loss = 0.0
+    grads = None
+    for chunk in batch:
+        loss, g = M.backward(
+            params, chunk[:-1], chunk[1:], shape, fcfg,
+            weights=_loss_weights(chunk, eot_id, cfg),
+        )
+        total_loss += loss
+        if grads is None:
+            grads = g
+        else:
+            for k in grads:
+                grads[k] += g[k]
+    loss = total_loss / len(batch)
+    for k in grads:
+        grads[k] /= len(batch)
+    return loss, grads

@@ -457,6 +457,7 @@ def _write_checkpoint(path, edit=None):
         "checkpoint-without-shape",
         "checkpoint-without-manifest",
         "checkpoint-truncated",
+        "checkpoint-order-beyond-corpus",
         "jsonl-line-not-an-object",
         "task-line-not-an-object",
         "task-context-not-a-string",
@@ -481,6 +482,11 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     T.save_tokenizer(T.finalize(T.UnigramVocab({b"a": 1.0}, 1.0)), str(tokpath))
     if case.startswith("checkpoint-without-"):
         _write_checkpoint(ckpt, edit=lambda header: header.pop(case.rsplit("-", 1)[1]))
+    elif case == "checkpoint-order-beyond-corpus":
+        # a 16-token sequence length, and an order naming chunk 99999
+        _write_checkpoint(ckpt, edit=lambda header: (
+            header["config"].update(seq_len=16), header["state"].update(order=[0, 99999])
+        ))
     else:
         _write_checkpoint(ckpt)
     if case == "empty-tokenizer":
@@ -519,6 +525,11 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         corpus.write_bytes(b"the quick brown fox jumps over the lazy dog")
         argv = ["train-tokenizer", "--corpus", str(corpus), "--target-vocab", "100",
                 "--chunk-vocab", "50", "--out", str(tmp_path / "o.txt")]
+    elif case == "checkpoint-order-beyond-corpus":
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"a" * 64)
+        cfgpath = write_config(tmp_path, BASE_CFG.format(corpus=corpus, tok=tokpath, out=tmp_path))
+        argv = ["train", "--config", cfgpath, "--resume", str(ckpt)]
     elif case.startswith("task-"):
         tasks = tmp_path / "tasks.ndjson"
         rec = {"context": "a", "candidates": ["a", "b"], "gold": "a"}
@@ -536,6 +547,8 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2, err
     assert "data error" in err and "Traceback" not in err
+    if case == "checkpoint-order-beyond-corpus":
+        assert "'order' holds chunk 99999" in err and "chunks" in err, err
     if case == "target-vocab-too-small":
         assert "too small for byte coverage" in err
     if case == "tokenizer-missing-byte":

@@ -1,0 +1,176 @@
+"""The flat-buffer optimizer step against the per-group forms in
+`reference_trainer.py`: parameters, moments, checkpoints and diagnostics
+must be the same bits."""
+
+import numpy as np
+import pytest
+
+import reference_trainer as REF
+from finforge import model as M
+from finforge import trainer as R
+from finforge.scaling import ModelShape
+
+STEPS = 6
+
+
+def bench_shape(layers, heads, head_dim, vocab):
+    hidden = heads * head_dim
+    return ModelShape(layers, heads, hidden, head_dim, 4 * hidden, vocab)
+
+
+def same(a, b) -> bool:
+    """Equal bits, the sign of zero included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def copied(tensors):
+    return {k: np.array(v) for k, v in tensors.items()}
+
+
+def assert_same_state(params, state, ref_params, ref_state):
+    for k in ref_params:
+        assert same(params[k], ref_params[k]), k
+        assert same(state.m[k], ref_state.m[k]), k
+        assert same(state.v[k], ref_state.v[k]), k
+
+
+def run_both(params, grads_at, state_init=None, rebind_at=None):
+    """``STEPS`` clipped AdamW steps through the flat optimizer and the
+    reference, from equal copies of ``params``; ``grads_at(step)`` gives a
+    new gradient dict each step. Returns both sides' params and states."""
+    cfg = R.TrainConfig(max_lr=1e-2, final_lr=1e-3, warmup_steps=2, horizon_steps=20)
+    flat_p, ref_p = copied(params), copied(params)
+    flat_s = R.TrainState.fresh(flat_p)
+    ref_s = R.TrainState(m={k: np.zeros_like(v) for k, v in ref_p.items()},
+                         v={k: np.zeros_like(v) for k, v in ref_p.items()})
+    if state_init:
+        for s in (flat_s, ref_s):
+            state_init(s)
+    for step in range(1, STEPS + 1):
+        grads = grads_at(step)
+        if step == rebind_at:
+            flat_p[next(iter(flat_p))] = np.array(next(iter(flat_p.values())))
+        ref_clipped, ref_norm = REF.clip_gradients(copied(grads), cfg.clip_norm)
+        clipped, norm = R.clip_gradients(grads, cfg.clip_norm)
+        assert norm == ref_norm
+        R.adamw_step(flat_p, clipped, flat_s, R.lr_at(step, cfg), cfg)
+        REF.adamw_step(ref_p, ref_clipped, ref_s, R.lr_at(step, cfg), cfg)
+    assert flat_s.step == ref_s.step == STEPS
+    return flat_p, flat_s, ref_p, ref_s
+
+
+def random_grads(params, seed):
+    def grads_at(step):
+        rng = np.random.default_rng([seed, step])
+        return {k: rng.normal(0.0, 0.05, size=v.shape) for k, v in params.items()}
+    return grads_at
+
+
+@pytest.mark.parametrize("shape", [bench_shape(2, 2, 8, 512), bench_shape(4, 8, 32, 1024)],
+                         ids=["tiny", "wide"])
+@pytest.mark.parametrize("order", ["param_shapes", "sorted"])
+def test_flat_step_matches_reference_at_the_bench_shapes(shape, order):
+    params = M.init_params(shape, 3)
+    if order == "sorted":  # the order load_checkpoint returns
+        params = {k: params[k] for k in sorted(params)}
+    assert_same_state(*run_both(params, random_grads(params, 1)))
+
+
+def test_decayed_range_across_a_slice_boundary():
+    params = {"ln.g": np.full(10_000, 1.5), "W1": np.linspace(-1, 1, 21_000).reshape(7_000, 3),
+              "ffn.b": np.full(5_000, 0.25)}
+    assert 10_000 < R._SLICE < 31_000 < 2 * R._SLICE  # W1 spans slices 0 and 1
+    assert_same_state(*run_both(params, random_grads(params, 2)))
+
+
+def test_dicts_that_do_not_tile_a_buffer_are_copied_once_and_rebound():
+    params = M.init_params(bench_shape(1, 2, 8, 64), 5)  # one array per group
+    names = list(params)
+    buf = np.empty(sum(v.size for v in params.values()))
+
+    def reversed_tiling(step):
+        # views of one buffer, but in reverse name order: not the layout
+        grads = random_grads(params, 3)(step)
+        out, off = {}, 0
+        for k in reversed(names):
+            out[k] = buf[off : off + grads[k].size].reshape(grads[k].shape)
+            out[k][...] = grads[k]
+            off += grads[k].size
+        return {k: out[k] for k in names}
+
+    flat_p, flat_s, ref_p, ref_s = run_both(params, reversed_tiling, rebind_at=3)
+    assert_same_state(flat_p, flat_s, ref_p, ref_s)
+    base = flat_p[names[0]].base
+    assert base.size == buf.size and all(flat_p[k].base is base for k in names)
+
+
+def test_signed_zeros_keep_their_sign():
+    # In the undecayed group, theta, m and g of -0.0 (element 0) make an
+    # update of -0.0, and theta - lr*(-0.0) is +0.0; adding +0.0 to that
+    # update, as a 0/1 decay mask can, would leave theta at -0.0.
+    params = {"ln.g": np.array([-0.0, 0.0, -0.0, 1.0]), "W": np.array([-0.0, 0.0, 2.0])}
+
+    def grads_at(step):
+        return {"ln.g": np.array([-0.0, 0.0, 0.0, -0.0]), "W": np.array([-0.0, -0.0, 0.0])}
+
+    def negative_zero_moments(state):
+        for k in state.m:
+            state.m[k][...] = -0.0
+            state.v[k][...] = -0.0 if k == "W" else 0.0
+
+    flat_p, flat_s, ref_p, ref_s = run_both(params, grads_at, negative_zero_moments)
+    assert_same_state(flat_p, flat_s, ref_p, ref_s)
+    assert np.signbit(ref_p["ln.g"]).tolist() == [False, False, True, False]
+
+
+def test_clip_scales_in_place_and_returns_the_same_dict():
+    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
+    ref, ref_norm = REF.clip_gradients(copied(grads), 1.0)
+    clipped, norm = R.clip_gradients(grads, 1.0)
+    assert clipped is grads and norm == ref_norm
+    assert all(same(grads[k], ref[k]) for k in ref)
+
+
+def test_mean_gradients_match_the_per_group_accumulation():
+    shape = bench_shape(1, 2, 8, 64)
+    params = M.init_params(shape, 7)
+    rng = np.random.default_rng(8)
+    fcfg = M.ForwardConfig()
+    for sep in (True, False):
+        cfg = R.TrainConfig(seq_len=16, loss_on_separator=sep)
+        batch = [[int(t) for t in rng.integers(0, 4, size=17)] for _ in range(3)]
+        acc, grads = R._tiled({k: v.shape for k, v in params.items()})
+        loss = R._mean_gradients(params, shape, batch, fcfg, cfg, 0, grads, acc)
+        ref_loss, ref_grads = REF.batch_gradients(params, shape, batch, fcfg, cfg, 0)
+        assert loss == ref_loss
+        assert all(same(grads[k], ref_grads[k]) for k in params)
+
+
+def tree_bytes(d):
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+def test_train_writes_the_same_bytes_with_the_reference_optimizer(tmp_path, monkeypatch):
+    shape = bench_shape(2, 2, 8, 64)
+    cfg = R.TrainConfig(
+        max_lr=1e-2, final_lr=1e-3, warmup_steps=2, horizon_steps=20, seq_len=16,
+        batch_warmup_size=2, batch_main_size=3, batch_warmup_steps=3,
+        train_loss_interval=1, val_interval=3, checkpoint_interval=2, seed=4,
+    )
+    rng = np.random.default_rng(9)
+    docs = [[int(t) for t in rng.integers(1, 64, size=rng.integers(5, 30))] for _ in range(40)]
+    outs = []
+    for side in ("flat", "reference"):
+        if side == "reference":
+            monkeypatch.setattr(R, "adamw_step", REF.adamw_step)
+            monkeypatch.setattr(R, "clip_gradients", REF.clip_gradients)
+        out = tmp_path / side
+        params = M.init_params(shape, 3)
+        _, ckpt = R.train(params, shape, docs, cfg, STEPS // 2, str(out / "a"), val_docs=docs[:4])
+        _, cfg2, params2, state = R.load_checkpoint(ckpt)
+        R.train(params2, shape, docs, cfg2, STEPS, str(out / "b"), val_docs=docs[:4], state=state)
+        outs.append({part: tree_bytes(out / part) for part in ("a", "b")})
+    assert outs[0]["b"].keys() == {
+        "checkpoint-00000004.bin", "checkpoint-00000006.bin", "diagnostics.csv"
+    }
+    assert outs[0] == outs[1]
