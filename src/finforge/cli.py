@@ -217,15 +217,15 @@ def cmd_train(args) -> int:
     docs = R.shuffle_stream(docs, R.derive_seed(cfg.seed, "doc-shuffle"))
     val_docs = None
     if values["val_corpus"]:
-        val_docs = [T.encode(tok, d) for d in read_documents(values["val_corpus"])][
-            : values["val_max_chunks"]
-        ]
+        val_raw = read_documents(values["val_corpus"])[: values["val_max_chunks"]]
+        val_docs = [T.encode(tok, d) for d in val_raw]
 
     if args.resume:
         try:
             overrides = C.parse_overrides(args.override)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
+        os.makedirs(values["out_dir"], exist_ok=True)
         with R.DiagnosticsLog(os.path.join(values["out_dir"], "diagnostics.csv")) as diag:
             shape, cfg, params, state = R.resume_with_overrides(
                 args.resume, overrides, reshuffle_remaining=args.reshuffle, diag=diag

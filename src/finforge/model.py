@@ -118,8 +118,15 @@ def _ln_fwd(x, gain, bias, eps):
     mu = _row_mean(x)
     var = _row_mean((x - mu) ** 2)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    return xhat * gain + bias, (xhat, inv, gain)
+    cache = ((x - mu) * inv, inv, gain)
+    return _ln_out(cache, bias), cache
+
+
+def _ln_out(cache, bias):
+    """A LayerNorm's output from its cache, as ``_ln_fwd`` computes it, so
+    ``backward`` can rebuild it with the same bits instead of keeping it."""
+    xhat, _, gain = cache
+    return xhat * gain + bias
 
 
 def _ln_bwd(dy, cache):
@@ -156,23 +163,36 @@ def init_std(hidden: int) -> float:
     return 1.0 / math.sqrt(3.0 * hidden)
 
 
+def _tiled(shapes: dict, fill=np.empty) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A new float64 buffer from ``fill`` and its consecutive C-ordered
+    views, one per ``name: shape`` of ``shapes``, in order."""
+    buf = fill(sum(math.prod(s) for s in shapes.values()))
+    views, off = {}, 0
+    for name, shape in shapes.items():
+        n = math.prod(shape)
+        views[name] = buf[off : off + n].reshape(shape)
+        off += n
+    return buf, views
+
+
 def init_params(shape: ModelShape, seed: int) -> dict[str, np.ndarray]:
     """Gaussian init with std 1/sqrt(3D); the attention output map and the
     second FFN layer are rescaled by 1/sqrt(2L). Gains start at 1, biases 0.
-    Draws go in ``param_shapes`` order."""
+    Draws go in ``param_shapes`` order, each into its view of one buffer,
+    the layout the trainer's optimizer runs on, so training needs no copy."""
     L = shape.layers
     z = init_std(shape.hidden)
     zp = z / math.sqrt(2.0 * L) if L > 0 else z
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, dims in param_shapes(shape).items():
+    _, params = _tiled(param_shapes(shape))
+    for name, view in params.items():
         leaf = name.rsplit(".", 1)[-1]
         if leaf in ("Wem", "Wq", "Wk", "Wv", "W"):
-            params[name] = rng.normal(0.0, z, size=dims)
+            view[...] = rng.normal(0.0, z, size=view.shape)
         elif leaf == "U":
-            params[name] = rng.normal(0.0, zp, size=dims)
+            view[...] = rng.normal(0.0, zp, size=view.shape)
         else:
-            params[name] = np.ones(dims) if leaf == "g" else np.zeros(dims)
+            view[...] = 1.0 if leaf == "g" else 0.0
 
     assert sum(v.size for v in params.values()) == count_parameters(shape).grand_total
     return params
@@ -347,11 +367,13 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         _check_finite(h_next, f"layer {l} FFN output")
 
         if keep_cache:
+            # xn and xf are left out: backward rebuilds them from their
+            # LayerNorm caches with the same bits.
             layer_caches.append(
                 dict(
-                    ln_in=ln_in_cache, xn=xn, qkv=(Q, K, Vv), probs=probs, amask=amask,
+                    ln_in=ln_in_cache, qkv=(Q, K, Vv), probs=probs, amask=amask,
                     ybar=ybar, hmask=hmask, ln_at=ln_at_cache,
-                    xf=xf, a=a, t=t, g=g, fmask=fmask, scale=scale,
+                    a=a, t=t, g=g, fmask=fmask, scale=scale,
                 )
             )
         h = h_next
@@ -408,22 +430,44 @@ def _loss_grad_logits(logits, targets, weights=None) -> tuple[float, np.ndarray]
     return loss, dlt * dloss[:, None]  # (T, V)
 
 
-def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, weights=None):
+def backward(
+    params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, weights=None, emit=None
+):
     """Loss and exact gradients of cross_entropy_loss(forward(.)).
+
+    Without ``emit`` it returns ``(loss, grads)``, the gradients in
+    ``params`` order. With ``emit`` it calls ``emit(name, grad)`` exactly
+    once per parameter group, as soon as that group's gradient is final
+    (``Wem`` last, after the embedding's scatter-add), and returns
+    ``(loss, None)``.
+
+    Memory: besides the parameters, one sequence's activations (each
+    layer's freed once its backward is done) and the gradients not yet
+    handed over: at most one layer's with ``emit``, a whole model copy
+    without it. A training step that accumulates through ``emit`` thus
+    holds four model copies (parameters, gradient accumulator, AdamW's m
+    and v) plus one sequence's activations.
 
     Padded rows get exactly zero upstream gradient, so they add nothing to
     the weight gradients."""
+    grads = {}
+    out = grads.__setitem__ if emit is None else emit
     logits, cache = _forward(params, tokens, shape, cfg, True)
     loss, dlt = _loss_grad_logits(logits, targets, weights)
     N, D, Dh = shape.heads, shape.hidden, shape.head_dim
     z = cache["z"]
     Tp = z.shape[0]
     dlt = _padded(dlt, (Tp, shape.vocab))
-    grads = {}
+
+    def ln_back(dy, ln_cache, prefix):
+        dx, dgain, dbias = _ln_bwd(dy, ln_cache)
+        out(prefix + "g", dgain)
+        out(prefix + "b", dbias)
+        return dx
 
     # Tied LM head: gradient flows into the embedding matrix twice.
     dWem = z.T @ dlt
-    dh, grads["ln_f.g"], grads["ln_f.b"] = _ln_bwd(dlt @ params["Wem"].T, cache["ln_f"])
+    dh = ln_back(dlt @ params["Wem"].T, cache["ln_f"], "ln_f.")
 
     for l in range(shape.layers - 1, -1, -1):
         p = f"layer{l}."
@@ -431,20 +475,17 @@ def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, wei
         Wqkv, Ucat = _attn_maps(params, p, shape)
         # h_next = hbar + drop(o)
         do = dh if c["fmask"] is None else dh * c["fmask"]
-        grads[p + "ffn.U"] = do.T @ c["g"]
-        grads[p + "ffn.c"] = do.sum(axis=0)
+        out(p + "ffn.U", do.T @ c["g"])
+        out(p + "ffn.c", do.sum(axis=0))
         da = (do @ params[p + "ffn.U"]) * gelu_grad(c["a"], c["t"])
-        grads[p + "ffn.W"] = da.T @ c["xf"]
-        grads[p + "ffn.b"] = da.sum(axis=0)
-        dhbar_ln, grads[p + "ln_at.g"], grads[p + "ln_at.b"] = _ln_bwd(
-            da @ params[p + "ffn.W"], c["ln_at"]
-        )
-        dhbar = dh + dhbar_ln
+        out(p + "ffn.W", da.T @ _ln_out(c["ln_at"], params[p + "ln_at.b"]))
+        out(p + "ffn.b", da.sum(axis=0))
+        dhbar = dh + ln_back(da @ params[p + "ffn.W"], c["ln_at"], p + "ln_at.")
 
         dy = dhbar if c["hmask"] is None else dhbar * c["hmask"]
-        grads[p + "attn.c"] = dy.sum(axis=0)
+        out(p + "attn.c", dy.sum(axis=0))
         dU = (dy.T @ c["ybar"]).reshape(D, N, Dh).transpose(1, 0, 2)
-        grads[p + "attn.U"] = np.ascontiguousarray(dU)
+        out(p + "attn.U", np.ascontiguousarray(dU))
         dybar = (dy @ Ucat.T).reshape(Tp, N, Dh).transpose(1, 0, 2)
 
         Q, K, Vv = c["qkv"]
@@ -467,21 +508,18 @@ def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, wei
             dQ[:, q0:k1] = ds @ K[:, :k1]
 
         dqkv = dqkv.reshape(Tp, 3 * N * Dh)
-        dW = (dqkv.T @ c["xn"]).reshape(3, N, Dh, D)
+        dW = (dqkv.T @ _ln_out(c["ln_in"], params[p + "ln_in.b"])).reshape(3, N, Dh, D)
         db = dqkv.sum(axis=0).reshape(3, N, Dh)
         db[1] = 0.0  # attn.bk, left out of the forward
         for i, k in enumerate("qkv"):
-            grads[p + "attn.W" + k] = dW[i]
-            grads[p + "attn.b" + k] = db[i]
-        dh_ln, grads[p + "ln_in.g"], grads[p + "ln_in.b"] = _ln_bwd(
-            dqkv @ Wqkv, c["ln_in"]
-        )
-        dh = dhbar + dh_ln
+            out(p + "attn.W" + k, dW[i])
+            out(p + "attn.b" + k, db[i])
+        dh = dhbar + ln_back(dqkv @ Wqkv, c["ln_in"], p + "ln_in.")
 
-    demb, grads["ln_em.g"], grads["ln_em.b"] = _ln_bwd(dh, cache["ln_em"])
+    demb = ln_back(dh, cache["ln_em"], "ln_em.")
     np.add.at(dWem.T, cache["tokens"], demb[: len(cache["tokens"])])
-    grads["Wem"] = dWem
-    return loss, {k: grads[k] for k in params}
+    out("Wem", dWem)
+    return loss, None if emit is not None else {k: grads[k] for k in params}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ The optimizer runs on flat buffers: the parameters, the step's gradients and
 the two AdamW moments each tile one float64 buffer, in the order of the
 parameter names, so one AdamW pass covers every group. Dicts of views keep
 the per-group names for the model, the diagnostics and the checkpoints.
+``backward`` hands each gradient group straight to the step's buffer, so a
+step holds these four model copies plus one sequence's activations.
 
 Determinism contract: (seed, config, corpus) fully determine the parameter
 trajectory. All randomness (shuffles, dropout) is derived from the root seed
@@ -28,6 +30,7 @@ import numpy as np
 
 from . import model as M
 from .atomic import atomic_write
+from .model import _tiled
 from .scaling import ModelShape
 
 CHECKPOINT_MAGIC = b"BGPT"
@@ -191,24 +194,12 @@ def decayed(name: str) -> bool:
 _SLICE = 16_384
 
 
-def _tiled(shapes: dict, fill=np.empty) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """A new float64 buffer from ``fill`` and its consecutive C-ordered
-    views, one per ``name: shape`` of ``shapes``, in order."""
-    buf = fill(sum(math.prod(s) for s in shapes.values()))
-    views, off = {}, 0
-    for name, shape in shapes.items():
-        n = math.prod(shape)
-        views[name] = buf[off : off + n].reshape(shape)
-        off += n
-    return buf, views
-
-
 def _flat(tensors: dict, names: list[str]) -> np.ndarray:
     """The float64 buffer whose consecutive slices are ``tensors[name]``,
     C-ordered, for ``names`` in order.
 
-    Arrays that do not tile one buffer that way (a hand-made dict,
-    ``init_params``' output, an entry someone rebound) are copied into a
+    Arrays that do not tile one buffer that way (a hand-made dict, one
+    loaded in another order, an entry someone rebound) are copied into a
     new buffer, and each entry of ``tensors`` is rebound to its view, with
     the same values."""
     buf = tensors[names[0]].base if names else None
@@ -531,21 +522,28 @@ def _loss_weights(chunk: list[int], eot_id: int, cfg: TrainConfig):
 
 def _mean_gradients(params, shape, batch, fcfg, cfg: TrainConfig, eot_id, grads, acc) -> float:
     """Mean loss over ``batch``; its mean gradients go into ``grads``, views
-    that tile ``acc``. The first sequence's gradients are copied in, each
-    later one's added, in batch order, and ``acc`` is then divided by the
-    batch size once. Each sequence's gradient dict is dropped once added."""
+    that tile ``acc``. ``backward`` hands over each group's gradient as soon
+    as it is final: the first sequence's is copied in, each later one's
+    added, in batch order, and ``acc`` is then divided by the batch size
+    once.
+
+    Memory: no sequence's whole gradient dict ever exists, so a step holds
+    the four model copies (parameters, ``acc``, AdamW's m and v) plus one
+    sequence's activations and one layer's gradients."""
+
+    def copy_in(name, g):
+        grads[name][...] = g
+
+    def add_in(name, g):
+        grads[name] += g
+
     total_loss = 0.0
     for i, chunk in enumerate(batch):
-        loss, g = M.backward(
-            params, chunk[:-1], chunk[1:], shape, fcfg, weights=_loss_weights(chunk, eot_id, cfg)
+        loss, _ = M.backward(
+            params, chunk[:-1], chunk[1:], shape, fcfg, weights=_loss_weights(chunk, eot_id, cfg),
+            emit=add_in if i else copy_in,
         )
         total_loss += loss
-        for name, a in grads.items():
-            if i:
-                a += g[name]
-            else:
-                a[...] = g[name]
-        del g
     acc /= len(batch)
     return total_loss / len(batch)
 
@@ -567,7 +565,8 @@ def train(
     Returns the final state and the path of the last checkpoint written.
     Raises TrainingDiverged, pointing at the last good checkpoint, if a
     non-finite loss or gradient appears, and ValueError, before the first
-    step, if ``state.order`` names a chunk the corpus does not have.
+    step, if ``state.order`` names a chunk the corpus does not have or if
+    ``state.m`` or ``state.v`` lacks a group of ``params`` or its shape.
 
     The optimizer works on flat buffers (see ``adamw_step``): the entries of
     ``params`` are rebound to views of one buffer, unless they already are,
@@ -590,6 +589,13 @@ def train(
                 f"checkpoint field 'order' holds chunk {max(state.order)}, but the corpus "
                 f"packs into {len(chunks)} chunks"
             )
+        for kind, moments in (("m", state.m), ("v", state.v)):
+            for name, t in params.items():
+                if name not in moments or moments[name].shape != t.shape:
+                    raise ValueError(
+                        f"training state has no AdamW moment '{kind}:{name}' of shape "
+                        f"{t.shape}"
+                    )
         # One gradient accumulator for the whole run, laid out like ``params``.
         acc, grads = _tiled({name: t.shape for name, t in params.items()})
 

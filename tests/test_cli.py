@@ -356,6 +356,23 @@ def test_train_cli_override_validation(capsys, workspace):
     assert diag.index("override,max_lr") < diag.index("\n3,")  # before the resumed steps
 
 
+def test_train_cli_resume_into_a_new_directory(capsys, workspace):
+    cfgpath, _, _ = make_train_setup(workspace, capsys, "first", steps=2)
+    code, stdout, _ = run_cli(capsys, "train", "--config", cfgpath)
+    ckpt = dict(l.split(",", 1) for l in stdout.strip().splitlines())["final_checkpoint"]
+    cfg3, out, _ = make_train_setup(workspace, capsys, "fresh", steps=3)
+    assert not out.exists()
+    code, stdout, err = run_cli(
+        capsys, "train", "--config", cfg3, "--resume", ckpt, "--override", "max_lr=5e-4"
+    )
+    assert code == 0, err
+    assert "final_step,3" in stdout
+    rows = (out / "diagnostics.csv").read_text().splitlines()
+    assert rows[0] == "2,override,max_lr,0.0005"  # before the resumed steps
+    assert {r.split(",")[0] for r in rows[1:]} == {"3"}
+    assert (out / "checkpoint-00000003.bin").exists()
+
+
 @pytest.mark.parametrize("extra", [["--override", "max_lr=5e-4"], ["--reshuffle"]])
 def test_train_cli_resume_options_without_resume_are_usage_errors(capsys, workspace, extra):
     cfgpath, out, _ = make_train_setup(workspace, capsys, "noresume", steps=2)
@@ -458,6 +475,7 @@ def _write_checkpoint(path, edit=None):
         "checkpoint-without-manifest",
         "checkpoint-truncated",
         "checkpoint-order-beyond-corpus",
+        "checkpoint-with-params-only",
         "jsonl-line-not-an-object",
         "task-line-not-an-object",
         "task-context-not-a-string",
@@ -487,6 +505,9 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         _write_checkpoint(ckpt, edit=lambda header: (
             header["config"].update(seq_len=16), header["state"].update(order=[0, 99999])
         ))
+    elif case == "checkpoint-with-params-only":
+        # saved from TrainState(): every param entry, no m or v entry
+        _write_checkpoint(ckpt, edit=lambda header: header["config"].update(seq_len=16))
     else:
         _write_checkpoint(ckpt)
     if case == "empty-tokenizer":
@@ -525,7 +546,7 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         corpus.write_bytes(b"the quick brown fox jumps over the lazy dog")
         argv = ["train-tokenizer", "--corpus", str(corpus), "--target-vocab", "100",
                 "--chunk-vocab", "50", "--out", str(tmp_path / "o.txt")]
-    elif case == "checkpoint-order-beyond-corpus":
+    elif case in ("checkpoint-order-beyond-corpus", "checkpoint-with-params-only"):
         corpus = tmp_path / "corpus.txt"
         corpus.write_bytes(b"a" * 64)
         cfgpath = write_config(tmp_path, BASE_CFG.format(corpus=corpus, tok=tokpath, out=tmp_path))
@@ -549,6 +570,8 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     assert "data error" in err and "Traceback" not in err
     if case == "checkpoint-order-beyond-corpus":
         assert "'order' holds chunk 99999" in err and "chunks" in err, err
+    if case == "checkpoint-with-params-only":
+        assert "no AdamW moment 'm:Wem'" in err, err
     if case == "target-vocab-too-small":
         assert "too small for byte coverage" in err
     if case == "tokenizer-missing-byte":

@@ -41,11 +41,18 @@ def test_logits_match_reference(T, name):
 
 
 @pytest.mark.parametrize("T", LENGTHS)
-@pytest.mark.parametrize("name", sorted(CONFIGS) + ["position_weights"])
+@pytest.mark.parametrize("name", sorted(CONFIGS) + ["position_weights", "shifted_gains_biases"])
 def test_gradients_match_reference(T, name):
     params = M.init_params(SHAPE, 22)
     tokens, targets = sequence(T, 100 + T)
     cfg = CONFIGS.get(name, CONFIGS["plain"])
+    if name == "shifted_gains_biases":
+        # Away from their initial 1 and 0, so that the LayerNorm outputs
+        # backward rebuilds from their caches depend on gains and biases.
+        rng = np.random.default_rng(23)
+        for k, v in params.items():
+            if k.rsplit(".", 1)[-1] in ("g", "b"):
+                v += rng.normal(0.0, 0.5, size=v.shape)
     weights = None
     if name == "position_weights":
         weights = np.arange(T) % 3 != 1

@@ -466,15 +466,20 @@ def test_train_diverges_cleanly_on_nonfinite(tmp_path):
 
 
 def test_nonfinite_gradient_halt_row_names_the_group(tmp_path, monkeypatch):
-    # A NaN in one group's gradient: the halt row and the error name that
-    # group, and the loss stays finite.
+    # A NaN in one group's gradient, injected where backward hands it to the
+    # step's accumulator: the halt row and the error name that group, and
+    # the loss stays finite.
     real = M.backward
     bad = "layer0.attn.Wv"
 
-    def backward(*args, **kwargs):
-        loss, grads = real(*args, **kwargs)
-        grads[bad][0, 1] = np.nan
-        return loss, grads
+    def backward(*args, emit, **kwargs):
+        def inject(name, grad):
+            if name == bad:
+                grad = grad.copy()
+                grad[0, 1] = np.nan
+            emit(name, grad)
+
+        return real(*args, emit=inject, **kwargs)
 
     monkeypatch.setattr(M, "backward", backward)
     cfg = tiny_cfg()

@@ -1,6 +1,9 @@
 """The flat-buffer optimizer step against the per-group forms in
 `reference_trainer.py`: parameters, moments, checkpoints and diagnostics
-must be the same bits."""
+must be the same bits. Also the gradient hand-over that keeps a step at
+four model copies: `backward`'s per-group consumer against its dict."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,7 +87,7 @@ def test_decayed_range_across_a_slice_boundary():
 
 
 def test_dicts_that_do_not_tile_a_buffer_are_copied_once_and_rebound():
-    params = M.init_params(bench_shape(1, 2, 8, 64), 5)  # one array per group
+    params = M.init_params(bench_shape(1, 2, 8, 64), 5)  # copied: one array per group
     names = list(params)
     buf = np.empty(sum(v.size for v in params.values()))
 
@@ -146,6 +149,58 @@ def test_mean_gradients_match_the_per_group_accumulation():
         assert all(same(grads[k], ref_grads[k]) for k in params)
 
 
+@pytest.mark.parametrize("shape", [bench_shape(2, 2, 8, 512), bench_shape(4, 8, 32, 1024)],
+                         ids=["tiny", "wide"])
+@pytest.mark.parametrize("variant", ["plain", "dropout", "position-weights"])
+def test_backward_hands_over_each_group_once_with_the_dict_bits(shape, variant):
+    params = M.init_params(shape, 11)
+    rng = np.random.default_rng(12)
+    tokens = [int(t) for t in rng.integers(0, shape.vocab, size=46)]  # two blocks
+    cfg = M.ForwardConfig()
+    if variant == "dropout":
+        cfg = M.ForwardConfig(p_at=0.1, p_h=0.1, p_f=0.1, training=True, rng_seed=13, step=2)
+    weights = rng.random(45) if variant == "position-weights" else None
+    loss, want = M.backward(params, tokens[:-1], tokens[1:], shape, cfg, weights=weights)
+    got = []
+    emitted = M.backward(
+        params, tokens[:-1], tokens[1:], shape, cfg, weights=weights,
+        emit=lambda name, g: got.append((name, np.array(g))),
+    )
+    assert emitted == (loss, None)
+    names = [name for name, _ in got]
+    assert len(names) == len(set(names)) and set(names) == set(params)
+    assert names[-1] == "Wem"  # final only after the embedding's scatter-add
+    for name, g in got:
+        assert same(g, want[name]), name
+
+
+def test_a_wide_step_allocates_less_than_one_parameter_copy():
+    # With the gradient accumulator allocated, a batch-2 step at the wide
+    # bench shape holds one sequence's activations and the gradients not yet
+    # handed over; one per-sequence gradient dict alone is a parameter copy.
+    shape = bench_shape(4, 8, 32, 1024)
+    params = M.init_params(shape, 3)
+    acc, grads = R._tiled({k: v.shape for k, v in params.items()})
+    rng = np.random.default_rng(4)
+    batch = [[int(t) for t in rng.integers(0, shape.vocab, size=34)] for _ in range(2)]
+    fcfg = M.ForwardConfig(training=True, rng_seed=5, step=1)
+    tracemalloc.start()
+    try:
+        R._mean_gradients(params, shape, batch, fcfg, R.TrainConfig(seq_len=33), 0, grads, acc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < acc.nbytes, (peak, acc.nbytes)
+
+
+def reference_mean_gradients(params, shape, batch, fcfg, cfg, eot_id, grads, acc):
+    """``_mean_gradients`` through ``batch_gradients``' per-sequence dicts."""
+    loss, ref = REF.batch_gradients(params, shape, batch, fcfg, cfg, eot_id)
+    for k, g in grads.items():
+        g[...] = ref[k]
+    return loss
+
+
 def tree_bytes(d):
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
 
@@ -160,10 +215,13 @@ def test_train_writes_the_same_bytes_with_the_reference_optimizer(tmp_path, monk
     rng = np.random.default_rng(9)
     docs = [[int(t) for t in rng.integers(1, 64, size=rng.integers(5, 30))] for _ in range(40)]
     outs = []
-    for side in ("flat", "reference"):
-        if side == "reference":
+    # Each pass swaps one more part of the step for its reference form.
+    for side in ("flat", "reference-optimizer", "reference-accumulation"):
+        if side == "reference-optimizer":
             monkeypatch.setattr(R, "adamw_step", REF.adamw_step)
             monkeypatch.setattr(R, "clip_gradients", REF.clip_gradients)
+        if side == "reference-accumulation":
+            monkeypatch.setattr(R, "_mean_gradients", reference_mean_gradients)
         out = tmp_path / side
         params = M.init_params(shape, 3)
         _, ckpt = R.train(params, shape, docs, cfg, STEPS // 2, str(out / "a"), val_docs=docs[:4])
@@ -173,4 +231,4 @@ def test_train_writes_the_same_bytes_with_the_reference_optimizer(tmp_path, monk
     assert outs[0]["b"].keys() == {
         "checkpoint-00000004.bin", "checkpoint-00000006.bin", "diagnostics.csv"
     }
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
