@@ -85,22 +85,50 @@ def alibi_slopes(heads: int) -> np.ndarray:
     return 2.0 ** (-(8.0 / heads) * n_tilde)
 
 
-def gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """``tanh(C0*x*(1 + C1*x*x))``, the term GELU and its gradient share."""
-    return np.tanh(GELU_C0 * x * (1.0 + GELU_C1 * x * x))
+def gelu(x: np.ndarray) -> np.ndarray:
+    """Tanh-approximated GELU."""
+    return _gelu_rows(np.array(x, dtype=float, ndmin=1))[0].reshape(np.shape(x))
 
 
-def gelu(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """Tanh-approximated GELU; ``t`` is ``gelu_tanh(x)`` when the caller has it."""
-    return 0.5 * x * (1.0 + (gelu_tanh(x) if t is None else t))
+def gelu_grad(x: np.ndarray) -> np.ndarray:
+    """d gelu / dx."""
+    a = np.array(x, dtype=float, ndmin=1)
+    return _gelu_rows(a, np.empty_like(a))[1].reshape(np.shape(x))
 
 
-def gelu_grad(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """d gelu / dx; ``t`` is ``gelu_tanh(x)`` when the caller has it, as the
-    forward does, so the gradient does not compute the tanh again."""
-    t = gelu_tanh(x) if t is None else t
-    du = GELU_C0 * (1.0 + 3.0 * GELU_C1 * x * x)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+def _gelu_rows(a: np.ndarray, gg: np.ndarray | None = None):
+    """``(a, gg)``: GELU of ``a`` written over ``a`` and, when ``gg`` is
+    given, d gelu / da written into it. With ``t = tanh(C0*a*(1 + C1*a*a))``
+    these are ``0.5*a*(1 + t)`` and ``0.5*(1 + t) + 0.5*a*(1 - t*t) *
+    C0*(1 + 3*C1*a*a)``, computed by these operations in this order, so the
+    bits are the same; one ``_BLOCK`` of rows at a time, in place, so no
+    temporary is larger than a block."""
+    u = w = None
+    for r in range(0, a.shape[0], _BLOCK):
+        x = a[r : r + _BLOCK]
+        u = np.multiply(x, GELU_C0, out=None if u is None else u[: len(x)])
+        w = np.multiply(x, GELU_C1, out=None if w is None else w[: len(x)])
+        w *= x
+        w += 1.0
+        u *= w
+        np.tanh(u, out=u)  # t
+        if gg is not None:
+            d = gg[r : r + _BLOCK]
+            np.multiply(x, 3.0 * GELU_C1, out=w)
+            w *= x
+            w += 1.0
+            w *= GELU_C0  # du
+            np.multiply(u, u, out=d)
+            np.subtract(1.0, d, out=d)
+        x *= 0.5
+        u += 1.0
+        if gg is not None:
+            d *= x
+            d *= w
+            np.multiply(u, 0.5, out=w)
+            d += w
+        x *= u
+    return a, gg
 
 
 def layer_norm(x, gain, bias, eps):
@@ -115,10 +143,10 @@ def _row_mean(x):
 
 
 def _ln_fwd(x, gain, bias, eps):
-    mu = _row_mean(x)
-    var = _row_mean((x - mu) ** 2)
-    inv = 1.0 / np.sqrt(var + eps)
-    cache = ((x - mu) * inv, inv, gain)
+    xhat = x - _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(xhat ** 2) + eps)
+    xhat *= inv
+    cache = (xhat, inv, gain)
     return _ln_out(cache, bias), cache
 
 
@@ -315,6 +343,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
 
         Wqkv, Ucat = _attn_maps(params, p, shape)
         qkv = _rows(xn, Wqkv.T).reshape(rows, 3, N, Dh)
+        del xn, Wqkv
         # attn.bk adds q.bk to every score of query q, which the softmax
         # cancels exactly: it is left out, and its gradient is exactly zero.
         qkv[:, 0] += params[p + "attn.bq"]
@@ -357,9 +386,10 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         xf, ln_at_cache = _ln_fwd(
             hbar, params[p + "ln_at.g"], params[p + "ln_at.b"], cfg.eps
         )
-        a = _rows(xf, params[p + "ffn.W"].T) + params[p + "ffn.b"]
-        t = gelu_tanh(a)
-        g = gelu(a, t)
+        a = _rows(xf, params[p + "ffn.W"].T)
+        a += params[p + "ffn.b"]
+        # g over a, which nothing reads again; gelu'(a) only for backward
+        g, gg = _gelu_rows(a, np.empty_like(a) if keep_cache else None)
         o = _rows(g, params[p + "ffn.U"].T) + params[p + "ffn.c"]
         fmask = _padded(_dropout_mask(cfg, l, _DROP_FFN, p_f, T, D), (rows, D))
         od = o if fmask is None else o * fmask
@@ -369,13 +399,10 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         if keep_cache:
             # xn and xf are left out: backward rebuilds them from their
             # LayerNorm caches with the same bits.
-            layer_caches.append(
-                dict(
-                    ln_in=ln_in_cache, qkv=(Q, K, Vv), probs=probs, amask=amask,
-                    ybar=ybar, hmask=hmask, ln_at=ln_at_cache,
-                    a=a, t=t, g=g, fmask=fmask, scale=scale,
-                )
-            )
+            layer_caches.append(dict(
+                ln_in=ln_in_cache, qkv=(Q, K, Vv), probs=probs, amask=amask, ybar=ybar,
+                hmask=hmask, ln_at=ln_at_cache, g=g, gg=gg, fmask=fmask, scale=scale,
+            ))
         h = h_next
 
     z, ln_f_cache = _ln_fwd(h, params["ln_f.g"], params["ln_f.b"], cfg.eps)
@@ -400,9 +427,9 @@ def target_nll(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
     """Log-softmax (T, V) of logits (V, T), and each position's negative
     log-likelihood (nats) of its target: the one log-softmax/NLL primitive."""
     targets = np.asarray(targets, dtype=np.intp)
-    shifted = np.asarray(logits).T
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logits = np.asarray(logits).T
+    logp = logits - logits.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
     return logp, -logp[np.arange(targets.shape[0]), targets]
 
 
@@ -425,9 +452,10 @@ def cross_entropy_loss(logits: np.ndarray, targets, weights=None) -> float:
 def _loss_grad_logits(logits, targets, weights=None) -> tuple[float, np.ndarray]:
     logp, nll = target_nll(logits, targets)
     loss, dloss = _weighted_mean(nll, weights)
-    dlt = np.exp(logp)
+    dlt = np.exp(logp, out=logp)
     dlt[np.arange(nll.shape[0]), targets] -= 1.0
-    return loss, dlt * dloss[:, None]  # (T, V)
+    dlt *= dloss[:, None]
+    return loss, dlt  # (T, V)
 
 
 def backward(
@@ -441,12 +469,12 @@ def backward(
     (``Wem`` last, after the embedding's scatter-add), and returns
     ``(loss, None)``.
 
-    Memory: besides the parameters, one sequence's activations (each
-    layer's freed once its backward is done) and the gradients not yet
-    handed over: at most one layer's with ``emit``, a whole model copy
-    without it. A training step that accumulates through ``emit`` thus
-    holds four model copies (parameters, gradient accumulator, AdamW's m
-    and v) plus one sequence's activations.
+    Memory: besides the parameters, the gradients not yet handed over (at
+    most one layer's with ``emit``, a whole model copy without it) and one
+    sequence's activations, of which the cache keeps only what backward
+    reads (gelu(a) and gelu'(a), not a), each freed after its last read. A
+    step accumulating through ``emit`` thus holds four model copies
+    (parameters, accumulator, AdamW's m and v) plus those activations.
 
     Padded rows get exactly zero upstream gradient, so they add nothing to
     the weight gradients."""
@@ -454,9 +482,9 @@ def backward(
     out = grads.__setitem__ if emit is None else emit
     logits, cache = _forward(params, tokens, shape, cfg, True)
     loss, dlt = _loss_grad_logits(logits, targets, weights)
+    del logits
     N, D, Dh = shape.heads, shape.hidden, shape.head_dim
-    z = cache["z"]
-    Tp = z.shape[0]
+    Tp = cache["z"].shape[0]
     dlt = _padded(dlt, (Tp, shape.vocab))
 
     def ln_back(dy, ln_cache, prefix):
@@ -465,103 +493,73 @@ def backward(
         out(prefix + "b", dbias)
         return dx
 
-    # Tied LM head: gradient flows into the embedding matrix twice.
-    dWem = z.T @ dlt
     dh = ln_back(dlt @ params["Wem"].T, cache["ln_f"], "ln_f.")
 
     for l in range(shape.layers - 1, -1, -1):
         p = f"layer{l}."
         c = cache["layers"].pop()  # frees each layer's activations once used
-        Wqkv, Ucat = _attn_maps(params, p, shape)
         # h_next = hbar + drop(o)
         do = dh if c["fmask"] is None else dh * c["fmask"]
-        out(p + "ffn.U", do.T @ c["g"])
+        out(p + "ffn.U", do.T @ c.pop("g"))
         out(p + "ffn.c", do.sum(axis=0))
-        da = (do @ params[p + "ffn.U"]) * gelu_grad(c["a"], c["t"])
+        da = do @ params[p + "ffn.U"]
+        da *= c.pop("gg")
+        del do
         out(p + "ffn.W", da.T @ _ln_out(c["ln_at"], params[p + "ln_at.b"]))
         out(p + "ffn.b", da.sum(axis=0))
         dhbar = dh + ln_back(da @ params[p + "ffn.W"], c["ln_at"], p + "ln_at.")
+        del da, dh
 
+        Wqkv, Ucat = _attn_maps(params, p, shape)
         dy = dhbar if c["hmask"] is None else dhbar * c["hmask"]
         out(p + "attn.c", dy.sum(axis=0))
         dU = (dy.T @ c["ybar"]).reshape(D, N, Dh).transpose(1, 0, 2)
         out(p + "attn.U", np.ascontiguousarray(dU))
         dybar = (dy @ Ucat.T).reshape(Tp, N, Dh).transpose(1, 0, 2)
-
-        Q, K, Vv = c["qkv"]
-        amask = c["amask"]
-        dqkv = np.zeros((Tp, 3, N, Dh))
-        dQ, dK, dV = dqkv.transpose(1, 2, 0, 3)  # each (N, Tp, Dh)
-        coef = cache["inv_sqrt_dh"] / c["scale"]
-        for qb, P in enumerate(c["probs"]):
-            q0, k1 = qb * _BLOCK, (qb + 1) * _BLOCK
-            am = None if amask is None else amask[:, q0:k1, :k1]
-            pd = P if am is None else P * am
-            dyb = dybar[:, q0:k1]
-            dV[:, :k1] += pd.transpose(0, 2, 1) @ dyb
-            dp = dyb @ Vv[:, :k1].transpose(0, 2, 1)
-            if am is not None:
-                dp *= am
-            ds = P * (dp - (dp * P).sum(axis=2, keepdims=True))
-            ds *= coef
-            dK[:, :k1] += ds.transpose(0, 2, 1) @ Q[:, q0:k1]
-            dQ[:, q0:k1] = ds @ K[:, :k1]
-
-        dqkv = dqkv.reshape(Tp, 3 * N * Dh)
+        del dy, dU, Ucat
+        dqkv = _attention_back(dybar, c, cache["inv_sqrt_dh"] / c["scale"])
+        del dybar
         dW = (dqkv.T @ _ln_out(c["ln_in"], params[p + "ln_in.b"])).reshape(3, N, Dh, D)
         db = dqkv.sum(axis=0).reshape(3, N, Dh)
         db[1] = 0.0  # attn.bk, left out of the forward
         for i, k in enumerate("qkv"):
             out(p + "attn.W" + k, dW[i])
             out(p + "attn.b" + k, db[i])
+        del dW
         dh = dhbar + ln_back(dqkv @ Wqkv, c["ln_in"], p + "ln_in.")
 
     demb = ln_back(dh, cache["ln_em"], "ln_em.")
+    # Tied LM head: gradient flows into the embedding matrix twice. The head's
+    # term is formed last, from the same operands, so no layer runs beside it.
+    dWem = cache["z"].T @ dlt
     np.add.at(dWem.T, cache["tokens"], demb[: len(cache["tokens"])])
     out("Wem", dWem)
     return loss, None if emit is not None else {k: grads[k] for k in params}
 
 
-# ---------------------------------------------------------------------------
-# Gradient checking
-
-
-def finite_diff_check(
-    params,
-    tokens,
-    targets,
-    shape: ModelShape,
-    cfg: ForwardConfig,
-    h: float = 1e-5,
-    sample_count: int = 5,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Central-difference check of analytic gradients on a random sample of
-    coordinates per parameter group; returns max relative error per group."""
-    _, grads = backward(params, tokens, targets, shape, cfg)
-    rng = np.random.default_rng(seed)
-    report = {}
-
-    def loss_fn():
-        return cross_entropy_loss(forward(params, tokens, shape, cfg), targets)
-
-    for name, tensor in params.items():
-        flat = tensor.reshape(-1)
-        idx = rng.choice(flat.size, size=min(sample_count, flat.size), replace=False)
-        worst = 0.0
-        for i in idx:
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_fn()
-            flat[i] = orig - h
-            down = loss_fn()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            analytic = grads[name].reshape(-1)[i]
-            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
-            worst = max(worst, err)
-        report[name] = worst
-    return report
+def _attention_back(dybar, c, coef):
+    """One layer's stacked Q, K and V gradient (Tp, 3*N*Dh) from that of its
+    attention output ``dybar`` (N, Tp, Dh), per query block as the forward
+    ran; ``coef`` is the scale of the scores."""
+    N, Tp, Dh = dybar.shape
+    Q, K, Vv = c["qkv"]
+    amask = c["amask"]
+    dqkv = np.zeros((Tp, 3, N, Dh))
+    dQ, dK, dV = dqkv.transpose(1, 2, 0, 3)  # each (N, Tp, Dh)
+    for qb, P in enumerate(c["probs"]):
+        q0, k1 = qb * _BLOCK, (qb + 1) * _BLOCK
+        am = None if amask is None else amask[:, q0:k1, :k1]
+        pd = P if am is None else P * am
+        dyb = dybar[:, q0:k1]
+        dV[:, :k1] += pd.transpose(0, 2, 1) @ dyb
+        dp = dyb @ Vv[:, :k1].transpose(0, 2, 1)
+        if am is not None:
+            dp *= am
+        ds = P * (dp - (dp * P).sum(axis=2, keepdims=True))
+        ds *= coef
+        dK[:, :k1] += ds.transpose(0, 2, 1) @ Q[:, q0:k1]
+        dQ[:, q0:k1] = ds @ K[:, :k1]
+    return dqkv.reshape(Tp, 3 * N * Dh)
 
 
 @dataclass

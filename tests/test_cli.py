@@ -605,6 +605,26 @@ def test_checkpoint_manifest_must_fit_the_model_shape(capsys, tmp_path, entry, r
     assert repr(named) in err, err
 
 
+@pytest.mark.parametrize("byte, bit", [(15, 6), (13, 0)])
+def test_checkpoint_header_length_beyond_the_file_is_a_data_error(capsys, tmp_path, byte, bit):
+    # One flipped bit of the 8-byte header length (bytes 8-15) asks for up to
+    # 2**62 bytes; the length is checked against the file before reading.
+    ckpt = tmp_path / "model.ckpt"
+    tokpath = tmp_path / "tok.txt"
+    T.save_tokenizer(T.finalize(T.UnigramVocab({b"a": 1.0}, 1.0)), str(tokpath))
+    _write_checkpoint(ckpt)
+    raw = bytearray(ckpt.read_bytes())
+    raw[byte] ^= 1 << bit
+    ckpt.write_bytes(bytes(raw))
+    code, _, err = run_cli(
+        capsys, "eval", "generate", "--model", str(ckpt), "--tokenizer", str(tokpath),
+        "--prompt", "a",
+    )
+    assert code == 2, err
+    assert "data error" in err and "Traceback" not in err
+    assert f"{ckpt}: header length" in err, err
+
+
 @pytest.mark.parametrize("dtype", ["<i8", "|u1", "<f4", ">f8"])
 def test_checkpoint_tensors_must_be_little_endian_float64(capsys, tmp_path, dtype):
     ckpt = tmp_path / "model.ckpt"

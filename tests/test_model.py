@@ -5,7 +5,7 @@ import pytest
 
 from finforge import model as M
 from finforge.scaling import ModelShape, count_parameters
-from reference_model import alibi_matrices
+from reference_model import alibi_matrices, finite_diff_check
 
 SHAPE = ModelShape(2, 2, 8, 4, 32, 16)
 CFG = M.ForwardConfig()
@@ -311,7 +311,7 @@ TARGETS = [1, 4, 1, 5, 9, 2, 6, 5]
 
 def test_gradients_match_finite_differences():
     params = make_params(11)
-    report = M.finite_diff_check(params, TOKENS, TARGETS, SHAPE, CFG, sample_count=4)
+    report = finite_diff_check(params, TOKENS, TARGETS, SHAPE, CFG, sample_count=4)
     assert set(report) == set(params)
     assert max(report.values()) < 1e-5
 
@@ -319,7 +319,7 @@ def test_gradients_match_finite_differences():
 def test_gradients_match_finite_differences_with_dropout():
     params = make_params(12)
     cfg = M.ForwardConfig(p_at=0.2, p_h=0.2, p_f=0.2, training=True, rng_seed=5, step=2)
-    report = M.finite_diff_check(params, TOKENS, TARGETS, SHAPE, cfg, sample_count=3)
+    report = finite_diff_check(params, TOKENS, TARGETS, SHAPE, cfg, sample_count=3)
     assert max(report.values()) < 1e-5
 
 
@@ -355,7 +355,7 @@ def test_finite_diff_check_detects_corrupted_gradient(monkeypatch):
         return loss, grads
 
     monkeypatch.setattr(M, "backward", corrupted)
-    report = M.finite_diff_check(params, TOKENS, TARGETS, SHAPE, CFG, sample_count=6)
+    report = finite_diff_check(params, TOKENS, TARGETS, SHAPE, CFG, sample_count=6)
     assert report["layer1.ffn.W"] > 1e-2
     assert report["layer0.ffn.W"] < 1e-5
 
@@ -379,7 +379,7 @@ def test_qk_layer_scaling_changes_deeper_layers_only():
     base = M.forward(params, TOKENS, SHAPE)
     scaled = M.forward(params, TOKENS, SHAPE, M.ForwardConfig(qk_layer_scaling=True))
     assert not np.allclose(base, scaled)
-    report = M.finite_diff_check(
+    report = finite_diff_check(
         params, TOKENS, TARGETS, SHAPE, M.ForwardConfig(qk_layer_scaling=True), sample_count=3
     )
     assert max(report.values()) < 1e-5

@@ -1,5 +1,5 @@
-"""The decoder's LayerNorm, GELU and ALiBi-bias primitives against the
-plain forms in `reference_model.py`, bit for bit."""
+"""The decoder's LayerNorm, GELU, loss and ALiBi-bias primitives against
+the plain forms in `reference_model.py`, bit for bit."""
 
 import numpy as np
 import pytest
@@ -37,13 +37,62 @@ def test_layer_norm_forward_and_backward_match_reference(padded):
 
 
 @pytest.mark.parametrize("padded", [0, 17], ids=["random", "zero-rows"])
-def test_gelu_and_its_gradient_from_the_cached_tanh_match_reference(padded):
+def test_gelu_and_its_gradient_match_reference(padded):
     x = rows(4, padded=padded)
-    t = M.gelu_tanh(x)
-    assert same(M.gelu(x, t), REF.gelu(x))
+    kept = x.copy()
     assert same(M.gelu(x), REF.gelu(x))
-    assert same(M.gelu_grad(x, t), REF.gelu_grad(x))
     assert same(M.gelu_grad(x), REF.gelu_grad(x))
+    assert same(x, kept)
+    assert same(M.gelu(x[0, 0]), REF.gelu(x[0, 0]))  # a scalar
+    assert same(M.gelu_grad(x[0, 0]), REF.gelu_grad(x[0, 0]))
+
+
+# Signed zeros, infinities, a nan, values whose square overflows, and
+# subnormals down to the smallest, 5e-324.
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, -5e-324, 1e-310, -2e-308]
+
+
+@pytest.mark.parametrize(
+    "n", [1, 20, 3 * M._BLOCK + 5], ids=["one-row", "partial-block", "several-blocks"]
+)
+def test_blocked_in_place_gelu_matches_reference(n):
+    # The forward's form: GELU over the pre-activation, with gelu'(a) into
+    # the cache when training and without it for inference.
+    x = rows(5, n=n)
+    x[0, : len(SPECIAL)] = SPECIAL
+    x[-1, -len(SPECIAL) :] = SPECIAL  # in the last, partial block
+    with np.errstate(all="ignore"):  # -inf * 0 and the overflows, in both forms
+        want, want_grad = REF.gelu(x), REF.gelu_grad(x)
+        a, gg = x.copy(), np.full_like(x, 7.0)
+        got, got_grad = M._gelu_rows(a, gg)
+        inference, none = M._gelu_rows(x.copy())
+    assert got is a and got_grad is gg and none is None
+    assert same(a, want) and same(gg, want_grad)
+    assert same(inference, want)
+
+
+@pytest.mark.parametrize("layout", ["forward", "contiguous", "columns"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+def test_loss_and_its_gradient_in_place_match_reference(layout, weighted):
+    rng = np.random.default_rng(6)
+    V, T = 50, 37
+    # logits (V, T) as backward passes them (the transpose of a (T, V)
+    # array), as a (V, T) array, and as the eval harness's column selection
+    logits = {
+        "forward": lambda: rng.normal(0.0, 4.0, size=(T, V)).T,
+        "contiguous": lambda: rng.normal(0.0, 4.0, size=(V, T)),
+        "columns": lambda: rng.normal(0.0, 4.0, size=(V, 2 * T))[:, rng.permutation(2 * T)[:T]],
+    }[layout]()
+    targets = rng.integers(0, V, size=T)
+    weights = rng.random(T) if weighted else None
+    kept = logits.copy()
+    for got, want in zip(M.target_nll(logits, targets), REF.target_nll(logits, targets)):
+        assert same(got, want)
+    (loss, dlt), (want_loss, want_dlt) = (
+        f(logits, targets, weights) for f in (M._loss_grad_logits, REF._loss_grad_logits)
+    )
+    assert loss == want_loss and same(dlt, want_dlt)
+    assert same(logits, kept)
 
 
 @pytest.mark.parametrize("heads", [2, 8])

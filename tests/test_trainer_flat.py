@@ -193,6 +193,26 @@ def test_a_wide_step_allocates_less_than_one_parameter_copy():
     assert peak < acc.nbytes, (peak, acc.nbytes)
 
 
+def test_a_wide_step_at_the_bench_length_holds_only_what_backward_reads():
+    # At the train-wide bench shape and length (T=128), the activations a
+    # step holds above the parameters and the accumulator: each layer's
+    # gelu(a) and gelu'(a), K/V and probabilities, LayerNorm caches and the
+    # attention output, with every temporary freed after its last read.
+    shape = bench_shape(4, 8, 32, 1024)
+    params = M.init_params(shape, 3)
+    acc, grads = R._tiled({k: v.shape for k, v in params.items()})
+    rng = np.random.default_rng(4)
+    batch = [[int(t) for t in rng.integers(0, shape.vocab, size=129)] for _ in range(2)]
+    fcfg = M.ForwardConfig(training=True, rng_seed=5, step=1)
+    tracemalloc.start()
+    try:
+        R._mean_gradients(params, shape, batch, fcfg, R.TrainConfig(seq_len=128), 0, grads, acc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 23 << 20, peak / 2**20
+
+
 def reference_mean_gradients(params, shape, batch, fcfg, cfg, eot_id, grads, acc):
     """``_mean_gradients`` through ``batch_gradients``' per-sequence dicts."""
     loss, ref = REF.batch_gradients(params, shape, batch, fcfg, cfg, eot_id)
