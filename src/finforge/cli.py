@@ -129,6 +129,16 @@ def _load_model(path: str) -> tuple[M.LanguageModel, R.TrainConfig]:
     )
 
 
+def _check_vocab(tok: T.TokenizerModel, tok_path: str, shape: S.ModelShape, ckpt_path: str):
+    """A tokenizer of another size than the checkpoint's vocabulary would
+    feed it ids that its embedding does not have, or never use some."""
+    if tok.vocab_size != shape.vocab:
+        raise ValueError(
+            f"tokenizer {tok_path} has {tok.vocab_size} tokens, but checkpoint "
+            f"{ckpt_path} has a vocabulary of {shape.vocab}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -212,6 +222,9 @@ def cmd_train(args) -> int:
         values["layers"], values["heads"], hidden, values["head_dim"], 4 * hidden,
         tok.vocab_size,
     )
+    ckpt = R.load_checkpoint(args.resume) if args.resume else None
+    if ckpt:
+        _check_vocab(tok, values["tokenizer"], ckpt[0], args.resume)
     docs_raw = read_documents(values["corpus"])
     docs = [T.encode(tok, d) for d in docs_raw]
     docs = R.shuffle_stream(docs, R.derive_seed(cfg.seed, "doc-shuffle"))
@@ -228,7 +241,7 @@ def cmd_train(args) -> int:
         os.makedirs(values["out_dir"], exist_ok=True)
         with R.DiagnosticsLog(os.path.join(values["out_dir"], "diagnostics.csv")) as diag:
             shape, cfg, params, state = R.resume_with_overrides(
-                args.resume, overrides, reshuffle_remaining=args.reshuffle, diag=diag
+                ckpt, overrides, reshuffle_remaining=args.reshuffle, diag=diag
             )
     else:
         params = M.init_params(shape, values["init_seed"])
@@ -252,6 +265,7 @@ def cmd_eval(args) -> int:
         )
     lm, _ = _load_model(args.model)
     tok = T.load_tokenizer(args.tokenizer)
+    _check_vocab(tok, args.tokenizer, lm.shape, args.model)
     if args.eval_cmd == "bpb":
         docs = read_documents(args.docs)
         bpb = E.bits_per_byte(lm, docs, tok, window=args.window, stride=args.stride)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .atomic import atomic_write
 
@@ -24,6 +25,9 @@ SEED_CAP_FACTOR = 10
 EM_ITERS_PER_ROUND = 2
 PRUNE_FRACTION = 0.25
 BYTE_FLOOR = 1e-12
+# Bytes that one ``TokenizerModel``'s encode memo may hold: each entry's
+# pretoken and id tuple, as ``sys.getsizeof`` counts them.
+_MEMO_BYTES = 8 << 20
 
 _PRETOKEN_RE = re.compile(rb"[ A-Za-z]+|[0-9]|[^ A-Za-z0-9]+")
 
@@ -157,28 +161,43 @@ def _expected_counts(
 
     The lattices are built once per chunk from the seed vocabulary and
     ``_filtered`` after each prune, so one list serves every E-step of a
-    prune round. EM also drops tokens within a round; edges whose token is
-    not in ``logp`` are left out here.
+    prune round. EM also drops tokens within a round; the forward pass
+    leaves out the edges whose token is not in ``logp`` and keeps the rest,
+    with their log-probabilities, for the backward pass and the counts.
 
-    ``_logsumexp`` sums with ``math.fsum``, so alpha and beta do not depend
-    on the order of their terms; the counts are added in ``(word, i, j)``
-    order."""
+    Alpha and beta are ``_logsumexp``s, whose one- and two-term cases are
+    taken inline; they do not depend on the order of their terms, and every
+    term is finite, so the two-term case needs no -inf check. The counts
+    are added in ``(word, i, j)`` order."""
     exp_counts: dict[bytes, float] = defaultdict(float)
     total_ll = 0.0
     neg_inf = float("-inf")
+    get, exp, log = logp.get, math.exp, math.log
     for freq, m, edges in lattices:
-        live = [(i, j, t, logp[t]) for i, j, t in edges if t in logp]
         # Forward, in start order: every edge into i starts before i, so
-        # alpha[i] is complete when the first edge out of i is reached.
+        # alpha[i] is complete when the first live edge out of i is reached.
+        live = []
         into: list[list[float]] = [[] for _ in range(m + 1)]
         alpha = [neg_inf] * (m + 1)
         alpha[0] = 0.0
         last = 0
-        for i, j, _, lp in live:
+        for i, j, t in edges:
+            lp = get(t)
+            if lp is None:
+                continue
+            live.append((i, j, t, lp))
             if i != last:
                 last = i
-                if into[i]:
-                    alpha[i] = _logsumexp(into[i])
+                terms = into[i]
+                if len(terms) == 1:
+                    alpha[i] = terms[0]
+                elif len(terms) == 2:
+                    a, b = terms
+                    if a < b:
+                        a, b = b, a
+                    alpha[i] = a + log(1.0 + exp(b - a))
+                elif terms:
+                    alpha[i] = _logsumexp(terms)
             if alpha[i] != neg_inf:
                 into[j].append(alpha[i] + lp)
         if not into[m]:
@@ -188,13 +207,20 @@ def _expected_counts(
         # edge that ends at j is reached.
         beta = [neg_inf] * (m + 1)
         beta[m] = 0.0
-        terms: list[float] = []
+        terms = []
         last = m
         for i, j, _, lp in reversed(live):
             if i != last:
-                if terms:
+                if len(terms) == 1:
+                    beta[last] = terms[0]
+                elif len(terms) == 2:
+                    a, b = terms
+                    if a < b:
+                        a, b = b, a
+                    beta[last] = a + log(1.0 + exp(b - a))
+                elif terms:
                     beta[last] = _logsumexp(terms)
-                    terms = []
+                terms = []
                 last = i
             if beta[j] != neg_inf:
                 terms.append(lp + beta[j])
@@ -202,27 +228,35 @@ def _expected_counts(
         total_ll += freq * z
         for i, j, t, lp in live:
             if alpha[i] != neg_inf and beta[j] != neg_inf:
-                exp_counts[t] += freq * math.exp(alpha[i] + lp + beta[j] - z)
+                exp_counts[t] += freq * exp(alpha[i] + lp + beta[j] - z)
     return exp_counts, total_ll
 
 
 def _logsumexp(xs: list[float]) -> float:
+    """``log(sum(exp(x) for x in xs))`` for non-empty ``xs``, summed by
+    ``math.fsum`` after scaling by the largest term ``m``. With two terms,
+    ``m``'s is exactly ``exp(0) = 1.0``, and the ``fsum`` of two floats is
+    their correctly rounded sum, which is what ``+`` gives."""
     if len(xs) == 1:
         return xs[0]  # the general form gives x + log(1.0), which is x
     m = max(xs)
     if m == float("-inf"):
         return m
+    if len(xs) == 2:
+        return m + math.log(1.0 + math.exp(min(xs) - m))
     return m + math.log(math.fsum([math.exp(x - m) for x in xs]))
 
 
 def _viterbi(
-    data: bytes, logp: dict[bytes, float], max_len: int
+    data: bytes, logp: dict[bytes, float], max_len: int, prefixes: set[bytes]
 ) -> tuple[list[bytes], float] | None:
     """Maximum-product segmentation of ``data``.
 
     Ties break by fewer tokens, then lexicographically smallest token,
     applied greedily from the left over suffix-optimal continuations.
-    Returns None when no segmentation exists.
+    Returns None when no segmentation exists. ``prefixes`` is
+    ``_prefixes(logp)``; the scan from ``i`` stops at the first substring
+    that no token starts with, as in ``_lattice``.
     """
     m = len(data)
     # best[i]: (logp, ntokens, first_token) for the suffix starting at i
@@ -232,6 +266,8 @@ def _viterbi(
         chosen = None
         for l in range(1, min(max_len, m - i) + 1):
             tok = data[i : i + l]
+            if tok not in prefixes:
+                break
             lp = logp.get(tok)
             if lp is None:
                 continue
@@ -382,12 +418,22 @@ def prune_to_size(
 class TokenizerModel:
     """Finalized tokenizer: log-probability table and dense id assignment.
     Id 0 is always ``<|endoftext|>``; every single byte has a token, so any
-    byte string is encodable."""
+    byte string is encodable.
+
+    Every ``encode`` call on a model shares its memo of pretoken -> ids, so
+    each distinct pretoken is segmented once per model. The memo holds up
+    to ``_MEMO_BYTES`` and is emptied when the next entry would not fit.
+    The prefix set of the tokens, which bounds the Viterbi scan, is built
+    on the first ``encode``. Both assume that the model is not changed in
+    place."""
 
     logp: dict[bytes, float]
     id_to_token: list[bytes]  # index 0 holds b"", the <|endoftext|> slot
     token_to_id: dict[bytes, int]
     max_token_len: int = 1
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo_bytes: int = field(default=0, init=False, repr=False, compare=False)
+    _prefix_set: set | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def vocab_size(self) -> int:
@@ -424,6 +470,22 @@ class TokenizerModel:
             max_token_len=max(len(t) for t, _ in ranked),
         )
 
+    def _segment(self, pretoken: bytes) -> tuple[int, ...]:
+        """The ids of ``pretoken``'s Viterbi segmentation, kept in the memo."""
+        if self._prefix_set is None:
+            self._prefix_set = _prefixes(self.logp)
+        best = _viterbi(pretoken, self.logp, self.max_token_len, self._prefix_set)
+        assert best is not None  # single-byte coverage guarantees totality
+        seg = tuple([self.token_to_id[t] for t in best[0]])
+        size = sys.getsizeof(pretoken) + sys.getsizeof(seg)
+        if size <= _MEMO_BYTES:
+            if self._memo_bytes + size > _MEMO_BYTES:
+                self._memo.clear()
+                self._memo_bytes = 0
+            self._memo[pretoken] = seg
+            self._memo_bytes += size
+        return seg
+
 
 def finalize(vocab: UnigramVocab) -> TokenizerModel:
     """Add any absent single-byte tokens at a floor probability, add
@@ -451,17 +513,13 @@ def finalize_to_size(vocab: UnigramVocab, size: int) -> TokenizerModel:
 
 def encode(model: TokenizerModel, data: bytes) -> list[int]:
     """Viterbi-encode raw bytes; the ``<|endoftext|>`` token is never
-    produced from text (only the packing layer inserts it). Each unique
-    pretoken is segmented once per call."""
+    produced from text (only the packing layer inserts it). A pretoken that
+    the model's memo holds is not segmented again."""
     ids: list[int] = []
-    memo: dict[bytes, list[int]] = {}
+    memo = model._memo
     for pt in pretokenize(data):
         seg = memo.get(pt)
-        if seg is None:
-            best = _viterbi(pt, model.logp, model.max_token_len)
-            assert best is not None  # single-byte coverage guarantees totality
-            seg = memo[pt] = [model.token_to_id[t] for t in best[0]]
-        ids.extend(seg)
+        ids.extend(model._segment(pt) if seg is None else seg)
     return ids
 
 
@@ -514,8 +572,13 @@ def save_tokenizer(model: TokenizerModel, path: str) -> None:
 def load_tokenizer(path: str) -> TokenizerModel:
     """Read a file written by ``save_tokenizer``. A malformed file is a
     ``ValueError`` that names the file and, where there is one, the line."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: not UTF-8: {exc.reason} at byte {exc.start}") from None
     head = lines[0].split() if lines else []
     if len(head) != 2 or head[0] != _HEADER or not head[1].isdecimal() or len(lines) < 2:
         raise ValueError(f"not a {_HEADER} file: {path}")

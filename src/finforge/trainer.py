@@ -670,15 +670,16 @@ def validation_loss(params, shape, val_chunks, cfg: TrainConfig) -> float:
 
 
 def resume_with_overrides(
-    ckpt_path: str,
+    ckpt,
     overrides: dict | None = None,
     reshuffle_remaining: bool = False,
     diag: DiagnosticsLog | None = None,
 ):
-    """Load a checkpoint, apply partial config overrides, and optionally
+    """Load a checkpoint (``ckpt`` is its path, or what ``load_checkpoint``
+    returned for it), apply partial config overrides, and optionally
     re-permute the not-yet-seen chunks with a newly derived seed. Returns
     (shape, cfg, params, state). Override provenance goes to ``diag``."""
-    shape, cfg, params, state = load_checkpoint(ckpt_path)
+    shape, cfg, params, state = ckpt if isinstance(ckpt, tuple) else load_checkpoint(ckpt)
     if overrides:
         unknown = set(overrides) - set(asdict(cfg))
         if unknown:

@@ -188,7 +188,7 @@ def test_criterion_07_tokenizer_properties(capsys, tmp_path):
         for pt in T.pretokenize(fuzz):
             if len(pt) > 12:
                 continue
-            seg = T._viterbi(pt, model.logp, model.max_token_len)
+            seg = T._viterbi(pt, model.logp, model.max_token_len, T._prefixes(model.logp))
             best = None
             m = len(pt)
             for mask in range(1 << max(0, m - 1)):

@@ -449,12 +449,14 @@ def test_eval_cli_malformed_tasks_exit_2(capsys, workspace, tmp_path):
     assert code == 2
 
 
-def _write_checkpoint(path, edit=None):
-    """A tiny valid checkpoint, or one whose header ``edit`` changed in place."""
+def _write_checkpoint(path, edit=None, vocab=257):
+    """A tiny valid checkpoint, or one whose header ``edit`` changed in place.
+    Its vocabulary is by default that of ``finalize`` over one token, 256
+    bytes and ``<|endoftext|>``, the tokenizer that the tests pair it with."""
     from finforge import model as M
     from finforge.scaling import ModelShape
 
-    shape = ModelShape(1, 1, 4, 4, 16, 8)
+    shape = ModelShape(1, 1, 4, 4, 16, vocab)
     R.save_checkpoint(str(path), shape, TrainConfig(), M.init_params(shape, 0), R.TrainState())
     if edit is None:
         return
@@ -492,6 +494,7 @@ def _write_checkpoint(path, edit=None):
         "tokenizer-positive-logp",
         "tokenizer-header-size-not-a-number",
         "tokenizer-special-id-not-a-number",
+        "tokenizer-not-utf8",
     ],
 )
 def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
@@ -519,6 +522,10 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         else:
             lines[1] = lines[1].rsplit(" ", 1)[0] + " x"
         tokpath.write_text("\n".join(lines) + "\n")
+    elif case == "tokenizer-not-utf8":
+        raw = tokpath.read_bytes().split(b"\n")
+        raw[2] = raw[2].replace(b"\t", b"\t\xff", 1)
+        tokpath.write_bytes(b"\n".join(raw))
     elif case.startswith("tokenizer-"):
         # Edit the last token line: a single byte, whose token id is the
         # vocabulary size minus one.
@@ -578,8 +585,70 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         assert f"{tokpath}: no single-byte token" in err
     elif case.endswith("-not-a-number"):
         assert str(tokpath) in err, err
+    elif case == "tokenizer-not-utf8":
+        assert f"{tokpath}:3: not UTF-8: invalid start byte" in err, err
     elif case.startswith("tokenizer-"):
         assert f"{tokpath}:{len(lines)}: token id {sid}:" in err, err
+
+
+def _tokenizer_of_size(path, size):
+    """A tokenizer of ``size`` entries: every byte, ``<|endoftext|>`` and
+    ``size - 257`` two-letter tokens."""
+    pairs = [bytes([97 + i // 26, 97 + i % 26]) for i in range(size - 257)]
+    tok = T.finalize(T.UnigramVocab({t: 1.0 for t in [b"a", *pairs]}, 1.0))
+    assert tok.vocab_size == size
+    T.save_tokenizer(tok, str(path))
+
+
+@pytest.mark.parametrize("tok_size, vocab", [(257, 300), (300, 257)])
+@pytest.mark.parametrize("cmd", ["bpb", "generate", "classify"])
+def test_eval_rejects_a_tokenizer_of_another_vocabulary(capsys, tmp_path, cmd, tok_size, vocab):
+    ckpt, tokpath = tmp_path / "model.ckpt", tmp_path / "tok.txt"
+    _write_checkpoint(ckpt, vocab=vocab)
+    _tokenizer_of_size(tokpath, tok_size)
+    docs = tmp_path / "docs.txt"
+    docs.write_bytes(b"ab ab ab")
+    tasks = tmp_path / "tasks.ndjson"
+    tasks.write_text(json.dumps({"context": "a", "candidates": ["a", "b"]}) + "\n")
+    extra = {
+        "bpb": ["--docs", str(docs)],
+        "generate": ["--prompt", "ab"],
+        "classify": ["--tasks", str(tasks)],
+    }[cmd]
+    code, out, err = run_cli(
+        capsys, "eval", cmd, "--model", str(ckpt), "--tokenizer", str(tokpath), *extra
+    )
+    assert (code, out) == (2, ""), err
+    assert err == (
+        f"data error: tokenizer {tokpath} has {tok_size} tokens, but checkpoint {ckpt} "
+        f"has a vocabulary of {vocab}\n"
+    )
+
+
+@pytest.mark.parametrize("tok_size, vocab", [(257, 300), (300, 257)])
+def test_resume_rejects_a_tokenizer_of_another_vocabulary(capsys, tmp_path, tok_size, vocab):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"ab ba " * 40)
+    first, other = tmp_path / "first.txt", tmp_path / "other.txt"
+    _tokenizer_of_size(first, vocab)
+    _tokenizer_of_size(other, tok_size)
+    cfg = BASE_CFG.format(corpus=corpus, tok=first, out=tmp_path / "a").replace(
+        "steps = 3", "steps = 2"
+    )
+    code, out, err = run_cli(capsys, "train", "--config", write_config(tmp_path, cfg, "a.cfg"))
+    assert code == 0, err
+    ckpt = dict(l.split(",", 1) for l in out.strip().splitlines())["final_checkpoint"]
+    cfg = BASE_CFG.format(corpus=corpus, tok=other, out=tmp_path / "b")
+    code, out, err = run_cli(
+        capsys, "train", "--config", write_config(tmp_path, cfg, "b.cfg"), "--resume", ckpt,
+        "--override", "max_lr=5e-4",
+    )
+    assert (code, out) == (2, ""), err
+    assert err == (
+        f"data error: tokenizer {other} has {tok_size} tokens, but checkpoint {ckpt} "
+        f"has a vocabulary of {vocab}\n"
+    )
+    assert not (tmp_path / "b").exists()  # nothing was written
 
 
 @pytest.mark.parametrize(

@@ -116,17 +116,39 @@ sys.exit(1 if bad else 0)
 """
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_cached_logits_and_choices_bit_exact(threads):
-    # BLAS reads its thread count when numpy loads, hence a fresh process.
+@pytest.fixture(scope="module")
+def cache_oracle_runs(tmp_path_factory):
+    # BLAS reads its thread count when numpy loads, hence a fresh process per
+    # thread count; both start at once and run side by side, and each test
+    # below waits for its own. Output goes to files, so neither run can block
+    # on a full pipe while the other is read.
     src = os.path.dirname(os.path.dirname(finforge.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", CACHE_SCRIPT], env=env, capture_output=True, text=True,
-        timeout=600,
-    )
-    assert run.returncode == 0, run.stdout + run.stderr
+    logs = tmp_path_factory.mktemp("cache_oracle")
+    runs = {}
+    try:
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            with open(logs / f"threads{threads}.log", "w") as out:
+                runs[threads] = (
+                    subprocess.Popen(
+                        [sys.executable, "-c", CACHE_SCRIPT], env=env, text=True,
+                        stdout=out, stderr=subprocess.STDOUT,
+                    ),
+                    logs / f"threads{threads}.log",
+                )
+        yield runs
+    finally:
+        for run, _ in runs.values():
+            run.kill()
+            run.wait()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cached_logits_and_choices_bit_exact(cache_oracle_runs, threads):
+    run, log = cache_oracle_runs[threads]
+    returncode = run.wait(timeout=600)
+    assert returncode == 0, log.read_text()
 
 
 def _block_bytes(shape):

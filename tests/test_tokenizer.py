@@ -321,7 +321,7 @@ def test_viterbi_matches_brute_force_on_fuzz_corpus():
     for _ in range(200):
         n = rng.randint(1, 12)
         data = bytes(rng.choice(b"abc") for _ in range(n))
-        seg = T._viterbi(data, model.logp, model.max_token_len)
+        seg = T._viterbi(data, model.logp, model.max_token_len, T._prefixes(model.logp))
         assert seg is not None
         assert seg[1] == pytest.approx(brute_force_segment(data, model.logp), abs=1e-12)
         assert b"".join(seg[0]) == data
@@ -332,11 +332,11 @@ def test_viterbi_tie_breaks_fewest_tokens_then_lexicographic():
     # tokens, then the lexicographically smallest first token
     logp = {t: math.log(p) for t, p in
             {b"abc": 0.04, b"ab": 0.2, b"bc": 0.2, b"a": 0.2, b"c": 0.2, b"b": 0.2}.items()}
-    seg = T._viterbi(b"abc", logp, 16)
+    seg = T._viterbi(b"abc", logp, 16, T._prefixes(logp))
     assert seg[0] == [b"abc"]
     logp2 = {t: math.log(p) for t, p in
              {b"ab": 0.2, b"bc": 0.2, b"a": 0.2, b"c": 0.2, b"b": 0.2}.items()}
-    seg2 = T._viterbi(b"abc", logp2, 16)
+    seg2 = T._viterbi(b"abc", logp2, 16, T._prefixes(logp2))
     assert seg2[0] == [b"a", b"bc"]  # same prob/count as ab+c; b"a" < b"ab"
 
 

@@ -1,5 +1,6 @@
-"""The lattice E-step, the filtered lattices, the shared prune scores and
-the memoized encode of `finforge.tokenizer` against the per-word reference
+"""The lattice E-step and its log-sum-exp, the filtered lattices, the shared
+prune scores, the prefix-bounded Viterbi scan and the per-model encode memo
+of `finforge.tokenizer` against the per-word reference
 (`reference_tokenizer.py`), bit for bit; EM convergence within a prune
 round; and byte-identical training whatever the hash seed."""
 
@@ -96,6 +97,24 @@ def test_lattice_e_step_matches_reference(words, probs, drop):
     want_counts, want_ll = R._expected_counts(counts, logp)
     assert dict(got_counts) == dict(want_counts)
     assert got_ll == want_ll
+
+
+_LSE_TERMS = st.one_of(
+    st.floats(-800.0, 0.0), st.sampled_from((float("-inf"), -1.0, -745.0, 0.0))
+)
+
+
+@given(a=_LSE_TERMS, b=_LSE_TERMS)
+@example(a=-2.5, b=-2.5)  # equal terms: m + log(2.0)
+@example(a=float("-inf"), b=-3.0)
+@example(a=-3.0, b=float("-inf"))
+@example(a=float("-inf"), b=float("-inf"))
+@example(a=-1.0, b=-40.0)  # exp(b - a) is below half an ulp of 1.0
+@settings(max_examples=300, deadline=None)
+def test_two_term_logsumexp_matches_reference(a, b):
+    got = T._logsumexp([a, b])
+    assert got == R._logsumexp([a, b])
+    assert got == T._logsumexp([b, a])
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +258,69 @@ def encode_model():
 def test_encode_matches_reference_on_repeated_pretokens(encode_model, pieces):
     data = b"".join(pieces)
     assert T.encode(encode_model, data) == R.encode(encode_model, data)
+
+
+@st.composite
+def _gapped_vocab(draw):
+    """Log-probabilities where no token of two or more bytes is a proper
+    prefix of another, so the scan must pass substrings that are prefixes
+    of tokens but not tokens; with or without the single bytes."""
+    probs = draw(PROBS)
+    tokens = [
+        t for t in probs
+        if len(t) == 1 or not any(u != t and u.startswith(t) for u in probs)
+    ]
+    singles = [b"a", b"b", b"c"] if draw(st.booleans()) else []
+    return {t: math.log(probs.get(t, 0.1)) for t in tokens + singles}
+
+
+@given(logp=_gapped_vocab(), data=_text(b"abc", 40))
+@example(logp={b"a": -1.0, b"abca": -0.5, b"abcb": -0.5}, data=b"abcabcb")
+@example(logp={b"abc": -0.1}, data=b"abab")  # no segmentation
+@settings(max_examples=300, deadline=None)
+def test_prefix_bounded_viterbi_matches_reference(logp, data):
+    got = T._viterbi(data, logp, T.MAX_TOKEN_LEN, T._prefixes(logp))
+    assert got == R._viterbi(data, logp, T.MAX_TOKEN_LEN)
+
+
+def _documents():
+    return [finance_text(seed, 300 + 40 * (seed % 5)) for seed in range(20, 60)] + [CORPUS_TEXT]
+
+
+def test_encode_with_a_warm_memo_matches_reference_per_document(encode_model, monkeypatch):
+    model = T.finalize(T.train_chunk_unigram(finance_text(9, 1200), 50))
+    docs = _documents()
+    segmented = []
+    real = T._viterbi
+    monkeypatch.setattr(T, "_viterbi", lambda pt, *a: segmented.append(pt) or real(pt, *a))
+    for doc in docs:
+        assert T.encode(model, doc) == R.encode(model, doc)
+    # one Viterbi per distinct pretoken of all the documents, and none when
+    # they are encoded again
+    distinct = {pt for doc in docs for pt in T.pretokenize(doc)}
+    assert sorted(segmented) == sorted(distinct)
+    for doc in docs:
+        assert T.encode(model, doc) == R.encode(model, doc)
+    assert len(segmented) == len(distinct)
+    # the memo is the model's own
+    assert T.encode(encode_model, docs[0]) == R.encode(encode_model, docs[0])
+    assert len(model._memo) == len(distinct)
+
+
+def _memo_size(model):
+    return sum(sys.getsizeof(pt) + sys.getsizeof(ids) for pt, ids in model._memo.items())
+
+
+def test_encode_memo_stays_within_its_byte_bound(monkeypatch):
+    monkeypatch.setattr(T, "_MEMO_BYTES", 3000)
+    model = T.finalize(T.train_chunk_unigram(finance_text(9, 1200), 50))
+    sizes = []
+    for doc in _documents() + [b"x" * 5000]:  # a pretoken larger than the bound
+        assert T.encode(model, doc) == R.encode(model, doc)
+        assert model._memo_bytes == _memo_size(model) <= T._MEMO_BYTES
+        sizes.append(len(model._memo))
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it was cleared
+    assert b"x" * 5000 not in model._memo
 
 
 # ---------------------------------------------------------------------------
