@@ -122,7 +122,8 @@ def partition_corpus(path: str, domains: int, chunks: int) -> list[list[bytes]]:
 
 
 def _load_model(path: str) -> tuple[M.LanguageModel, R.TrainConfig]:
-    shape, cfg, params, _ = R.load_checkpoint(path)
+    """The checkpoint's model and config; its AdamW moments are not read."""
+    shape, cfg, params, _ = R.load_checkpoint(path, moments=False)
     return (
         M.LanguageModel(shape, params, eps=cfg.ln_eps, qk_layer_scaling=cfg.qk_layer_scaling),
         cfg,

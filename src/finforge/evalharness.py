@@ -1,5 +1,5 @@
 """Likelihood-based few-shot evaluation, sliding-window bits per byte,
-greedy decoding, and scoring/aggregation metrics."""
+greedy decoding, and weighted F1."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LanguageModel, target_nll
+from .model import LanguageModel
 from .tokenizer import TokenizerModel, encode
 
 CALIBRATION_CONTEXT = b"Answer:"
@@ -45,14 +45,11 @@ def sequence_logprob(lm: LanguageModel, context: list[int], continuation: list[i
 
 def _token_nll(lm: LanguageModel, tokens: list[int], scored: list[int]) -> float:
     """NLL (nats) of tokens at the given positions (>= 1), conditioning on
-    all earlier tokens in ``tokens``."""
-    start = min(scored, default=1) - 1
-    if start < 0:
+    all earlier tokens in ``tokens``; ``lm.span_nll`` computes it, and a
+    ``LanguageModel`` keeps each span's score."""
+    if min(scored, default=1) < 1:
         raise ValueError("position 0 has no context to be scored from")
-    logits = lm.logits(tokens[:-1], start)  # column j predicts token start + j + 1
-    scored = np.asarray(scored, dtype=np.intp)
-    _, nll = target_nll(np.asarray(logits)[:, scored - 1 - start], np.asarray(tokens)[scored])
-    return float(nll.sum())
+    return lm.span_nll(tokens, scored)
 
 
 def _windowed_nll(
@@ -186,14 +183,6 @@ def greedy_decode(
     return out
 
 
-def default_normalizer(s: bytes) -> bytes:
-    return s.strip().lower()
-
-
-def exact_match(pred: bytes, gold: bytes, normalizer=default_normalizer) -> int:
-    return int(normalizer(pred) == normalizer(gold))
-
-
 def weighted_f1(preds: list, golds: list, labels: list) -> float:
     """Per-label F1 averaged with weights given by gold support fraction."""
     if not preds or len(preds) != len(golds):
@@ -211,35 +200,6 @@ def weighted_f1(preds: list, golds: list, labels: list) -> float:
         f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
         total += f1 * support / len(golds)
     return total
-
-
-def win_rate(scores: dict[str, dict[str, float]]) -> dict[str, float]:
-    """Fraction of pairwise wins per model over all (task, rival) cells where
-    both scores exist; ties count one half."""
-    models = sorted(scores)
-    if len(models) < 2:
-        raise ValueError("need at least two models")
-    tasks = sorted({t for m in models for t in scores[m]})
-    if not tasks:
-        raise ValueError("need at least one task")
-    wins = {m: 0.0 for m in models}
-    comps = {m: 0 for m in models}
-    for task in tasks:
-        for i, a in enumerate(models):
-            for b in models[i + 1 :]:
-                sa, sb = scores[a].get(task), scores[b].get(task)
-                if sa is None or sb is None:
-                    continue
-                comps[a] += 1
-                comps[b] += 1
-                if sa > sb:
-                    wins[a] += 1.0
-                elif sb > sa:
-                    wins[b] += 1.0
-                else:
-                    wins[a] += 0.5
-                    wins[b] += 0.5
-    return {m: (wins[m] / comps[m] if comps[m] else float("nan")) for m in models}
 
 
 # ---------------------------------------------------------------------------

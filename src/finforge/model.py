@@ -30,12 +30,15 @@ per-block GEMMs and scores against the same keys ``[0, (qb+1)*_BLOCK)``
 with the same bias as in a full forward. ``LanguageModel`` keeps a bounded
 cache of the K/V rows of such blocks, keyed by the tokens up to each
 block's end (K/V caching, Pope et al. 2022, arXiv:2211.05102); its callers
-ask only for the logit columns they read, so no logits are cached.
+ask only for the logit columns they read, so no logits are cached. Its
+``span_nll`` keeps the one float each scored span comes to, so a span that
+eval scores again runs no forward at all.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -55,6 +58,9 @@ _BLOCK = 32
 # used out first: 320 blocks at the benchmark's eval shape (L2 N4 Dh16),
 # whatever the vocabulary size.
 _CACHE_BYTES = 20 << 20
+# Bytes of scored spans a LanguageModel keeps the NLL of: each entry's token
+# and position keys and its float, as ``sys.getsizeof`` counts them.
+_SCORE_BYTES = 4 << 20
 
 
 class NonFiniteError(FloatingPointError):
@@ -562,6 +568,17 @@ def _attention_back(dybar, c, coef):
     return dqkv.reshape(Tp, 3 * N * Dh)
 
 
+def span_nll(lm, tokens, scored) -> float:
+    """NLL (nats) of ``tokens`` at the positions ``scored`` (each at least
+    1), each conditioned on all earlier tokens, from ``lm.logits``: the one
+    way a span is scored, memoized or not."""
+    start = min(scored, default=1) - 1
+    logits = lm.logits(tokens[:-1], start)  # column j predicts token start + j + 1
+    scored = np.asarray(scored, dtype=np.intp)
+    _, nll = target_nll(np.asarray(logits)[:, scored - 1 - start], np.asarray(tokens)[scored])
+    return float(nll.sum())
+
+
 @dataclass
 class LanguageModel:
     """Bundle of shape, parameters, and inference settings.
@@ -570,14 +587,17 @@ class LanguageModel:
     ``_CACHE_BYTES``, keyed by the tokens up to each block's end, and
     computes only the blocks after the longest cached prefix that ends at
     or before the first column asked for; the columns are the bits
-    ``forward`` gives. The cache assumes that ``params`` are not changed in
-    place."""
+    ``forward`` gives. ``span_nll`` keeps the NLL of each scored span, up
+    to ``_SCORE_BYTES``, and is emptied when the next entry would not fit.
+    Both assume that ``params`` are not changed in place."""
 
     shape: ModelShape
     params: dict[str, np.ndarray]
     eps: float = 1e-5
     qk_layer_scaling: bool = False
     _blocks: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
+    _scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _score_bytes: int = field(default=0, init=False, repr=False, compare=False)
 
     def cache_capacity(self) -> int:
         """Blocks that fit in ``_CACHE_BYTES``: each holds, per layer,
@@ -620,3 +640,20 @@ class LanguageModel:
             if len(self._blocks) > capacity:
                 self._blocks.popitem(last=False)
         return tail[:, start - s0 :]
+
+    def span_nll(self, tokens, scored) -> float:
+        """``span_nll(self, tokens, scored)``, the same float, computed once
+        per distinct token sequence and scored positions."""
+        key = (np.asarray(tokens, dtype=np.intp).tobytes(),
+               np.asarray(scored, dtype=np.intp).tobytes())
+        nll = self._scores.get(key)
+        if nll is None:
+            nll = span_nll(self, tokens, scored)
+            size = sys.getsizeof(key[0]) + sys.getsizeof(key[1]) + sys.getsizeof(nll)
+            if size <= _SCORE_BYTES:
+                if self._score_bytes + size > _SCORE_BYTES:
+                    self._scores.clear()
+                    self._score_bytes = 0
+                self._scores[key] = nll
+                self._score_bytes += size
+        return nll

@@ -24,6 +24,7 @@ import operator
 import os
 import reprlib
 import struct
+import sys
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -420,8 +421,66 @@ _STATE_FIELDS = {
 }
 
 
-def load_checkpoint(path):
-    """Returns (shape, cfg, params, state)."""
+def _manifest_entries(path, header, shape: ModelShape, payload_bytes: int) -> dict:
+    """The manifest's entries by kind (param, m, v), then name, in manifest
+    order, after checking that each is a tensor of the model shape and that
+    together they tile the payload: in manifest order from byte 0, each
+    starting where the one before ends, no name twice, and the payload ends
+    where the last one does."""
+    expected = M.param_shapes(shape)
+    entries: dict[str, dict[str, dict]] = {"param": {}, "m": {}, "v": {}}
+    end, label, twice = 0, None, None
+    for entry in header["manifest"]:
+        label = entry["name"]
+        kind, _, name = label.partition(":")
+        if kind not in entries or expected.get(name) != tuple(entry["shape"]):
+            raise ValueError(
+                f"{path}: manifest entry {label!r} with shape {entry['shape']} "
+                "is not a tensor of the model shape"
+            )
+        if entry["dtype"] != "<f8":
+            raise ValueError(
+                f"{path}: manifest entry {label!r} has dtype {entry['dtype']!r}, "
+                "not little-endian float64 ('<f8')"
+            )
+        # A repeated name is reported after a missing parameter, so an entry
+        # renamed to another's name is reported as the one it replaced.
+        if name in entries[kind]:
+            twice = twice or label
+        if not (_is_count(entry["offset"]) and entry["offset"] == end):
+            raise ValueError(
+                f"{path}: manifest entry {label!r} has offset {reprlib.repr(entry['offset'])}, "
+                f"not {end}: the entries must tile the payload in manifest order"
+            )
+        end += math.prod(entry["shape"]) * 8
+        if end > payload_bytes:
+            raise ValueError(
+                f"{path}: manifest entry {label!r} ends at payload byte {end}, "
+                f"past the payload's {payload_bytes} bytes"
+            )
+        entries[kind][name] = entry
+    if end != payload_bytes:
+        raise ValueError(
+            f"{path}: manifest entry {label!r} ends at payload byte {end}, "
+            f"{payload_bytes - end} bytes before the payload does"
+        )
+    missing = [k for k in expected if k not in entries["param"]]
+    if missing:
+        raise ValueError(f"{path}: manifest has no entry 'param:{missing[0]}'")
+    if twice:
+        raise ValueError(f"{path}: manifest entry {twice!r} appears twice")
+    return entries
+
+
+def load_checkpoint(path, moments: bool = True):
+    """Returns (shape, cfg, params, state).
+
+    Each kind of tensor (param, m, v) gets one native float64 buffer, laid
+    out in manifest order, and each tensor is read from the file straight
+    into its view of that buffer, so no other copy of the payload is made.
+    With ``moments=False`` only the parameters are read: the m and v
+    entries are checked in the header, and ``state.m`` and ``state.v`` are
+    empty."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -432,48 +491,35 @@ def load_checkpoint(path):
         version, hlen = struct.unpack("<IQ", prefix)
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        if hlen > os.fstat(f.fileno()).st_size - f.tell():
+        size = os.fstat(f.fileno()).st_size
+        if hlen > size - f.tell():
             raise ValueError(f"{path}: header length {hlen} runs past the end of the file")
         header = json.loads(f.read(hlen))
-        payload = f.read()
-    try:
-        shape = ModelShape(**header["shape"])
-        cfg = TrainConfig(**header["config"])
-        expected = M.param_shapes(shape)
-        entries: dict[str, dict[str, dict]] = {"param": {}, "m": {}, "v": {}}
-        for entry in header["manifest"]:
-            kind, _, name = entry["name"].partition(":")
-            if kind not in entries or expected.get(name) != tuple(entry["shape"]):
-                raise ValueError(
-                    f"{path}: manifest entry {entry['name']!r} with shape {entry['shape']} "
-                    "is not a tensor of the model shape"
-                )
-            if entry["dtype"] != "<f8":
-                raise ValueError(
-                    f"{path}: manifest entry {entry['name']!r} has dtype {entry['dtype']!r}, "
-                    "not little-endian float64 ('<f8')"
-                )
-            entries[kind][name] = entry
-        # Each kind (param, m, v) is copied into one buffer, in manifest order.
-        groups = {}
-        for kind, named in entries.items():
-            _, groups[kind] = _tiled({name: tuple(e["shape"]) for name, e in named.items()})
-            for name, e in named.items():
-                groups[kind][name][...] = np.frombuffer(
-                    payload, dtype="<f8", count=math.prod(e["shape"]), offset=e["offset"]
-                ).reshape(e["shape"])
-        missing = [k for k in expected if k not in groups["param"]]
-        if missing:
-            raise ValueError(f"{path}: manifest has no entry 'param:{missing[0]}'")
-        st = dict(header["state"], step=header["step"])
-        for key, (what, ok) in _STATE_FIELDS.items():
-            if not ok(st[key]):
-                raise ValueError(
-                    f"{path}: checkpoint field {key!r} must be {what}, got {reprlib.repr(st[key])}"
-                )
-        state = TrainState(m=groups["m"], v=groups["v"], **{k: st[k] for k in _STATE_FIELDS})
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: malformed checkpoint header: {exc!r}") from exc
+        base = f.tell()
+        try:
+            shape = ModelShape(**header["shape"])
+            cfg = TrainConfig(**header["config"])
+            entries = _manifest_entries(path, header, shape, size - base)
+            st = dict(header["state"], step=header["step"])
+            for key, (what, ok) in _STATE_FIELDS.items():
+                if not ok(st[key]):
+                    raise ValueError(
+                        f"{path}: checkpoint field {key!r} must be {what}, "
+                        f"got {reprlib.repr(st[key])}"
+                    )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint header: {exc!r}") from exc
+        groups = {"m": {}, "v": {}}
+        for kind in ("param", "m", "v") if moments else ("param",):
+            named = entries[kind]
+            buf, groups[kind] = _tiled({name: tuple(e["shape"]) for name, e in named.items()})
+            for name, view in groups[kind].items():
+                f.seek(base + named[name]["offset"])
+                if f.readinto(view) != view.nbytes:
+                    raise ValueError(f"{path}: manifest entry '{kind}:{name}' is cut short")
+            if sys.byteorder == "big":  # the payload is little-endian
+                buf.byteswap(inplace=True)
+    state = TrainState(m=groups["m"], v=groups["v"], **{k: st[k] for k in _STATE_FIELDS})
     return shape, cfg, groups["param"], state
 
 

@@ -1,20 +1,53 @@
-"""Reference implementation of the trainer's optimizer step.
+"""Reference implementation of the trainer's optimizer step and checkpoint
+reader.
 
 These are the per-group forms of `clip_gradients`, `adamw_step` and the
 per-step gradient accumulation of `train`: every operation runs on each
 parameter group's own array, with a fresh temporary per operation, and
 clipping returns a new dict. They are slow and kept only as the oracle that
 tests compare the flat-buffer optimizer in `finforge.trainer` against.
+`load_checkpoint` reads the whole payload into one bytes object and copies
+each tensor out of it, the oracle for the trainer's in-place reader.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 
 import numpy as np
 
 from finforge import model as M
-from finforge.trainer import TrainConfig, _loss_weights, decayed
+from finforge.scaling import ModelShape
+from finforge.trainer import TrainConfig, TrainState, _loss_weights, decayed
+
+
+def load_checkpoint(path):
+    """(shape, cfg, params, state) of a valid checkpoint: each kind's
+    tensors (param, m, v) copied, in manifest order, into one buffer with
+    ``np.frombuffer`` from the payload read whole."""
+    with open(path, "rb") as f:
+        _, hlen = struct.unpack("<IQ", f.read(16)[4:])
+        header = json.loads(f.read(hlen))
+        payload = f.read()
+    groups: dict[str, dict] = {"param": {}, "m": {}, "v": {}}
+    for entry in header["manifest"]:
+        kind, _, name = entry["name"].partition(":")
+        groups[kind][name] = np.frombuffer(
+            payload, dtype="<f8", count=math.prod(entry["shape"]), offset=entry["offset"]
+        ).reshape(entry["shape"])
+    for kind, named in groups.items():
+        _, groups[kind] = M._tiled({name: t.shape for name, t in named.items()})
+        for name, t in named.items():
+            groups[kind][name][...] = t
+    st = header["state"]
+    state = TrainState(
+        step=header["step"], m=groups["m"], v=groups["v"],
+        **{k: st[k] for k in ("smooth_num", "smooth_den", "epoch", "stream_pos", "order",
+                              "shuffle_salt")},
+    )
+    return ModelShape(**header["shape"]), TrainConfig(**header["config"]), groups["param"], state
 
 
 def grad_global_norm(grads: dict[str, np.ndarray]) -> float:

@@ -311,6 +311,8 @@ def test_criterion_10_evaluation_methodology(capsys, monkeypatch):
                 calls.append(list(toks))
                 return np.zeros((6, len(toks)))[:, start:]
 
+            span_nll = M.span_nll
+
         tokens = [int(x) for x in np.arange(3000) % 6]
         nll = E._windowed_nll(Recorder(), tokens, first_scored=1, window=8, stride=4)
         assert abs(nll - 2999 * math.log(6)) < 1e-9

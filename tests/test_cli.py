@@ -468,6 +468,22 @@ def _write_checkpoint(path, edit=None, vocab=257):
     path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen :])
 
 
+# Manifests that do not tile the payload of ``_write_checkpoint``'s file:
+# case -> (edit of the manifest or None, bytes appended to the file (> 0) or
+# cut from its end (< 0), the entry the error names).
+TILING = {
+    "checkpoint-payload-short": (None, -8, "param:ln_f.g"),
+    "checkpoint-offset-negative": (lambda m: m[1].update(offset=-8), 0, "param:layer0.attn.U"),
+    "checkpoint-offset-repeated": (lambda m: m[1].update(offset=0), 0, "param:layer0.attn.U"),
+    "checkpoint-offset-bool": (lambda m: m[0].update(offset=True), 0, "param:Wem"),
+    "checkpoint-trailing-bytes": (None, 64, "param:ln_f.g"),
+    # the last entry, ln_f.g of 4 floats, again after it, with its 32 bytes
+    "checkpoint-entry-duplicated": (
+        lambda m: m.append(dict(m[-1], offset=m[-1]["offset"] + 32)), 32, "param:ln_f.g"
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -478,6 +494,7 @@ def _write_checkpoint(path, edit=None, vocab=257):
         "checkpoint-truncated",
         "checkpoint-order-beyond-corpus",
         "checkpoint-with-params-only",
+        *TILING,
         "jsonl-line-not-an-object",
         "task-line-not-an-object",
         "task-context-not-a-string",
@@ -511,6 +528,11 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     elif case == "checkpoint-with-params-only":
         # saved from TrainState(): every param entry, no m or v entry
         _write_checkpoint(ckpt, edit=lambda header: header["config"].update(seq_len=16))
+    elif case in TILING:
+        edit, extra, _ = TILING[case]
+        _write_checkpoint(ckpt, edit=edit and (lambda header: edit(header["manifest"])))
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw[:extra] if extra < 0 else raw + bytes(extra))
     else:
         _write_checkpoint(ckpt)
     if case == "empty-tokenizer":
@@ -579,6 +601,8 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         assert "'order' holds chunk 99999" in err and "chunks" in err, err
     if case == "checkpoint-with-params-only":
         assert "no AdamW moment 'm:Wem'" in err, err
+    if case in TILING:
+        assert f"{ckpt}: manifest entry {TILING[case][2]!r}" in err, err
     if case == "target-vocab-too-small":
         assert "too small for byte coverage" in err
     if case == "tokenizer-missing-byte":

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ class StubLM:
     def logits(self, tokens, start=0):
         self.calls.append(list(tokens))
         return self.fn(list(tokens))[:, start:]
+
+    span_nll = M.span_nll  # scored as a LanguageModel scores, with no memo
 
 
 def uniform_stub(vocab):
@@ -162,6 +165,84 @@ def test_windowed_needs_stride_from_1_to_below_window(window, stride):
 def test_token_nll_rejects_position_0():
     with pytest.raises(ValueError, match="position 0"):
         E._token_nll(uniform_stub(4), [1, 2, 3], [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# Span-score memo
+
+
+def random_spans(rng, n, vocab=SHAPE.vocab):
+    """``n`` (tokens, scored) pairs of 2 to 80 tokens, crossing the K/V
+    cache's 32-token blocks, each scoring a random set of positions >= 1."""
+    spans = []
+    for _ in range(n):
+        tokens = rng.integers(0, vocab, size=int(rng.integers(2, 81))).tolist()
+        scored = rng.choice(np.arange(1, len(tokens)), int(rng.integers(1, len(tokens))), False)
+        spans.append((tokens, sorted(scored.tolist())))
+    return spans
+
+
+def counting(lm):
+    """``lm`` with its ``logits`` calls counted in ``lm.calls``."""
+    lm.calls = 0
+    logits = lm.logits
+
+    def counted(*args):
+        lm.calls += 1
+        return logits(*args)
+
+    lm.logits = counted
+    return lm
+
+
+def memo_bytes(lm):
+    return sum(sum(map(sys.getsizeof, (*key, nll))) for key, nll in lm._scores.items())
+
+
+def test_span_memo_returns_the_miss_path_bits():
+    params = M.init_params(SHAPE, 4)
+    spans = random_spans(np.random.default_rng(5), 40)
+    spans += [(t, s[-1:]) for t, s in spans[:8] if len(s) > 1]  # the same tokens
+    spans += spans[:5]  # scored again within the first pass
+    distinct = len({(tuple(t), tuple(s)) for t, s in spans})
+    want = [M.span_nll(M.LanguageModel(SHAPE, params), t, s) for t, s in spans]
+    lm = counting(M.LanguageModel(SHAPE, params))
+    assert [lm.span_nll(t, s) for t, s in spans] == want
+    assert lm.calls == distinct
+    assert [E._token_nll(lm, t, s) for t, s in spans] == want
+    assert lm.calls == distinct  # every span was held
+    assert lm._score_bytes == memo_bytes(lm) <= M._SCORE_BYTES
+
+
+def test_span_memo_empties_within_a_small_bound(monkeypatch):
+    monkeypatch.setattr(M, "_SCORE_BYTES", 1200)
+    params = M.init_params(SHAPE, 6)
+    rng = np.random.default_rng(7)
+    spans = random_spans(rng, 30)
+    spans += [spans[i] for i in rng.integers(0, 30, 20)]
+    oversized = ([1, 2, 3] * 60, list(range(1, 180)))
+    spans.insert(10, oversized)
+    lm = M.LanguageModel(SHAPE, params)
+    emptied = 0
+    for tokens, scored in spans:
+        held = len(lm._scores)
+        assert lm.span_nll(tokens, scored) == M.span_nll(
+            M.LanguageModel(SHAPE, params), tokens, scored
+        )
+        assert lm._score_bytes == memo_bytes(lm) <= 1200
+        emptied += len(lm._scores) < held
+        if (tokens, scored) == oversized:
+            assert len(lm._scores) == held  # not stored, nothing dropped
+    assert emptied > 0
+
+
+def test_span_memo_is_never_shared_between_models():
+    spans = random_spans(np.random.default_rng(8), 10)
+    a, b = (M.LanguageModel(SHAPE, M.init_params(SHAPE, seed)) for seed in (1, 2))
+    for lm, seed in ((a, 1), (b, 2), (a, 1)):
+        fresh = M.LanguageModel(SHAPE, M.init_params(SHAPE, seed))
+        assert [lm.span_nll(t, s) for t, s in spans] == [fresh.span_nll(t, s) for t, s in spans]
+    assert all(a.span_nll(t, s) != b.span_nll(t, s) for t, s in spans)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +445,18 @@ def test_greedy_decode_tie_goes_to_lowest_id():
 # Metrics
 
 
+def default_normalizer(s: bytes) -> bytes:
+    return s.strip().lower()
+
+
+def exact_match(pred: bytes, gold: bytes, normalizer=default_normalizer) -> int:
+    return int(normalizer(pred) == normalizer(gold))
+
+
 def test_exact_match_normalization():
-    assert E.exact_match(b"  Paris \n", b"paris") == 1
-    assert E.exact_match(b"Paris", b"London") == 0
-    assert E.exact_match(b"A", b"a", normalizer=lambda s: s) == 0
+    assert exact_match(b"  Paris \n", b"paris") == 1
+    assert exact_match(b"Paris", b"London") == 0
+    assert exact_match(b"A", b"a", normalizer=lambda s: s) == 0
 
 
 def test_weighted_f1_hand_confusion_matrix():
@@ -388,12 +477,41 @@ def test_weighted_f1_perfect_and_validation():
         E.weighted_f1(["x"], ["x", "y"], ["x"])
 
 
+def win_rate(scores: dict[str, dict[str, float]]) -> dict[str, float]:
+    """Fraction of pairwise wins per model over all (task, rival) cells where
+    both scores exist; ties count one half."""
+    models = sorted(scores)
+    if len(models) < 2:
+        raise ValueError("need at least two models")
+    tasks = sorted({t for m in models for t in scores[m]})
+    if not tasks:
+        raise ValueError("need at least one task")
+    wins = {m: 0.0 for m in models}
+    comps = {m: 0 for m in models}
+    for task in tasks:
+        for i, a in enumerate(models):
+            for b in models[i + 1 :]:
+                sa, sb = scores[a].get(task), scores[b].get(task)
+                if sa is None or sb is None:
+                    continue
+                comps[a] += 1
+                comps[b] += 1
+                if sa > sb:
+                    wins[a] += 1.0
+                elif sb > sa:
+                    wins[b] += 1.0
+                else:
+                    wins[a] += 0.5
+                    wins[b] += 0.5
+    return {m: (wins[m] / comps[m] if comps[m] else float("nan")) for m in models}
+
+
 def test_win_rate_pairwise():
     scores = {
         "m1": {"t1": 0.9, "t2": 0.5},
         "m2": {"t1": 0.1, "t2": 0.5},
     }
-    wr = E.win_rate(scores)
+    wr = win_rate(scores)
     assert wr["m1"] == pytest.approx(0.75)  # win + tie-half over 2 comparisons
     assert wr["m2"] == pytest.approx(0.25)
 
@@ -404,12 +522,12 @@ def test_win_rate_missing_cells_excluded():
         "m2": {"t1": 0.0},
         "m3": {"t1": 0.5, "t2": 1.0},
     }
-    wr = E.win_rate(scores)
+    wr = win_rate(scores)
     # m2 compared only on t1: loses to m1, wins vs m3's 0.5? no: 0.0 < 0.5
     assert wr["m2"] == 0.0
     assert wr["m1"] == pytest.approx(2 / 3)  # beats m2, beats m3 on t1, loses t2
     with pytest.raises(ValueError):
-        E.win_rate({"only": {"t": 1.0}})
+        win_rate({"only": {"t": 1.0}})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import warnings
 
@@ -325,6 +326,50 @@ def test_checkpoint_magic_and_version(tmp_path):
     bad.write_bytes(b"NOPE" + raw[4:])
     with pytest.raises(ValueError):
         TR.load_checkpoint(str(bad))
+
+
+def _edited_checkpoint(path, edit):
+    """Its manifest, after ``edit(manifest, payload)`` changed it in place
+    and returned the new payload of a valid checkpoint of ``SHAPE``."""
+    params = M.init_params(SHAPE, 0)
+    TR.save_checkpoint(str(path), SHAPE, tiny_cfg(), params, TR.TrainState.fresh(params))
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + hlen])
+    payload = edit(header["manifest"], raw[16 + hlen :])
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + payload)
+    return header["manifest"]
+
+
+def _duplicate_last(manifest, payload):
+    last = manifest[-1]
+    manifest.append(dict(last, offset=len(payload)))
+    return payload + payload[last["offset"] :]
+
+
+@pytest.mark.parametrize(
+    "case, edit, entry, message",
+    [
+        ("payload-short", lambda m, p: p[:-8], -1, "past the payload's"),
+        ("offset-negative", lambda m, p: m[1].update(offset=-8) or p, 1, "has offset -8, not"),
+        ("offset-repeated", lambda m, p: m[1].update(offset=m[0]["offset"]) or p, 1,
+         "has offset 0, not"),
+        ("offset-bool", lambda m, p: m[0].update(offset=True) or p, 0, "has offset True, not 0"),
+        ("trailing-bytes", lambda m, p: p + bytes(64), -1, "64 bytes before the payload does"),
+        ("entry-duplicated", _duplicate_last, -1, "appears twice"),
+    ],
+)
+def test_checkpoint_manifest_must_tile_the_payload(tmp_path, case, edit, entry, message):
+    # Entries tile the payload exactly, in manifest order from byte 0, with
+    # no name twice; each violation names the file and the entry.
+    path = tmp_path / "c.bin"
+    manifest = _edited_checkpoint(path, edit)
+    for moments in (True, False):
+        with pytest.raises(ValueError) as exc:
+            TR.load_checkpoint(str(path), moments=moments)
+        assert str(path) in str(exc.value) and message in str(exc.value), exc.value
+        assert repr(manifest[entry]["name"]) in str(exc.value), exc.value
 
 
 # ---------------------------------------------------------------------------

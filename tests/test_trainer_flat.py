@@ -1,9 +1,12 @@
 """The flat-buffer optimizer step against the per-group forms in
 `reference_trainer.py`: parameters, moments, checkpoints and diagnostics
 must be the same bits. Also the gradient hand-over that keeps a step at
-four model copies: `backward`'s per-group consumer against its dict."""
+four model copies: `backward`'s per-group consumer against its dict; and
+the checkpoint reader that reads each tensor in place against the one that
+copies it out of the whole payload."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -252,3 +255,69 @@ def test_train_writes_the_same_bytes_with_the_reference_optimizer(tmp_path, monk
         "checkpoint-00000004.bin", "checkpoint-00000006.bin", "diagnostics.csv"
     }
     assert outs[0] == outs[1] == outs[2]
+
+
+def saved_checkpoint(path, shape, seed):
+    """A checkpoint of ``shape`` with random moments and a training state."""
+    params = M.init_params(shape, seed)
+    state = R.TrainState.fresh(params)
+    rng = np.random.default_rng(seed)
+    for moments in (state.m, state.v):
+        for t in moments.values():
+            t[...] = rng.normal(size=t.shape)
+    state.step, state.order, state.stream_pos, state.smooth_num = 9, [2, 0, 1], 1, 0.25
+    R.save_checkpoint(str(path), shape, R.TrainConfig(seed=seed), params, state)
+    return params
+
+
+@pytest.mark.parametrize("moments", [True, False])
+def test_checkpoint_reads_in_place_the_reference_bits(tmp_path, moments):
+    path = tmp_path / "c.bin"
+    saved_checkpoint(path, bench_shape(2, 2, 8, 64), 5)
+    shape, cfg, params, state = R.load_checkpoint(str(path), moments=moments)
+    ref_shape, ref_cfg, ref_params, ref_state = REF.load_checkpoint(str(path))
+    assert (shape, cfg) == (ref_shape, ref_cfg)
+    assert list(params) == list(ref_params)
+    for k in ref_params:
+        assert same(params[k], ref_params[k]), k
+    assert replace(state, m={}, v={}) == replace(ref_state, m={}, v={})
+    if moments:
+        assert_same_state(params, state, ref_params, ref_state)
+        R.save_checkpoint(str(tmp_path / "again.bin"), shape, cfg, params, state)
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+    else:
+        assert (state.m, state.v) == ({}, {})
+    # each kind is one native float64 buffer, its tensors views of it
+    for tensors in (params, state.m, state.v) if moments else (params,):
+        base = next(iter(tensors.values())).base
+        assert base.dtype == np.float64 and base.size == sum(t.size for t in tensors.values())
+        assert all(t.base is base for t in tensors.values())
+
+
+def test_checkpoint_on_a_big_endian_host_swaps_the_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "c.bin"
+    saved_checkpoint(path, bench_shape(1, 2, 4, 32), 6)
+    ref = REF.load_checkpoint(str(path))[2]
+    monkeypatch.setattr(R.sys, "byteorder", "big")
+    params = R.load_checkpoint(str(path), moments=False)[2]
+    for k in ref:
+        assert same(params[k], ref[k].byteswap()), k
+
+
+@pytest.mark.parametrize("moments, copies", [(False, 1.1), (True, 3.1)])
+def test_checkpoint_load_peaks_at_the_copies_it_returns(tmp_path, moments, copies):
+    # One parameter copy for eval, three (parameters, m and v) for a resume:
+    # the payload is never held whole, nor a second time.
+    path = tmp_path / "c.bin"
+    params = saved_checkpoint(path, bench_shape(2, 4, 32, 1024), 7)
+    param_bytes = sum(t.nbytes for t in params.values())
+    assert param_bytes >= 4 << 20
+    del params
+    tracemalloc.start()
+    try:
+        loaded = R.load_checkpoint(str(path), moments=moments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < copies * param_bytes, peak / param_bytes
+    assert loaded[2].keys() == M.param_shapes(bench_shape(2, 4, 32, 1024)).keys()
