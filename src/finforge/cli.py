@@ -20,6 +20,7 @@ from . import model as M
 from . import scaling as S
 from . import tokenizer as T
 from . import trainer as R
+from .atomic import read_lines
 from .vocabselect import best_size, round_up_pow2, sweep
 
 EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 1, 2, 3
@@ -76,16 +77,18 @@ def read_documents(path: str) -> list[bytes]:
         return docs
     if path.endswith(".jsonl"):
         docs = []
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
+        for lineno, line in read_lines(path):
+            line = line.strip()
+            if not line:
+                continue
+            try:
                 rec = json.loads(line)
-                text = rec.get("text") if isinstance(rec, dict) else None
-                if not isinstance(text, str) or not text:
-                    raise ValueError(f"{path}:{lineno}: record without text")
-                docs.append(text.encode("utf-8"))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from None
+            text = rec.get("text") if isinstance(rec, dict) else None
+            if not isinstance(text, str) or not text:
+                raise ValueError(f"{path}:{lineno}: record without text")
+            docs.append(text.encode("utf-8"))
         return docs
     with open(path, "rb") as f:
         return [f.read()]

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import Any
 
+from .atomic import read_lines
 from .trainer import TrainConfig
 
 
@@ -59,19 +60,18 @@ def _pair(text: str, types: dict[str, type]) -> tuple[str, Any]:
 def parse_config(path: str) -> dict[str, Any]:
     values: dict[str, Any] = {k: d for k, (_, d) in RUN_KEYS.items()}
     seen = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                key, value = _pair(line, _KEY_TYPES)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if key in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            seen.add(key)
-            values[key] = value
+    for lineno, line in read_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            key, value = _pair(line, _KEY_TYPES)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        seen.add(key)
+        values[key] = value
     missing = [k for k, (_, d) in RUN_KEYS.items() if d is None and values.get(k) is None]
     if missing:
         raise ValueError(f"{path}: missing required keys: {missing}")

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import read_lines
 from .model import LanguageModel
 from .tokenizer import TokenizerModel, encode
 
@@ -43,15 +44,6 @@ def sequence_logprob(lm: LanguageModel, context: list[int], continuation: list[i
     return -_windowed_nll(lm, full, first_scored=len(context), window=WINDOW, stride=STRIDE)
 
 
-def _token_nll(lm: LanguageModel, tokens: list[int], scored: list[int]) -> float:
-    """NLL (nats) of tokens at the given positions (>= 1), conditioning on
-    all earlier tokens in ``tokens``; ``lm.span_nll`` computes it, and a
-    ``LanguageModel`` keeps each span's score."""
-    if min(scored, default=1) < 1:
-        raise ValueError("position 0 has no context to be scored from")
-    return lm.span_nll(tokens, scored)
-
-
 def _windowed_nll(
     lm: LanguageModel, tokens: list[int], first_scored: int, window: int, stride: int
 ) -> float:
@@ -69,9 +61,7 @@ def _windowed_nll(
     while scored_to < n:
         end = min(window if scored_to < window else scored_to + stride, n)
         start = max(0, end - window)
-        total += _token_nll(
-            lm, tokens[start:end], [p - start for p in range(scored_to, end)]
-        )
+        total += lm.span_nll(tokens[start:end], [p - start for p in range(scored_to, end)])
         scored_to = end
     return total
 
@@ -216,32 +206,31 @@ def load_tasks(path: str) -> list[dict]:
     ``gold``) or ``gold`` alone. An optional ``shots_pool`` is a list of
     objects with string ``context`` and ``gold``."""
     records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise ValueError("not a JSON object")
-                if "context" not in rec:
-                    raise ValueError("missing 'context'")
-                if "candidates" not in rec and "gold" not in rec:
-                    raise ValueError("need 'candidates' or 'gold'")
-                if not isinstance(rec["context"], str) or not isinstance(rec.get("gold", ""), str):
-                    raise ValueError("'context' and 'gold' must be strings")
-                if not _is_strings(rec.get("candidates", [])):
-                    raise ValueError("'candidates' must be a list of strings")
-                pool = rec.get("shots_pool", [])
-                if not isinstance(pool, list) or not all(
-                    isinstance(s, dict) and _is_strings([s.get("context"), s.get("gold")])
-                    for s in pool
-                ):
-                    raise ValueError(
-                        "'shots_pool' must be a list of objects with string 'context' and 'gold'"
-                    )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed task record: {exc}") from exc
-            records.append(rec)
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError("not a JSON object")
+            if "context" not in rec:
+                raise ValueError("missing 'context'")
+            if "candidates" not in rec and "gold" not in rec:
+                raise ValueError("need 'candidates' or 'gold'")
+            if not isinstance(rec["context"], str) or not isinstance(rec.get("gold", ""), str):
+                raise ValueError("'context' and 'gold' must be strings")
+            if not _is_strings(rec.get("candidates", [])):
+                raise ValueError("'candidates' must be a list of strings")
+            pool = rec.get("shots_pool", [])
+            if not isinstance(pool, list) or not all(
+                isinstance(s, dict) and _is_strings([s.get("context"), s.get("gold")])
+                for s in pool
+            ):
+                raise ValueError(
+                    "'shots_pool' must be a list of objects with string 'context' and 'gold'"
+                )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed task record: {exc}") from exc
+        records.append(rec)
     return records

@@ -573,6 +573,8 @@ def span_nll(lm, tokens, scored) -> float:
     1), each conditioned on all earlier tokens, from ``lm.logits``: the one
     way a span is scored, memoized or not."""
     start = min(scored, default=1) - 1
+    if start < 0:
+        raise ValueError("position 0 has no context to be scored from")
     logits = lm.logits(tokens[:-1], start)  # column j predicts token start + j + 1
     scored = np.asarray(scored, dtype=np.intp)
     _, nll = target_nll(np.asarray(logits)[:, scored - 1 - start], np.asarray(tokens)[scored])

@@ -15,7 +15,7 @@ import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_lines
 
 ENDOFTEXT = "<|endoftext|>"
 ENDOFTEXT_ID = 0
@@ -572,13 +572,7 @@ def save_tokenizer(model: TokenizerModel, path: str) -> None:
 def load_tokenizer(path: str) -> TokenizerModel:
     """Read a file written by ``save_tokenizer``. A malformed file is a
     ``ValueError`` that names the file and, where there is one, the line."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{lineno}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+    lines = [line for _, line in read_lines(path)]
     head = lines[0].split() if lines else []
     if len(head) != 2 or head[0] != _HEADER or not head[1].isdecimal() or len(lines) < 2:
         raise ValueError(f"not a {_HEADER} file: {path}")

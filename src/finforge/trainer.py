@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import os
 import reprlib
 import struct
@@ -77,6 +76,18 @@ class TrainConfig:
             raise ValueError("warmup_steps must be below horizon_steps")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
+        # The values a run divides by or scales with; a NaN fails every test.
+        for name in ("batch_warmup_size", "batch_main_size", "train_loss_interval",
+                     "val_interval", "checkpoint_interval"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        for name in ("beta1", "beta2", "dropout_at", "dropout_h", "dropout_f"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be positive, got {self.adam_eps!r}")
+        if not 0 <= self.smooth_alpha <= 1:
+            raise ValueError(f"smooth_alpha must be in [0, 1], got {self.smooth_alpha!r}")
 
 
 def horizon_from_tokens(total_tokens: float, cfg: TrainConfig) -> int:
@@ -225,53 +236,39 @@ def _flat(tensors: dict, names: list[str]) -> np.ndarray:
     return buf
 
 
-def _layout(params, grads, state: "TrainState"):
-    """``adamw_step``'s flat buffers (parameters, gradients, m, v), laid out
-    by the names of ``params`` in dict order, and the merged index ranges of
-    the decayed groups.
-
-    ``state.layout`` keeps them with the keys and arrays the four dicts
-    held, so a step whose dicts hold the same array objects under the same
-    keys checks identity only."""
-    dicts = (params, grads, state.m, state.v)
-    if state.layout is not None:
-        held, flat = state.layout
-        if all(
-            tuple(d) == keys and all(map(operator.is_, d.values(), arrays))
-            for d, (keys, arrays) in zip(dicts, held)
-        ):
-            return flat
-    names = list(params)
-    buffers = [_flat(d, names) for d in dicts]
+def _decayed_ranges(params) -> list[tuple[int, int]]:
+    """Merged index ranges of the decayed groups in ``_flat`` of ``params``."""
     ranges, off = [], 0
-    for name in names:
-        n = params[name].size
+    for name, t in params.items():
         if decayed(name):
             if ranges and ranges[-1][1] == off:
-                ranges[-1] = (ranges[-1][0], off + n)
+                ranges[-1] = (ranges[-1][0], off + t.size)
             else:
-                ranges.append((off, off + n))
-        off += n
-    flat = (*buffers, ranges)
-    state.layout = ([(tuple(d), tuple(d.values())) for d in dicts], flat)
-    return flat
+                ranges.append((off, off + t.size))
+        off += t.size
+    return ranges
 
 
-def adamw_step(params, grads, state: "TrainState", lr: float, cfg: TrainConfig) -> None:
+def adamw_step(params, grads, state: "TrainState", lr: float, cfg: TrainConfig, *, flat=None):
     """One AdamW update with bias correction, in place.
 
-    It makes one pass over the flat buffers of ``_layout`` (so the entries
-    of ``params``, ``grads`` and the moments of ``state`` may be rebound to
-    views of one buffer each), ``_SLICE`` elements at a time through two
-    scratch slices. Per element it computes, with exactly these operations
-    in this order, ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
-    ``u = (m/bc1) / (sqrt(v/bc2) + eps)``, then ``u = u + wd*theta`` on the
-    decayed groups only, and ``theta -= lr*u``."""
+    It makes one pass over ``flat``, the parameter, gradient, m and v buffers
+    and the ``_decayed_ranges`` that ``train`` lays out once per call, or by
+    default ``_flat`` of ``params``, ``grads`` and the moments of ``state``
+    (which may so rebind their entries), ``_SLICE`` elements at a time
+    through two scratch slices. Per element it computes, with exactly these
+    operations in this order, ``m = b1*m + (1-b1)*g``, ``v = b2*v +
+    ((1-b2)*g)*g``, ``u = (m/bc1) / (sqrt(v/bc2) + eps)``, then ``u = u +
+    wd*theta`` on the decayed groups only, and ``theta -= lr*u``."""
+    if flat is None:
+        names = list(params)
+        flat = (*[_flat(d, names) for d in (params, grads, state.m, state.v)],
+                _decayed_ranges(params))
+    P, G, Mo, Vo, ranges = flat
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
-    P, G, Mo, Vo, ranges = _layout(params, grads, state)
     scratch, upd = np.empty(_SLICE), np.empty(_SLICE)
     for lo in range(0, P.size, _SLICE):
         hi = min(lo + _SLICE, P.size)
@@ -333,8 +330,6 @@ class TrainState:
     stream_pos: int = 0
     order: list[int] = field(default_factory=list)
     shuffle_salt: int = 0
-    # ``_layout``'s check of the arrays ``adamw_step`` last ran on; not saved.
-    layout: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, params):
@@ -616,9 +611,11 @@ def train(
     step, if ``state.order`` names a chunk the corpus does not have or if
     ``state.m`` or ``state.v`` lacks a group of ``params`` or its shape.
 
-    The optimizer works on flat buffers (see ``adamw_step``): the entries of
-    ``params`` are rebound to views of one buffer, unless they already are,
-    and updated in place from then on.
+    The optimizer works on flat buffers (see ``adamw_step``), laid out once
+    before the first step: the entries of ``params`` and of the moments of
+    ``state`` are rebound to views of one buffer each, unless they already
+    are, and updated in place from then on. Callbacks may write values in
+    place but must not rebind entries.
     """
     os.makedirs(out_dir, exist_ok=True)
     with DiagnosticsLog(os.path.join(out_dir, "diagnostics.csv")) as diag:
@@ -644,8 +641,11 @@ def train(
                         f"training state has no AdamW moment '{kind}:{name}' of shape "
                         f"{t.shape}"
                     )
-        # One gradient accumulator for the whole run, laid out like ``params``.
-        acc, grads = _tiled({name: t.shape for name, t in params.items()})
+        # The optimizer's buffers for the whole run, laid out by the names of ``params``.
+        names = list(params)
+        acc, grads = _tiled({name: params[name].shape for name in names})
+        flat = (_flat(params, names), acc, _flat(state.m, names), _flat(state.v, names),
+                _decayed_ranges(params))
 
         last_ckpt: str | None = None
 
@@ -678,12 +678,12 @@ def train(
                 loss = _mean_gradients(params, shape, batch, fcfg, cfg, eot_id, grads, acc)
                 if not math.isfinite(loss):
                     raise M.NonFiniteError(f"non-finite loss at step {step}")
-                clipped, gnorm = clip_gradients(grads, cfg.clip_norm)
+                gnorm = clip_gradients(grads, cfg.clip_norm)[1]
             except M.NonFiniteError as exc:
                 diag.record(step, "halt", "non_finite", str(exc))
                 raise TrainingDiverged(str(exc), last_ckpt) from exc
 
-            adamw_step(params, clipped, state, lr_at(step, cfg), cfg)
+            adamw_step(params, grads, state, lr_at(step, cfg), cfg, flat=flat)
 
             diag.record(step, "grad_norm", "global", gnorm)
             for name, norm in component_weight_norms(params).items():

@@ -484,6 +484,28 @@ TILING = {
 }
 
 
+# Training-config values that a run divides by or scales with, each set in
+# a config file: case -> (key, value).
+BAD_CONFIG = {
+    "config-batch-warmup-size-0": ("batch_warmup_size", "0"),
+    "config-batch-main-size-0": ("batch_main_size", "0"),
+    "config-checkpoint-interval-0": ("checkpoint_interval", "0"),
+    "config-val-interval-0": ("val_interval", "0"),
+    "config-train-loss-interval-0": ("train_loss_interval", "0"),
+    "config-smooth-alpha-2": ("smooth_alpha", "2.0"),
+    "config-adam-eps-0": ("adam_eps", "0"),
+    "config-dropout-h-1.5": ("dropout_h", "1.5"),
+    "config-beta1-1": ("beta1", "1.0"),
+}
+
+
+def _config_with(text, **values):
+    """``text`` with a ``key = value`` line for each of ``values``, in place
+    of the one it had."""
+    lines = [line for line in text.splitlines() if line.partition("=")[0].strip() not in values]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in values.items()]) + "\n"
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -512,6 +534,13 @@ TILING = {
         "tokenizer-header-size-not-a-number",
         "tokenizer-special-id-not-a-number",
         "tokenizer-not-utf8",
+        *BAD_CONFIG,
+        "override-adam-eps-0",
+        "checkpoint-beta1-1",
+        "jsonl-line-not-json",
+        "jsonl-not-utf8",
+        "config-not-utf8",
+        "task-not-utf8",
     ],
 )
 def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
@@ -525,6 +554,8 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         _write_checkpoint(ckpt, edit=lambda header: (
             header["config"].update(seq_len=16), header["state"].update(order=[0, 99999])
         ))
+    elif case == "checkpoint-beta1-1":
+        _write_checkpoint(ckpt, edit=lambda header: header["config"].update(beta1=1.0))
     elif case == "checkpoint-with-params-only":
         # saved from TrainState(): every param entry, no m or v entry
         _write_checkpoint(ckpt, edit=lambda header: header["config"].update(seq_len=16))
@@ -566,9 +597,13 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     if case == "checkpoint-truncated":
         ckpt.write_bytes(ckpt.read_bytes()[:10])
     model_args = ["--model", str(ckpt), "--tokenizer", str(tokpath)]
-    if case == "jsonl-line-not-an-object":
+    if case.startswith("jsonl-"):
         corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text('{"text": "fine"}\n["a", "list"]\n')
+        corpus.write_bytes(b'{"text": "fine"}\n' + {
+            "jsonl-line-not-an-object": b'["a", "list"]\n',
+            "jsonl-line-not-json": b'{"text": fine}\n',
+            "jsonl-not-utf8": b'{"text": "\xff"}\n',
+        }[case])
         argv = ["train-tokenizer", "--corpus", str(corpus), "--out", str(tmp_path / "o.txt")]
     elif case == "target-vocab-too-small":
         corpus = tmp_path / "corpus.txt"
@@ -580,6 +615,23 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         corpus.write_bytes(b"a" * 64)
         cfgpath = write_config(tmp_path, BASE_CFG.format(corpus=corpus, tok=tokpath, out=tmp_path))
         argv = ["train", "--config", cfgpath, "--resume", str(ckpt)]
+    elif case in BAD_CONFIG or case in ("override-adam-eps-0", "config-not-utf8"):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"a" * 64)
+        base = BASE_CFG.format(corpus=corpus, tok=tokpath, out=tmp_path / "run")
+        cfgpath = tmp_path / "run.cfg"
+        argv = ["train", "--config", str(cfgpath)]
+        if case in BAD_CONFIG:
+            key, value = BAD_CONFIG[case]
+            cfgpath.write_text(_config_with(base, val_corpus=corpus, **{key: value}))
+        elif case == "config-not-utf8":
+            cfgpath.write_bytes(base.encode().replace(b"# comment", b"# \xff comment"))
+        else:  # resume a valid run with the value as an override
+            cfgpath.write_text(_config_with(base, steps=2))
+            assert cli.main(argv) == 0
+            cfgpath.write_text(base)
+            argv += ["--resume", str(tmp_path / "run" / "checkpoint-00000002.bin"),
+                     "--override", "adam_eps=0"]
     elif case.startswith("task-"):
         tasks = tmp_path / "tasks.ndjson"
         rec = {"context": "a", "candidates": ["a", "b"], "gold": "a"}
@@ -591,12 +643,26 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
             "task-shot-without-gold": {"shots_pool": [{"context": "b"}]},
         }.get(case, {}))
         tasks.write_text("5\n" if case == "task-line-not-an-object" else json.dumps(rec) + "\n")
+        if case == "task-not-utf8":
+            tasks.write_bytes(tasks.read_bytes().replace(b'"a"', b'"\xff"', 1))
         argv = ["eval", "classify", *model_args, "--tasks", str(tasks)]
     else:
         argv = ["eval", "generate", *model_args, "--prompt", "a"]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2, err
     assert "data error" in err and "Traceback" not in err
+    if case in BAD_CONFIG:
+        assert f"data error: {BAD_CONFIG[case][0]} must be" in err, err
+    want = {
+        "override-adam-eps-0": "adam_eps must be positive, got 0.0",
+        "checkpoint-beta1-1": "beta1 must be in [0, 1), got 1.0",
+        "jsonl-line-not-json": f"{tmp_path / 'corpus.jsonl'}:2: not JSON: Expecting value",
+        "jsonl-not-utf8": f"{tmp_path / 'corpus.jsonl'}:2: not UTF-8: invalid start byte",
+        "config-not-utf8": f"{tmp_path / 'run.cfg'}:2: not UTF-8: invalid start byte",
+        "task-not-utf8": f"{tmp_path / 'tasks.ndjson'}:1: not UTF-8: invalid start byte",
+    }.get(case)
+    if want:
+        assert want in err, err
     if case == "checkpoint-order-beyond-corpus":
         assert "'order' holds chunk 99999" in err and "chunks" in err, err
     if case == "checkpoint-with-params-only":

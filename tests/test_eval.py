@@ -139,7 +139,7 @@ def test_window_context_guarantee_general():
 def test_windowed_equals_direct_when_short():
     lm = make_lm(3)
     tokens = [1, 2, 3, 4, 5]
-    direct = E._token_nll(lm, tokens, [1, 2, 3, 4])
+    direct = lm.span_nll(tokens, [1, 2, 3, 4])
     assert E._windowed_nll(lm, tokens, 1, window=2048, stride=1024) == pytest.approx(
         direct, rel=1e-12
     )
@@ -150,7 +150,7 @@ def test_windowed_matches_full_context_for_alibi_free_positions():
     lm = make_lm(4)
     tokens = [int(x) for x in np.arange(30) % SHAPE.vocab]
     full = E._windowed_nll(lm, tokens, 1, window=64, stride=32)
-    manual = E._token_nll(lm, tokens, list(range(1, 30)))
+    manual = lm.span_nll(tokens, list(range(1, 30)))
     assert full == pytest.approx(manual, rel=1e-12)
 
 
@@ -162,9 +162,9 @@ def test_windowed_needs_stride_from_1_to_below_window(window, stride):
         E._windowed_nll(uniform_stub(4), [1, 2, 3] * 10, 1, window=window, stride=stride)
 
 
-def test_token_nll_rejects_position_0():
+def test_span_nll_rejects_position_0():
     with pytest.raises(ValueError, match="position 0"):
-        E._token_nll(uniform_stub(4), [1, 2, 3], [0, 1])
+        M.span_nll(uniform_stub(4), [1, 2, 3], [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def test_span_memo_returns_the_miss_path_bits():
     lm = counting(M.LanguageModel(SHAPE, params))
     assert [lm.span_nll(t, s) for t, s in spans] == want
     assert lm.calls == distinct
-    assert [E._token_nll(lm, t, s) for t, s in spans] == want
+    assert [lm.span_nll(t, s) for t, s in spans] == want
     assert lm.calls == distinct  # every span was held
     assert lm._score_bytes == memo_bytes(lm) <= M._SCORE_BYTES
 

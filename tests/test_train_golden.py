@@ -1,0 +1,87 @@
+"""Golden training outputs: the sha256 of every file that `finforge train`
+writes for a small seeded run, and again after a `--resume --override`
+continuation of it. Reruns and resumes are byte-identical by contract, so a
+change to the trainer that moves any digest changes the trajectory; the
+digests may only be re-recorded together with a note that says why.
+
+The run covers batch 2, dropout, a validation pass, a `checkpoint_interval`
+that divides `steps` and the loss mask of `loss_on_separator = false`."""
+
+import hashlib
+import json
+
+from finforge import cli
+from finforge import tokenizer as T
+from test_eval_golden import WORDS
+from test_tokenizer_lattice import finance_text
+
+GOLDEN = {
+    "train": {
+        "checkpoint-00000002.bin": "b3072123fd964a3e36320665e2519d43bd74eb6b64a18f3470d93785800b105a",
+        "checkpoint-00000004.bin": "182a275dcbc8fb5edb13a515ca21effc3d720a6007e0e5138ec86412663045f7",
+        "diagnostics.csv": "9c31e8051d3108391cd30bffd5ab7f6a6df883055e521fd1c4a4614fe28394a8",
+    },
+    "resume": {
+        "checkpoint-00000002.bin": "b3072123fd964a3e36320665e2519d43bd74eb6b64a18f3470d93785800b105a",
+        "checkpoint-00000004.bin": "182a275dcbc8fb5edb13a515ca21effc3d720a6007e0e5138ec86412663045f7",
+        "checkpoint-00000006.bin": "0cf5c27b527960f1041fd7d2139a569e23401ad2860d8e65d9d9d27472f5ef4d",
+        "diagnostics.csv": "4558d2e011036580e8a842adfd1f0cf4a977943c1df02210b7c8d66d4b329d23",
+    },
+}
+
+CONFIG = """\
+corpus = {d}/docs.jsonl
+val_corpus = {d}/val.jsonl
+tokenizer = {d}/tok.txt
+out_dir = {d}/out
+steps = {steps}
+layers = 2
+heads = 2
+head_dim = 4
+init_seed = 3
+seed = 3
+seq_len = 16
+batch_warmup_size = 2
+batch_main_size = 2
+batch_warmup_steps = 2
+warmup_steps = 2
+horizon_steps = 20
+max_lr = 1e-2
+final_lr = 1e-3
+dropout_at = 0.1
+dropout_h = 0.1
+dropout_f = 0.1
+loss_on_separator = false
+train_loss_interval = 1
+val_interval = 2
+checkpoint_interval = 2
+"""
+
+
+def _fixture(d):
+    tok = T.finalize(T.UnigramVocab({w: 1.0 / (i + 2) for i, w in enumerate(WORDS)}, 1.0))
+    T.save_tokenizer(tok, str(d / "tok.txt"))
+    for name, seeds in (("docs", range(30)), ("val", range(100, 103))):
+        with open(d / f"{name}.jsonl", "w") as f:
+            for s in seeds:
+                f.write(json.dumps({"text": finance_text(s, 60).decode()}) + "\n")
+    for steps in (4, 6):
+        (d / f"run{steps}.cfg").write_text(CONFIG.format(d=d, steps=steps))
+
+
+def _digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def test_train_and_resume_outputs_are_golden(tmp_path, capsys):
+    _fixture(tmp_path)
+    assert cli.main(["train", "--config", str(tmp_path / "run4.cfg")]) == 0, capsys.readouterr().err
+    got = {"train": _digests(tmp_path / "out")}
+    code = cli.main([
+        "train", "--config", str(tmp_path / "run6.cfg"),
+        "--resume", str(tmp_path / "out" / "checkpoint-00000004.bin"),
+        "--override", "max_lr=5e-3",
+    ])
+    assert code == 0, capsys.readouterr().err
+    got["resume"] = _digests(tmp_path / "out")
+    assert got == GOLDEN

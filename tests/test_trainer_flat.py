@@ -224,6 +224,31 @@ def reference_mean_gradients(params, shape, batch, fcfg, cfg, eot_id, grads, acc
     return loss
 
 
+def reference_adamw_step(params, grads, state, lr, cfg, *, flat):
+    """``REF.adamw_step`` on per-group views of the four buffers that
+    ``train`` passes, laid out by the names of ``params``."""
+
+    def groups(buf):
+        out, off = {}, 0
+        for k, t in params.items():
+            out[k] = buf[off : off + t.size].reshape(t.shape)
+            off += t.size
+        return out
+
+    P, G, Mo, Vo, _ = flat
+    views = replace(state, m=groups(Mo), v=groups(Vo))
+    REF.adamw_step(groups(P), groups(G), views, lr, cfg)
+    state.step = views.step
+
+
+def reference_clip_gradients(grads, clip_norm):
+    """``REF.clip_gradients``, its new dict written back into ``grads``."""
+    clipped, norm = REF.clip_gradients(grads, clip_norm)
+    for k, g in clipped.items():
+        grads[k][...] = g
+    return grads, norm
+
+
 def tree_bytes(d):
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
 
@@ -241,8 +266,8 @@ def test_train_writes_the_same_bytes_with_the_reference_optimizer(tmp_path, monk
     # Each pass swaps one more part of the step for its reference form.
     for side in ("flat", "reference-optimizer", "reference-accumulation"):
         if side == "reference-optimizer":
-            monkeypatch.setattr(R, "adamw_step", REF.adamw_step)
-            monkeypatch.setattr(R, "clip_gradients", REF.clip_gradients)
+            monkeypatch.setattr(R, "adamw_step", reference_adamw_step)
+            monkeypatch.setattr(R, "clip_gradients", reference_clip_gradients)
         if side == "reference-accumulation":
             monkeypatch.setattr(R, "_mean_gradients", reference_mean_gradients)
         out = tmp_path / side
@@ -255,6 +280,24 @@ def test_train_writes_the_same_bytes_with_the_reference_optimizer(tmp_path, monk
         "checkpoint-00000004.bin", "checkpoint-00000006.bin", "diagnostics.csv"
     }
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_train_lays_out_the_flat_buffers_once_per_call(tmp_path, monkeypatch):
+    real_flat, laid_out = R._flat, []
+
+    def counting_flat(tensors, names):
+        laid_out.append(names)
+        return real_flat(tensors, names)
+
+    monkeypatch.setattr(R, "_flat", counting_flat)
+    shape = bench_shape(1, 2, 8, 64)
+    cfg = R.TrainConfig(max_lr=1e-2, final_lr=1e-3, warmup_steps=2, horizon_steps=20,
+                        seq_len=16, batch_warmup_size=2, batch_main_size=2)
+    rng = np.random.default_rng(9)
+    docs = [[int(t) for t in rng.integers(1, 64, size=20)] for _ in range(20)]
+    state, _ = R.train(M.init_params(shape, 3), shape, docs, cfg, STEPS, str(tmp_path))
+    assert state.step == STEPS
+    assert len(laid_out) == 3  # the parameters, m and v, before the first step
 
 
 def saved_checkpoint(path, shape, seed):
