@@ -220,12 +220,15 @@ def cmd_train(args) -> int:
         raise _UsageError("--override and --reshuffle apply only with --resume")
     values = C.parse_config(args.config)
     tok = T.load_tokenizer(values["tokenizer"])
-    cfg = C.train_config_from(values)
-    hidden = values["heads"] * values["head_dim"]
-    shape = S.ModelShape(
-        values["layers"], values["heads"], hidden, values["head_dim"], 4 * hidden,
-        tok.vocab_size,
-    )
+    try:
+        cfg = C.train_config_from(values)
+        hidden = values["heads"] * values["head_dim"]
+        shape = S.ModelShape(
+            values["layers"], values["heads"], hidden, values["head_dim"], 4 * hidden,
+            tok.vocab_size,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     ckpt = R.load_checkpoint(args.resume) if args.resume else None
     if ckpt:
         _check_vocab(tok, values["tokenizer"], ckpt[0], args.resume)

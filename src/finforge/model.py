@@ -38,13 +38,13 @@ eval scores again runs no forward at all.
 from __future__ import annotations
 
 import math
-import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .scaling import ModelShape, count_parameters
+from .tokenizer import BoundedMemo
 
 GELU_C0 = 0.79788456
 GELU_C1 = 0.044715
@@ -422,6 +422,9 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
     )
 
 
+# A diverging run's overflows are reported by ``_check_finite`` and
+# ``clip_gradients``, which name the site, not as numpy warnings ahead of them.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def forward(params, tokens, shape: ModelShape, cfg: ForwardConfig | None = None, past=None):
     """Logits (V, T) for a token sequence, or for the T positions after a
     cached prefix ``past`` (see ``_forward``), which the call extends."""
@@ -464,6 +467,7 @@ def _loss_grad_logits(logits, targets, weights=None) -> tuple[float, np.ndarray]
     return loss, dlt  # (T, V)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as ``forward``
 def backward(
     params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, weights=None, emit=None
 ):
@@ -589,17 +593,16 @@ class LanguageModel:
     ``_CACHE_BYTES``, keyed by the tokens up to each block's end, and
     computes only the blocks after the longest cached prefix that ends at
     or before the first column asked for; the columns are the bits
-    ``forward`` gives. ``span_nll`` keeps the NLL of each scored span, up
-    to ``_SCORE_BYTES``, and is emptied when the next entry would not fit.
-    Both assume that ``params`` are not changed in place."""
+    ``forward`` gives. ``span_nll`` keeps the NLL of each scored span in a
+    ``BoundedMemo``. Both assume that ``params`` are not changed in place."""
 
     shape: ModelShape
     params: dict[str, np.ndarray]
     eps: float = 1e-5
     qk_layer_scaling: bool = False
     _blocks: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
-    _scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _score_bytes: int = field(default=0, init=False, repr=False, compare=False)
+    _scores: BoundedMemo = field(default_factory=lambda: BoundedMemo(_SCORE_BYTES),
+                                 init=False, repr=False, compare=False)
 
     def cache_capacity(self) -> int:
         """Blocks that fit in ``_CACHE_BYTES``: each holds, per layer,
@@ -649,13 +652,4 @@ class LanguageModel:
         key = (np.asarray(tokens, dtype=np.intp).tobytes(),
                np.asarray(scored, dtype=np.intp).tobytes())
         nll = self._scores.get(key)
-        if nll is None:
-            nll = span_nll(self, tokens, scored)
-            size = sys.getsizeof(key[0]) + sys.getsizeof(key[1]) + sys.getsizeof(nll)
-            if size <= _SCORE_BYTES:
-                if self._score_bytes + size > _SCORE_BYTES:
-                    self._scores.clear()
-                    self._score_bytes = 0
-                self._scores[key] = nll
-                self._score_bytes += size
-        return nll
+        return self._scores.put(key, span_nll(self, tokens, scored)) if nll is None else nll

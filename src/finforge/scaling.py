@@ -88,13 +88,6 @@ class ModelShape:
             raise ValueError("hidden must equal heads * head_dim")
         if self.ffn_hidden != 4 * self.hidden:
             raise ValueError("ffn_hidden must equal 4 * hidden")
-    @property
-    def hardware_friendly(self) -> bool:
-        """Whether hidden and head dims are multiples of 8 (Tensor Core
-        alignment). Nothing enforces it: ``propose_shape`` only picks from
-        ``HEAD_DIMS`` and ``HEAD_COUNTS``, which guarantee it, and explicit
-        and toy test shapes need not have it."""
-        return self.hidden % 8 == 0 and self.head_dim % 8 == 0
 
 
 @dataclass(frozen=True)
@@ -115,12 +108,6 @@ class ParamTable:
     @property
     def grand_total(self) -> int:
         return sum(r.total for r in self.rows)
-
-    def row(self, name: str) -> ParamRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
 
 def count_parameters(shape: ModelShape) -> ParamTable:

@@ -69,16 +69,6 @@ class UnigramVocab:
     def __len__(self) -> int:
         return len(self.probs)
 
-    def validate(self, tol: float = 1e-9) -> None:
-        total = math.fsum(self.probs.values())
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        for tok, p in self.probs.items():
-            if not tok:
-                raise ValueError("empty token in vocabulary")
-            if p <= 0.0:
-                raise ValueError(f"non-positive probability for {tok!r}")
-
 
 def _normalized(probs: dict[bytes, float]) -> dict[bytes, float]:
     total = math.fsum(probs.values())
@@ -414,25 +404,47 @@ def prune_to_size(
     return UnigramVocab(probs=_normalized(kept), training_weight=vocab.training_weight)
 
 
+class BoundedMemo(dict):
+    """A dict of at most ``bound`` bytes of entries, counting the
+    ``sys.getsizeof`` of each key part and of the value. ``put`` keeps no
+    entry larger than the bound, and empties the memo when the next entry
+    would not fit."""
+
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound = bound
+        self.nbytes = 0
+
+    def put(self, key, value):
+        """Store ``value`` under ``key`` if it fits the bound; return ``value``."""
+        parts = key if isinstance(key, tuple) else (key,)
+        size = sum(map(sys.getsizeof, parts)) + sys.getsizeof(value)
+        if size <= self.bound:
+            if self.nbytes + size > self.bound:
+                self.clear()
+                self.nbytes = 0
+            self[key] = value
+            self.nbytes += size
+        return value
+
+
 @dataclass
 class TokenizerModel:
     """Finalized tokenizer: log-probability table and dense id assignment.
     Id 0 is always ``<|endoftext|>``; every single byte has a token, so any
     byte string is encodable.
 
-    Every ``encode`` call on a model shares its memo of pretoken -> ids, so
-    each distinct pretoken is segmented once per model. The memo holds up
-    to ``_MEMO_BYTES`` and is emptied when the next entry would not fit.
-    The prefix set of the tokens, which bounds the Viterbi scan, is built
-    on the first ``encode``. Both assume that the model is not changed in
-    place."""
+    Every ``encode`` call on a model shares its ``BoundedMemo`` of pretoken
+    -> ids, so each distinct pretoken is segmented once per model. The
+    prefix set of the tokens, which bounds the Viterbi scan, is built on the
+    first ``encode``. Both assume that the model is not changed in place."""
 
     logp: dict[bytes, float]
     id_to_token: list[bytes]  # index 0 holds b"", the <|endoftext|> slot
     token_to_id: dict[bytes, int]
     max_token_len: int = 1
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _memo_bytes: int = field(default=0, init=False, repr=False, compare=False)
+    _memo: BoundedMemo = field(default_factory=lambda: BoundedMemo(_MEMO_BYTES),
+                               init=False, repr=False, compare=False)
     _prefix_set: set | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -476,15 +488,7 @@ class TokenizerModel:
             self._prefix_set = _prefixes(self.logp)
         best = _viterbi(pretoken, self.logp, self.max_token_len, self._prefix_set)
         assert best is not None  # single-byte coverage guarantees totality
-        seg = tuple([self.token_to_id[t] for t in best[0]])
-        size = sys.getsizeof(pretoken) + sys.getsizeof(seg)
-        if size <= _MEMO_BYTES:
-            if self._memo_bytes + size > _MEMO_BYTES:
-                self._memo.clear()
-                self._memo_bytes = 0
-            self._memo[pretoken] = seg
-            self._memo_bytes += size
-        return seg
+        return self._memo.put(pretoken, tuple([self.token_to_id[t] for t in best[0]]))
 
 
 def finalize(vocab: UnigramVocab) -> TokenizerModel:
@@ -532,7 +536,7 @@ def decode(model: TokenizerModel, ids: list[int]) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Split-and-merge parallel training
+# Split-and-merge training
 
 
 def train_parallel(
@@ -540,10 +544,11 @@ def train_parallel(
     chunk_vocab: int = 65536,
     final_vocab: int = 2**17,
 ) -> TokenizerModel:
-    """Train one unigram vocabulary per chunk, merge hierarchically (chunks
-    within a domain first, then across domains), prune to the final size and
-    finalize. Merging is an associative byte-weighted reduction, so the
-    grouping is fixed for determinism but does not affect the result."""
+    """Train one unigram vocabulary per chunk, one chunk after another in
+    this process, merge hierarchically (chunks within a domain first, then
+    across domains), prune to the final size and finalize. Merging is an
+    associative byte-weighted reduction, so the grouping is fixed for
+    determinism but does not affect the result."""
     if not domains or any(not chunks for chunks in domains):
         raise InsufficientCorpusError("corpus partition has an empty domain")
     merged = merge_vocabs(

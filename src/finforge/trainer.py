@@ -90,11 +90,6 @@ class TrainConfig:
             raise ValueError(f"smooth_alpha must be in [0, 1], got {self.smooth_alpha!r}")
 
 
-def horizon_from_tokens(total_tokens: float, cfg: TrainConfig) -> int:
-    """Cosine horizon: planned tokens over the post-warmup tokens per step."""
-    return math.ceil(total_tokens / (cfg.batch_main_size * cfg.seq_len))
-
-
 # ---------------------------------------------------------------------------
 # Data pipeline
 
@@ -121,20 +116,9 @@ def _fisher_yates(n: int, seed: int) -> list[int]:
     return perm
 
 
-def shuffle_stream(docs: list, seed: int, mode: str = "full", shard_count: int = 1):
-    """Deterministic permutation of documents. ``full`` permutes globally;
-    ``shard_level`` permutes contiguous shards, preserving in-shard order."""
-    if mode == "full":
-        perm = _fisher_yates(len(docs), seed)
-        return [docs[i] for i in perm]
-    if mode == "shard_level":
-        bounds = np.array_split(np.arange(len(docs)), shard_count)
-        perm = _fisher_yates(len(bounds), seed)
-        out = []
-        for s in perm:
-            out.extend(docs[i] for i in bounds[s])
-        return out
-    raise ValueError(f"unknown shuffle mode {mode!r}")
+def shuffle_stream(docs: list, seed: int):
+    """Deterministic permutation of documents."""
+    return [docs[i] for i in _fisher_yates(len(docs), seed)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +279,6 @@ def adamw_step(params, grads, state: "TrainState", lr: float, cfg: TrainConfig, 
         theta -= update
 
 
-def smoothed_loss(series: list[float], alpha: float = 0.001) -> float:
-    """Normalized exponential running average of the last series value."""
-    if not series:
-        raise ValueError("series is empty")
-    state = TrainState()
-    for x in series:
-        smooth = state.smooth_update(x, alpha)
-    return smooth
-
-
 def component_weight_norms(params: dict[str, np.ndarray]) -> dict[str, float]:
     """L2 norm of each parameter group divided by sqrt(element count)."""
     norms = {}
@@ -416,7 +390,7 @@ _STATE_FIELDS = {
 }
 
 
-def _manifest_entries(path, header, shape: ModelShape, payload_bytes: int) -> dict:
+def _manifest_entries(header, shape: ModelShape, payload_bytes: int) -> dict:
     """The manifest's entries by kind (param, m, v), then name, in manifest
     order, after checking that each is a tensor of the model shape and that
     together they tile the payload: in manifest order from byte 0, each
@@ -430,12 +404,12 @@ def _manifest_entries(path, header, shape: ModelShape, payload_bytes: int) -> di
         kind, _, name = label.partition(":")
         if kind not in entries or expected.get(name) != tuple(entry["shape"]):
             raise ValueError(
-                f"{path}: manifest entry {label!r} with shape {entry['shape']} "
+                f"manifest entry {label!r} with shape {entry['shape']} "
                 "is not a tensor of the model shape"
             )
         if entry["dtype"] != "<f8":
             raise ValueError(
-                f"{path}: manifest entry {label!r} has dtype {entry['dtype']!r}, "
+                f"manifest entry {label!r} has dtype {entry['dtype']!r}, "
                 "not little-endian float64 ('<f8')"
             )
         # A repeated name is reported after a missing parameter, so an entry
@@ -444,26 +418,26 @@ def _manifest_entries(path, header, shape: ModelShape, payload_bytes: int) -> di
             twice = twice or label
         if not (_is_count(entry["offset"]) and entry["offset"] == end):
             raise ValueError(
-                f"{path}: manifest entry {label!r} has offset {reprlib.repr(entry['offset'])}, "
+                f"manifest entry {label!r} has offset {reprlib.repr(entry['offset'])}, "
                 f"not {end}: the entries must tile the payload in manifest order"
             )
         end += math.prod(entry["shape"]) * 8
         if end > payload_bytes:
             raise ValueError(
-                f"{path}: manifest entry {label!r} ends at payload byte {end}, "
+                f"manifest entry {label!r} ends at payload byte {end}, "
                 f"past the payload's {payload_bytes} bytes"
             )
         entries[kind][name] = entry
     if end != payload_bytes:
         raise ValueError(
-            f"{path}: manifest entry {label!r} ends at payload byte {end}, "
+            f"manifest entry {label!r} ends at payload byte {end}, "
             f"{payload_bytes - end} bytes before the payload does"
         )
     missing = [k for k in expected if k not in entries["param"]]
     if missing:
-        raise ValueError(f"{path}: manifest has no entry 'param:{missing[0]}'")
+        raise ValueError(f"manifest has no entry 'param:{missing[0]}'")
     if twice:
-        raise ValueError(f"{path}: manifest entry {twice!r} appears twice")
+        raise ValueError(f"manifest entry {twice!r} appears twice")
     return entries
 
 
@@ -485,23 +459,24 @@ def load_checkpoint(path, moments: bool = True):
             raise ValueError(f"{path}: truncated checkpoint header")
         version, hlen = struct.unpack("<IQ", prefix)
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
         size = os.fstat(f.fileno()).st_size
         if hlen > size - f.tell():
             raise ValueError(f"{path}: header length {hlen} runs past the end of the file")
-        header = json.loads(f.read(hlen))
-        base = f.tell()
         try:
+            header = json.loads(f.read(hlen))
+            base = f.tell()
             shape = ModelShape(**header["shape"])
             cfg = TrainConfig(**header["config"])
-            entries = _manifest_entries(path, header, shape, size - base)
+            entries = _manifest_entries(header, shape, size - base)
             st = dict(header["state"], step=header["step"])
             for key, (what, ok) in _STATE_FIELDS.items():
                 if not ok(st[key]):
                     raise ValueError(
-                        f"{path}: checkpoint field {key!r} must be {what}, "
-                        f"got {reprlib.repr(st[key])}"
+                        f"checkpoint field {key!r} must be {what}, got {reprlib.repr(st[key])}"
                     )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"{path}: malformed checkpoint header: {exc!r}") from exc
         groups = {"m": {}, "v": {}}
@@ -677,11 +652,14 @@ def train(
             try:
                 loss = _mean_gradients(params, shape, batch, fcfg, cfg, eot_id, grads, acc)
                 if not math.isfinite(loss):
-                    raise M.NonFiniteError(f"non-finite loss at step {step}")
+                    raise M.NonFiniteError("non-finite loss")
                 gnorm = clip_gradients(grads, cfg.clip_norm)[1]
             except M.NonFiniteError as exc:
                 diag.record(step, "halt", "non_finite", str(exc))
-                raise TrainingDiverged(str(exc), last_ckpt) from exc
+                good = last_ckpt or "none written by this run"
+                raise TrainingDiverged(
+                    f"{exc} at step {step}; last good checkpoint: {good}", last_ckpt
+                ) from exc
 
             adamw_step(params, grads, state, lr_at(step, cfg), cfg, flat=flat)
 

@@ -20,18 +20,6 @@ def encoded_token_count(model: TokenizerModel, corpus: list[bytes]) -> int:
     return sum(len(encode(model, doc)) for doc in corpus)
 
 
-def encoded_size_bits(model: TokenizerModel, corpus: list[bytes]) -> float:
-    """Total corpus cost in bits when each token costs log2(|V|) bits."""
-    if not corpus or all(len(d) == 0 for d in corpus):
-        raise ValueError("corpus is empty")
-    return encoded_token_count(model, corpus) * math.log2(model.vocab_size)
-
-
-def tokenizer_at_size(base: UnigramVocab, size: int) -> TokenizerModel:
-    """The finalized tokenizer of exactly ``size`` entries pruned from ``base``."""
-    return finalize_to_size(base, size)
-
-
 def sweep(
     base: UnigramVocab, corpus: list[bytes], candidates: list[int]
 ) -> list[VocabCandidate]:
@@ -39,9 +27,11 @@ def sweep(
         raise ValueError("no candidate sizes given")
     if sorted(candidates) != list(candidates):
         raise ValueError("candidate sizes must be sorted ascending")
+    if not any(corpus):
+        raise ValueError("corpus is empty")
     out = []
     for size in candidates:
-        model = tokenizer_at_size(base, size)
+        model = finalize_to_size(base, size)
         n_tok = encoded_token_count(model, corpus)
         out.append(VocabCandidate(size, n_tok, n_tok * math.log2(size)))
     return out
@@ -57,11 +47,3 @@ def best_size(swept: list[VocabCandidate]) -> int:
     """Candidate size with the fewest encoded bits (ties to the smaller size)."""
     return min(swept, key=lambda c: (c.encoded_bits, c.size)).size
 
-
-def select_vocab_size(
-    corpus: list[bytes], candidates: list[int], base: UnigramVocab
-) -> tuple[int, int]:
-    """argmin of encoded bits over candidate sizes, and that size rounded up
-    to the nearest power of two."""
-    best = best_size(sweep(base, corpus, candidates))
-    return best, round_up_pow2(best)

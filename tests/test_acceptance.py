@@ -43,18 +43,19 @@ def test_criterion_01_parameter_accounting(capsys):
     with criterion(capsys, 1, "parameter accounting"):
         shape = S.ModelShape(70, 40, 7680, 192, 30720, 131072)
         table = S.count_parameters(shape)
-        assert table.row("embedding").total == 1_006_632_960
-        assert table.row("ffn_in_weight").total == 16_515_072_000
-        assert table.row("ffn_out_weight").total == 16_515_072_000
+        rows = {r.name: r for r in table.rows}
+        assert rows["embedding"].total == 1_006_632_960
+        assert rows["ffn_in_weight"].total == 16_515_072_000
+        assert rows["ffn_out_weight"].total == 16_515_072_000
         for group in ("attn_query_weight", "attn_key_weight",
                       "attn_value_weight", "attn_output_weight"):
-            assert table.row(group).total == 4_128_768_000
-        assert table.row("embedding_ln_gain").total == 7680
-        assert table.row("input_ln_gain").total == 537_600
-        assert table.row("attn_query_bias").total == 537_600
-        assert table.row("attn_output_bias").total == 537_600
-        assert table.row("ffn_in_bias").total == 2_150_400
-        assert table.row("final_ln_bias").total == 7680
+            assert rows[group].total == 4_128_768_000
+        assert rows["embedding_ln_gain"].total == 7680
+        assert rows["input_ln_gain"].total == 537_600
+        assert rows["attn_query_bias"].total == 537_600
+        assert rows["attn_output_bias"].total == 537_600
+        assert rows["ffn_in_bias"].total == 2_150_400
+        assert rows["final_ln_bias"].total == 7680
         assert table.grand_total == 50_558_868_480
 
 
@@ -236,16 +237,16 @@ def test_criterion_08_vocab_heuristic(capsys):
         ]
         base = T.merge_vocabs([T.train_chunk_unigram(doc, 2500) for doc in corpus])
         candidates = [260, 512, 1024, 2048]
-        chosen, rounded = V.select_vocab_size(corpus, candidates, base)
+        chosen = V.best_size(V.sweep(base, corpus, candidates))
         # independent brute-force argmin
         best = None
         for size in candidates:
-            mod = V.tokenizer_at_size(base, size)
+            mod = T.finalize_to_size(base, size)
             bits = sum(len(T.encode(mod, d)) for d in corpus) * math.log2(size)
             if best is None or (bits, size) < best[:2]:
                 best = (bits, size)
         assert chosen == best[1]
-        assert rounded == V.round_up_pow2(chosen)
+        assert V.round_up_pow2(chosen) == 2 ** math.ceil(math.log2(chosen))
         assert V.round_up_pow2(125_000) == 131_072
 
 

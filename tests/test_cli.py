@@ -373,6 +373,29 @@ def test_train_cli_resume_into_a_new_directory(capsys, workspace):
     assert (out / "checkpoint-00000003.bin").exists()
 
 
+def test_train_cli_divergence_exits_3_naming_the_step_and_last_checkpoint(capsys, workspace):
+    # A learning rate of 1e30 overflows the forward at step 6, after the
+    # checkpoints of steps 2 and 4. The suite turns numpy's RuntimeWarnings
+    # into errors, so an overflow that warned would escape as a traceback.
+    cfgpath, out, _ = make_train_setup(workspace, capsys, "diverge", steps=10)
+    text = (workspace / "diverge.cfg").read_text()
+    text = text.replace(str(workspace / "docs.jsonl"), str(workspace / "corpus.txt"))
+    write_config(workspace, _config_with(
+        text, max_lr=1e30, warmup_steps=8, batch_warmup_size=1, batch_main_size=1,
+        checkpoint_interval=2,
+    ), "diverge.cfg")
+    code, stdout, err = run_cli(capsys, "train", "--config", cfgpath)
+    assert code == 3, err
+    assert stdout == "" and "Traceback" not in err and "Warning" not in err, err
+    last = out / "checkpoint-00000004.bin"
+    assert err.splitlines()[-1] == (
+        "numeric failure: non-finite values at layer 0 attention output at step 6; "
+        f"last good checkpoint: {last}"
+    )
+    _, _, params, _ = R.load_checkpoint(str(last))
+    assert all(np.isfinite(t).all() for t in params.values())
+
+
 @pytest.mark.parametrize("extra", [["--override", "max_lr=5e-4"], ["--reshuffle"]])
 def test_train_cli_resume_options_without_resume_are_usage_errors(capsys, workspace, extra):
     cfgpath, out, _ = make_train_setup(workspace, capsys, "noresume", steps=2)
@@ -652,10 +675,10 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     assert code == 2, err
     assert "data error" in err and "Traceback" not in err
     if case in BAD_CONFIG:
-        assert f"data error: {BAD_CONFIG[case][0]} must be" in err, err
+        assert f"data error: {tmp_path / 'run.cfg'}: {BAD_CONFIG[case][0]} must be" in err, err
     want = {
-        "override-adam-eps-0": "adam_eps must be positive, got 0.0",
-        "checkpoint-beta1-1": "beta1 must be in [0, 1), got 1.0",
+        "override-adam-eps-0": "data error: adam_eps must be positive, got 0.0",
+        "checkpoint-beta1-1": f"data error: {ckpt}: beta1 must be in [0, 1), got 1.0",
         "jsonl-line-not-json": f"{tmp_path / 'corpus.jsonl'}:2: not JSON: Expecting value",
         "jsonl-not-utf8": f"{tmp_path / 'corpus.jsonl'}:2: not UTF-8: invalid start byte",
         "config-not-utf8": f"{tmp_path / 'run.cfg'}:2: not UTF-8: invalid start byte",

@@ -211,29 +211,7 @@ def test_span_memo_returns_the_miss_path_bits():
     assert lm.calls == distinct
     assert [lm.span_nll(t, s) for t, s in spans] == want
     assert lm.calls == distinct  # every span was held
-    assert lm._score_bytes == memo_bytes(lm) <= M._SCORE_BYTES
-
-
-def test_span_memo_empties_within_a_small_bound(monkeypatch):
-    monkeypatch.setattr(M, "_SCORE_BYTES", 1200)
-    params = M.init_params(SHAPE, 6)
-    rng = np.random.default_rng(7)
-    spans = random_spans(rng, 30)
-    spans += [spans[i] for i in rng.integers(0, 30, 20)]
-    oversized = ([1, 2, 3] * 60, list(range(1, 180)))
-    spans.insert(10, oversized)
-    lm = M.LanguageModel(SHAPE, params)
-    emptied = 0
-    for tokens, scored in spans:
-        held = len(lm._scores)
-        assert lm.span_nll(tokens, scored) == M.span_nll(
-            M.LanguageModel(SHAPE, params), tokens, scored
-        )
-        assert lm._score_bytes == memo_bytes(lm) <= 1200
-        emptied += len(lm._scores) < held
-        if (tokens, scored) == oversized:
-            assert len(lm._scores) == held  # not stored, nothing dropped
-    assert emptied > 0
+    assert lm._scores.nbytes == memo_bytes(lm) <= M._SCORE_BYTES
 
 
 def test_span_memo_is_never_shared_between_models():

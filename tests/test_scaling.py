@@ -5,6 +5,15 @@ import pytest
 from finforge import scaling as S
 
 
+def hardware_friendly(shape):
+    """Hidden and head dims are multiples of 8 (Tensor Core alignment)."""
+    return shape.hidden % 8 == 0 and shape.head_dim % 8 == 0
+
+
+def rows(table):
+    return {r.name: r for r in table.rows}
+
+
 # ---------------------------------------------------------------------------
 # Effective FLOPs
 
@@ -97,8 +106,8 @@ def test_shape_invariants_enforced():
     with pytest.raises(ValueError):
         S.ModelShape(2, 4, 16, 4, 60, 64)  # ffn != 4 * hidden
     s = S.ModelShape(2, 4, 16, 4, 64, 64)
-    assert not s.hardware_friendly
-    assert S.ModelShape(70, 40, 7680, 192, 30720, 131072).hardware_friendly
+    assert not hardware_friendly(s)
+    assert hardware_friendly(S.ModelShape(70, 40, 7680, 192, 30720, 131072))
 
 
 # ---------------------------------------------------------------------------
@@ -109,22 +118,22 @@ BIG = S.ModelShape(70, 40, 7680, 192, 30720, 131072)
 
 
 def test_param_table_reference_shape_rows():
-    table = S.count_parameters(BIG)
-    assert table.row("embedding").total == 1_006_632_960
-    assert table.row("embedding_ln_gain").total == 7680
-    assert table.row("input_ln_gain").total == 537_600
-    assert table.row("attn_query_weight").per_instance == 192 * 7680
-    assert table.row("attn_query_weight").instances == 70 * 40
-    assert table.row("attn_query_weight").total == 4_128_768_000
-    assert table.row("attn_key_weight").total == 4_128_768_000
-    assert table.row("attn_value_weight").total == 4_128_768_000
-    assert table.row("attn_output_weight").total == 4_128_768_000
-    assert table.row("attn_query_bias").total == 70 * 40 * 192
-    assert table.row("attn_output_bias").total == 70 * 7680
-    assert table.row("ffn_in_weight").total == 70 * 30720 * 7680
-    assert table.row("ffn_in_weight").total + table.row("ffn_out_weight").total == 33_030_144_000
-    assert table.row("ffn_in_bias").total == 70 * 30720
-    assert table.row("final_ln_gain").total == 7680
+    table = rows(S.count_parameters(BIG))
+    assert table["embedding"].total == 1_006_632_960
+    assert table["embedding_ln_gain"].total == 7680
+    assert table["input_ln_gain"].total == 537_600
+    assert table["attn_query_weight"].per_instance == 192 * 7680
+    assert table["attn_query_weight"].instances == 70 * 40
+    assert table["attn_query_weight"].total == 4_128_768_000
+    assert table["attn_key_weight"].total == 4_128_768_000
+    assert table["attn_value_weight"].total == 4_128_768_000
+    assert table["attn_output_weight"].total == 4_128_768_000
+    assert table["attn_query_bias"].total == 70 * 40 * 192
+    assert table["attn_output_bias"].total == 70 * 7680
+    assert table["ffn_in_weight"].total == 70 * 30720 * 7680
+    assert table["ffn_in_weight"].total + table["ffn_out_weight"].total == 33_030_144_000
+    assert table["ffn_in_bias"].total == 70 * 30720
+    assert table["final_ln_gain"].total == 7680
 
 
 def test_param_table_reference_grand_total():
@@ -149,7 +158,7 @@ def test_param_table_zero_layers():
     # embedding + embedding LN + final LN only
     assert table.grand_total == 8 * 16 + 2 * 8 + 2 * 8
     with pytest.raises(KeyError):
-        table.row("attn_query_weight")
+        rows(table)["attn_query_weight"]
 
 
 def test_tied_head_adds_no_rows():
@@ -165,7 +174,7 @@ def test_propose_shape_reference_target():
     shape = S.propose_shape(50e9, 131072)
     assert (shape.layers, shape.heads, shape.hidden, shape.head_dim) == (70, 40, 7680, 192)
     assert shape.ffn_hidden == 30720 and shape.vocab == 131072
-    assert shape.hardware_friendly
+    assert hardware_friendly(shape)
 
 
 def test_propose_shape_is_a_fixed_point():

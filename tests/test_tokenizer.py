@@ -9,6 +9,19 @@ from hypothesis import strategies as st
 from finforge import tokenizer as T
 
 
+def validate(vocab, tol=1e-9):
+    """A distribution: probabilities that sum to 1, each positive, over
+    non-empty tokens."""
+    total = math.fsum(vocab.probs.values())
+    if abs(total - 1.0) > tol:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    for tok, p in vocab.probs.items():
+        if not tok:
+            raise ValueError("empty token in vocabulary")
+        if p <= 0.0:
+            raise ValueError(f"non-positive probability for {tok!r}")
+
+
 # ---------------------------------------------------------------------------
 # Pretokenization
 
@@ -104,7 +117,7 @@ def test_em_matches_brute_force_without_pruning():
     oracle = brute_force_em(counts, seed, iters=T.EM_ITERS_PER_ROUND)
 
     vocab = T.train_chunk_unigram(chunk, target_size=len(seed) + 10)
-    vocab.validate()
+    validate(vocab)
     assert set(vocab.probs) == set(oracle)
     for t in oracle:
         assert vocab.probs[t] == pytest.approx(oracle[t], abs=1e-10)
@@ -112,7 +125,7 @@ def test_em_matches_brute_force_without_pruning():
 
 def test_em_repeating_pair_corpus_learns_repeats():
     vocab = T.train_chunk_unigram(b"abababab" * 100, target_size=8)
-    vocab.validate()
+    validate(vocab)
     assert len(vocab) <= 8
     top = max(vocab.probs, key=lambda t: vocab.probs[t])
     assert set(top) <= {ord("a"), ord("b")} and len(top) >= 2
@@ -124,14 +137,14 @@ def test_em_repeating_pair_corpus_learns_repeats():
 
 def test_em_single_byte_corpus():
     vocab = T.train_chunk_unigram(b"a" * 400, target_size=4)
-    vocab.validate()
+    validate(vocab)
     assert b"a" in vocab.probs
     assert all(set(t) == {ord("a")} for t in vocab.probs)
 
 
 def test_em_saturation_returns_all_candidates_without_error():
     vocab = T.train_chunk_unigram(b"xy", target_size=10_000)
-    vocab.validate()
+    validate(vocab)
     assert len(vocab) <= 10_000
 
 
@@ -202,7 +215,7 @@ def test_merge_commutative_and_associative(raw):
         assert set(m.probs) == set(flat.probs)
         for t in flat.probs:
             assert m.probs[t] == pytest.approx(flat.probs[t], abs=1e-12)
-    flat.validate()
+    validate(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +461,10 @@ def test_training_determinism_byte_identical(tmp_path):
 def test_probability_mass_after_every_operation():
     vocabs = [T.train_chunk_unigram(c, 60) for d in _synthetic_domains() for c in d]
     for v in vocabs:
-        v.validate()
+        validate(v)
     merged = T.merge_vocabs(vocabs)
-    merged.validate()
+    validate(merged)
     pruned = T.prune_to_size(merged, 100, protected={t for t in merged.probs if len(t) == 1})
-    pruned.validate()
+    validate(pruned)
     model = T.finalize(pruned)
     assert math.fsum(math.exp(lp) for lp in model.logp.values()) == pytest.approx(1.0, abs=1e-9)

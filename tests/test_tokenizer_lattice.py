@@ -1,8 +1,9 @@
 """The lattice E-step and its log-sum-exp, the filtered lattices, the shared
 prune scores, the prefix-bounded Viterbi scan and the per-model encode memo
 of `finforge.tokenizer` against the per-word reference
-(`reference_tokenizer.py`), bit for bit; EM convergence within a prune
-round; and byte-identical training whatever the hash seed."""
+(`reference_tokenizer.py`), bit for bit; the byte bound of `BoundedMemo`, for
+the encode memo and the language model's span memo; EM convergence within a
+prune round; and byte-identical training whatever the hash seed."""
 
 import math
 import os
@@ -11,12 +12,15 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import finforge
 import reference_tokenizer as R
+import test_eval as EV
+from finforge import model as M
 from finforge import tokenizer as T
 from test_cli import CORPUS_TEXT
 
@@ -307,20 +311,61 @@ def test_encode_with_a_warm_memo_matches_reference_per_document(encode_model, mo
     assert len(model._memo) == len(distinct)
 
 
-def _memo_size(model):
-    return sum(sys.getsizeof(pt) + sys.getsizeof(ids) for pt, ids in model._memo.items())
+def _memo_size(memo):
+    """``sys.getsizeof`` of each entry's key parts and value, summed."""
+    return sum(
+        sum(map(sys.getsizeof, key if isinstance(key, tuple) else (key,))) + sys.getsizeof(value)
+        for key, value in memo.items()
+    )
 
 
-def test_encode_memo_stays_within_its_byte_bound(monkeypatch):
+def _encode_memo(monkeypatch):
+    """A tokenizer's memo at a 3000-byte bound, the documents to encode (the
+    last one pretoken larger than the bound) and a call that encodes one."""
     monkeypatch.setattr(T, "_MEMO_BYTES", 3000)
     model = T.finalize(T.train_chunk_unigram(finance_text(9, 1200), 50))
-    sizes = []
-    for doc in _documents() + [b"x" * 5000]:  # a pretoken larger than the bound
+
+    def call(doc):
         assert T.encode(model, doc) == R.encode(model, doc)
-        assert model._memo_bytes == _memo_size(model) <= T._MEMO_BYTES
-        sizes.append(len(model._memo))
-    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it was cleared
-    assert b"x" * 5000 not in model._memo
+
+    oversized = b"x" * 5000
+    return model._memo, 3000, _documents() + [oversized], oversized, call
+
+
+def _span_memo(monkeypatch):
+    """A language model's span memo at a 1200-byte bound, the spans to score
+    (some repeated, one larger than the bound) and a call that scores one."""
+    monkeypatch.setattr(M, "_SCORE_BYTES", 1200)
+    params = M.init_params(EV.SHAPE, 6)
+    rng = np.random.default_rng(7)
+    spans = EV.random_spans(rng, 30)
+    spans += [spans[i] for i in rng.integers(0, 30, 20)]
+    oversized = ([1, 2, 3] * 60, list(range(1, 180)))
+    spans.insert(10, oversized)
+    lm = M.LanguageModel(EV.SHAPE, params)
+
+    def call(span):
+        assert lm.span_nll(*span) == M.span_nll(M.LanguageModel(EV.SHAPE, params), *span)
+
+    return lm._scores, 1200, spans, oversized, call
+
+
+@pytest.mark.parametrize("memo_case", [_encode_memo, _span_memo], ids=["encode", "span_nll"])
+def test_bounded_memo_stays_within_its_byte_bound(monkeypatch, memo_case):
+    # The one BoundedMemo contract, for both of its users: the byte count is
+    # the getsizeof sum and within the bound, the memo is emptied when the
+    # next entry would not fit, and an entry above the bound is not stored,
+    # with nothing dropped for it.
+    memo, bound, inputs, oversized, call = memo_case(monkeypatch)
+    emptied = 0
+    for x in inputs:
+        before = dict(memo)
+        call(x)
+        assert memo.nbytes == _memo_size(memo) <= bound
+        emptied += len(memo) < len(before)
+        if x is oversized:
+            assert memo == before
+    assert emptied > 0
 
 
 # ---------------------------------------------------------------------------

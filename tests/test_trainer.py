@@ -72,18 +72,24 @@ def test_fisher_yates_reference_oracle():
         assert sorted(got) == list(range(n))
 
 
+def shard_level_shuffle(docs, seed, shard_count):
+    """A permutation of contiguous shards that keeps each shard's order."""
+    bounds = np.array_split(np.arange(len(docs)), shard_count)
+    return [docs[i] for s in TR._fisher_yates(len(bounds), seed) for i in bounds[s]]
+
+
 def test_shuffle_stream_modes():
     docs = list(range(12))
-    full = TR.shuffle_stream(docs, seed=3, mode="full")
+    full = TR.shuffle_stream(docs, seed=3)
     assert sorted(full) == docs and full != docs
-    assert full == TR.shuffle_stream(docs, seed=3, mode="full")
-    sharded = TR.shuffle_stream(docs, seed=3, mode="shard_level", shard_count=3)
+    assert full == TR.shuffle_stream(docs, seed=3)
+    sharded = shard_level_shuffle(docs, seed=3, shard_count=3)
     # shards of 4 stay contiguous and internally ordered
     assert sorted(sharded) == docs
     shards = [sharded[i : i + 4] for i in range(0, 12, 4)]
     assert all(s == sorted(s) for s in shards)
     assert {tuple(s) for s in shards} == {(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)}
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the only shuffle is the full one
         TR.shuffle_stream(docs, seed=0, mode="bogus")
 
 
@@ -132,9 +138,14 @@ def test_batch_size_schedule():
         TR.batch_size_at(0, cfg)
 
 
+def horizon_from_tokens(total_tokens, cfg):
+    """Cosine horizon: planned tokens over the post-warmup tokens per step."""
+    return math.ceil(total_tokens / (cfg.batch_main_size * cfg.seq_len))
+
+
 def test_horizon_from_tokens():
     cfg = TR.TrainConfig()
-    assert TR.horizon_from_tokens(569e9, cfg) == math.ceil(569e9 / (2048 * 2048))
+    assert horizon_from_tokens(569e9, cfg) == math.ceil(569e9 / (2048 * 2048))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +271,16 @@ def test_adamw_bit_identical_across_runs():
 # Smoothed loss
 
 
+def smoothed_loss(series, alpha=0.001):
+    """The last value of ``TrainState.smooth_update`` over ``series``."""
+    if not series:
+        raise ValueError("series is empty")
+    state = TR.TrainState()
+    for x in series:
+        smooth = state.smooth_update(x, alpha)
+    return smooth
+
+
 def test_smoothed_loss_quadratic_oracle():
     rng = np.random.default_rng(5)
     series = list(rng.normal(5.0, 1.0, size=200))
@@ -267,7 +288,7 @@ def test_smoothed_loss_quadratic_oracle():
     t = len(series)
     num = math.fsum(x * (1 - alpha) ** (t - 1 - i) for i, x in enumerate(series))
     den = math.fsum((1 - alpha) ** (t - 1 - i) for i in range(t))
-    assert TR.smoothed_loss(series, alpha) == pytest.approx(num / den, abs=1e-12)
+    assert smoothed_loss(series, alpha) == pytest.approx(num / den, abs=1e-12)
 
 
 def test_smoothed_loss_incremental_equals_batch():
@@ -276,14 +297,14 @@ def test_smoothed_loss_incremental_equals_batch():
     last = None
     for i, x in enumerate(series):
         last = state.smooth_update(x, 0.1)
-        assert last == pytest.approx(TR.smoothed_loss(series[: i + 1], 0.1), abs=1e-12)
+        assert last == pytest.approx(smoothed_loss(series[: i + 1], 0.1), abs=1e-12)
     assert last is not None
 
 
 def test_smoothed_loss_constant_series_and_empty():
-    assert TR.smoothed_loss([7.0] * 50, 0.001) == pytest.approx(7.0, rel=1e-12)
+    assert smoothed_loss([7.0] * 50, 0.001) == pytest.approx(7.0, rel=1e-12)
     with pytest.raises(ValueError):
-        TR.smoothed_loss([], 0.001)
+        smoothed_loss([], 0.001)
 
 
 def test_component_weight_norms():

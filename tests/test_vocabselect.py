@@ -16,21 +16,23 @@ BASE = base_vocab(CORPUS)
 
 
 def test_encoded_bits_formula():
-    model = V.tokenizer_at_size(BASE, 300)
+    model = T.finalize_to_size(BASE, 300)
     n_tok = V.encoded_token_count(model, CORPUS)
-    assert V.encoded_size_bits(model, CORPUS) == pytest.approx(
+    assert V.sweep(BASE, CORPUS, [300])[0].encoded_bits == pytest.approx(
         n_tok * math.log2(model.vocab_size), rel=1e-12
     )
 
 
 def test_tokenizer_at_size_exact_vocab_size():
     for size in (257, 300, 400):
-        assert V.tokenizer_at_size(BASE, size).vocab_size == size
+        assert T.finalize_to_size(BASE, size).vocab_size == size
 
 
 def test_tokenizer_at_size_too_small_raises():
     with pytest.raises(ValueError):
-        V.tokenizer_at_size(BASE, 256)  # no room for <|endoftext|>
+        T.finalize_to_size(BASE, 256)  # no room for <|endoftext|>
+    with pytest.raises(ValueError):
+        V.sweep(BASE, CORPUS, [256])
 
 
 def test_sweep_matches_independent_recount():
@@ -38,7 +40,7 @@ def test_sweep_matches_independent_recount():
     swept = V.sweep(BASE, CORPUS, candidates)
     assert [c.size for c in swept] == candidates
     for cand in swept:
-        model = V.tokenizer_at_size(BASE, cand.size)
+        model = T.finalize_to_size(BASE, cand.size)
         n_tok = sum(len(T.encode(model, doc)) for doc in CORPUS)
         assert cand.encoded_tokens == n_tok
         assert cand.encoded_bits == pytest.approx(n_tok * math.log2(cand.size), rel=1e-12)
@@ -55,9 +57,9 @@ def test_select_is_argmin_of_sweep():
     candidates = [270, 300, 330, 360, 400]
     swept = V.sweep(BASE, CORPUS, candidates)
     oracle = min(swept, key=lambda c: (c.encoded_bits, c.size))
-    chosen, rounded = V.select_vocab_size(CORPUS, candidates, BASE)
+    chosen = V.best_size(swept)
     assert chosen == oracle.size
-    assert rounded == V.round_up_pow2(chosen)
+    assert V.round_up_pow2(chosen) == 2 ** math.ceil(math.log2(chosen))
 
 
 def test_bits_tradeoff_larger_vocab_fewer_tokens():
@@ -77,7 +79,7 @@ def test_crossover_small_vocab_wins_when_merges_do_not_help():
     corpus = [bytes(rng.randrange(256) for _ in range(200))]
     base = base_vocab([b"english text only here " * 30])
     swept = V.sweep(base, corpus, [300, 350, 400])
-    chosen, _ = V.select_vocab_size(corpus, [300, 350, 400], base)
+    chosen = V.best_size(swept)
     if swept[0].encoded_tokens == swept[2].encoded_tokens:
         assert chosen == 300
 
@@ -100,8 +102,7 @@ def test_round_up_pow2_properties():
 
 
 def test_empty_corpus_rejected():
-    model = V.tokenizer_at_size(BASE, 300)
-    with pytest.raises(ValueError):
-        V.encoded_size_bits(model, [])
-    with pytest.raises(ValueError):
-        V.encoded_size_bits(model, [b""])
+    with pytest.raises(ValueError, match="corpus is empty"):
+        V.sweep(BASE, [], [300])
+    with pytest.raises(ValueError, match="corpus is empty"):
+        V.sweep(BASE, [b""], [300])
