@@ -183,13 +183,13 @@ def cmd_plan(args) -> int:
         budget = S.ComputeBudget(args.gpu_hours, args.tflops * 1e12, args.discount)
         flops = S.effective_flops(budget)
         print(f"effective_flops,{flops:.6e}")
+        sizes = []
         for fit in (S.APPROACH_1, S.APPROACH_2):
             p, t = S.chinchilla_predict(flops, fit)
+            sizes.append(p)
             print(f"approach{fit.approach}_params,{p:.6e}")
             print(f"approach{fit.approach}_tokens,{t:.6e}")
-        p1, _ = S.chinchilla_predict(flops, S.APPROACH_1)
-        p2, _ = S.chinchilla_predict(flops, S.APPROACH_2)
-        target = 0.5 * (p1 + p2)
+        target = 0.5 * (sizes[0] + sizes[1])
     if shape is None:
         shape = S.propose_shape(target, args.vocab)
     print(
@@ -248,7 +248,7 @@ def cmd_train(args) -> int:
         os.makedirs(values["out_dir"], exist_ok=True)
         with R.DiagnosticsLog(os.path.join(values["out_dir"], "diagnostics.csv")) as diag:
             shape, cfg, params, state = R.resume_with_overrides(
-                ckpt, overrides, reshuffle_remaining=args.reshuffle, diag=diag
+                ckpt, overrides, args.reshuffle, diag
             )
     else:
         params = M.init_params(shape, values["init_seed"])
@@ -256,10 +256,14 @@ def cmd_train(args) -> int:
 
     for line in C.resolved_lines(values, cfg):
         print(line, file=sys.stderr)
-    state, last = R.train(
-        params, shape, docs, cfg, values["steps"], values["out_dir"],
-        eot_id=tok.eot_id, val_docs=val_docs, state=state,
-    )
+    try:
+        state, last = R.train(
+            params, shape, docs, cfg, values["steps"], values["out_dir"],
+            eot_id=tok.eot_id, val_docs=val_docs, state=state,
+        )
+    except R.TrainingDiverged as exc:
+        exc.last_checkpoint = exc.last_checkpoint or args.resume  # where this run began
+        raise
     print(f"final_checkpoint,{last}")
     print(f"final_step,{state.step}")
     return 0
@@ -387,7 +391,7 @@ def main(argv=None) -> int:
     except (M.NonFiniteError, R.TrainingDiverged) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError, json.JSONDecodeError, T.InsufficientCorpusError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -35,9 +35,9 @@ RUN_KEYS: dict[str, tuple[type, Any]] = {
     "val_max_chunks": (int, 16),
 }
 
+# ``from __future__ import annotations`` makes each field's type its name.
 TRAIN_KEYS: dict[str, type] = {
-    f.name: f.type if isinstance(f.type, type) else {"int": int, "float": float, "bool": bool, "str": str}[f.type]
-    for f in fields(TrainConfig)
+    f.name: {"int": int, "float": float, "bool": bool}[f.type] for f in fields(TrainConfig)
 }
 
 _KEY_TYPES: dict[str, type] = {k: t for k, (t, _) in RUN_KEYS.items()} | TRAIN_KEYS

@@ -129,10 +129,10 @@ def assemble_prompt(
     k_shots: int,
     shot_seed: int,
     example_index: int,
-    separator: bytes = b"\n\n",
 ) -> bytes:
     """Sample k exemplars without replacement (deterministically per example)
-    and prepend them to the test context."""
+    and prepend them to the test context, each part separated by a blank
+    line."""
     if k_shots > len(pool):
         raise ValueError("exemplar pool smaller than requested shot count")
     rng = np.random.default_rng([shot_seed, example_index])
@@ -143,7 +143,7 @@ def assemble_prompt(
         picks.append(remaining.pop(i))
     parts = [pool[i][0] + pool[i][1] for i in picks]
     parts.append(context)
-    return separator.join(parts)
+    return b"\n\n".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +151,17 @@ def assemble_prompt(
 
 
 def greedy_decode(
-    lm: LanguageModel,
-    prompt: list[int],
-    max_new_tokens: int,
-    stop: set[int] | None = None,
-    eot_id: int = 0,
+    lm: LanguageModel, prompt: list[int], max_new_tokens: int, eot_id: int = 0
 ) -> list[int]:
     """Repeatedly append the argmax next token (ties to the lowest id);
-    stops at the separator token or any stop token."""
+    stops at the separator token."""
     if max_new_tokens < 1:
         raise ValueError("max_new_tokens must be at least 1")
-    stop = set(stop or ())
     tokens = list(prompt)
     out: list[int] = []
     for _ in range(max_new_tokens):
         nxt = int(np.argmax(lm.logits(tokens, len(tokens) - 1)[:, 0]))
-        if nxt == eot_id or nxt in stop:
+        if nxt == eot_id:
             break
         out.append(nxt)
         tokens.append(nxt)

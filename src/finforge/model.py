@@ -69,17 +69,15 @@ class NonFiniteError(FloatingPointError):
 
 @dataclass(frozen=True)
 class ForwardConfig:
+    """One forward pass's settings; each ``p_*`` above 0 drops out at its site."""
+
     p_at: float = 0.0
     p_h: float = 0.0
     p_f: float = 0.0
-    training: bool = False
     rng_seed: int = 0
     step: int = 0
     eps: float = 1e-5
     qk_layer_scaling: bool = False
-
-    def dropout(self, which: float) -> float:
-        return which if self.training else 0.0
 
 
 def alibi_slopes(heads: int) -> np.ndarray:
@@ -324,7 +322,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         raise ValueError("need at least one token")
     if tokens.min() < 0 or tokens.max() >= V:
         raise ValueError("token id out of range")
-    if past is not None and cfg.training:
+    if past is not None and max(cfg.p_at, cfg.p_h, cfg.p_f) > 0:
         raise ValueError(
             "a cached prefix needs an inference config: dropout masks span the whole sequence"
         )
@@ -336,7 +334,6 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
     rows = Tp - s0  # the rows computed here
     inv_sqrt_dh = 1.0 / math.sqrt(Dh)
     bias = _cached_block_bias(N, Tp)
-    p_at, p_h, p_f = cfg.dropout(cfg.p_at), cfg.dropout(cfg.p_h), cfg.dropout(cfg.p_f)
 
     emb = _padded(params["Wem"][:, tokens].T, (rows, D))
     h, ln_em_cache = _ln_fwd(emb, params["ln_em.g"], params["ln_em.b"], cfg.eps)
@@ -363,7 +360,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
             past[l : l + 1] = [(K[:, :done], Vv[:, :done])]
 
         # (N, query, key), transposed from the (N, key, query) draw
-        amask = _dropout_mask(cfg, l, _DROP_ATTN, p_at, N, T, T)
+        amask = _dropout_mask(cfg, l, _DROP_ATTN, cfg.p_at, N, T, T)
         amask = _padded(None if amask is None else amask.transpose(0, 2, 1), (N, Tp, Tp))
         scale = float(l + 1) if cfg.qk_layer_scaling else 1.0
         probs = []  # per query block: pre-dropout softmax over keys [0, k1)
@@ -384,7 +381,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         ybar = ybar.reshape(rows, N * Dh)
 
         y = _rows(ybar, Ucat) + params[p + "attn.c"]
-        hmask = _padded(_dropout_mask(cfg, l, _DROP_HIDDEN, p_h, T, D), (rows, D))
+        hmask = _padded(_dropout_mask(cfg, l, _DROP_HIDDEN, cfg.p_h, T, D), (rows, D))
         yd = y if hmask is None else y * hmask
         hbar = h + yd
         _check_finite(hbar, f"layer {l} attention output")
@@ -397,7 +394,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         # g over a, which nothing reads again; gelu'(a) only for backward
         g, gg = _gelu_rows(a, np.empty_like(a) if keep_cache else None)
         o = _rows(g, params[p + "ffn.U"].T) + params[p + "ffn.c"]
-        fmask = _padded(_dropout_mask(cfg, l, _DROP_FFN, p_f, T, D), (rows, D))
+        fmask = _padded(_dropout_mask(cfg, l, _DROP_FFN, cfg.p_f, T, D), (rows, D))
         od = o if fmask is None else o * fmask
         h_next = hbar + od
         _check_finite(h_next, f"layer {l} FFN output")
@@ -468,28 +465,21 @@ def _loss_grad_logits(logits, targets, weights=None) -> tuple[float, np.ndarray]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as ``forward``
-def backward(
-    params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, weights=None, emit=None
-):
-    """Loss and exact gradients of cross_entropy_loss(forward(.)).
-
-    Without ``emit`` it returns ``(loss, grads)``, the gradients in
-    ``params`` order. With ``emit`` it calls ``emit(name, grad)`` exactly
-    once per parameter group, as soon as that group's gradient is final
-    (``Wem`` last, after the embedding's scatter-add), and returns
-    ``(loss, None)``.
+def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, emit, weights=None):
+    """Loss of cross_entropy_loss(forward(.)); its exact gradients go to
+    ``emit(name, grad)``, called exactly once per parameter group as soon as
+    that group's gradient is final (``Wem`` last, after the embedding's
+    scatter-add).
 
     Memory: besides the parameters, the gradients not yet handed over (at
-    most one layer's with ``emit``, a whole model copy without it) and one
-    sequence's activations, of which the cache keeps only what backward
-    reads (gelu(a) and gelu'(a), not a), each freed after its last read. A
-    step accumulating through ``emit`` thus holds four model copies
-    (parameters, accumulator, AdamW's m and v) plus those activations.
+    most one layer's) and one sequence's activations, of which the cache
+    keeps only what backward reads (gelu(a) and gelu'(a), not a), each freed
+    after its last read. A step accumulating through ``emit`` thus holds four
+    model copies (parameters, accumulator, AdamW's m and v) plus those
+    activations.
 
     Padded rows get exactly zero upstream gradient, so they add nothing to
     the weight gradients."""
-    grads = {}
-    out = grads.__setitem__ if emit is None else emit
     logits, cache = _forward(params, tokens, shape, cfg, True)
     loss, dlt = _loss_grad_logits(logits, targets, weights)
     del logits
@@ -499,8 +489,8 @@ def backward(
 
     def ln_back(dy, ln_cache, prefix):
         dx, dgain, dbias = _ln_bwd(dy, ln_cache)
-        out(prefix + "g", dgain)
-        out(prefix + "b", dbias)
+        emit(prefix + "g", dgain)
+        emit(prefix + "b", dbias)
         return dx
 
     dh = ln_back(dlt @ params["Wem"].T, cache["ln_f"], "ln_f.")
@@ -510,21 +500,21 @@ def backward(
         c = cache["layers"].pop()  # frees each layer's activations once used
         # h_next = hbar + drop(o)
         do = dh if c["fmask"] is None else dh * c["fmask"]
-        out(p + "ffn.U", do.T @ c.pop("g"))
-        out(p + "ffn.c", do.sum(axis=0))
+        emit(p + "ffn.U", do.T @ c.pop("g"))
+        emit(p + "ffn.c", do.sum(axis=0))
         da = do @ params[p + "ffn.U"]
         da *= c.pop("gg")
         del do
-        out(p + "ffn.W", da.T @ _ln_out(c["ln_at"], params[p + "ln_at.b"]))
-        out(p + "ffn.b", da.sum(axis=0))
+        emit(p + "ffn.W", da.T @ _ln_out(c["ln_at"], params[p + "ln_at.b"]))
+        emit(p + "ffn.b", da.sum(axis=0))
         dhbar = dh + ln_back(da @ params[p + "ffn.W"], c["ln_at"], p + "ln_at.")
         del da, dh
 
         Wqkv, Ucat = _attn_maps(params, p, shape)
         dy = dhbar if c["hmask"] is None else dhbar * c["hmask"]
-        out(p + "attn.c", dy.sum(axis=0))
+        emit(p + "attn.c", dy.sum(axis=0))
         dU = (dy.T @ c["ybar"]).reshape(D, N, Dh).transpose(1, 0, 2)
-        out(p + "attn.U", np.ascontiguousarray(dU))
+        emit(p + "attn.U", np.ascontiguousarray(dU))
         dybar = (dy @ Ucat.T).reshape(Tp, N, Dh).transpose(1, 0, 2)
         del dy, dU, Ucat
         dqkv = _attention_back(dybar, c, cache["inv_sqrt_dh"] / c["scale"])
@@ -533,8 +523,8 @@ def backward(
         db = dqkv.sum(axis=0).reshape(3, N, Dh)
         db[1] = 0.0  # attn.bk, left out of the forward
         for i, k in enumerate("qkv"):
-            out(p + "attn.W" + k, dW[i])
-            out(p + "attn.b" + k, db[i])
+            emit(p + "attn.W" + k, dW[i])
+            emit(p + "attn.b" + k, db[i])
         del dW
         dh = dhbar + ln_back(dqkv @ Wqkv, c["ln_in"], p + "ln_in.")
 
@@ -543,8 +533,8 @@ def backward(
     # term is formed last, from the same operands, so no layer runs beside it.
     dWem = cache["z"].T @ dlt
     np.add.at(dWem.T, cache["tokens"], demb[: len(cache["tokens"])])
-    out("Wem", dWem)
-    return loss, None if emit is not None else {k: grads[k] for k in params}
+    emit("Wem", dWem)
+    return loss
 
 
 def _attention_back(dybar, c, coef):

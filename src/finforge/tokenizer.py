@@ -66,9 +66,6 @@ class UnigramVocab:
     probs: dict[bytes, float]
     training_weight: float
 
-    def __len__(self) -> int:
-        return len(self.probs)
-
 
 def _normalized(probs: dict[bytes, float]) -> dict[bytes, float]:
     total = math.fsum(probs.values())
@@ -117,13 +114,13 @@ def _lattice(
     word: bytes, vocab: dict[bytes, float], prefixes: set[bytes]
 ) -> list[tuple[int, int, bytes]]:
     """The segmentation lattice of ``word``: every ``(i, j, word[i:j])`` with
-    ``word[i:j]`` in ``vocab`` and at most ``MAX_TOKEN_LEN`` bytes, in
-    ``(i, j)`` order. ``prefixes`` is ``_prefixes(vocab)``; the scan from
-    ``i`` stops at the first substring that no token starts with."""
+    ``word[i:j]`` in ``vocab``, in ``(i, j)`` order. ``prefixes`` is
+    ``_prefixes(vocab)``; the scan from ``i`` stops at the first substring
+    that no token starts with, so at the longest token."""
     m = len(word)
     edges = []
     for i in range(m):
-        for j in range(i + 1, min(i + MAX_TOKEN_LEN, m) + 1):
+        for j in range(i + 1, m + 1):
             piece = word[i:j]
             if piece not in prefixes:
                 break
@@ -238,36 +235,27 @@ def _logsumexp(xs: list[float]) -> float:
 
 
 def _viterbi(
-    data: bytes, logp: dict[bytes, float], max_len: int, prefixes: set[bytes]
+    data: bytes, logp: dict[bytes, float], prefixes: set[bytes]
 ) -> tuple[list[bytes], float] | None:
-    """Maximum-product segmentation of ``data``.
+    """Maximum-product segmentation of ``data`` over its ``_lattice``, whose
+    ``prefixes`` is ``_prefixes(logp)``.
 
     Ties break by fewer tokens, then lexicographically smallest token,
     applied greedily from the left over suffix-optimal continuations.
-    Returns None when no segmentation exists. ``prefixes`` is
-    ``_prefixes(logp)``; the scan from ``i`` stops at the first substring
-    that no token starts with, as in ``_lattice``.
+    Returns None when no segmentation exists.
     """
     m = len(data)
-    # best[i]: (logp, ntokens, first_token) for the suffix starting at i
+    # best[i]: (logp, ntokens, first_token) for the suffix starting at i;
+    # the lattice reversed reaches every edge out of i after those out of j > i.
     best: list[tuple[float, int, bytes] | None] = [None] * (m + 1)
     best[m] = (0.0, 0, b"")
-    for i in range(m - 1, -1, -1):
-        chosen = None
-        for l in range(1, min(max_len, m - i) + 1):
-            tok = data[i : i + l]
-            if tok not in prefixes:
-                break
-            lp = logp.get(tok)
-            if lp is None:
-                continue
-            nxt = best[i + l]
-            if nxt is None:
-                continue
-            cand = (lp + nxt[0], 1 + nxt[1], tok)
-            if chosen is None or _better(cand, chosen):
-                chosen = cand
-        best[i] = chosen
+    for i, j, tok in reversed(_lattice(data, logp, prefixes)):
+        nxt = best[j]
+        if nxt is None:
+            continue
+        cand = (logp[tok] + nxt[0], 1 + nxt[1], tok)
+        if best[i] is None or _better(cand, best[i]):
+            best[i] = cand
     if best[0] is None:
         return None
     tokens = []
@@ -442,7 +430,6 @@ class TokenizerModel:
     logp: dict[bytes, float]
     id_to_token: list[bytes]  # index 0 holds b"", the <|endoftext|> slot
     token_to_id: dict[bytes, int]
-    max_token_len: int = 1
     _memo: BoundedMemo = field(default_factory=lambda: BoundedMemo(_MEMO_BYTES),
                                init=False, repr=False, compare=False)
     _prefix_set: set | None = field(default=None, init=False, repr=False, compare=False)
@@ -479,14 +466,13 @@ class TokenizerModel:
             logp=dict(ranked),
             id_to_token=[b""] + [t for t, _ in ranked],  # id 0: <|endoftext|>
             token_to_id=token_to_id,
-            max_token_len=max(len(t) for t, _ in ranked),
         )
 
     def _segment(self, pretoken: bytes) -> tuple[int, ...]:
         """The ids of ``pretoken``'s Viterbi segmentation, kept in the memo."""
         if self._prefix_set is None:
             self._prefix_set = _prefixes(self.logp)
-        best = _viterbi(pretoken, self.logp, self.max_token_len, self._prefix_set)
+        best = _viterbi(pretoken, self.logp, self._prefix_set)
         assert best is not None  # single-byte coverage guarantees totality
         return self._memo.put(pretoken, tuple([self.token_to_id[t] for t in best[0]]))
 
@@ -510,7 +496,7 @@ def finalize_to_size(vocab: UnigramVocab, size: int) -> TokenizerModel:
     keep = size - (256 - len(singles)) - 1
     if keep < len(singles):
         raise ValueError(f"target size {size} too small for byte coverage")
-    if len(vocab) > keep:
+    if len(vocab.probs) > keep:
         vocab = prune_to_size(vocab, keep, protected=singles)
     return finalize(vocab)
 
@@ -540,9 +526,7 @@ def decode(model: TokenizerModel, ids: list[int]) -> bytes:
 
 
 def train_parallel(
-    domains: list[list[bytes]],
-    chunk_vocab: int = 65536,
-    final_vocab: int = 2**17,
+    domains: list[list[bytes]], chunk_vocab: int, final_vocab: int
 ) -> TokenizerModel:
     """Train one unigram vocabulary per chunk, one chunk after another in
     this process, merge hierarchically (chunks within a domain first, then

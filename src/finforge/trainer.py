@@ -76,6 +76,8 @@ class TrainConfig:
             raise ValueError("warmup_steps must be below horizon_steps")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
+        if not self.seq_len >= 2:
+            raise ValueError(f"seq_len must be at least 2, got {self.seq_len!r}")
         # The values a run divides by or scales with; a NaN fails every test.
         for name in ("batch_warmup_size", "batch_main_size", "train_loss_interval",
                      "val_interval", "checkpoint_interval"):
@@ -97,8 +99,6 @@ class TrainConfig:
 def pack_documents(docs: list[list[int]], seq_len: int, eot_id: int) -> list[list[int]]:
     """Concatenate docs with a separator after each, then cut into chunks of
     exactly ``seq_len`` tokens; the final partial chunk is dropped."""
-    if seq_len < 2:
-        raise ValueError("seq_len must be at least 2")
     stream: list[int] = []
     for doc in docs:
         stream.extend(doc)
@@ -194,10 +194,10 @@ def _flat(tensors: dict, names: list[str]) -> np.ndarray:
     """The float64 buffer whose consecutive slices are ``tensors[name]``,
     C-ordered, for ``names`` in order.
 
-    Arrays that do not tile one buffer that way (a hand-made dict, one
-    loaded in another order, an entry someone rebound) are copied into a
-    new buffer, and each entry of ``tensors`` is rebound to its view, with
-    the same values."""
+    Arrays that do not tile one buffer that way (a hand-made dict, one in
+    another order, an entry someone rebound) are copied into a new buffer,
+    and each entry of ``tensors`` is rebound to its view, with the same
+    values."""
     buf = tensors[names[0]].base if names else None
     if isinstance(buf, np.ndarray) and buf.ndim == 1 and buf.dtype == np.float64:
         start = buf.__array_interface__["data"][0]
@@ -233,21 +233,16 @@ def _decayed_ranges(params) -> list[tuple[int, int]]:
     return ranges
 
 
-def adamw_step(params, grads, state: "TrainState", lr: float, cfg: TrainConfig, *, flat=None):
+def adamw_step(flat, state: "TrainState", lr: float, cfg: TrainConfig):
     """One AdamW update with bias correction, in place.
 
     It makes one pass over ``flat``, the parameter, gradient, m and v buffers
-    and the ``_decayed_ranges`` that ``train`` lays out once per call, or by
-    default ``_flat`` of ``params``, ``grads`` and the moments of ``state``
-    (which may so rebind their entries), ``_SLICE`` elements at a time
-    through two scratch slices. Per element it computes, with exactly these
-    operations in this order, ``m = b1*m + (1-b1)*g``, ``v = b2*v +
-    ((1-b2)*g)*g``, ``u = (m/bc1) / (sqrt(v/bc2) + eps)``, then ``u = u +
-    wd*theta`` on the decayed groups only, and ``theta -= lr*u``."""
-    if flat is None:
-        names = list(params)
-        flat = (*[_flat(d, names) for d in (params, grads, state.m, state.v)],
-                _decayed_ranges(params))
+    and the ``_decayed_ranges`` that ``train`` lays out once per call,
+    ``_SLICE`` elements at a time through two scratch slices. Per element it
+    computes, with exactly these operations in this order, ``m = b1*m +
+    (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``, ``u = (m/bc1) / (sqrt(v/bc2) +
+    eps)``, then ``u = u + wd*theta`` on the decayed groups only, and
+    ``theta -= lr*u``."""
     P, G, Mo, Vo, ranges = flat
     state.step += 1
     t = state.step
@@ -318,9 +313,15 @@ class TrainState:
 
 
 class TrainingDiverged(RuntimeError):
+    """A non-finite loss or gradient, and the last good checkpoint or None."""
+
     def __init__(self, message: str, last_checkpoint: str | None):
         super().__init__(message)
         self.last_checkpoint = last_checkpoint
+
+    def __str__(self) -> str:
+        good = self.last_checkpoint or "none written by this run"
+        return f"{self.args[0]}; last good checkpoint: {good}"
 
 
 def save_checkpoint(path, shape: ModelShape, cfg: TrainConfig, params, state: TrainState):
@@ -390,12 +391,13 @@ _STATE_FIELDS = {
 }
 
 
-def _manifest_entries(header, shape: ModelShape, payload_bytes: int) -> dict:
-    """The manifest's entries by kind (param, m, v), then name, in manifest
-    order, after checking that each is a tensor of the model shape and that
-    together they tile the payload: in manifest order from byte 0, each
-    starting where the one before ends, no name twice, and the payload ends
-    where the last one does."""
+def _manifest_entries(header, shape: ModelShape, payload_bytes: int, kinds) -> dict:
+    """The manifest's entries by kind (param, m, v), then name, after
+    checking that each is a tensor of the model shape, that each of
+    ``kinds`` has an entry for every parameter, and that together they tile
+    the payload: in manifest order from byte 0, each starting where the one
+    before ends, no name twice, and the payload ends where the last one
+    does."""
     expected = M.param_shapes(shape)
     entries: dict[str, dict[str, dict]] = {"param": {}, "m": {}, "v": {}}
     end, label, twice = 0, None, None
@@ -433,9 +435,9 @@ def _manifest_entries(header, shape: ModelShape, payload_bytes: int) -> dict:
             f"manifest entry {label!r} ends at payload byte {end}, "
             f"{payload_bytes - end} bytes before the payload does"
         )
-    missing = [k for k in expected if k not in entries["param"]]
+    missing = [f"{kind}:{k}" for kind in kinds for k in expected if k not in entries[kind]]
     if missing:
-        raise ValueError(f"manifest has no entry 'param:{missing[0]}'")
+        raise ValueError(f"manifest has no entry {missing[0]!r}")
     if twice:
         raise ValueError(f"manifest entry {twice!r} appears twice")
     return entries
@@ -445,10 +447,11 @@ def load_checkpoint(path, moments: bool = True):
     """Returns (shape, cfg, params, state).
 
     Each kind of tensor (param, m, v) gets one native float64 buffer, laid
-    out in manifest order, and each tensor is read from the file straight
-    into its view of that buffer, so no other copy of the payload is made.
-    With ``moments=False`` only the parameters are read: the m and v
-    entries are checked in the header, and ``state.m`` and ``state.v`` are
+    out in ``param_shapes`` order as ``init_params`` lays out its own, and
+    each tensor is read from its manifest offset straight into its view of
+    that buffer, so no other copy of the payload is made. With
+    ``moments=False`` only the parameters are read and required: the m and
+    v entries are checked in the header, and ``state.m`` and ``state.v`` are
     empty."""
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -468,7 +471,8 @@ def load_checkpoint(path, moments: bool = True):
             base = f.tell()
             shape = ModelShape(**header["shape"])
             cfg = TrainConfig(**header["config"])
-            entries = _manifest_entries(header, shape, size - base)
+            kinds = ("param", "m", "v") if moments else ("param",)
+            entries = _manifest_entries(header, shape, size - base, kinds)
             st = dict(header["state"], step=header["step"])
             for key, (what, ok) in _STATE_FIELDS.items():
                 if not ok(st[key]):
@@ -480,11 +484,10 @@ def load_checkpoint(path, moments: bool = True):
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"{path}: malformed checkpoint header: {exc!r}") from exc
         groups = {"m": {}, "v": {}}
-        for kind in ("param", "m", "v") if moments else ("param",):
-            named = entries[kind]
-            buf, groups[kind] = _tiled({name: tuple(e["shape"]) for name, e in named.items()})
+        for kind in kinds:
+            buf, groups[kind] = _tiled(M.param_shapes(shape))
             for name, view in groups[kind].items():
-                f.seek(base + named[name]["offset"])
+                f.seek(base + entries[kind][name]["offset"])
                 if f.readinto(view) != view.nbytes:
                     raise ValueError(f"{path}: manifest entry '{kind}:{name}' is cut short")
             if sys.byteorder == "big":  # the payload is little-endian
@@ -499,19 +502,14 @@ def load_checkpoint(path, moments: bool = True):
 
 class DiagnosticsLog:
     """Comma-separated diagnostics: ``step,kind,name,value`` per line,
-    appended to ``path`` through one handle. ``rows`` holds the rows of the
-    latest step only, so a long run does not grow it."""
+    appended to ``path`` through one handle."""
 
     def __init__(self, path: str):
         self._file = open(path, "a")
-        self.rows: list[tuple[int, str, str, str]] = []
 
     def record(self, step: int, kind: str, name: str, value) -> None:
-        row = (step, kind, name, repr(value) if isinstance(value, float) else str(value))
-        if self.rows and self.rows[-1][0] != step:
-            self.rows.clear()
-        self.rows.append(row)
-        self._file.write(f"{row[0]},{row[1]},{row[2]},{row[3]}\n")
+        value = repr(value) if isinstance(value, float) else str(value)
+        self._file.write(f"{step},{kind},{name},{value}\n")
 
     def flush(self) -> None:
         self._file.flush()
@@ -557,11 +555,10 @@ def _mean_gradients(params, shape, batch, fcfg, cfg: TrainConfig, eot_id, grads,
 
     total_loss = 0.0
     for i, chunk in enumerate(batch):
-        loss, _ = M.backward(
-            params, chunk[:-1], chunk[1:], shape, fcfg, weights=_loss_weights(chunk, eot_id, cfg),
-            emit=add_in if i else copy_in,
+        total_loss += M.backward(
+            params, chunk[:-1], chunk[1:], shape, fcfg, emit=add_in if i else copy_in,
+            weights=_loss_weights(chunk, eot_id, cfg),
         )
-        total_loss += loss
     acc /= len(batch)
     return total_loss / len(batch)
 
@@ -576,21 +573,19 @@ def train(
     eot_id: int = 0,
     val_docs: list[list[int]] | None = None,
     state: TrainState | None = None,
-    callbacks=None,
 ) -> tuple[TrainState, str]:
     """Run (or continue) training for ``steps`` total optimizer steps.
 
     Returns the final state and the path of the last checkpoint written.
-    Raises TrainingDiverged, pointing at the last good checkpoint, if a
-    non-finite loss or gradient appears, and ValueError, before the first
-    step, if ``state.order`` names a chunk the corpus does not have or if
-    ``state.m`` or ``state.v`` lacks a group of ``params`` or its shape.
+    Raises TrainingDiverged, pointing at the last good checkpoint written by
+    this call, if a non-finite loss or gradient appears, and ValueError,
+    before the first step, if ``state.order`` names a chunk the corpus does
+    not have.
 
     The optimizer works on flat buffers (see ``adamw_step``), laid out once
     before the first step: the entries of ``params`` and of the moments of
     ``state`` are rebound to views of one buffer each, unless they already
-    are, and updated in place from then on. Callbacks may write values in
-    place but must not rebind entries.
+    are, and updated in place from then on.
     """
     os.makedirs(out_dir, exist_ok=True)
     with DiagnosticsLog(os.path.join(out_dir, "diagnostics.csv")) as diag:
@@ -609,13 +604,6 @@ def train(
                 f"checkpoint field 'order' holds chunk {max(state.order)}, but the corpus "
                 f"packs into {len(chunks)} chunks"
             )
-        for kind, moments in (("m", state.m), ("v", state.v)):
-            for name, t in params.items():
-                if name not in moments or moments[name].shape != t.shape:
-                    raise ValueError(
-                        f"training state has no AdamW moment '{kind}:{name}' of shape "
-                        f"{t.shape}"
-                    )
         # The optimizer's buffers for the whole run, laid out by the names of ``params``.
         names = list(params)
         acc, grads = _tiled({name: params[name].shape for name in names})
@@ -646,7 +634,7 @@ def train(
             batch = next_batch(batch_size_at(step, cfg))
             fcfg = M.ForwardConfig(
                 p_at=cfg.dropout_at, p_h=cfg.dropout_h, p_f=cfg.dropout_f,
-                training=True, rng_seed=derive_seed(cfg.seed, "dropout"), step=step,
+                rng_seed=derive_seed(cfg.seed, "dropout"), step=step,
                 eps=cfg.ln_eps, qk_layer_scaling=cfg.qk_layer_scaling,
             )
             try:
@@ -656,12 +644,9 @@ def train(
                 gnorm = clip_gradients(grads, cfg.clip_norm)[1]
             except M.NonFiniteError as exc:
                 diag.record(step, "halt", "non_finite", str(exc))
-                good = last_ckpt or "none written by this run"
-                raise TrainingDiverged(
-                    f"{exc} at step {step}; last good checkpoint: {good}", last_ckpt
-                ) from exc
+                raise TrainingDiverged(f"{exc} at step {step}", last_ckpt) from exc
 
-            adamw_step(params, grads, state, lr_at(step, cfg), cfg, flat=flat)
+            adamw_step(flat, state, lr_at(step, cfg), cfg)
 
             diag.record(step, "grad_norm", "global", gnorm)
             for name, norm in component_weight_norms(params).items():
@@ -676,16 +661,13 @@ def train(
             if step % cfg.checkpoint_interval == 0:
                 last_ckpt = checkpoint()
             diag.flush()
-            if callbacks:
-                for cb in callbacks:
-                    cb(step, params, state, diag)
 
         last_ckpt = checkpoint()
         return state, last_ckpt
 
 
 def validation_loss(params, shape, val_chunks, cfg: TrainConfig) -> float:
-    fcfg = M.ForwardConfig(training=False, eps=cfg.ln_eps, qk_layer_scaling=cfg.qk_layer_scaling)
+    fcfg = M.ForwardConfig(eps=cfg.ln_eps, qk_layer_scaling=cfg.qk_layer_scaling)
     losses = [
         M.cross_entropy_loss(M.forward(params, c[:-1], shape, fcfg), c[1:])
         for c in val_chunks
@@ -693,31 +675,23 @@ def validation_loss(params, shape, val_chunks, cfg: TrainConfig) -> float:
     return float(np.mean(losses))
 
 
-def resume_with_overrides(
-    ckpt,
-    overrides: dict | None = None,
-    reshuffle_remaining: bool = False,
-    diag: DiagnosticsLog | None = None,
-):
-    """Load a checkpoint (``ckpt`` is its path, or what ``load_checkpoint``
-    returned for it), apply partial config overrides, and optionally
-    re-permute the not-yet-seen chunks with a newly derived seed. Returns
-    (shape, cfg, params, state). Override provenance goes to ``diag``."""
-    shape, cfg, params, state = ckpt if isinstance(ckpt, tuple) else load_checkpoint(ckpt)
-    if overrides:
-        unknown = set(overrides) - set(asdict(cfg))
-        if unknown:
-            raise ValueError(f"unknown config overrides: {sorted(unknown)}")
-        cfg = replace(cfg, **overrides)
-        if diag:
-            for k, v in sorted(overrides.items()):
-                diag.record(state.step, "override", k, v)
+def resume_with_overrides(ckpt, overrides: dict, reshuffle_remaining: bool, diag: DiagnosticsLog):
+    """To ``ckpt``, what ``load_checkpoint`` returned, apply partial config
+    overrides, and optionally re-permute the not-yet-seen chunks with a
+    newly derived seed. Returns (shape, cfg, params, state). Override
+    provenance goes to ``diag``."""
+    shape, cfg, params, state = ckpt
+    unknown = set(overrides) - set(asdict(cfg))
+    if unknown:
+        raise ValueError(f"unknown config overrides: {sorted(unknown)}")
+    cfg = replace(cfg, **overrides)
+    for k, v in sorted(overrides.items()):
+        diag.record(state.step, "override", k, v)
     if reshuffle_remaining:
         state.shuffle_salt += 1
         seed = derive_seed(cfg.seed, f"reshuffle:{state.shuffle_salt}")
         rest = state.order[state.stream_pos :]
         perm = _fisher_yates(len(rest), seed)
         state.order = state.order[: state.stream_pos] + [rest[i] for i in perm]
-        if diag:
-            diag.record(state.step, "override", "reshuffle_remaining", seed)
+        diag.record(state.step, "override", "reshuffle_remaining", seed)
     return shape, cfg, params, state

@@ -119,7 +119,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig):
 
     inv_sqrt_dh = 1.0 / math.sqrt(Dh)
     alibi = alibi_matrices(N, T)
-    p_at, p_h, p_f = cfg.dropout(cfg.p_at), cfg.dropout(cfg.p_h), cfg.dropout(cfg.p_f)
+    p_at, p_h, p_f = cfg.p_at, cfg.p_h, cfg.p_f
 
     emb = params["Wem"][:, tokens].T  # (T, D)
     h, ln_em_cache = _ln_fwd(emb, params["ln_em.g"], params["ln_em.b"], cfg.eps)
@@ -187,6 +187,14 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig):
         z=z, alibi=alibi, inv_sqrt_dh=inv_sqrt_dh,
     )
     return logits.T, cache
+
+
+def gradients(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, weights=None):
+    """``(loss, grads)`` of `finforge.model.backward`, called through the
+    module: each gradient it hands to ``emit``, in ``params`` order."""
+    grads = {}
+    loss = M.backward(params, tokens, targets, shape, cfg, emit=grads.__setitem__, weights=weights)
+    return loss, {k: grads[k] for k in params}
 
 
 def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, weights=None):
@@ -279,7 +287,7 @@ def finite_diff_check(
     random sample of coordinates per parameter group; returns max relative
     error per group. It calls `backward` and `forward` through the module,
     so a test can substitute either."""
-    _, grads = M.backward(params, tokens, targets, shape, cfg)
+    _, grads = gradients(params, tokens, targets, shape, cfg)
     rng = np.random.default_rng(seed)
     report = {}
 

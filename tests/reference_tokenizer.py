@@ -199,7 +199,7 @@ def encode(model: TokenizerModel, data: bytes) -> list[int]:
     produced from text (only the packing layer inserts it)."""
     ids: list[int] = []
     for pt in pretokenize(data):
-        seg = _viterbi(pt, model.logp, model.max_token_len)
+        seg = _viterbi(pt, model.logp, max(map(len, model.logp)))
         assert seg is not None  # single-byte coverage guarantees totality
         ids.extend(model.token_to_id[t] for t in seg[0])
     return ids

@@ -8,6 +8,7 @@ clipping returns a new dict. They are slow and kept only as the oracle that
 tests compare the flat-buffer optimizer in `finforge.trainer` against.
 `load_checkpoint` reads the whole payload into one bytes object and copies
 each tensor out of it, the oracle for the trainer's in-place reader.
+`flat_adamw_step` runs the flat optimizer itself on dicts.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import struct
 import numpy as np
 
 from finforge import model as M
+from finforge import trainer as TR
 from finforge.scaling import ModelShape
 from finforge.trainer import TrainConfig, TrainState, _loss_weights, decayed
+from reference_model import gradients
 
 
 def load_checkpoint(path):
@@ -100,6 +103,15 @@ def adamw_step(params, grads, state, lr: float, cfg: TrainConfig) -> None:
         theta -= lr * update
 
 
+def flat_adamw_step(params, grads, state, lr: float, cfg: TrainConfig) -> None:
+    """`finforge.trainer.adamw_step` on dicts, over the buffers laid out by
+    the names of ``params`` as `train` lays them out: entries that do not
+    tile one buffer are copied into one and rebound to their views."""
+    names = list(params)
+    flat = [TR._flat(d, names) for d in (params, grads, state.m, state.v)]
+    TR.adamw_step((*flat, TR._decayed_ranges(params)), state, lr, cfg)
+
+
 def batch_gradients(params, shape, batch, fcfg, cfg: TrainConfig, eot_id):
     """Mean loss and mean gradients of one step's batch: the first
     sequence's gradient dict is kept and every later one added to it, group
@@ -107,9 +119,8 @@ def batch_gradients(params, shape, batch, fcfg, cfg: TrainConfig, eot_id):
     total_loss = 0.0
     grads = None
     for chunk in batch:
-        loss, g = M.backward(
-            params, chunk[:-1], chunk[1:], shape, fcfg,
-            weights=_loss_weights(chunk, eot_id, cfg),
+        loss, g = gradients(
+            params, chunk[:-1], chunk[1:], shape, fcfg, weights=_loss_weights(chunk, eot_id, cfg)
         )
         total_loss += loss
         if grads is None:

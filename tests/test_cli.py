@@ -388,12 +388,18 @@ def test_train_cli_divergence_exits_3_naming_the_step_and_last_checkpoint(capsys
     assert code == 3, err
     assert stdout == "" and "Traceback" not in err and "Warning" not in err, err
     last = out / "checkpoint-00000004.bin"
-    assert err.splitlines()[-1] == (
+    message = (
         "numeric failure: non-finite values at layer 0 attention output at step 6; "
         f"last good checkpoint: {last}"
     )
+    assert err.splitlines()[-1] == message
     _, _, params, _ = R.load_checkpoint(str(last))
     assert all(np.isfinite(t).all() for t in params.values())
+    # Resumed from it, the run diverges at step 6 again, before it writes a
+    # checkpoint of its own: the one it resumed from is the last good one.
+    code, stdout, err = run_cli(capsys, "train", "--config", cfgpath, "--resume", str(last))
+    assert (code, stdout) == (3, ""), err
+    assert err.splitlines()[-1] == message
 
 
 @pytest.mark.parametrize("extra", [["--override", "max_lr=5e-4"], ["--reshuffle"]])
@@ -472,15 +478,18 @@ def test_eval_cli_malformed_tasks_exit_2(capsys, workspace, tmp_path):
     assert code == 2
 
 
-def _write_checkpoint(path, edit=None, vocab=257):
-    """A tiny valid checkpoint, or one whose header ``edit`` changed in place.
-    Its vocabulary is by default that of ``finalize`` over one token, 256
-    bytes and ``<|endoftext|>``, the tokenizer that the tests pair it with."""
+def _write_checkpoint(path, edit=None, vocab=257, moments=True):
+    """A tiny valid checkpoint, with its AdamW moments unless ``moments`` is
+    false, or one whose header ``edit`` changed in place. Its vocabulary is
+    by default that of ``finalize`` over one token, 256 bytes and
+    ``<|endoftext|>``, the tokenizer that the tests pair it with."""
     from finforge import model as M
     from finforge.scaling import ModelShape
 
     shape = ModelShape(1, 1, 4, 4, 16, vocab)
-    R.save_checkpoint(str(path), shape, TrainConfig(), M.init_params(shape, 0), R.TrainState())
+    params = M.init_params(shape, 0)
+    state = R.TrainState.fresh(params) if moments else R.TrainState()
+    R.save_checkpoint(str(path), shape, TrainConfig(), params, state)
     if edit is None:
         return
     raw = path.read_bytes()
@@ -493,22 +502,24 @@ def _write_checkpoint(path, edit=None, vocab=257):
 
 # Manifests that do not tile the payload of ``_write_checkpoint``'s file:
 # case -> (edit of the manifest or None, bytes appended to the file (> 0) or
-# cut from its end (< 0), the entry the error names).
+# cut from its end (< 0), the entry the error names). The last entry is
+# ``v:ln_f.g``, of 4 floats.
 TILING = {
-    "checkpoint-payload-short": (None, -8, "param:ln_f.g"),
+    "checkpoint-payload-short": (None, -8, "v:ln_f.g"),
     "checkpoint-offset-negative": (lambda m: m[1].update(offset=-8), 0, "param:layer0.attn.U"),
     "checkpoint-offset-repeated": (lambda m: m[1].update(offset=0), 0, "param:layer0.attn.U"),
     "checkpoint-offset-bool": (lambda m: m[0].update(offset=True), 0, "param:Wem"),
-    "checkpoint-trailing-bytes": (None, 64, "param:ln_f.g"),
-    # the last entry, ln_f.g of 4 floats, again after it, with its 32 bytes
+    "checkpoint-trailing-bytes": (None, 64, "v:ln_f.g"),
+    # the last entry again after it, with its 32 bytes
     "checkpoint-entry-duplicated": (
-        lambda m: m.append(dict(m[-1], offset=m[-1]["offset"] + 32)), 32, "param:ln_f.g"
+        lambda m: m.append(dict(m[-1], offset=m[-1]["offset"] + 32)), 32, "v:ln_f.g"
     ),
 }
 
 
-# Training-config values that a run divides by or scales with, each set in
-# a config file: case -> (key, value).
+# Training-config values that a run divides by or scales with, or a
+# sequence too short to hold a target, each set in a config file:
+# case -> (key, value).
 BAD_CONFIG = {
     "config-batch-warmup-size-0": ("batch_warmup_size", "0"),
     "config-batch-main-size-0": ("batch_main_size", "0"),
@@ -519,6 +530,7 @@ BAD_CONFIG = {
     "config-adam-eps-0": ("adam_eps", "0"),
     "config-dropout-h-1.5": ("dropout_h", "1.5"),
     "config-beta1-1": ("beta1", "1.0"),
+    "config-seq-len-1": ("seq_len", "1"),
 }
 
 
@@ -581,7 +593,9 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         _write_checkpoint(ckpt, edit=lambda header: header["config"].update(beta1=1.0))
     elif case == "checkpoint-with-params-only":
         # saved from TrainState(): every param entry, no m or v entry
-        _write_checkpoint(ckpt, edit=lambda header: header["config"].update(seq_len=16))
+        _write_checkpoint(
+            ckpt, edit=lambda header: header["config"].update(seq_len=16), moments=False
+        )
     elif case in TILING:
         edit, extra, _ = TILING[case]
         _write_checkpoint(ckpt, edit=edit and (lambda header: edit(header["manifest"])))
@@ -689,7 +703,7 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     if case == "checkpoint-order-beyond-corpus":
         assert "'order' holds chunk 99999" in err and "chunks" in err, err
     if case == "checkpoint-with-params-only":
-        assert "no AdamW moment 'm:Wem'" in err, err
+        assert f"data error: {ckpt}: manifest has no entry 'm:Wem'" in err, err
     if case in TILING:
         assert f"{ckpt}: manifest entry {TILING[case][2]!r}" in err, err
     if case == "target-vocab-too-small":

@@ -408,7 +408,7 @@ def test_greedy_decode_deterministic_argmax():
 def test_greedy_decode_respects_budget_and_stop_set():
     lm = StubLM(lambda toks: np.eye(4)[:, :1].repeat(len(toks), 1) * 0 + np.array([[0.0], [5.0], [1.0], [0.0]]).repeat(len(toks), 1))
     assert E.greedy_decode(lm, [0], max_new_tokens=4) == [1, 1, 1, 1]
-    assert E.greedy_decode(lm, [0], max_new_tokens=4, stop={1}) == []
+    assert E.greedy_decode(lm, [0], max_new_tokens=4, eot_id=1) == []
     with pytest.raises(ValueError):
         E.greedy_decode(lm, [0], max_new_tokens=0)
 

@@ -5,7 +5,7 @@ import pytest
 
 from finforge import model as M
 from finforge.scaling import ModelShape, count_parameters
-from reference_model import alibi_matrices, finite_diff_check
+from reference_model import alibi_matrices, finite_diff_check, gradients
 
 SHAPE = ModelShape(2, 2, 8, 4, 32, 16)
 CFG = M.ForwardConfig()
@@ -238,19 +238,20 @@ def test_tied_head_uses_embedding_matrix():
 
 
 def test_dropout_off_at_inference():
+    # An inference config sets every p to 0: no mask is drawn, whatever the key.
     params = make_params()
-    cfg_train_p0 = M.ForwardConfig(p_at=0.5, p_h=0.5, p_f=0.5, training=False)
+    keyed = M.ForwardConfig(rng_seed=9, step=3)
     assert np.array_equal(
-        M.forward(params, TOKENS, SHAPE, cfg_train_p0),
+        M.forward(params, TOKENS, SHAPE, keyed),
         M.forward(params, TOKENS, SHAPE),
     )
 
 
 def test_dropout_deterministic_and_keyed():
     params = make_params()
-    c1 = M.ForwardConfig(p_h=0.5, training=True, rng_seed=9, step=3)
-    c2 = M.ForwardConfig(p_h=0.5, training=True, rng_seed=9, step=3)
-    c3 = M.ForwardConfig(p_h=0.5, training=True, rng_seed=9, step=4)
+    c1 = M.ForwardConfig(p_h=0.5, rng_seed=9, step=3)
+    c2 = M.ForwardConfig(p_h=0.5, rng_seed=9, step=3)
+    c3 = M.ForwardConfig(p_h=0.5, rng_seed=9, step=4)
     a = M.forward(params, TOKENS, SHAPE, c1)
     assert np.array_equal(a, M.forward(params, TOKENS, SHAPE, c2))
     assert not np.array_equal(a, M.forward(params, TOKENS, SHAPE, c3))
@@ -258,7 +259,7 @@ def test_dropout_deterministic_and_keyed():
 
 def test_dropout_mask_scaling():
     m = M._dropout_mask(
-        M.ForwardConfig(training=True, rng_seed=1), 0, 0, 0.25, 2000
+        M.ForwardConfig(rng_seed=1), 0, 0, 0.25, 2000
     )
     kept = m[m > 0]
     assert np.allclose(kept, 1.0 / 0.75)
@@ -318,7 +319,7 @@ def test_gradients_match_finite_differences():
 
 def test_gradients_match_finite_differences_with_dropout():
     params = make_params(12)
-    cfg = M.ForwardConfig(p_at=0.2, p_h=0.2, p_f=0.2, training=True, rng_seed=5, step=2)
+    cfg = M.ForwardConfig(p_at=0.2, p_h=0.2, p_f=0.2, rng_seed=5, step=2)
     report = finite_diff_check(params, TOKENS, TARGETS, SHAPE, cfg, sample_count=3)
     assert max(report.values()) < 1e-5
 
@@ -326,7 +327,7 @@ def test_gradients_match_finite_differences_with_dropout():
 def test_gradients_with_position_weights():
     params = make_params(13)
     weights = [1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0]
-    loss, grads = M.backward(params, TOKENS, TARGETS, SHAPE, CFG, weights=weights)
+    loss, grads = gradients(params, TOKENS, TARGETS, SHAPE, CFG, weights=weights)
     logits = M.forward(params, TOKENS, SHAPE)
     assert loss == pytest.approx(
         M.cross_entropy_loss(logits, TARGETS, weights=weights), rel=1e-12
@@ -349,10 +350,11 @@ def test_finite_diff_check_detects_corrupted_gradient(monkeypatch):
     params = make_params(14)
     real_backward = M.backward
 
-    def corrupted(*args, **kwargs):
-        loss, grads = real_backward(*args, **kwargs)
-        grads["layer1.ffn.W"] = grads["layer1.ffn.W"] * 1.5 + 0.01
-        return loss, grads
+    def corrupted(*args, emit, **kwargs):
+        def corrupt(name, grad):
+            emit(name, grad * 1.5 + 0.01 if name == "layer1.ffn.W" else grad)
+
+        return real_backward(*args, emit=corrupt, **kwargs)
 
     monkeypatch.setattr(M, "backward", corrupted)
     report = finite_diff_check(params, TOKENS, TARGETS, SHAPE, CFG, sample_count=6)
@@ -363,7 +365,7 @@ def test_finite_diff_check_detects_corrupted_gradient(monkeypatch):
 def test_backward_embedding_gets_both_head_and_lookup_gradients():
     shape = ModelShape(0, 1, 8, 8, 32, 16)
     params = M.init_params(shape, 0)
-    _, grads = M.backward(params, [2, 2], [2, 3], shape, CFG)
+    _, grads = gradients(params, [2, 2], [2, 3], shape, CFG)
     # token 3 never appears in the input, so its column is touched only by
     # the tied head; token 2 gets lookup gradient as well
     assert np.any(grads["Wem"][:, 3] != 0.0)

@@ -232,7 +232,7 @@ def test_start_must_name_a_column():
 
 def test_past_needs_an_inference_config_and_a_block_boundary():
     params = M.init_params(SHAPE, 1)
-    training = M.ForwardConfig(p_at=0.1, training=True)
+    training = M.ForwardConfig(p_at=0.1)
     with pytest.raises(ValueError, match="inference config"):
         M.forward(params, [1, 2], SHAPE, training, past=[])
     past = []

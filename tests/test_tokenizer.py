@@ -126,7 +126,7 @@ def test_em_matches_brute_force_without_pruning():
 def test_em_repeating_pair_corpus_learns_repeats():
     vocab = T.train_chunk_unigram(b"abababab" * 100, target_size=8)
     validate(vocab)
-    assert len(vocab) <= 8
+    assert len(vocab.probs) <= 8
     top = max(vocab.probs, key=lambda t: vocab.probs[t])
     assert set(top) <= {ord("a"), ord("b")} and len(top) >= 2
     assert top.startswith(b"ab") or top.startswith(b"ba")
@@ -145,7 +145,7 @@ def test_em_single_byte_corpus():
 def test_em_saturation_returns_all_candidates_without_error():
     vocab = T.train_chunk_unigram(b"xy", target_size=10_000)
     validate(vocab)
-    assert len(vocab) <= 10_000
+    assert len(vocab.probs) <= 10_000
 
 
 def test_em_records_training_weight_in_bytes():
@@ -334,7 +334,7 @@ def test_viterbi_matches_brute_force_on_fuzz_corpus():
     for _ in range(200):
         n = rng.randint(1, 12)
         data = bytes(rng.choice(b"abc") for _ in range(n))
-        seg = T._viterbi(data, model.logp, model.max_token_len, T._prefixes(model.logp))
+        seg = T._viterbi(data, model.logp, T._prefixes(model.logp))
         assert seg is not None
         assert seg[1] == pytest.approx(brute_force_segment(data, model.logp), abs=1e-12)
         assert b"".join(seg[0]) == data
@@ -345,11 +345,11 @@ def test_viterbi_tie_breaks_fewest_tokens_then_lexicographic():
     # tokens, then the lexicographically smallest first token
     logp = {t: math.log(p) for t, p in
             {b"abc": 0.04, b"ab": 0.2, b"bc": 0.2, b"a": 0.2, b"c": 0.2, b"b": 0.2}.items()}
-    seg = T._viterbi(b"abc", logp, 16, T._prefixes(logp))
+    seg = T._viterbi(b"abc", logp, T._prefixes(logp))
     assert seg[0] == [b"abc"]
     logp2 = {t: math.log(p) for t, p in
              {b"ab": 0.2, b"bc": 0.2, b"a": 0.2, b"c": 0.2, b"b": 0.2}.items()}
-    seg2 = T._viterbi(b"abc", logp2, 16, T._prefixes(logp2))
+    seg2 = T._viterbi(b"abc", logp2, T._prefixes(logp2))
     assert seg2[0] == [b"a", b"bc"]  # same prob/count as ab+c; b"a" < b"ab"
 
 
@@ -379,7 +379,7 @@ def test_train_parallel_degenerate_split_matches_single_chunk():
     flat = T.train_chunk_unigram(chunk, 200)
     singles = {t for t in flat.probs if len(t) == 1}
     keep = 400 - (256 - len(singles)) - 1
-    expected = T.finalize(T.prune_to_size(flat, keep, protected=singles) if len(flat) > keep else flat)
+    expected = T.finalize(T.prune_to_size(flat, keep, protected=singles) if len(flat.probs) > keep else flat)
     got = T.train_parallel([[chunk]], chunk_vocab=200, final_vocab=400)
     assert got.id_to_token == expected.id_to_token
     for t in got.logp:
@@ -402,7 +402,7 @@ def test_train_parallel_hierarchical_equals_flat_merge():
     singles = {t for t in flat.probs if len(t) == 1}
     keep = 500 - (256 - len(singles)) - 1
     expected = T.finalize(
-        T.prune_to_size(flat, keep, protected=singles) if len(flat) > keep else flat
+        T.prune_to_size(flat, keep, protected=singles) if len(flat.probs) > keep else flat
     )
     assert model.id_to_token == expected.id_to_token
     for t in model.logp:
@@ -416,7 +416,7 @@ def test_train_parallel_paper_partition_arithmetic():
 
 def test_train_parallel_empty_domain_raises():
     with pytest.raises(T.InsufficientCorpusError):
-        T.train_parallel([[]])
+        T.train_parallel([[]], 100, 400)
 
 
 # ---------------------------------------------------------------------------

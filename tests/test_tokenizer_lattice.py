@@ -283,7 +283,7 @@ def _gapped_vocab(draw):
 @example(logp={b"abc": -0.1}, data=b"abab")  # no segmentation
 @settings(max_examples=300, deadline=None)
 def test_prefix_bounded_viterbi_matches_reference(logp, data):
-    got = T._viterbi(data, logp, T.MAX_TOKEN_LEN, T._prefixes(logp))
+    got = T._viterbi(data, logp, T._prefixes(logp))
     assert got == R._viterbi(data, logp, T.MAX_TOKEN_LEN)
 
 

@@ -25,7 +25,8 @@ GOLDEN = {
         "checkpoint-00000002.bin": "b3072123fd964a3e36320665e2519d43bd74eb6b64a18f3470d93785800b105a",
         "checkpoint-00000004.bin": "182a275dcbc8fb5edb13a515ca21effc3d720a6007e0e5138ec86412663045f7",
         "checkpoint-00000006.bin": "0cf5c27b527960f1041fd7d2139a569e23401ad2860d8e65d9d9d27472f5ef4d",
-        "diagnostics.csv": "4558d2e011036580e8a842adfd1f0cf4a977943c1df02210b7c8d66d4b329d23",
+        # Its weight norms in the uninterrupted run's order (see the last test).
+        "diagnostics.csv": "4b3b8e19e8b1c930486e0a41c8ccc990f576ff6b9f67580882f24a906ea36e60",
     },
 }
 
@@ -85,3 +86,24 @@ def test_train_and_resume_outputs_are_golden(tmp_path, capsys):
     assert code == 0, capsys.readouterr().err
     got["resume"] = _digests(tmp_path / "out")
     assert got == GOLDEN
+
+
+def _train(d, steps, out, *extra):
+    """The rows of ``diagnostics.csv`` after ``train`` of the fixture's
+    config for ``steps`` into ``d / out``, with ``extra`` arguments."""
+    cfg = d / f"{out}.cfg"
+    cfg.write_text(CONFIG.format(d=d, steps=steps).replace(f"{d}/out", f"{d}/{out}"))
+    assert cli.main(["train", "--config", str(cfg), *extra]) == 0
+    return (d / out / "diagnostics.csv").read_text().splitlines()
+
+
+def test_a_resumed_run_writes_the_rows_of_the_uninterrupted_run(tmp_path, capsys):
+    # Resumed from checkpoint 4 into a new out_dir, a run writes exactly the
+    # rows of the uninterrupted 6-step run from step 5 on, in their order:
+    # the weight norms go in the order of the parameters that it resumed.
+    _fixture(tmp_path)
+    full = _train(tmp_path, 6, "full")
+    _train(tmp_path, 4, "part")
+    ckpt = tmp_path / "part" / "checkpoint-00000004.bin"
+    rest = _train(tmp_path, 6, "rest", "--resume", str(ckpt))
+    assert rest == [row for row in full if int(row.split(",")[0]) >= 5]

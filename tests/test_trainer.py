@@ -1,4 +1,3 @@
-import copy
 import json
 import math
 import warnings
@@ -9,6 +8,7 @@ import pytest
 from finforge import model as M
 from finforge import trainer as TR
 from finforge.scaling import ModelShape
+from reference_trainer import flat_adamw_step
 
 SHAPE = ModelShape(1, 2, 8, 4, 32, 16)
 
@@ -52,8 +52,9 @@ def test_pack_documents_separator_after_every_doc():
 
 def test_pack_documents_drops_final_partial():
     assert TR.pack_documents([[1, 2]], seq_len=4, eot_id=0) == []
-    with pytest.raises(ValueError):
-        TR.pack_documents([[1]], seq_len=1, eot_id=0)
+    # a 1-token sequence holds no target: the run's config rejects it
+    with pytest.raises(ValueError, match="seq_len must be at least 2, got 1"):
+        tiny_cfg(seq_len=1)
 
 
 def test_fisher_yates_reference_oracle():
@@ -217,7 +218,7 @@ def test_adamw_single_scalar_hand_computed():
     grads = {"Wx": np.array([0.5])}
     state = TR.TrainState.fresh(params)
     lr = 1e-3
-    TR.adamw_step(params, grads, state, lr, cfg)
+    flat_adamw_step(params, grads, state, lr, cfg)
     m = 0.1 * 0.5
     v = 0.05 * 0.25
     mhat = m / (1 - 0.9)
@@ -232,7 +233,7 @@ def test_adamw_zero_gradient_only_decays_weights():
     params = {"Wx": np.array([2.0]), "ln.g": np.array([2.0])}
     grads = {"Wx": np.array([0.0]), "ln.g": np.array([0.0])}
     state = TR.TrainState.fresh(params)
-    TR.adamw_step(params, grads, state, 1e-2, cfg)
+    flat_adamw_step(params, grads, state, 1e-2, cfg)
     # decayed parameter shrinks by exactly lr * wd * theta; excluded is frozen
     assert params["Wx"][0] == pytest.approx(2.0 * (1 - 1e-2 * 0.1), rel=1e-15)
     assert params["ln.g"][0] == 2.0
@@ -245,7 +246,7 @@ def test_adamw_decoupled_decay_independent_of_gradient_scale():
     for gscale in (1.0, 100.0):
         params = {"Wx": np.array([1.0])}
         state = TR.TrainState.fresh(params)
-        TR.adamw_step(params, {"Wx": np.array([gscale])}, state, 1e-3, cfg)
+        flat_adamw_step(params, {"Wx": np.array([gscale])}, state, 1e-3, cfg)
         out.append(params["Wx"][0])
     # with bias correction the adaptive part is ~sign(g): identical for both
     assert out[0] == pytest.approx(out[1], rel=1e-6)
@@ -261,7 +262,7 @@ def test_adamw_bit_identical_across_runs():
         for step in range(1, 6):
             grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
             grads, _ = TR.clip_gradients(grads, cfg.clip_norm)
-            TR.adamw_step(params, grads, state, TR.lr_at(step, cfg), cfg)
+            flat_adamw_step(params, grads, state, TR.lr_at(step, cfg), cfg)
         results.append({k: v.copy() for k, v in params.items()})
     for k in results[0]:
         assert np.array_equal(results[0][k], results[1][k])
@@ -417,31 +418,28 @@ def test_train_runs_and_checkpoints(tmp_path):
 
 
 def test_train_initial_loss_near_log_vocab(tmp_path):
-    losses = []
-
-    def grab(step, params, state, diag):
-        if step == 1:
-            for s, kind, name, value in diag.rows:
-                if kind == "train_loss" and name == "raw" and s == 1:
-                    losses.append(float(value))
-
     cfg = tiny_cfg()
     params = M.init_params(SHAPE, 3)
-    TR.train(params, SHAPE, synth_docs(), cfg, 1, str(tmp_path / "r"), callbacks=[grab])
-    assert losses and abs(losses[0] - math.log(SHAPE.vocab)) < 0.35
+    TR.train(params, SHAPE, synth_docs(), cfg, 1, str(tmp_path / "r"))
+    rows = (tmp_path / "r" / "diagnostics.csv").read_text().splitlines()
+    losses = [float(r.rsplit(",", 1)[1]) for r in rows if r.startswith("1,train_loss,raw,")]
+    assert len(losses) == 1 and abs(losses[0] - math.log(SHAPE.vocab)) < 0.35
 
 
-def test_train_diagnostics_rows_hold_one_step(tmp_path):
+def test_train_diagnostics_rows_hold_one_step(tmp_path, monkeypatch):
     seen = []
+    real_flush = TR.DiagnosticsLog.flush
 
-    def grab(step, params, state, diag):
-        last_line = (tmp_path / "r" / "diagnostics.csv").read_text().splitlines()[-1]
-        seen.append(({s for s, *_ in diag.rows}, last_line.split(",")[0]))
+    def flush(diag):
+        real_flush(diag)
+        last = (tmp_path / "r" / "diagnostics.csv").read_text().splitlines()[-1]
+        seen.append(last.split(",")[0])
 
+    monkeypatch.setattr(TR.DiagnosticsLog, "flush", flush)
     cfg = tiny_cfg()
-    TR.train(M.init_params(SHAPE, 3), SHAPE, synth_docs(), cfg, 6, str(tmp_path / "r"), callbacks=[grab])
-    # rows hold the current step only, and that step is on disk when it ends
-    assert seen == [({step}, str(step)) for step in range(1, 7)]
+    TR.train(M.init_params(SHAPE, 3), SHAPE, synth_docs(), cfg, 6, str(tmp_path / "r"))
+    # each step is on disk when it ends
+    assert seen == [str(step) for step in range(1, 7)]
 
 
 def test_train_loss_decreases(tmp_path):
@@ -485,13 +483,16 @@ def test_resume_bit_identical_to_uninterrupted(tmp_path):
 
 def test_resume_with_lr_override(tmp_path):
     _, _, ckpt, _ = run_training(tmp_path, steps=5)
-    shape, cfg, params, state = TR.resume_with_overrides(
-        ckpt, overrides={"max_lr": 5e-3, "final_lr": 5e-4}
-    )
-    assert cfg.max_lr == 5e-3 and cfg.final_lr == 5e-4
-    assert state.step == 5
-    with pytest.raises(ValueError):
-        TR.resume_with_overrides(ckpt, overrides={"not_a_key": 1})
+    with TR.DiagnosticsLog(str(tmp_path / "d.csv")) as diag:
+        shape, cfg, params, state = TR.resume_with_overrides(
+            TR.load_checkpoint(ckpt), {"max_lr": 5e-3, "final_lr": 5e-4}, False, diag
+        )
+        assert cfg.max_lr == 5e-3 and cfg.final_lr == 5e-4
+        assert state.step == 5
+        with pytest.raises(ValueError):
+            TR.resume_with_overrides(TR.load_checkpoint(ckpt), {"not_a_key": 1}, False, diag)
+    rows = (tmp_path / "d.csv").read_text().splitlines()
+    assert rows == ["5,override,final_lr,0.0005", "5,override,max_lr,0.005"]
 
 
 def test_resume_reshuffle_only_permutes_unseen(tmp_path):
@@ -500,7 +501,10 @@ def test_resume_reshuffle_only_permutes_unseen(tmp_path):
     params = M.init_params(SHAPE, 3)
     state, ckpt = TR.train(params, SHAPE, docs, cfg, 2, str(tmp_path / "r"))
     seen = state.order[: state.stream_pos]
-    _, _, _, state2 = TR.resume_with_overrides(ckpt, reshuffle_remaining=True)
+    with TR.DiagnosticsLog(str(tmp_path / "d.csv")) as diag:
+        _, _, _, state2 = TR.resume_with_overrides(TR.load_checkpoint(ckpt), {}, True, diag)
+    rows = (tmp_path / "d.csv").read_text().splitlines()
+    assert len(rows) == 1 and rows[0].startswith("2,override,reshuffle_remaining,")
     assert state2.order[: state2.stream_pos] == seen
     assert sorted(state2.order) == sorted(state.order)
     assert state2.shuffle_salt == state.shuffle_salt + 1
@@ -513,17 +517,20 @@ def test_epoch_reshuffle_differs_between_epochs(tmp_path):
     assert o0 != o1 and sorted(o0) == sorted(o1)
 
 
-def test_train_diverges_cleanly_on_nonfinite(tmp_path):
+def test_train_diverges_cleanly_on_nonfinite(tmp_path, monkeypatch):
     cfg = tiny_cfg(checkpoint_interval=2)
     docs = synth_docs()
     params = M.init_params(SHAPE, 3)
+    real_step = TR.adamw_step
 
-    def poison(step, params, state, diag):
-        if step == 3:
+    def poison(flat, state, lr, cfg):
+        real_step(flat, state, lr, cfg)
+        if state.step == 3:
             params["Wem"][0, 0] = np.nan
 
+    monkeypatch.setattr(TR, "adamw_step", poison)
     with pytest.raises(TR.TrainingDiverged) as exc:
-        TR.train(params, SHAPE, docs, cfg, 6, str(tmp_path / "x"), callbacks=[poison])
+        TR.train(params, SHAPE, docs, cfg, 6, str(tmp_path / "x"))
     assert exc.value.last_checkpoint is not None
     assert exc.value.last_checkpoint.endswith("checkpoint-00000002.bin")
     # the checkpoint it points to is loadable and finite

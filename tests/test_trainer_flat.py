@@ -1,9 +1,9 @@
 """The flat-buffer optimizer step against the per-group forms in
 `reference_trainer.py`: parameters, moments, checkpoints and diagnostics
 must be the same bits. Also the gradient hand-over that keeps a step at
-four model copies: `backward`'s per-group consumer against its dict; and
-the checkpoint reader that reads each tensor in place against the one that
-copies it out of the whole payload."""
+four model copies: `backward` hands each group over once, and never writes
+it again; and the checkpoint reader that reads each tensor in place against
+the one that copies it out of the whole payload."""
 
 import tracemalloc
 from dataclasses import replace
@@ -59,7 +59,7 @@ def run_both(params, grads_at, state_init=None, rebind_at=None):
         ref_clipped, ref_norm = REF.clip_gradients(copied(grads), cfg.clip_norm)
         clipped, norm = R.clip_gradients(grads, cfg.clip_norm)
         assert norm == ref_norm
-        R.adamw_step(flat_p, clipped, flat_s, R.lr_at(step, cfg), cfg)
+        REF.flat_adamw_step(flat_p, clipped, flat_s, R.lr_at(step, cfg), cfg)
         REF.adamw_step(ref_p, ref_clipped, ref_s, R.lr_at(step, cfg), cfg)
     assert flat_s.step == ref_s.step == STEPS
     return flat_p, flat_s, ref_p, ref_s
@@ -77,7 +77,7 @@ def random_grads(params, seed):
 @pytest.mark.parametrize("order", ["param_shapes", "sorted"])
 def test_flat_step_matches_reference_at_the_bench_shapes(shape, order):
     params = M.init_params(shape, 3)
-    if order == "sorted":  # the order load_checkpoint returns
+    if order == "sorted":  # the manifest's order: not the layout, so copied once
         params = {k: params[k] for k in sorted(params)}
     assert_same_state(*run_both(params, random_grads(params, 1)))
 
@@ -161,20 +161,23 @@ def test_backward_hands_over_each_group_once_with_the_dict_bits(shape, variant):
     tokens = [int(t) for t in rng.integers(0, shape.vocab, size=46)]  # two blocks
     cfg = M.ForwardConfig()
     if variant == "dropout":
-        cfg = M.ForwardConfig(p_at=0.1, p_h=0.1, p_f=0.1, training=True, rng_seed=13, step=2)
+        cfg = M.ForwardConfig(p_at=0.1, p_h=0.1, p_f=0.1, rng_seed=13, step=2)
     weights = rng.random(45) if variant == "position-weights" else None
-    loss, want = M.backward(params, tokens[:-1], tokens[1:], shape, cfg, weights=weights)
-    got = []
-    emitted = M.backward(
-        params, tokens[:-1], tokens[1:], shape, cfg, weights=weights,
-        emit=lambda name, g: got.append((name, np.array(g))),
-    )
-    assert emitted == (loss, None)
+    got, kept = [], {}
+
+    def emit(name, g):
+        got.append((name, np.array(g)))  # the bits when handed over
+        kept[name] = g
+
+    loss = M.backward(params, tokens[:-1], tokens[1:], shape, cfg, emit=emit, weights=weights)
+    logits = M.forward(params, tokens[:-1], shape, cfg)
+    assert loss == M.cross_entropy_loss(logits, tokens[1:], weights=weights)
     names = [name for name, _ in got]
     assert len(names) == len(set(names)) and set(names) == set(params)
     assert names[-1] == "Wem"  # final only after the embedding's scatter-add
+    # the dict of what was handed over holds those bits when backward returns
     for name, g in got:
-        assert same(g, want[name]), name
+        assert same(g, kept[name]), name
 
 
 def test_a_wide_step_allocates_less_than_one_parameter_copy():
@@ -186,7 +189,7 @@ def test_a_wide_step_allocates_less_than_one_parameter_copy():
     acc, grads = R._tiled({k: v.shape for k, v in params.items()})
     rng = np.random.default_rng(4)
     batch = [[int(t) for t in rng.integers(0, shape.vocab, size=34)] for _ in range(2)]
-    fcfg = M.ForwardConfig(training=True, rng_seed=5, step=1)
+    fcfg = M.ForwardConfig(rng_seed=5, step=1)
     tracemalloc.start()
     try:
         R._mean_gradients(params, shape, batch, fcfg, R.TrainConfig(seq_len=33), 0, grads, acc)
@@ -206,7 +209,7 @@ def test_a_wide_step_at_the_bench_length_holds_only_what_backward_reads():
     acc, grads = R._tiled({k: v.shape for k, v in params.items()})
     rng = np.random.default_rng(4)
     batch = [[int(t) for t in rng.integers(0, shape.vocab, size=129)] for _ in range(2)]
-    fcfg = M.ForwardConfig(training=True, rng_seed=5, step=1)
+    fcfg = M.ForwardConfig(rng_seed=5, step=1)
     tracemalloc.start()
     try:
         R._mean_gradients(params, shape, batch, fcfg, R.TrainConfig(seq_len=128), 0, grads, acc)
@@ -224,21 +227,25 @@ def reference_mean_gradients(params, shape, batch, fcfg, cfg, eot_id, grads, acc
     return loss
 
 
-def reference_adamw_step(params, grads, state, lr, cfg, *, flat):
+def reference_adamw_step(shape):
     """``REF.adamw_step`` on per-group views of the four buffers that
-    ``train`` passes, laid out by the names of ``params``."""
+    ``train`` passes, laid out in ``param_shapes`` order, the order of the
+    parameters that ``init_params`` and ``load_checkpoint`` return."""
 
     def groups(buf):
         out, off = {}, 0
-        for k, t in params.items():
-            out[k] = buf[off : off + t.size].reshape(t.shape)
-            off += t.size
+        for k, dims in M.param_shapes(shape).items():
+            out[k] = buf[off : off + int(np.prod(dims))].reshape(dims)
+            off += out[k].size
         return out
 
-    P, G, Mo, Vo, _ = flat
-    views = replace(state, m=groups(Mo), v=groups(Vo))
-    REF.adamw_step(groups(P), groups(G), views, lr, cfg)
-    state.step = views.step
+    def step(flat, state, lr, cfg):
+        P, G, Mo, Vo, _ = flat
+        views = replace(state, m=groups(Mo), v=groups(Vo))
+        REF.adamw_step(groups(P), groups(G), views, lr, cfg)
+        state.step = views.step
+
+    return step
 
 
 def reference_clip_gradients(grads, clip_norm):
@@ -266,7 +273,7 @@ def test_train_writes_the_same_bytes_with_the_reference_optimizer(tmp_path, monk
     # Each pass swaps one more part of the step for its reference form.
     for side in ("flat", "reference-optimizer", "reference-accumulation"):
         if side == "reference-optimizer":
-            monkeypatch.setattr(R, "adamw_step", reference_adamw_step)
+            monkeypatch.setattr(R, "adamw_step", reference_adamw_step(shape))
             monkeypatch.setattr(R, "clip_gradients", reference_clip_gradients)
         if side == "reference-accumulation":
             monkeypatch.setattr(R, "_mean_gradients", reference_mean_gradients)
@@ -320,11 +327,13 @@ def test_checkpoint_reads_in_place_the_reference_bits(tmp_path, moments):
     shape, cfg, params, state = R.load_checkpoint(str(path), moments=moments)
     ref_shape, ref_cfg, ref_params, ref_state = REF.load_checkpoint(str(path))
     assert (shape, cfg) == (ref_shape, ref_cfg)
-    assert list(params) == list(ref_params)
+    # the order of init_params, not the sorted order of the manifest
+    assert list(params) == list(M.param_shapes(shape)) != list(ref_params)
     for k in ref_params:
         assert same(params[k], ref_params[k]), k
     assert replace(state, m={}, v={}) == replace(ref_state, m={}, v={})
     if moments:
+        assert list(state.m) == list(state.v) == list(params)
         assert_same_state(params, state, ref_params, ref_state)
         R.save_checkpoint(str(tmp_path / "again.bin"), shape, cfg, params, state)
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
