@@ -246,6 +246,7 @@ def cmd_train(args) -> int:
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
         os.makedirs(values["out_dir"], exist_ok=True)
+        R.cut_diagnostics(values["out_dir"], ckpt[3].step)
         with R.DiagnosticsLog(os.path.join(values["out_dir"], "diagnostics.csv")) as diag:
             shape, cfg, params, state = R.resume_with_overrides(
                 ckpt, overrides, args.reshuffle, diag

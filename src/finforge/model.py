@@ -447,12 +447,9 @@ def _weighted_mean(x: np.ndarray, weights) -> tuple[float, np.ndarray]:
     return float((x * w).sum() / w.sum()), w / w.sum()
 
 
-def cross_entropy_loss(logits: np.ndarray, targets, weights=None) -> float:
-    """Mean next-token negative log-likelihood in nats; logits are (V, T).
-
-    ``weights`` optionally weights positions (e.g. to exclude document
-    separators); the default is uniform."""
-    return _weighted_mean(target_nll(logits, targets)[1], weights)[0]
+def cross_entropy_loss(logits: np.ndarray, targets) -> float:
+    """Mean next-token negative log-likelihood in nats; logits are (V, T)."""
+    return float(np.mean(target_nll(logits, targets)[1]))
 
 
 def _loss_grad_logits(logits, targets, weights=None) -> tuple[float, np.ndarray]:

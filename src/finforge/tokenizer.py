@@ -9,6 +9,7 @@ Viterbi maximum-probability segmentation per pretoken.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 import sys
@@ -514,11 +515,13 @@ def encode(model: TokenizerModel, data: bytes) -> list[int]:
 
 
 def decode(model: TokenizerModel, ids: list[int]) -> bytes:
-    """Join the tokens' bytes; ``<|endoftext|>`` decodes to nothing."""
+    """Join the tokens' bytes in one pass; ``<|endoftext|>`` decodes to nothing."""
+    table, out = model.id_to_token, io.BytesIO()
     for i in ids:
-        if i < 0 or i >= model.vocab_size:
-            raise ValueError(f"token id {i} out of range [0, {model.vocab_size})")
-    return b"".join([model.id_to_token[i] for i in ids])
+        if not 0 <= i < len(table):
+            raise ValueError(f"token id {i} out of range [0, {len(table)})")
+        out.write(table[i])
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -190,33 +190,23 @@ def decayed(name: str) -> bool:
 _SLICE = 16_384
 
 
-def _flat(tensors: dict, names: list[str]) -> np.ndarray:
-    """The float64 buffer whose consecutive slices are ``tensors[name]``,
-    C-ordered, for ``names`` in order.
-
-    Arrays that do not tile one buffer that way (a hand-made dict, one in
-    another order, an entry someone rebound) are copied into a new buffer,
-    and each entry of ``tensors`` is rebound to its view, with the same
-    values."""
-    buf = tensors[names[0]].base if names else None
-    if isinstance(buf, np.ndarray) and buf.ndim == 1 and buf.dtype == np.float64:
-        start = buf.__array_interface__["data"][0]
-        ptr = start
-        for name in names:
-            a = tensors[name]
-            if (
-                a.base is not buf or a.dtype != np.float64 or not a.flags.c_contiguous
-                or a.__array_interface__["data"][0] != ptr
-            ):
-                break
-            ptr += a.nbytes
-        else:
-            if ptr == start + buf.nbytes:
-                return buf
-    buf, views = _tiled({name: tensors[name].shape for name in names})
-    for name, view in views.items():
-        view[...] = tensors[name]
-        tensors[name] = view  # drops the old array before the next copy
+def _flat(kind: str, tensors: dict, params: dict) -> np.ndarray:
+    """The float64 buffer that ``tensors`` tiles as ``init_params``,
+    ``TrainState.fresh`` and ``load_checkpoint`` lay theirs out: each entry
+    the next C-ordered slice of it, in the names and shapes of ``params``, to
+    its end. Else a ValueError names the first group of ``kind`` that is not."""
+    buf = getattr(next(iter(tensors.values()), None), "base", None)
+    end = buf.ctypes.data if isinstance(buf, np.ndarray) and buf.ndim == 1 else None
+    for name, p in params.items():
+        a = tensors.get(name)
+        if not (end is not None and a is not None and a.shape == p.shape and a.base is buf
+                and a.dtype == buf.dtype == np.float64 and a.flags.c_contiguous
+                and a.ctypes.data == end):
+            raise ValueError(f"{kind} group {name!r} is not the next slice of one float64 "
+                             "buffer laid out like the parameters")
+        end += a.nbytes
+    if len(tensors) != len(params) or end != buf.ctypes.data + buf.nbytes:
+        raise ValueError(f"{kind} holds more than the parameters' {len(params)} groups")
     return buf
 
 
@@ -237,7 +227,7 @@ def adamw_step(flat, state: "TrainState", lr: float, cfg: TrainConfig):
     """One AdamW update with bias correction, in place.
 
     It makes one pass over ``flat``, the parameter, gradient, m and v buffers
-    and the ``_decayed_ranges`` that ``train`` lays out once per call,
+    and the ``_decayed_ranges`` that ``train`` sets up once per call,
     ``_SLICE`` elements at a time through two scratch slices. Per element it
     computes, with exactly these operations in this order, ``m = b1*m +
     (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``, ``u = (m/bc1) / (sqrt(v/bc2) +
@@ -524,6 +514,35 @@ class DiagnosticsLog:
         self.close()
 
 
+def cut_diagnostics(out_dir: str, step: int) -> None:
+    """Keep in ``out_dir``'s ``diagnostics.csv`` only the rows of steps up to
+    ``step``, the checkpoint a run resumes from, so the resumed run appends
+    the rows of an uninterrupted one. A last line without its newline, left
+    by a killed write, is dropped. The cut rows move, in order, to
+    ``diagnostics-<step>-<last cut step>.csv``, written only when a row is
+    cut. A row whose step is not an int is a ValueError naming ``path:line``."""
+    path = os.path.join(out_dir, "diagnostics.csv")
+    if not os.path.exists(path):
+        return
+    cut = []
+    with open(path, "rb") as f, atomic_write(path) as kept:
+        for lineno, line in enumerate(f, 1):
+            if not line.endswith(b"\n"):
+                break
+            head = line.partition(b",")[0]
+            if not head.isdigit():
+                raise ValueError(f"{path}:{lineno}: row step {head.decode(errors='replace')!r} "
+                                 "is not an int")
+            if int(head) <= step:
+                kept.write(line)
+            else:
+                cut.append(line)
+    if cut:
+        last = cut[-1].partition(b",")[0].decode()
+        with atomic_write(os.path.join(out_dir, f"diagnostics-{step}-{last}.csv")) as f:
+            f.writelines(cut)
+
+
 def _epoch_order(n: int, cfg: TrainConfig, epoch: int, salt: int) -> list[int]:
     return _fisher_yates(n, derive_seed(cfg.seed, f"epoch:{epoch}:{salt}"))
 
@@ -580,12 +599,8 @@ def train(
     Raises TrainingDiverged, pointing at the last good checkpoint written by
     this call, if a non-finite loss or gradient appears, and ValueError,
     before the first step, if ``state.order`` names a chunk the corpus does
-    not have.
-
-    The optimizer works on flat buffers (see ``adamw_step``), laid out once
-    before the first step: the entries of ``params`` and of the moments of
-    ``state`` are rebound to views of one buffer each, unless they already
-    are, and updated in place from then on.
+    not have, or if ``params`` or the moments of ``state`` do not tile the
+    flat buffers that ``adamw_step`` updates in place (see ``_flat``).
     """
     os.makedirs(out_dir, exist_ok=True)
     with DiagnosticsLog(os.path.join(out_dir, "diagnostics.csv")) as diag:
@@ -604,11 +619,9 @@ def train(
                 f"checkpoint field 'order' holds chunk {max(state.order)}, but the corpus "
                 f"packs into {len(chunks)} chunks"
             )
-        # The optimizer's buffers for the whole run, laid out by the names of ``params``.
-        names = list(params)
-        acc, grads = _tiled({name: params[name].shape for name in names})
-        flat = (_flat(params, names), acc, _flat(state.m, names), _flat(state.v, names),
-                _decayed_ranges(params))
+        acc, grads = _tiled({name: t.shape for name, t in params.items()})
+        flat = (_flat("parameter", params, params), acc, _flat("m", state.m, params),
+                _flat("v", state.v, params), _decayed_ranges(params))
 
         last_ckpt: str | None = None
 

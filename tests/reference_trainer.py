@@ -8,7 +8,7 @@ clipping returns a new dict. They are slow and kept only as the oracle that
 tests compare the flat-buffer optimizer in `finforge.trainer` against.
 `load_checkpoint` reads the whole payload into one bytes object and copies
 each tensor out of it, the oracle for the trainer's in-place reader.
-`flat_adamw_step` runs the flat optimizer itself on dicts.
+`flat_adamw_step` runs the flat optimizer itself on dicts laid out by `tiled`.
 """
 
 from __future__ import annotations
@@ -40,10 +40,7 @@ def load_checkpoint(path):
         groups[kind][name] = np.frombuffer(
             payload, dtype="<f8", count=math.prod(entry["shape"]), offset=entry["offset"]
         ).reshape(entry["shape"])
-    for kind, named in groups.items():
-        _, groups[kind] = M._tiled({name: t.shape for name, t in named.items()})
-        for name, t in named.items():
-            groups[kind][name][...] = t
+    groups = {kind: tiled(named) for kind, named in groups.items()}
     st = header["state"]
     state = TrainState(
         step=header["step"], m=groups["m"], v=groups["v"],
@@ -103,12 +100,21 @@ def adamw_step(params, grads, state, lr: float, cfg: TrainConfig) -> None:
         theta -= lr * update
 
 
+def tiled(tensors: dict) -> dict:
+    """A copy of ``tensors`` laid out as `train` takes its inputs: views of
+    one float64 buffer, in the order of ``tensors``."""
+    _, views = M._tiled({name: t.shape for name, t in tensors.items()})
+    for name, view in views.items():
+        view[...] = tensors[name]
+    return views
+
+
 def flat_adamw_step(params, grads, state, lr: float, cfg: TrainConfig) -> None:
-    """`finforge.trainer.adamw_step` on dicts, over the buffers laid out by
-    the names of ``params`` as `train` lays them out: entries that do not
-    tile one buffer are copied into one and rebound to their views."""
-    names = list(params)
-    flat = [TR._flat(d, names) for d in (params, grads, state.m, state.v)]
+    """`finforge.trainer.adamw_step` on ``params`` and ``state``'s moments,
+    which must tile one buffer each as `train` requires (see `tiled`), and
+    on a `tiled` copy of ``grads``."""
+    kinds = {"parameter": params, "gradient": tiled(grads), "m": state.m, "v": state.v}
+    flat = [TR._flat(kind, d, params) for kind, d in kinds.items()]
     TR.adamw_step((*flat, TR._decayed_ranges(params)), state, lr, cfg)
 
 

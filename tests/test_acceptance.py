@@ -20,7 +20,7 @@ from finforge import tokenizer as T
 from finforge import trainer as R
 from finforge import vocabselect as V
 from reference_model import alibi_matrices, finite_diff_check
-from reference_trainer import flat_adamw_step
+from reference_trainer import flat_adamw_step, tiled
 
 
 @contextmanager
@@ -257,8 +257,8 @@ def test_criterion_09_schedules_and_optimizer(capsys):
         assert R.batch_size_at(7200, cfg) == 1024
         assert R.batch_size_at(7201, cfg) == 2048
         # zero-gradient AdamW step
-        params = {"Wx": np.array([3.0]), "attn.U": np.array([-2.0]),
-                  "ln.g": np.array([1.5]), "ffn.b": np.array([0.25])}
+        params = tiled({"Wx": np.array([3.0]), "attn.U": np.array([-2.0]),
+                        "ln.g": np.array([1.5]), "ffn.b": np.array([0.25])})
         grads = {k: np.zeros_like(v) for k, v in params.items()}
         state = R.TrainState.fresh(params)
         lr = 1e-3

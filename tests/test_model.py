@@ -283,12 +283,18 @@ def test_loss_hand_example_two_classes():
     assert M.cross_entropy_loss(logits, [1]) == pytest.approx(-math.log(0.25), rel=1e-12)
 
 
+def weighted_loss(logits, targets, weights):
+    """The position-weighted loss that ``backward`` takes (``train`` under
+    ``loss_on_separator = false``)."""
+    return M._loss_grad_logits(logits, targets, weights)[0]
+
+
 def test_loss_weights_exclude_positions():
     logits = np.array([[math.log(3.0), 0.0], [0.0, 0.0]])
-    full = M.cross_entropy_loss(logits, [0, 1], weights=[1.0, 0.0])
+    full = weighted_loss(logits, [0, 1], [1.0, 0.0])
     assert full == pytest.approx(-math.log(0.75), rel=1e-12)
     # weighted mean with equal weights equals the plain mean
-    assert M.cross_entropy_loss(logits, [0, 1], weights=[1.0, 1.0]) == pytest.approx(
+    assert weighted_loss(logits, [0, 1], [1.0, 1.0]) == pytest.approx(
         M.cross_entropy_loss(logits, [0, 1]), rel=1e-15
     )
 
@@ -330,7 +336,7 @@ def test_gradients_with_position_weights():
     loss, grads = gradients(params, TOKENS, TARGETS, SHAPE, CFG, weights=weights)
     logits = M.forward(params, TOKENS, SHAPE)
     assert loss == pytest.approx(
-        M.cross_entropy_loss(logits, TARGETS, weights=weights), rel=1e-12
+        weighted_loss(logits, TARGETS, weights), rel=1e-12
     )
     # spot-check one tensor numerically under the weighted loss
     h = 1e-6
@@ -339,9 +345,9 @@ def test_gradients_with_position_weights():
     for i in (0, 17):
         orig = flat[i]
         flat[i] = orig + h
-        up = M.cross_entropy_loss(M.forward(params, TOKENS, SHAPE), TARGETS, weights=weights)
+        up = weighted_loss(M.forward(params, TOKENS, SHAPE), TARGETS, weights)
         flat[i] = orig - h
-        down = M.cross_entropy_loss(M.forward(params, TOKENS, SHAPE), TARGETS, weights=weights)
+        down = weighted_loss(M.forward(params, TOKENS, SHAPE), TARGETS, weights)
         flat[i] = orig
         assert g[i] == pytest.approx((up - down) / (2 * h), abs=1e-7)
 

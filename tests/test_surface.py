@@ -3,7 +3,12 @@ method of those classes, is read somewhere in the program (`src/`, or
 `perfbench/` without its tests) outside its own definition, as a bare name
 or an attribute. A name that only tests reach belongs in `tests/`; `KEPT`
 lists the few kept for tests on purpose, each with its reason. Names are
-matched, not bindings, so a name that another definition shares can pass."""
+matched, not bindings, so a name that another definition shares can pass.
+
+Every parameter of those functions and methods is also passed, by position
+or by keyword, by some call in the program: a parameter that only tests pass
+is a mode the program never selects. `KEPT_PARAMS` lists any kept on
+purpose, as `function(parameter)` with its reason."""
 
 import ast
 from pathlib import Path
@@ -46,6 +51,50 @@ def _unread(src: Path, program: list[Path]) -> list[str]:
     return out
 
 
+KEPT_PARAMS: dict[str, str] = {}
+
+
+def _unpassed(src: Path, program: list[Path]) -> list[str]:
+    """``function(parameter)`` for each parameter of a public function or
+    method defined in ``src``'s modules that no call in ``program`` passes.
+
+    Calls are matched by the callee's name. A call with ``*args`` or
+    ``**kwargs`` passes every parameter. A method's first parameter (self or
+    cls) is passed by the attribute a call goes through, so only a call of
+    the bare name passes it by position. A function that no call names (a
+    handler passed as a value, or a name in `KEPT`) is left to the name
+    check."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in program:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            defs = [(top, False)] if isinstance(top, ast.FunctionDef) else []
+            if isinstance(top, ast.ClassDef):
+                defs = [(m, "staticmethod" not in [getattr(d, "id", None) for d in m.decorator_list])
+                        for m in top.body if isinstance(m, ast.FunctionDef)]
+            for fn, method in defs:
+                if fn.name[0] == "_" or fn.name not in calls:
+                    continue
+                positional = [a.arg for a in fn.args.posonlyargs + fn.args.args][method:]
+                params = positional + [a.arg for a in fn.args.kwonlyargs]
+                passed = set()
+                for call in calls[fn.name]:
+                    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                        k.arg is None for k in call.keywords
+                    ):
+                        passed.update(params)
+                    shift = method and isinstance(call.func, ast.Name)
+                    passed.update(positional[: max(len(call.args) - shift, 0)])
+                    passed.update(k.arg for k in call.keywords)
+                out += [f"{fn.name}({p})" for p in params if p not in passed]
+    return out
+
+
 def test_every_public_name_is_read_by_the_program():
     unread = _unread(SRC, PROGRAM)
     assert [n for n in unread if n not in KEPT] == [], "move these into tests/, or list them in KEPT"
@@ -60,3 +109,29 @@ def test_the_check_finds_a_name_read_only_inside_its_own_definition(tmp_path):
     )
     (tmp_path / "caller.py").write_text("import mod\n\nmod.used()\nmod.Box().fill()\n")
     assert _unread(tmp_path, sorted(tmp_path.glob("*.py"))) == ["Box.size", "unused"]
+
+
+def test_every_parameter_is_passed_by_the_program():
+    unpassed = _unpassed(SRC, PROGRAM)
+    assert [p for p in unpassed if p not in KEPT_PARAMS] == [], (
+        "only tests pass these: move the mode into tests/, or list it in KEPT_PARAMS"
+    )
+    assert sorted(unpassed) == sorted(KEPT_PARAMS)  # a kept parameter now passed, or gone
+
+
+def test_the_check_finds_a_parameter_that_no_call_passes(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def f(a, b=0, *, c=1, d=2):\n    return a\n\n\n"
+        "def g(x, y=0):\n    return x\n\n\n"
+        "def handler(args):\n    return args\n\n\n"
+        "class Box:\n    def put(self, item, where=None):\n        return item\n\n"
+        "    @classmethod\n    def make(cls, size, fill=0):\n        return cls()\n\n"
+        "    @staticmethod\n    def sized(n, m=0):\n        return n\n"
+    )
+    (tmp_path / "caller.py").write_text(
+        "import mod\n\nmod.f(1, c=3)\nmod.g(*[1, 2])\nTABLE = {'run': mod.handler}\n"
+        "box = mod.Box()\nbox.put(1)\nmod.Box.make(2, 3)\nmod.Box.sized(1)\n"
+    )
+    assert _unpassed(tmp_path, sorted(tmp_path.glob("*.py"))) == [
+        "f(b)", "f(d)", "put(where)", "sized(m)"
+    ]

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -307,6 +308,24 @@ def test_decode_roundtrip_and_errors():
     with pytest.raises(ValueError):
         T.decode(model, [model.vocab_size])
     assert T.decode(model, [0]) == b""  # separator decodes to empty
+
+
+def test_decode_peaks_at_about_its_output():
+    # One pass into one buffer: no list of the tokens' bytes, and no
+    # per-item record of joining them, however many ids there are.
+    model = make_model({b"ab": 0.5, b"a": 0.25, b"b": 0.25, b"bab": 0.1})
+    ids = [(7 * i) % model.vocab_size for i in range(100_000)]
+    expected = b"".join(model.id_to_token[i] for i in ids)
+    tracemalloc.start()
+    try:
+        out = T.decode(model, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == expected and type(out) is bytes
+    assert peak < 2 * len(out) + (64 << 10), (peak, len(out))
+    with pytest.raises(ValueError, match=rf"token id -1 out of range \[0, {model.vocab_size}\)"):
+        T.decode(model, [1, -1])
 
 
 def brute_force_segment(data, logp):

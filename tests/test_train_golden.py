@@ -9,9 +9,13 @@ that divides `steps` and the loss mask of `loss_on_separator = false`."""
 
 import hashlib
 import json
+import shutil
+
+import pytest
 
 from finforge import cli
 from finforge import tokenizer as T
+from finforge import trainer as R
 from test_eval_golden import WORDS
 from test_tokenizer_lattice import finance_text
 
@@ -107,3 +111,64 @@ def test_a_resumed_run_writes_the_rows_of_the_uninterrupted_run(tmp_path, capsys
     ckpt = tmp_path / "part" / "checkpoint-00000004.bin"
     rest = _train(tmp_path, 6, "rest", "--resume", str(ckpt))
     assert rest == [row for row in full if int(row.split(",")[0]) >= 5]
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_a_run_interrupted_after_step_k_resumes_to_the_uninterrupted_files(tmp_path, monkeypatch, k):
+    # The 6-step run (checkpoint interval 2) dies in step k + 1's update and
+    # is resumed from its last interval checkpoint into its own out_dir: the
+    # rows of the steps it replays are cut first, and kept in a sidecar.
+    _fixture(tmp_path)
+    _train(tmp_path, 6, "full")
+    real_step = R.adamw_step
+
+    def dies_after_step_k(flat, state, lr, cfg):
+        if state.step == k:
+            raise Interrupted
+        real_step(flat, state, lr, cfg)
+
+    with monkeypatch.context() as m:
+        m.setattr(R, "adamw_step", dies_after_step_k)
+        with pytest.raises(Interrupted):
+            _train(tmp_path, 6, "cut")
+    before = (tmp_path / "cut" / "diagnostics.csv").read_text().splitlines()
+    last = k - k % 2
+    _train(tmp_path, 6, "cut", "--resume", str(tmp_path / "cut" / f"checkpoint-{last:08d}.bin"))
+    got = _digests(tmp_path / "cut")
+    sidecar = f"diagnostics-{last}-{k}.csv"
+    cut_rows = [row for row in before if int(row.split(",")[0]) > last]
+    if cut_rows:
+        assert (tmp_path / "cut" / sidecar).read_text().splitlines() == cut_rows
+        del got[sidecar]
+    assert got == _digests(tmp_path / "full")
+    assert bool(cut_rows) == (k % 2 == 1)
+
+
+def test_the_resume_cut_drops_a_torn_last_line_and_names_a_bad_row(tmp_path, capsys):
+    # Two copies of a 4-step run, one with three complete rows of a later
+    # step and a torn row after its own, resume to the same files.
+    _fixture(tmp_path)
+    full = _train(tmp_path, 6, "full")
+    _train(tmp_path, 4, "part")
+    shutil.copytree(tmp_path / "part", tmp_path / "torn")
+    diag = tmp_path / "torn" / "diagnostics.csv"
+    with open(diag, "a") as f:
+        f.write("\n".join(full[-3:]) + "\n5,weight_no")  # a kill mid-write
+    for out in ("part", "torn"):
+        _train(tmp_path, 6, out, "--resume", str(tmp_path / out / "checkpoint-00000004.bin"))
+    got = _digests(tmp_path / "torn")
+    assert (tmp_path / "torn" / "diagnostics-4-6.csv").read_text().splitlines() == full[-3:]
+    del got["diagnostics-4-6.csv"]
+    assert got == _digests(tmp_path / "part")
+    # A row whose step is not an int stops the resume before anything is written.
+    text = diag.read_text().replace("\n2,", "\nx2,", 1)
+    diag.write_text(text)
+    line = text[: text.index("\nx2,")].count("\n") + 2
+    resume = ["--resume", str(tmp_path / "torn" / "checkpoint-00000004.bin")]
+    assert cli.main(["train", "--config", str(tmp_path / "torn.cfg"), *resume]) == 2
+    assert f"data error: {diag}:{line}: row step 'x2' is not an int" in capsys.readouterr().err
+    assert diag.read_text() == text

@@ -8,7 +8,7 @@ import pytest
 from finforge import model as M
 from finforge import trainer as TR
 from finforge.scaling import ModelShape
-from reference_trainer import flat_adamw_step
+from reference_trainer import flat_adamw_step, tiled
 
 SHAPE = ModelShape(1, 2, 8, 4, 32, 16)
 
@@ -214,7 +214,7 @@ def test_decay_set_membership():
 
 def test_adamw_single_scalar_hand_computed():
     cfg = TR.TrainConfig(seed=0)
-    params = {"Wx": np.array([1.0])}
+    params = tiled({"Wx": np.array([1.0])})
     grads = {"Wx": np.array([0.5])}
     state = TR.TrainState.fresh(params)
     lr = 1e-3
@@ -230,7 +230,7 @@ def test_adamw_single_scalar_hand_computed():
 
 def test_adamw_zero_gradient_only_decays_weights():
     cfg = TR.TrainConfig()
-    params = {"Wx": np.array([2.0]), "ln.g": np.array([2.0])}
+    params = tiled({"Wx": np.array([2.0]), "ln.g": np.array([2.0])})
     grads = {"Wx": np.array([0.0]), "ln.g": np.array([0.0])}
     state = TR.TrainState.fresh(params)
     flat_adamw_step(params, grads, state, 1e-2, cfg)
@@ -244,7 +244,7 @@ def test_adamw_decoupled_decay_independent_of_gradient_scale():
     cfg = TR.TrainConfig()
     out = []
     for gscale in (1.0, 100.0):
-        params = {"Wx": np.array([1.0])}
+        params = tiled({"Wx": np.array([1.0])})
         state = TR.TrainState.fresh(params)
         flat_adamw_step(params, {"Wx": np.array([gscale])}, state, 1e-3, cfg)
         out.append(params["Wx"][0])

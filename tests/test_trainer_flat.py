@@ -40,12 +40,13 @@ def assert_same_state(params, state, ref_params, ref_state):
         assert same(state.v[k], ref_state.v[k]), k
 
 
-def run_both(params, grads_at, state_init=None, rebind_at=None):
+def run_both(params, grads_at, state_init=None):
     """``STEPS`` clipped AdamW steps through the flat optimizer and the
-    reference, from equal copies of ``params``; ``grads_at(step)`` gives a
-    new gradient dict each step. Returns both sides' params and states."""
+    reference, from equal copies of ``params``, the flat side's laid out as
+    `train` takes them; ``grads_at(step)`` gives a new gradient dict each
+    step. Returns both sides' params and states."""
     cfg = R.TrainConfig(max_lr=1e-2, final_lr=1e-3, warmup_steps=2, horizon_steps=20)
-    flat_p, ref_p = copied(params), copied(params)
+    flat_p, ref_p = REF.tiled(params), copied(params)
     flat_s = R.TrainState.fresh(flat_p)
     ref_s = R.TrainState(m={k: np.zeros_like(v) for k, v in ref_p.items()},
                          v={k: np.zeros_like(v) for k, v in ref_p.items()})
@@ -54,8 +55,6 @@ def run_both(params, grads_at, state_init=None, rebind_at=None):
             state_init(s)
     for step in range(1, STEPS + 1):
         grads = grads_at(step)
-        if step == rebind_at:
-            flat_p[next(iter(flat_p))] = np.array(next(iter(flat_p.values())))
         ref_clipped, ref_norm = REF.clip_gradients(copied(grads), cfg.clip_norm)
         clipped, norm = R.clip_gradients(grads, cfg.clip_norm)
         assert norm == ref_norm
@@ -77,7 +76,7 @@ def random_grads(params, seed):
 @pytest.mark.parametrize("order", ["param_shapes", "sorted"])
 def test_flat_step_matches_reference_at_the_bench_shapes(shape, order):
     params = M.init_params(shape, 3)
-    if order == "sorted":  # the manifest's order: not the layout, so copied once
+    if order == "sorted":  # the manifest's order, laid out in that order by run_both
         params = {k: params[k] for k in sorted(params)}
     assert_same_state(*run_both(params, random_grads(params, 1)))
 
@@ -89,25 +88,37 @@ def test_decayed_range_across_a_slice_boundary():
     assert_same_state(*run_both(params, random_grads(params, 2)))
 
 
-def test_dicts_that_do_not_tile_a_buffer_are_copied_once_and_rebound():
-    params = M.init_params(bench_shape(1, 2, 8, 64), 5)  # copied: one array per group
+def reversed_tiling(tensors):
+    """Views of one buffer, but in reverse name order: not the layout."""
+    views = REF.tiled({k: tensors[k] for k in reversed(tensors)})
+    return {k: views[k] for k in tensors}
+
+
+def test_dicts_that_do_not_tile_a_buffer_are_rejected_by_name():
+    params = M.init_params(bench_shape(1, 2, 8, 64), 5)
     names = list(params)
-    buf = np.empty(sum(v.size for v in params.values()))
-
-    def reversed_tiling(step):
-        # views of one buffer, but in reverse name order: not the layout
-        grads = random_grads(params, 3)(step)
-        out, off = {}, 0
-        for k in reversed(names):
-            out[k] = buf[off : off + grads[k].size].reshape(grads[k].shape)
-            out[k][...] = grads[k]
-            off += grads[k].size
-        return {k: out[k] for k in names}
-
-    flat_p, flat_s, ref_p, ref_s = run_both(params, reversed_tiling, rebind_at=3)
-    assert_same_state(flat_p, flat_s, ref_p, ref_s)
-    base = flat_p[names[0]].base
-    assert base.size == buf.size and all(flat_p[k].base is base for k in names)
+    grads_at = random_grads(params, 3)
+    # Gradients in another tiling are laid out by flat_adamw_step, so the
+    # step is still the reference's.
+    assert_same_state(*run_both(params, lambda step: reversed_tiling(grads_at(step))))
+    # The step takes no layout but the parameters', and names what breaks it.
+    with pytest.raises(ValueError, match=f"^parameter group '{names[0]}' is not the next"):
+        R._flat("parameter", reversed_tiling(params), params)
+    with pytest.raises(ValueError, match=f"^m group '{names[0]}' is not the next"):
+        R._flat("m", copied(params), params)
+    rebound = dict(params, **{names[2]: np.array(params[names[2]])})
+    with pytest.raises(ValueError, match=f"^parameter group '{names[2]}' is not the next"):
+        R._flat("parameter", rebound, params)
+    with pytest.raises(ValueError, match=f"^v group '{names[0]}' is not the next"):
+        R._flat("v", {}, params)
+    with pytest.raises(ValueError, match=f"^v group '{names[1]}' is not the next"):
+        R._flat("v", {k: params[k] for k in names[::2]}, params)
+    head = {k: params[k] for k in names[:-1]}  # the buffer runs on past its last group
+    with pytest.raises(ValueError, match=f"^m holds more than the parameters' {len(head)} groups"):
+        R._flat("m", head, head)
+    with pytest.raises(ValueError, match=f"^m holds more than the parameters' {len(head)} groups"):
+        R._flat("m", params, head)
+    assert R._flat("parameter", params, params) is params[names[0]].base
 
 
 def test_signed_zeros_keep_their_sign():
@@ -171,7 +182,7 @@ def test_backward_hands_over_each_group_once_with_the_dict_bits(shape, variant):
 
     loss = M.backward(params, tokens[:-1], tokens[1:], shape, cfg, emit=emit, weights=weights)
     logits = M.forward(params, tokens[:-1], shape, cfg)
-    assert loss == M.cross_entropy_loss(logits, tokens[1:], weights=weights)
+    assert loss == M._loss_grad_logits(logits, tokens[1:], weights)[0]
     names = [name for name, _ in got]
     assert len(names) == len(set(names)) and set(names) == set(params)
     assert names[-1] == "Wem"  # final only after the embedding's scatter-add
@@ -292,9 +303,9 @@ def test_train_writes_the_same_bytes_with_the_reference_optimizer(tmp_path, monk
 def test_train_lays_out_the_flat_buffers_once_per_call(tmp_path, monkeypatch):
     real_flat, laid_out = R._flat, []
 
-    def counting_flat(tensors, names):
-        laid_out.append(names)
-        return real_flat(tensors, names)
+    def counting_flat(kind, tensors, params):
+        laid_out.append(kind)
+        return real_flat(kind, tensors, params)
 
     monkeypatch.setattr(R, "_flat", counting_flat)
     shape = bench_shape(1, 2, 8, 64)
@@ -304,7 +315,32 @@ def test_train_lays_out_the_flat_buffers_once_per_call(tmp_path, monkeypatch):
     docs = [[int(t) for t in rng.integers(1, 64, size=20)] for _ in range(20)]
     state, _ = R.train(M.init_params(shape, 3), shape, docs, cfg, STEPS, str(tmp_path))
     assert state.step == STEPS
-    assert len(laid_out) == 3  # the parameters, m and v, before the first step
+    assert laid_out == ["parameter", "m", "v"]  # before the first step
+
+
+@pytest.mark.parametrize("case", ["untiled", "sorted"])
+def test_train_rejects_inputs_that_do_not_tile_one_buffer(tmp_path, case):
+    # ``train`` takes the layout of init_params, TrainState.fresh and
+    # load_checkpoint as it is: anything else is named, and nothing rebound.
+    shape = bench_shape(1, 2, 8, 64)
+    params = M.init_params(shape, 3)
+    names = list(params)
+    bad, group = {
+        "untiled": (copied(params), names[0]),
+        "sorted": ({k: params[k] for k in sorted(params)}, sorted(names)[1]),
+    }[case]
+    cfg = R.TrainConfig(max_lr=1e-2, final_lr=1e-3, warmup_steps=2, horizon_steps=20,
+                        seq_len=16, batch_warmup_size=2, batch_main_size=2)
+    docs = [[int(t) for t in np.random.default_rng(9).integers(1, 64, size=20)]] * 20
+    entries = dict(bad)
+    with pytest.raises(ValueError, match=f"^parameter group '{group}' is not the next slice"):
+        R.train(bad, shape, docs, cfg, STEPS, str(tmp_path))
+    assert all(bad[k] is entries[k] for k in bad)
+    # moments that do not tile like the parameters are named too
+    state = R.TrainState.fresh(params)
+    state.m = copied(state.m)
+    with pytest.raises(ValueError, match=f"^m group '{names[0]}' is not the next slice"):
+        R.train(params, shape, docs, cfg, STEPS, str(tmp_path), state=state)
 
 
 def saved_checkpoint(path, shape, seed):
