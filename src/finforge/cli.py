@@ -265,6 +265,8 @@ def cmd_train(args) -> int:
     except R.TrainingDiverged as exc:
         exc.last_checkpoint = exc.last_checkpoint or args.resume  # where this run began
         raise
+    except R.StateMismatch as exc:
+        raise ValueError(f"{args.resume}: {exc}") from None
     print(f"final_checkpoint,{last}")
     print(f"final_step,{state.step}")
     return 0

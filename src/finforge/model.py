@@ -195,16 +195,23 @@ def init_std(hidden: int) -> float:
     return 1.0 / math.sqrt(3.0 * hidden)
 
 
+def _offsets(shapes: dict) -> dict[str, int]:
+    """The one layout of a buffer of ``shapes``, in memory and in a
+    checkpoint: each name's element offset, its C-ordered tensor following
+    the one before it in sorted name order."""
+    offsets, off = {}, 0
+    for name in sorted(shapes):
+        offsets[name] = off
+        off += math.prod(shapes[name])
+    return offsets
+
+
 def _tiled(shapes: dict, fill=np.empty) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """A new float64 buffer from ``fill`` and its consecutive C-ordered
-    views, one per ``name: shape`` of ``shapes``, in order."""
-    buf = fill(sum(math.prod(s) for s in shapes.values()))
-    views, off = {}, 0
-    for name, shape in shapes.items():
-        n = math.prod(shape)
-        views[name] = buf[off : off + n].reshape(shape)
-        off += n
-    return buf, views
+    """A new float64 buffer from ``fill`` and its views at their
+    ``_offsets``, one per ``name: shape`` of ``shapes``, in ``shapes``'s order."""
+    buf, offsets = fill(sum(math.prod(s) for s in shapes.values())), _offsets(shapes)
+    return buf, {name: buf[offsets[name] : offsets[name] + math.prod(shape)].reshape(shape)
+                 for name, shape in shapes.items()}
 
 
 def init_params(shape: ModelShape, seed: int) -> dict[str, np.ndarray]:

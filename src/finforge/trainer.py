@@ -3,9 +3,10 @@ learning-rate and batch-size warmup schedules, gradient clipping, smoothed
 loss, per-component diagnostics, and checkpoint/rollback with overrides.
 
 The optimizer runs on flat buffers: the parameters, the step's gradients and
-the two AdamW moments each tile one float64 buffer, in the order of the
-parameter names, so one AdamW pass covers every group. Dicts of views keep
-the per-group names for the model, the diagnostics and the checkpoints.
+the two AdamW moments each tile one float64 buffer, in sorted name order
+(``model._offsets``), so one AdamW pass covers every group and a checkpoint
+holds each buffer as it lies in memory. Dicts of views keep the per-group
+names for the model, the diagnostics and the checkpoints.
 ``backward`` hands each gradient group straight to the step's buffer, so a
 step holds these four model copies plus one sequence's activations.
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import model as M
 from .atomic import atomic_write
-from .model import _tiled
+from .model import _offsets, _tiled
 from .scaling import ModelShape
 
 CHECKPOINT_MAGIC = b"BGPT"
@@ -191,35 +192,35 @@ _SLICE = 16_384
 
 
 def _flat(kind: str, tensors: dict, params: dict) -> np.ndarray:
-    """The float64 buffer that ``tensors`` tiles as ``init_params``,
-    ``TrainState.fresh`` and ``load_checkpoint`` lay theirs out: each entry
-    the next C-ordered slice of it, in the names and shapes of ``params``, to
-    its end. Else a ValueError names the first group of ``kind`` that is not."""
+    """The float64 buffer that ``tensors`` tiles in the one layout
+    (``model._offsets``) of the names and shapes of ``params``, as
+    ``init_params``, ``TrainState.fresh`` and ``load_checkpoint`` lay theirs
+    out. Else a ValueError names the first group of ``kind``, in ``params``'s
+    order, that is not at its offset."""
     buf = getattr(next(iter(tensors.values()), None), "base", None)
-    end = buf.ctypes.data if isinstance(buf, np.ndarray) and buf.ndim == 1 else None
+    start = buf.ctypes.data if isinstance(buf, np.ndarray) and buf.ndim == 1 else None
+    offsets = _offsets({name: p.shape for name, p in params.items()})
     for name, p in params.items():
         a = tensors.get(name)
-        if not (end is not None and a is not None and a.shape == p.shape and a.base is buf
+        if not (start is not None and a is not None and a.shape == p.shape and a.base is buf
                 and a.dtype == buf.dtype == np.float64 and a.flags.c_contiguous
-                and a.ctypes.data == end):
-            raise ValueError(f"{kind} group {name!r} is not the next slice of one float64 "
+                and a.ctypes.data == start + 8 * offsets[name]):
+            raise ValueError(f"{kind} group {name!r} is not at its offset in one float64 "
                              "buffer laid out like the parameters")
-        end += a.nbytes
-    if len(tensors) != len(params) or end != buf.ctypes.data + buf.nbytes:
+    if len(tensors) != len(params) or buf.size != sum(p.size for p in params.values()):
         raise ValueError(f"{kind} holds more than the parameters' {len(params)} groups")
     return buf
 
 
 def _decayed_ranges(params) -> list[tuple[int, int]]:
     """Merged index ranges of the decayed groups in ``_flat`` of ``params``."""
-    ranges, off = [], 0
-    for name, t in params.items():
+    ranges = []
+    for name, off in _offsets({name: t.shape for name, t in params.items()}).items():
         if decayed(name):
             if ranges and ranges[-1][1] == off:
-                ranges[-1] = (ranges[-1][0], off + t.size)
+                ranges[-1] = (ranges[-1][0], off + params[name].size)
             else:
-                ranges.append((off, off + t.size))
-        off += t.size
+                ranges.append((off, off + params[name].size))
     return ranges
 
 
@@ -302,6 +303,10 @@ class TrainState:
         return self.smooth_num / self.smooth_den
 
 
+class StateMismatch(ValueError):
+    """A training state that the corpus of the run it is given to cannot hold."""
+
+
 class TrainingDiverged(RuntimeError):
     """A non-finite loss or gradient, and the last good checkpoint or None."""
 
@@ -314,38 +319,29 @@ class TrainingDiverged(RuntimeError):
         return f"{self.args[0]}; last good checkpoint: {good}"
 
 
+def _manifest(shapes: dict, kinds) -> list[dict]:
+    """The manifest of a payload of ``kinds`` (param, m, v) of tensors of
+    ``shapes``: each kind's buffer in the one layout, one after another."""
+    size, offsets = sum(math.prod(s) for s in shapes.values()), _offsets(shapes)
+    return [{"name": f"{kind}:{name}", "dtype": "<f8", "shape": list(shapes[name]),
+             "offset": 8 * (i * size + off)}
+            for i, kind in enumerate(kinds) for name, off in offsets.items()]
+
+
 def save_checkpoint(path, shape: ModelShape, cfg: TrainConfig, params, state: TrainState):
-    """Binary checkpoint: magic, version, JSON header, raw little-endian
-    float64 tensor payloads in manifest order, written atomically.
-    save->load->save is byte-identical."""
-    tensors = []
-    for name in sorted(params):
-        tensors.append((f"param:{name}", params[name]))
-    for name in sorted(state.m):
-        tensors.append((f"m:{name}", state.m[name]))
-    for name in sorted(state.v):
-        tensors.append((f"v:{name}", state.v[name]))
-    manifest = []
-    offset = 0
-    for name, t in tensors:
-        nbytes = t.size * 8
-        manifest.append(
-            {"name": name, "dtype": "<f8", "shape": list(t.shape), "offset": offset}
-        )
-        offset += nbytes
+    """Binary checkpoint: magic, version, JSON header, then the raw
+    little-endian float64 buffers of the parameters and, unless ``state``
+    has none, the m and v moments, each written whole in the layout
+    ``_flat`` checks, written atomically. save->load->save is byte-identical."""
+    kinds = ({"param": params, "m": state.m, "v": state.v} if state.m or state.v
+             else {"param": params})
+    bufs = [_flat(kind, tensors, params) for kind, tensors in kinds.items()]
     header = {
         "shape": asdict(shape),
         "step": state.step,
         "config": asdict(cfg),
-        "state": {
-            "smooth_num": state.smooth_num,
-            "smooth_den": state.smooth_den,
-            "epoch": state.epoch,
-            "stream_pos": state.stream_pos,
-            "order": state.order,
-            "shuffle_salt": state.shuffle_salt,
-        },
-        "manifest": manifest,
+        "state": {key: getattr(state, key) for key in _STATE_FIELDS if key != "step"},
+        "manifest": _manifest({name: t.shape for name, t in params.items()}, kinds),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with atomic_write(path) as f:
@@ -353,10 +349,8 @@ def save_checkpoint(path, shape: ModelShape, cfg: TrainConfig, params, state: Tr
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        for _, t in tensors:
-            if not (t.flags.c_contiguous and t.dtype == "<f8"):
-                t = np.ascontiguousarray(t, dtype="<f8")
-            f.write(memoryview(t).cast("B"))  # the bytes, without a copy
+        for buf in bufs:
+            f.write(memoryview(buf.astype("<f8", copy=False)).cast("B"))  # the bytes, no copy
 
 
 def _is_count(x) -> bool:
@@ -381,68 +375,15 @@ _STATE_FIELDS = {
 }
 
 
-def _manifest_entries(header, shape: ModelShape, payload_bytes: int, kinds) -> dict:
-    """The manifest's entries by kind (param, m, v), then name, after
-    checking that each is a tensor of the model shape, that each of
-    ``kinds`` has an entry for every parameter, and that together they tile
-    the payload: in manifest order from byte 0, each starting where the one
-    before ends, no name twice, and the payload ends where the last one
-    does."""
-    expected = M.param_shapes(shape)
-    entries: dict[str, dict[str, dict]] = {"param": {}, "m": {}, "v": {}}
-    end, label, twice = 0, None, None
-    for entry in header["manifest"]:
-        label = entry["name"]
-        kind, _, name = label.partition(":")
-        if kind not in entries or expected.get(name) != tuple(entry["shape"]):
-            raise ValueError(
-                f"manifest entry {label!r} with shape {entry['shape']} "
-                "is not a tensor of the model shape"
-            )
-        if entry["dtype"] != "<f8":
-            raise ValueError(
-                f"manifest entry {label!r} has dtype {entry['dtype']!r}, "
-                "not little-endian float64 ('<f8')"
-            )
-        # A repeated name is reported after a missing parameter, so an entry
-        # renamed to another's name is reported as the one it replaced.
-        if name in entries[kind]:
-            twice = twice or label
-        if not (_is_count(entry["offset"]) and entry["offset"] == end):
-            raise ValueError(
-                f"manifest entry {label!r} has offset {reprlib.repr(entry['offset'])}, "
-                f"not {end}: the entries must tile the payload in manifest order"
-            )
-        end += math.prod(entry["shape"]) * 8
-        if end > payload_bytes:
-            raise ValueError(
-                f"manifest entry {label!r} ends at payload byte {end}, "
-                f"past the payload's {payload_bytes} bytes"
-            )
-        entries[kind][name] = entry
-    if end != payload_bytes:
-        raise ValueError(
-            f"manifest entry {label!r} ends at payload byte {end}, "
-            f"{payload_bytes - end} bytes before the payload does"
-        )
-    missing = [f"{kind}:{k}" for kind in kinds for k in expected if k not in entries[kind]]
-    if missing:
-        raise ValueError(f"manifest has no entry {missing[0]!r}")
-    if twice:
-        raise ValueError(f"manifest entry {twice!r} appears twice")
-    return entries
-
-
 def load_checkpoint(path, moments: bool = True):
     """Returns (shape, cfg, params, state).
 
-    Each kind of tensor (param, m, v) gets one native float64 buffer, laid
-    out in ``param_shapes`` order as ``init_params`` lays out its own, and
-    each tensor is read from its manifest offset straight into its view of
-    that buffer, so no other copy of the payload is made. With
-    ``moments=False`` only the parameters are read and required: the m and
-    v entries are checked in the header, and ``state.m`` and ``state.v`` are
-    empty."""
+    The manifest must be the one ``save_checkpoint`` writes for the header's
+    shape: param, m and v, or, with ``moments=False``, param alone. Each
+    kind read gets one native float64 buffer in the layout ``init_params``
+    gives its own, filled by one ``readinto``, so no other copy of the
+    payload is made. With ``moments=False`` only the parameters are read,
+    and ``state.m`` and ``state.v`` are empty."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -458,11 +399,30 @@ def load_checkpoint(path, moments: bool = True):
             raise ValueError(f"{path}: header length {hlen} runs past the end of the file")
         try:
             header = json.loads(f.read(hlen))
-            base = f.tell()
+            payload = size - f.tell()
             shape = ModelShape(**header["shape"])
             cfg = TrainConfig(**header["config"])
-            kinds = ("param", "m", "v") if moments else ("param",)
-            entries = _manifest_entries(header, shape, size - base, kinds)
+            shapes = M.param_shapes(shape)
+            got, want = header["manifest"], _manifest(shapes, ("param", "m", "v"))
+            for i, (entry, ref) in enumerate(zip(got, want)):
+                if entry == ref:
+                    continue
+                key = next(k for k in (*ref, *entry) if entry.get(k, ...) != ref.get(k, ...))
+                if key == "name":
+                    raise ValueError(f"manifest entry {i} is {reprlib.repr(entry.get(key))}, "
+                                     f"not {ref[key]!r}")
+                raise ValueError(f"manifest entry {ref['name']!r} has {key} "
+                                 f"{reprlib.repr(entry.get(key))}, not {ref.get(key)!r}")
+            if len(got) > len(want):
+                raise ValueError(f"manifest entry {reprlib.repr(got[len(want)].get('name'))} "
+                                 f"follows the last one, {want[-1]['name']!r}")
+            if len(got) < len(want) and (moments or len(got) != len(shapes)):
+                raise ValueError(f"manifest has no entry {want[len(got)]['name']!r}")
+            end = got[-1]["offset"] + 8 * math.prod(got[-1]["shape"])
+            if end != payload:
+                raise ValueError(f"manifest entry {got[-1]['name']!r} ends at payload byte {end}, "
+                                 + (f"past the payload's {payload} bytes" if end > payload
+                                    else f"{payload - end} bytes before the payload does"))
             st = dict(header["state"], step=header["step"])
             for key, (what, ok) in _STATE_FIELDS.items():
                 if not ok(st[key]):
@@ -474,12 +434,10 @@ def load_checkpoint(path, moments: bool = True):
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"{path}: malformed checkpoint header: {exc!r}") from exc
         groups = {"m": {}, "v": {}}
-        for kind in kinds:
-            buf, groups[kind] = _tiled(M.param_shapes(shape))
-            for name, view in groups[kind].items():
-                f.seek(base + entries[kind][name]["offset"])
-                if f.readinto(view) != view.nbytes:
-                    raise ValueError(f"{path}: manifest entry '{kind}:{name}' is cut short")
+        for kind in ("param", "m", "v") if moments else ("param",):
+            buf, groups[kind] = _tiled(shapes)
+            if f.readinto(buf) != buf.nbytes:
+                raise ValueError(f"{path}: the {kind} buffer is cut short")
             if sys.byteorder == "big":  # the payload is little-endian
                 buf.byteswap(inplace=True)
     state = TrainState(m=groups["m"], v=groups["v"], **{k: st[k] for k in _STATE_FIELDS})
@@ -597,10 +555,10 @@ def train(
 
     Returns the final state and the path of the last checkpoint written.
     Raises TrainingDiverged, pointing at the last good checkpoint written by
-    this call, if a non-finite loss or gradient appears, and ValueError,
-    before the first step, if ``state.order`` names a chunk the corpus does
-    not have, or if ``params`` or the moments of ``state`` do not tile the
-    flat buffers that ``adamw_step`` updates in place (see ``_flat``).
+    this call, if a non-finite loss or gradient appears; before the first
+    step, StateMismatch if ``state.order`` names a chunk the corpus does not
+    have, and ValueError if ``params`` or the moments of ``state`` do not
+    tile the flat buffers that ``adamw_step`` updates in place (see ``_flat``).
     """
     os.makedirs(out_dir, exist_ok=True)
     with DiagnosticsLog(os.path.join(out_dir, "diagnostics.csv")) as diag:
@@ -615,7 +573,7 @@ def train(
         if not state.order:
             state.order = _epoch_order(len(chunks), cfg, state.epoch, state.shuffle_salt)
         if max(state.order) >= len(chunks):
-            raise ValueError(
+            raise StateMismatch(
                 f"checkpoint field 'order' holds chunk {max(state.order)}, but the corpus "
                 f"packs into {len(chunks)} chunks"
             )

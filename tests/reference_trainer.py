@@ -102,7 +102,7 @@ def adamw_step(params, grads, state, lr: float, cfg: TrainConfig) -> None:
 
 def tiled(tensors: dict) -> dict:
     """A copy of ``tensors`` laid out as `train` takes its inputs: views of
-    one float64 buffer, in the order of ``tensors``."""
+    one float64 buffer in sorted name order, in a dict in ``tensors``'s order."""
     _, views = M._tiled({name: t.shape for name, t in tensors.items()})
     for name, view in views.items():
         view[...] = tensors[name]

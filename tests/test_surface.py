@@ -5,6 +5,10 @@ or an attribute. A name that only tests reach belongs in `tests/`; `KEPT`
 lists the few kept for tests on purpose, each with its reason. Names are
 matched, not bindings, so a name that another definition shares can pass.
 
+Every private top-level function, class and constant of `finforge` is read
+by `src/` itself outside its own definition: one that nothing reads, or only
+tests and `perfbench/`, is dead code.
+
 Every parameter of those functions and methods is also passed, by position
 or by keyword, by some call in the program: a parameter that only tests pass
 is a mode the program never selects. `KEPT_PARAMS` lists any kept on
@@ -27,15 +31,21 @@ KEPT = {
 }
 
 
-def _unread(src: Path, program: list[Path]) -> list[str]:
-    """The public names defined in ``src``'s modules that no file of
-    ``program`` reads outside the name's own definition."""
+def _reads(program: list[Path]) -> dict[str, list[tuple[Path, int]]]:
+    """Where each bare name or attribute appears in ``program``'s files."""
     reads: dict[str, list[tuple[Path, int]]] = {}
     for path in program:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.Name, ast.Attribute)):
                 name = node.id if isinstance(node, ast.Name) else node.attr
                 reads.setdefault(name, []).append((path, node.lineno))
+    return reads
+
+
+def _unread(src: Path, program: list[Path]) -> list[str]:
+    """The public names defined in ``src``'s modules that no file of
+    ``program`` reads outside the name's own definition."""
+    reads = _reads(program)
     out = []
     for path in sorted(src.glob("*.py")):
         for top in ast.parse(path.read_text(), str(path)).body:
@@ -48,6 +58,28 @@ def _unread(src: Path, program: list[Path]) -> list[str]:
                     p == path and line in own for p, line in reads.get(node.name, [])
                 ):
                     out.append(label)
+    return out
+
+
+def _unread_private(src: Path) -> list[str]:
+    """``module.name`` for each private top-level function, class or
+    constant of ``src``'s modules that no module of ``src`` reads outside the
+    statement that defines it."""
+    modules = sorted(src.glob("*.py"))
+    reads, out = _reads(modules), []
+    for path in modules:
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = range(top.lineno, top.end_lineno + 1)
+            out += [f"{path.stem}.{name}" for name in names
+                    if name[0] == "_" and not name.startswith("__")
+                    and all(p == path and line in own for p, line in reads.get(name, []))]
     return out
 
 
@@ -109,6 +141,20 @@ def test_the_check_finds_a_name_read_only_inside_its_own_definition(tmp_path):
     )
     (tmp_path / "caller.py").write_text("import mod\n\nmod.used()\nmod.Box().fill()\n")
     assert _unread(tmp_path, sorted(tmp_path.glob("*.py"))) == ["Box.size", "unused"]
+
+
+def test_every_private_name_is_read_by_src():
+    assert _unread_private(SRC) == [], "nothing in src/ reads these: delete them"
+
+
+def test_the_check_finds_a_private_helper_that_nothing_reads(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "_LIMIT = 3\n_unused_limit: int = 4\n\n\ndef run():\n    return _helper() + _LIMIT\n\n\n"
+        "def _helper():\n    return 1\n\n\ndef _shared():\n    return 2\n\n\n"
+        "class _Unused:\n    def size(self):\n        return _Unused()\n"
+    )
+    (tmp_path / "caller.py").write_text("from mod import _shared, run\n\nrun(_shared())\n")
+    assert _unread_private(tmp_path) == ["mod._unused_limit", "mod._Unused"]
 
 
 def test_every_parameter_is_passed_by_the_program():

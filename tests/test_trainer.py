@@ -370,6 +370,13 @@ def _duplicate_last(manifest, payload):
     return payload + payload[last["offset"] :]
 
 
+def _swap_first_two(manifest, payload):
+    # the two entries and their bytes trade places, so they still tile the payload
+    a, b = (math.prod(e["shape"]) * 8 for e in manifest[:2])
+    manifest[0], manifest[1] = dict(manifest[1], offset=0), dict(manifest[0], offset=b)
+    return payload[a : a + b] + payload[:a] + payload[a + b :]
+
+
 @pytest.mark.parametrize(
     "case, edit, entry, message",
     [
@@ -379,12 +386,13 @@ def _duplicate_last(manifest, payload):
          "has offset 0, not"),
         ("offset-bool", lambda m, p: m[0].update(offset=True) or p, 0, "has offset True, not 0"),
         ("trailing-bytes", lambda m, p: p + bytes(64), -1, "64 bytes before the payload does"),
-        ("entry-duplicated", _duplicate_last, -1, "appears twice"),
+        ("entry-duplicated", _duplicate_last, -1, "follows the last one"),
+        ("entries-swapped", _swap_first_two, 0, "not 'param:Wem'"),
     ],
 )
 def test_checkpoint_manifest_must_tile_the_payload(tmp_path, case, edit, entry, message):
-    # Entries tile the payload exactly, in manifest order from byte 0, with
-    # no name twice; each violation names the file and the entry.
+    # The manifest is the one save_checkpoint writes, whose entries tile the
+    # payload in the one layout; each departure names the file and the entry.
     path = tmp_path / "c.bin"
     manifest = _edited_checkpoint(path, edit)
     for moments in (True, False):

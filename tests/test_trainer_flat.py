@@ -2,9 +2,10 @@
 `reference_trainer.py`: parameters, moments, checkpoints and diagnostics
 must be the same bits. Also the gradient hand-over that keeps a step at
 four model copies: `backward` hands each group over once, and never writes
-it again; and the checkpoint reader that reads each tensor in place against
-the one that copies it out of the whole payload."""
+it again; and the checkpoint reader that reads each kind's buffer in place
+against the one that copies each tensor out of the whole payload."""
 
+import builtins
 import tracemalloc
 from dataclasses import replace
 
@@ -76,7 +77,7 @@ def random_grads(params, seed):
 @pytest.mark.parametrize("order", ["param_shapes", "sorted"])
 def test_flat_step_matches_reference_at_the_bench_shapes(shape, order):
     params = M.init_params(shape, 3)
-    if order == "sorted":  # the manifest's order, laid out in that order by run_both
+    if order == "sorted":  # the layout's order; run_both lays out either in that order
         params = {k: params[k] for k in sorted(params)}
     assert_same_state(*run_both(params, random_grads(params, 1)))
 
@@ -88,10 +89,20 @@ def test_decayed_range_across_a_slice_boundary():
     assert_same_state(*run_both(params, random_grads(params, 2)))
 
 
-def reversed_tiling(tensors):
-    """Views of one buffer, but in reverse name order: not the layout."""
-    views = REF.tiled({k: tensors[k] for k in reversed(tensors)})
+def laid_out_in(tensors, names):
+    """A copy of ``tensors``, views of one buffer one after another in the
+    order of ``names``: not the layout unless ``names`` is sorted."""
+    buf, views, off = np.empty(sum(tensors[k].size for k in names)), {}, 0
+    for k in names:
+        views[k] = buf[off : off + tensors[k].size].reshape(tensors[k].shape)
+        views[k][...] = tensors[k]
+        off += tensors[k].size
     return {k: views[k] for k in tensors}
+
+
+def reversed_tiling(tensors):
+    """Views of one buffer, but in reverse sorted name order: not the layout."""
+    return laid_out_in(tensors, sorted(tensors, reverse=True))
 
 
 def test_dicts_that_do_not_tile_a_buffer_are_rejected_by_name():
@@ -102,18 +113,21 @@ def test_dicts_that_do_not_tile_a_buffer_are_rejected_by_name():
     # step is still the reference's.
     assert_same_state(*run_both(params, lambda step: reversed_tiling(grads_at(step))))
     # The step takes no layout but the parameters', and names what breaks it.
-    with pytest.raises(ValueError, match=f"^parameter group '{names[0]}' is not the next"):
+    with pytest.raises(ValueError, match=f"^parameter group '{names[0]}' is not at its offset"):
         R._flat("parameter", reversed_tiling(params), params)
-    with pytest.raises(ValueError, match=f"^m group '{names[0]}' is not the next"):
+    with pytest.raises(ValueError, match=f"^parameter group '{names[1]}' is not at its offset"):
+        R._flat("parameter", laid_out_in(params, names), params)  # in init order
+    with pytest.raises(ValueError, match=f"^m group '{names[0]}' is not at its offset"):
         R._flat("m", copied(params), params)
     rebound = dict(params, **{names[2]: np.array(params[names[2]])})
-    with pytest.raises(ValueError, match=f"^parameter group '{names[2]}' is not the next"):
+    with pytest.raises(ValueError, match=f"^parameter group '{names[2]}' is not at its offset"):
         R._flat("parameter", rebound, params)
-    with pytest.raises(ValueError, match=f"^v group '{names[0]}' is not the next"):
+    with pytest.raises(ValueError, match=f"^v group '{names[0]}' is not at its offset"):
         R._flat("v", {}, params)
-    with pytest.raises(ValueError, match=f"^v group '{names[1]}' is not the next"):
+    with pytest.raises(ValueError, match=f"^v group '{names[1]}' is not at its offset"):
         R._flat("v", {k: params[k] for k in names[::2]}, params)
-    head = {k: params[k] for k in names[:-1]}  # the buffer runs on past its last group
+    # the buffer runs on past its last group in the layout
+    head = {k: params[k] for k in names if k != max(names)}
     with pytest.raises(ValueError, match=f"^m holds more than the parameters' {len(head)} groups"):
         R._flat("m", head, head)
     with pytest.raises(ValueError, match=f"^m holds more than the parameters' {len(head)} groups"):
@@ -240,12 +254,12 @@ def reference_mean_gradients(params, shape, batch, fcfg, cfg, eot_id, grads, acc
 
 def reference_adamw_step(shape):
     """``REF.adamw_step`` on per-group views of the four buffers that
-    ``train`` passes, laid out in ``param_shapes`` order, the order of the
+    ``train`` passes, laid out in sorted name order, the layout of the
     parameters that ``init_params`` and ``load_checkpoint`` return."""
 
     def groups(buf):
         out, off = {}, 0
-        for k, dims in M.param_shapes(shape).items():
+        for k, dims in sorted(M.param_shapes(shape).items()):
             out[k] = buf[off : off + int(np.prod(dims))].reshape(dims)
             off += out[k].size
         return out
@@ -301,13 +315,18 @@ def test_train_writes_the_same_bytes_with_the_reference_optimizer(tmp_path, monk
 
 
 def test_train_lays_out_the_flat_buffers_once_per_call(tmp_path, monkeypatch):
-    real_flat, laid_out = R._flat, []
+    real_flat, real_step, laid_out = R._flat, R.adamw_step, []
 
     def counting_flat(kind, tensors, params):
         laid_out.append(kind)
         return real_flat(kind, tensors, params)
 
+    def marked_step(*args):
+        laid_out.append("step")
+        return real_step(*args)
+
     monkeypatch.setattr(R, "_flat", counting_flat)
+    monkeypatch.setattr(R, "adamw_step", marked_step)
     shape = bench_shape(1, 2, 8, 64)
     cfg = R.TrainConfig(max_lr=1e-2, final_lr=1e-3, warmup_steps=2, horizon_steps=20,
                         seq_len=16, batch_warmup_size=2, batch_main_size=2)
@@ -315,10 +334,11 @@ def test_train_lays_out_the_flat_buffers_once_per_call(tmp_path, monkeypatch):
     docs = [[int(t) for t in rng.integers(1, 64, size=20)] for _ in range(20)]
     state, _ = R.train(M.init_params(shape, 3), shape, docs, cfg, STEPS, str(tmp_path))
     assert state.step == STEPS
-    assert laid_out == ["parameter", "m", "v"]  # before the first step
+    # once before the first step; then only the final checkpoint finds its buffers
+    assert laid_out == ["parameter", "m", "v"] + ["step"] * STEPS + ["param", "m", "v"]
 
 
-@pytest.mark.parametrize("case", ["untiled", "sorted"])
+@pytest.mark.parametrize("case", ["untiled", "param_shapes"])
 def test_train_rejects_inputs_that_do_not_tile_one_buffer(tmp_path, case):
     # ``train`` takes the layout of init_params, TrainState.fresh and
     # load_checkpoint as it is: anything else is named, and nothing rebound.
@@ -327,19 +347,19 @@ def test_train_rejects_inputs_that_do_not_tile_one_buffer(tmp_path, case):
     names = list(params)
     bad, group = {
         "untiled": (copied(params), names[0]),
-        "sorted": ({k: params[k] for k in sorted(params)}, sorted(names)[1]),
+        "param_shapes": (laid_out_in(params, names), names[1]),  # tiled in init order
     }[case]
     cfg = R.TrainConfig(max_lr=1e-2, final_lr=1e-3, warmup_steps=2, horizon_steps=20,
                         seq_len=16, batch_warmup_size=2, batch_main_size=2)
     docs = [[int(t) for t in np.random.default_rng(9).integers(1, 64, size=20)]] * 20
     entries = dict(bad)
-    with pytest.raises(ValueError, match=f"^parameter group '{group}' is not the next slice"):
+    with pytest.raises(ValueError, match=f"^parameter group '{group}' is not at its offset"):
         R.train(bad, shape, docs, cfg, STEPS, str(tmp_path))
     assert all(bad[k] is entries[k] for k in bad)
     # moments that do not tile like the parameters are named too
     state = R.TrainState.fresh(params)
     state.m = copied(state.m)
-    with pytest.raises(ValueError, match=f"^m group '{names[0]}' is not the next slice"):
+    with pytest.raises(ValueError, match=f"^m group '{names[0]}' is not at its offset"):
         R.train(params, shape, docs, cfg, STEPS, str(tmp_path), state=state)
 
 
@@ -380,6 +400,55 @@ def test_checkpoint_reads_in_place_the_reference_bits(tmp_path, moments):
         base = next(iter(tensors.values())).base
         assert base.dtype == np.float64 and base.size == sum(t.size for t in tensors.values())
         assert all(t.base is base for t in tensors.values())
+
+
+def test_checkpoint_payload_is_the_param_m_and_v_buffers_in_turn(tmp_path):
+    # the file holds each kind's buffer as it lies in memory
+    shape = bench_shape(2, 2, 8, 64)
+    params = M.init_params(shape, 5)
+    state = R.TrainState.fresh(params)
+    rng = np.random.default_rng(5)
+    for moments in (state.m, state.v):
+        for t in moments.values():
+            t[...] = rng.normal(size=t.shape)
+    path = tmp_path / "c.bin"
+    R.save_checkpoint(str(path), shape, R.TrainConfig(), params, state)
+    raw = path.read_bytes()
+    payload = raw[16 + int.from_bytes(raw[8:16], "little") :]
+    bufs = [next(iter(kind.values())).base for kind in (params, state.m, state.v)]
+    assert payload == b"".join(buf.astype("<f8").tobytes() for buf in bufs)
+
+
+class _CountedReads:
+    """A binary file that records the byte count of each ``readinto``."""
+
+    def __init__(self, f, sizes):
+        self._f, self.sizes = f, sizes
+
+    def readinto(self, b):
+        self.sizes.append(memoryview(b).nbytes)
+        return self._f.readinto(b)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+@pytest.mark.parametrize("moments, reads", [(False, 1), (True, 3)])
+def test_checkpoint_load_reads_each_kind_with_one_call(tmp_path, monkeypatch, moments, reads):
+    path = tmp_path / "c.bin"
+    params = saved_checkpoint(path, bench_shape(2, 2, 8, 64), 5)
+    sizes = []
+    monkeypatch.setattr(
+        R, "open", lambda p, mode: _CountedReads(builtins.open(p, mode), sizes), raising=False
+    )
+    R.load_checkpoint(str(path), moments=moments)
+    assert sizes == [sum(t.nbytes for t in params.values())] * reads
 
 
 def test_checkpoint_on_a_big_endian_host_swaps_the_bytes(tmp_path, monkeypatch):
