@@ -124,13 +124,10 @@ def partition_corpus(path: str, domains: int, chunks: int) -> list[list[bytes]]:
     return out
 
 
-def _load_model(path: str) -> tuple[M.LanguageModel, R.TrainConfig]:
-    """The checkpoint's model and config; its AdamW moments are not read."""
+def _load_model(path: str) -> M.LanguageModel:
+    """The checkpoint's model; its AdamW moments are not read."""
     shape, cfg, params, _ = R.load_checkpoint(path, moments=False)
-    return (
-        M.LanguageModel(shape, params, eps=cfg.ln_eps, qk_layer_scaling=cfg.qk_layer_scaling),
-        cfg,
-    )
+    return M.LanguageModel(shape, params, eps=cfg.ln_eps, qk_layer_scaling=cfg.qk_layer_scaling)
 
 
 def _check_vocab(tok: T.TokenizerModel, tok_path: str, shape: S.ModelShape, ckpt_path: str):
@@ -277,7 +274,7 @@ def cmd_eval(args) -> int:
         raise _UsageError(
             f"--stride must be less than --window, got {args.stride} and {args.window}"
         )
-    lm, _ = _load_model(args.model)
+    lm = _load_model(args.model)
     tok = T.load_tokenizer(args.tokenizer)
     _check_vocab(tok, args.tokenizer, lm.shape, args.model)
     if args.eval_cmd == "bpb":

@@ -35,18 +35,6 @@ _PRETOKEN_RE = re.compile(rb"[ A-Za-z]+|[0-9]|[^ A-Za-z0-9]+")
 _ALL_BYTES = [bytes([b]) for b in range(256)]
 
 
-class InsufficientCorpusError(ValueError):
-    """Corpus slice is too small to seed a vocabulary."""
-
-
-class BadTokenError(ValueError):
-    """A token table entry that ``encode`` cannot use; ``token_id`` is its id."""
-
-    def __init__(self, token_id: int, what: str):
-        super().__init__(f"token id {token_id}: {what}")
-        self.token_id = token_id
-
-
 def pretokenize(data: bytes) -> list[bytes]:
     """Split raw bytes into pretokens by greedy leftmost-longest matching.
 
@@ -241,12 +229,13 @@ def _viterbi(
     """Maximum-product segmentation of ``data`` over its ``_lattice``, whose
     ``prefixes`` is ``_prefixes(logp)``.
 
-    Ties break by fewer tokens, then lexicographically smallest token,
+    Each suffix keeps the smallest ``(-logp, ntokens, first_token)``, so
+    ties break by fewer tokens, then lexicographically smallest token,
     applied greedily from the left over suffix-optimal continuations.
     Returns None when no segmentation exists.
     """
     m = len(data)
-    # best[i]: (logp, ntokens, first_token) for the suffix starting at i;
+    # best[i]: (-logp, ntokens, first_token) for the suffix starting at i;
     # the lattice reversed reaches every edge out of i after those out of j > i.
     best: list[tuple[float, int, bytes] | None] = [None] * (m + 1)
     best[m] = (0.0, 0, b"")
@@ -254,8 +243,9 @@ def _viterbi(
         nxt = best[j]
         if nxt is None:
             continue
-        cand = (logp[tok] + nxt[0], 1 + nxt[1], tok)
-        if best[i] is None or _better(cand, best[i]):
+        # (-L) - lp is exactly -(lp + L): IEEE rounding is symmetric in sign.
+        cand = (nxt[0] - logp[tok], 1 + nxt[1], tok)
+        if best[i] is None or cand < best[i]:
             best[i] = cand
     if best[0] is None:
         return None
@@ -265,15 +255,7 @@ def _viterbi(
         tok = best[i][2]  # type: ignore[index]
         tokens.append(tok)
         i += len(tok)
-    return tokens, best[0][0]
-
-
-def _better(a: tuple[float, int, bytes], b: tuple[float, int, bytes]) -> bool:
-    if a[0] != b[0]:
-        return a[0] > b[0]
-    if a[1] != b[1]:
-        return a[1] < b[1]
-    return a[2] < b[2]
+    return tokens, -best[0][0]
 
 
 def _split_logps(tokens: list[bytes], logp: dict[bytes, float]) -> list[float]:
@@ -312,7 +294,7 @@ def train_chunk_unigram(chunk: bytes, target_size: int) -> UnigramVocab:
         raise ValueError("target_size must be positive")
     counts = Counter(pretokenize(chunk))
     if not counts:
-        raise InsufficientCorpusError("chunk has no pretokens")
+        raise ValueError("chunk has no pretokens")
 
     probs = _seed_candidates(counts, target_size)
     singles = {t for t in probs if len(t) == 1}
@@ -419,9 +401,12 @@ class BoundedMemo(dict):
 
 @dataclass
 class TokenizerModel:
-    """Finalized tokenizer: log-probability table and dense id assignment.
-    Id 0 is always ``<|endoftext|>``; every single byte has a token, so any
-    byte string is encodable.
+    """Finalized tokenizer: its log-probability table, whose tokens take ids
+    1, 2, ... in the table's order. Id 0 is always ``<|endoftext|>``;
+    ``id_to_token`` and ``token_to_id`` are derived from the table, so they
+    cannot disagree with it. Every single byte has a token, so any byte
+    string is encodable: ``finalize`` builds such tables, and
+    ``load_tokenizer`` checks that a file holds one.
 
     Every ``encode`` call on a model shares its ``BoundedMemo`` of pretoken
     -> ids, so each distinct pretoken is segmented once per model. The
@@ -429,11 +414,15 @@ class TokenizerModel:
     first ``encode``. Both assume that the model is not changed in place."""
 
     logp: dict[bytes, float]
-    id_to_token: list[bytes]  # index 0 holds b"", the <|endoftext|> slot
-    token_to_id: dict[bytes, int]
+    id_to_token: list[bytes] = field(init=False)  # index 0 holds b"", the <|endoftext|> slot
+    token_to_id: dict[bytes, int] = field(init=False)
     _memo: BoundedMemo = field(default_factory=lambda: BoundedMemo(_MEMO_BYTES),
                                init=False, repr=False, compare=False)
     _prefix_set: set | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.id_to_token = [b"", *self.logp]
+        self.token_to_id = {t: i for i, t in enumerate(self.logp, 1)}
 
     @property
     def vocab_size(self) -> int:
@@ -442,32 +431,6 @@ class TokenizerModel:
     @property
     def eot_id(self) -> int:
         return ENDOFTEXT_ID
-
-    @classmethod
-    def from_ranked(cls, ranked: list[tuple[bytes, float]]) -> TokenizerModel:
-        """Tokens with their log-probabilities take ids 1, 2, ... in order.
-
-        A table that ``encode`` cannot use is a ``ValueError``: an empty or
-        repeated token, or a log-probability that is not finite or is above
-        0 (a ``BadTokenError``, which names the id), or a byte with no
-        single-byte token."""
-        token_to_id: dict[bytes, int] = {}
-        for i, (t, lp) in enumerate(ranked, 1):
-            if not t:
-                raise BadTokenError(i, "empty token")
-            if t in token_to_id:
-                raise BadTokenError(i, f"token {t.hex()} repeats id {token_to_id[t]}")
-            if not -math.inf < lp <= 0.0:  # also false for nan
-                raise BadTokenError(i, f"log-probability {lp!r} is not finite and at most 0")
-            token_to_id[t] = i
-        missing = [b.hex() for b in _ALL_BYTES if b not in token_to_id]
-        if missing:
-            raise ValueError(f"no single-byte token for {len(missing)} bytes, first 0x{missing[0]}")
-        return cls(
-            logp=dict(ranked),
-            id_to_token=[b""] + [t for t, _ in ranked],  # id 0: <|endoftext|>
-            token_to_id=token_to_id,
-        )
 
     def _segment(self, pretoken: bytes) -> tuple[int, ...]:
         """The ids of ``pretoken``'s Viterbi segmentation, kept in the memo."""
@@ -487,7 +450,7 @@ def finalize(vocab: UnigramVocab) -> TokenizerModel:
             probs[b] = BYTE_FLOOR
     probs = _normalized(probs)
     ranked = sorted(probs.items(), key=lambda tp: (-tp[1], tp[0]))
-    return TokenizerModel.from_ranked([(t, math.log(p)) for t, p in ranked])
+    return TokenizerModel({t: math.log(p) for t, p in ranked})
 
 
 def finalize_to_size(vocab: UnigramVocab, size: int) -> TokenizerModel:
@@ -537,7 +500,7 @@ def train_parallel(
     associative byte-weighted reduction, so the grouping is fixed for
     determinism but does not affect the result."""
     if not domains or any(not chunks for chunks in domains):
-        raise InsufficientCorpusError("corpus partition has an empty domain")
+        raise ValueError("corpus partition has an empty domain")
     merged = merge_vocabs(
         [merge_vocabs([train_chunk_unigram(c, chunk_vocab) for c in chunks]) for chunks in domains]
     )
@@ -562,30 +525,43 @@ def save_tokenizer(model: TokenizerModel, path: str) -> None:
 
 
 def load_tokenizer(path: str) -> TokenizerModel:
-    """Read a file written by ``save_tokenizer``. A malformed file is a
-    ``ValueError`` that names the file and, where there is one, the line."""
-    lines = [line for _, line in read_lines(path)]
-    head = lines[0].split() if lines else []
-    if len(head) != 2 or head[0] != _HEADER or not head[1].isdecimal() or len(lines) < 2:
+    """Read a file written by ``save_tokenizer``, checking each line as it
+    is read. A malformed file is a ``ValueError`` that names the file and,
+    where there is one, the first bad line: one that does not parse, an id
+    that is not the next one, or a token that ``encode`` cannot use (an
+    empty or repeated token, or a log-probability that is not finite or is
+    above 0). Then the header's size and the single-byte coverage are
+    checked."""
+    lines = read_lines(path)
+    head = next(lines, (1, ""))[1].split()
+    special = next(lines, None)
+    if len(head) != 2 or head[0] != _HEADER or not head[1].isdecimal() or special is None:
         raise ValueError(f"not a {_HEADER} file: {path}")
-    vocab_size = int(head[1])
-    if lines[1].split() != ["special", ENDOFTEXT, str(ENDOFTEXT_ID)]:
+    if special[1].split() != ["special", ENDOFTEXT, str(ENDOFTEXT_ID)]:
         raise ValueError(f"{path}:2: malformed special-token line")
-    ranked: list[tuple[bytes, float]] = []
-    for lineno, line in enumerate(lines[2:], 3):  # token id k is on line k + 2
+    logp: dict[bytes, float] = {}
+    for lineno, line in lines:  # token id k is on line k + 2
+        k = lineno - 2
         try:
             sid, hextok, lp = line.split("\t")
-            ranked.append((bytes.fromhex(hextok), float(lp)))
-            dense = int(sid) == len(ranked)
+            t, lp, dense = bytes.fromhex(hextok), float(lp), int(sid) == k
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not dense:
             raise ValueError(f"{path}:{lineno}: ids are not dense and ascending")
-    if len(ranked) + 1 != vocab_size:
+        if not t:
+            what = "empty token"
+        elif t in logp:
+            what = f"token {t.hex()} repeats id {list(logp).index(t) + 1}"
+        elif not -math.inf < lp <= 0.0:  # also false for nan
+            what = f"log-probability {lp!r} is not finite and at most 0"
+        else:
+            logp[t] = lp
+            continue
+        raise ValueError(f"{path}:{lineno}: token id {k}: {what}")
+    if len(logp) + 1 != int(head[1]):
         raise ValueError(f"{path}: vocab size mismatch")
-    try:
-        return TokenizerModel.from_ranked(ranked)
-    except BadTokenError as exc:
-        raise ValueError(f"{path}:{exc.token_id + 2}: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    missing = [b.hex() for b in _ALL_BYTES if b not in logp]
+    if missing:
+        raise ValueError(f"{path}: no single-byte token for {len(missing)} bytes, first 0x{missing[0]}")
+    return TokenizerModel(logp)

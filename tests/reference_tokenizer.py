@@ -19,10 +19,8 @@ from finforge.tokenizer import (
     EM_ITERS_PER_ROUND,
     MAX_TOKEN_LEN,
     PRUNE_FRACTION,
-    InsufficientCorpusError,
     TokenizerModel,
     UnigramVocab,
-    _better,
     _normalized,
     _seed_candidates,
     pretokenize,
@@ -125,6 +123,16 @@ def _viterbi(
     return tokens, best[0][0]
 
 
+def _better(a: tuple[float, int, bytes], b: tuple[float, int, bytes]) -> bool:
+    """Whether segmentation score ``a`` beats ``b``: a higher log-probability,
+    then fewer tokens, then the lexicographically smaller first token."""
+    if a[0] != b[0]:
+        return a[0] > b[0]
+    if a[1] != b[1]:
+        return a[1] < b[1]
+    return a[2] < b[2]
+
+
 def _split_logp(t: bytes, logp: dict[bytes, float]) -> float:
     """Log-probability of the best segmentation of ``t`` into two or more
     tokens, or -inf if there is none, for ``t`` of at most ``MAX_TOKEN_LEN``
@@ -151,7 +159,7 @@ def train_chunk_unigram(chunk: bytes, target_size: int) -> UnigramVocab:
         raise ValueError("target_size must be positive")
     counts = Counter(pretokenize(chunk))
     if not counts:
-        raise InsufficientCorpusError("chunk has no pretokens")
+        raise ValueError("chunk has no pretokens")
 
     probs = _seed_candidates(counts, target_size)
     singles = {t for t in probs if len(t) == 1}

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -425,7 +426,7 @@ def test_eval_cli_matches_api(capsys, workspace):
     )
     assert code == 0
     cli_bpb = float(stdout.strip().split(",")[1])
-    lm, _ = cli._load_model(ckpt)
+    lm = cli._load_model(ckpt)
     tok = T.load_tokenizer(str(tokpath))
     api_bpb = E.bits_per_byte(lm, [evaldoc.read_bytes()], tok, window=16, stride=8)
     assert cli_bpb == pytest.approx(api_bpb, abs=1e-9)
@@ -458,7 +459,7 @@ def test_generate_cli_matches_api(capfdbinary, workspace):
     ])
     raw = capfdbinary.readouterr().out
     assert code == 0
-    lm, _ = cli._load_model(ckpt)
+    lm = cli._load_model(ckpt)
     tok = T.load_tokenizer(str(tokpath))
     prompt = [tok.eot_id] + T.encode(tok, b"the")
     expected = T.decode(tok, E.greedy_decode(lm, prompt, 4, eot_id=tok.eot_id))
@@ -717,6 +718,43 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         assert f"{tokpath}:3: not UTF-8: invalid start byte" in err, err
     elif case.startswith("tokenizer-"):
         assert f"{tokpath}:{len(lines)}: token id {sid}:" in err, err
+
+
+def test_tokenizer_file_fuzz_exits_0_or_2_naming_the_line(capfdbinary, tmp_path):
+    # Seeded byte flips and truncations of a 257-entry tokenizer file, and
+    # token lines dropped, duplicated or swapped with the next. A dropped
+    # line is never the last, whose loss only the header size shows.
+    rng = random.Random(0)
+    ckpt, tokpath = tmp_path / "model.ckpt", tmp_path / "tok.txt"
+    _write_checkpoint(ckpt)
+    T.save_tokenizer(T.finalize(T.UnigramVocab({b"a": 1.0}, 1.0)), str(tokpath))
+    raw = tokpath.read_bytes()
+    lines = raw.splitlines(keepends=True)
+    for case in range(64):
+        kind = ("flip", "truncate", "drop", "duplicate", "swap")[case % 5]
+        k = rng.randrange(2, len(lines) - 1)  # a token line with one after it
+        named = None  # the line number the error must name
+        if kind == "flip":
+            at = rng.randrange(len(raw))
+            data = raw[:at] + bytes([raw[at] ^ 1 << rng.randrange(8)]) + raw[at + 1:]
+        elif kind == "truncate":
+            data = raw[: rng.randrange(len(raw))]
+        elif kind == "drop":
+            data, named = b"".join(lines[:k] + lines[k + 1:]), k + 1
+        elif kind == "duplicate":
+            data, named = b"".join(lines[: k + 1] + lines[k:]), k + 2
+        else:
+            data, named = b"".join(lines[:k] + [lines[k + 1], lines[k]] + lines[k + 2:]), k + 1
+        tokpath.write_bytes(data)
+        code = cli.main([
+            "eval", "generate", "--model", str(ckpt), "--tokenizer", str(tokpath),
+            "--prompt", "a", "--max-new-tokens", "1",
+        ])
+        err = capfdbinary.readouterr().err.decode("utf-8", "replace")
+        assert code in (0, 2), (case, kind, err)
+        assert "Traceback" not in err, (case, kind, err)
+        if named is not None:
+            assert code == 2 and f"data error: {tokpath}:{named}: " in err, (case, kind, err)
 
 
 def _tokenizer_of_size(path, size):

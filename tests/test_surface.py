@@ -12,9 +12,14 @@ tests and `perfbench/`, is dead code.
 Every parameter of those functions and methods is also passed, by position
 or by keyword, by some call in the program: a parameter that only tests pass
 is a mode the program never selects. `KEPT_PARAMS` lists any kept on
-purpose, as `function(parameter)` with its reason."""
+purpose, as `function(parameter)` with its reason.
+
+Every exception class of `finforge` is named in some `except` clause of
+`src/`: one that nothing catches by name tells no caller anything that its
+base class does not."""
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -181,3 +186,47 @@ def test_the_check_finds_a_parameter_that_no_call_passes(tmp_path):
     assert _unpassed(tmp_path, sorted(tmp_path.glob("*.py"))) == [
         "f(b)", "f(d)", "put(where)", "sized(m)"
     ]
+
+
+def _uncaught(src: Path) -> list[str]:
+    """``module.Name`` for each exception class defined at the top level of
+    ``src``'s modules that no ``except`` clause of those modules names. An
+    exception class is one whose base is a built-in exception or another
+    exception class of ``src``."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    caught, bases = set(), {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught.update(n.id if isinstance(n, ast.Name) else n.attr
+                              for n in ast.walk(node.type)
+                              if isinstance(n, (ast.Name, ast.Attribute)))
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                bases[top.name] = (path, [b.id if isinstance(b, ast.Name) else b.attr for b in
+                                          top.bases if isinstance(b, (ast.Name, ast.Attribute))])
+
+    def is_exception(name: str) -> bool:
+        if name in bases:
+            return any(map(is_exception, bases[name][1]))
+        base = getattr(builtins, name, None)
+        return isinstance(base, type) and issubclass(base, BaseException)
+
+    return [f"{path.stem}.{name}" for name, (path, _) in bases.items()
+            if name not in caught and is_exception(name)]
+
+
+def test_every_exception_class_is_caught_by_name():
+    assert _uncaught(SRC) == [], "nothing in src/ catches these: raise their base class instead"
+
+
+def test_the_check_finds_an_exception_class_that_nothing_catches(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Caught(ValueError):\n    pass\n\n\nclass Narrower(Caught):\n    pass\n\n\n"
+        "class Never(RuntimeError):\n    pass\n\n\nclass Plain:\n    pass\n\n\n"
+        "def run():\n    raise Narrower('x')\n"
+    )
+    (tmp_path / "caller.py").write_text(
+        "import mod\n\ntry:\n    mod.run()\nexcept (mod.Caught, OSError):\n    pass\n"
+    )
+    assert _uncaught(tmp_path) == ["mod.Narrower", "mod.Never"]

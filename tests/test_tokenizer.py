@@ -155,7 +155,7 @@ def test_em_records_training_weight_in_bytes():
 
 
 def test_em_empty_chunk_raises():
-    with pytest.raises(T.InsufficientCorpusError):
+    with pytest.raises(ValueError, match="^chunk has no pretokens$"):
         T.train_chunk_unigram(b"", 300)
 
 
@@ -434,7 +434,7 @@ def test_train_parallel_paper_partition_arithmetic():
 
 
 def test_train_parallel_empty_domain_raises():
-    with pytest.raises(T.InsufficientCorpusError):
+    with pytest.raises(ValueError, match="^corpus partition has an empty domain$"):
         T.train_parallel([[]], 100, 400)
 
 
@@ -465,6 +465,20 @@ def test_tokenizer_file_format_lines(tmp_path):
     first = lines[2].split("\t")
     assert first[0] == "1" and bytes.fromhex(first[1]) == model.id_to_token[1]
     float(first[2])  # parses as the stored natural-log probability
+
+
+def test_tokenizer_file_first_bad_line_is_named_before_the_header_size(tmp_path):
+    # Token lines are checked as they are read, so a bad line is named
+    # before the header's size is compared with the lines read.
+    path = tmp_path / "tok.txt"
+    T.save_tokenizer(make_model({b"a": 1.0}), str(path))
+    lines = path.read_text().splitlines()
+    lines[0] = "unigram-tokenizer-v1 999"
+    sid, _, lp = lines[4].split("\t")
+    lines[4] = f"{sid}\t\t{lp}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: token id 3: empty token$"):
+        T.load_tokenizer(str(path))
 
 
 def test_training_determinism_byte_identical(tmp_path):
