@@ -7,6 +7,7 @@ Stdout carries data (tables, results); stderr carries diagnostics.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import json
 import math
 import os
@@ -216,6 +217,14 @@ def cmd_train(args) -> int:
     if not args.resume and (args.override or args.reshuffle):
         raise _UsageError("--override and --reshuffle apply only with --resume")
     values = C.parse_config(args.config)
+    out_dir = values["out_dir"]
+    if not args.resume and os.path.isdir(out_dir):
+        # A fresh run would append to an earlier run's rows and leave its
+        # later checkpoints, which belong to another trajectory.
+        for name in sorted(os.listdir(out_dir)):
+            if name == "diagnostics.csv" or fnmatch.fnmatch(name, "checkpoint-*.bin"):
+                raise ValueError(f"{os.path.join(out_dir, name)}: out_dir holds an earlier run; "
+                                 "resume it with --resume, or train into an empty out_dir")
     tok = T.load_tokenizer(values["tokenizer"])
     try:
         cfg = C.train_config_from(values)
@@ -242,9 +251,9 @@ def cmd_train(args) -> int:
             overrides = C.parse_overrides(args.override)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-        os.makedirs(values["out_dir"], exist_ok=True)
-        R.cut_diagnostics(values["out_dir"], ckpt[3].step)
-        with R.DiagnosticsLog(os.path.join(values["out_dir"], "diagnostics.csv")) as diag:
+        os.makedirs(out_dir, exist_ok=True)
+        R.cut_diagnostics(out_dir, ckpt[3].step)
+        with R.DiagnosticsLog(os.path.join(out_dir, "diagnostics.csv")) as diag:
             shape, cfg, params, state = R.resume_with_overrides(
                 ckpt, overrides, args.reshuffle, diag
             )
@@ -256,7 +265,7 @@ def cmd_train(args) -> int:
         print(line, file=sys.stderr)
     try:
         state, last = R.train(
-            params, shape, docs, cfg, values["steps"], values["out_dir"],
+            params, shape, docs, cfg, values["steps"], out_dir,
             eot_id=tok.eot_id, val_docs=val_docs, state=state,
         )
     except R.TrainingDiverged as exc:

@@ -316,11 +316,10 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
     The cache holds activations of all Tp padded rows; rows from T on are
     padding that no real position attends to.
 
-    ``past``, when given, is a list: empty, or one (K, V) pair per layer,
-    each (N, s0, Dh), for the positions ``[0, s0)`` before ``tokens``, with
-    s0 a multiple of ``_BLOCK``. Only the blocks from s0 on are computed,
-    and on return ``past`` holds the pairs of every completed block of the
-    whole sequence."""
+    ``past``, when given, is a list of the cached blocks of the positions
+    before ``tokens``, in order: each block a list of one (K, V) pair per
+    layer, each (N, _BLOCK, Dh). Only the blocks after them are computed,
+    and the call appends to ``past`` the blocks that it completes."""
     L, N = shape.layers, shape.heads
     D, Dh, V = shape.hidden, shape.head_dim, shape.vocab
     tokens = np.asarray(tokens, dtype=np.intp)
@@ -333,9 +332,8 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         raise ValueError(
             "a cached prefix needs an inference config: dropout masks span the whole sequence"
         )
-    s0 = past[0][0].shape[1] if past else 0
-    if s0 % _BLOCK:
-        raise ValueError(f"a cached prefix must end on a block boundary, got {s0} positions")
+    s0 = len(past) * _BLOCK if past else 0
+    done = [[] for _ in range(T // _BLOCK)] if past is not None else []  # the blocks completed here
 
     Tp = s0 + -(-T // _BLOCK) * _BLOCK  # padded length of the whole sequence
     rows = Tp - s0  # the rows computed here
@@ -359,12 +357,12 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         qkv[:, 0] += params[p + "attn.bq"]
         qkv[:, 2] += params[p + "attn.bv"]
         Q, K, Vv = qkv.transpose(1, 2, 0, 3)  # each (N, rows, Dh)
+        for b, block in enumerate(done):
+            r = slice(b * _BLOCK, (b + 1) * _BLOCK)
+            block.append((K[:, r].copy(), Vv[:, r].copy()))
         if s0:
-            K = np.concatenate([past[l][0], K], axis=1)
-            Vv = np.concatenate([past[l][1], Vv], axis=1)
-        if past is not None:
-            done = (s0 + T) // _BLOCK * _BLOCK
-            past[l : l + 1] = [(K[:, :done], Vv[:, :done])]
+            K = np.concatenate([block[l][0] for block in past] + [K], axis=1)
+            Vv = np.concatenate([block[l][1] for block in past] + [Vv], axis=1)
 
         # (N, query, key), transposed from the (N, key, query) draw
         amask = _dropout_mask(cfg, l, _DROP_ATTN, cfg.p_at, N, T, T)
@@ -418,6 +416,8 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
     z, ln_f_cache = _ln_fwd(h, params["ln_f.g"], params["ln_f.b"], cfg.eps)
     logits = _rows(z, params["Wem"])[:T]  # tied head, no bias
     _check_finite(logits, "lm head")
+    if done:
+        past.extend(done)
     if not keep_cache:
         return logits.T, None
     return logits.T, dict(
@@ -611,30 +611,21 @@ class LanguageModel:
         if not 0 <= start < len(tokens):
             raise ValueError(f"start {start} is outside [0, {len(tokens)})")
         cfg = ForwardConfig(eps=self.eps, qk_layer_scaling=self.qk_layer_scaling)
-        # per cached block: the per-layer K and V rows, each (N, _BLOCK, Dh)
-        hits = []
-        while (len(hits) + 1) * _BLOCK <= start:
-            key = tuple(tokens[: (len(hits) + 1) * _BLOCK])
+        blocks = []  # the cached blocks of the prefix, then those forward completes
+        while (len(blocks) + 1) * _BLOCK <= start:
+            key = tuple(tokens[: (len(blocks) + 1) * _BLOCK])
             if key not in self._blocks:
                 break
             self._blocks.move_to_end(key)
-            hits.append(self._blocks[key])
-        s0 = len(hits) * _BLOCK
-        past = [
-            (np.concatenate([h[0][l] for h in hits], axis=1),
-             np.concatenate([h[1][l] for h in hits], axis=1))
-            for l in range(self.shape.layers)
-        ] if hits else []
-        tail = forward(self.params, tokens[s0:], self.shape, cfg, past)
+            blocks.append(self._blocks[key])
+        s0 = len(blocks) * _BLOCK
+        tail = forward(self.params, tokens[s0:], self.shape, cfg, blocks)
         # Only the first blocks that fit are stored, so a long input never
         # evicts its own prefix: the least recently used entries go first.
         capacity = self.cache_capacity()
-        for b in range(len(hits), min(len(tokens) // _BLOCK, capacity)):
-            r = slice(b * _BLOCK, (b + 1) * _BLOCK)
-            key = tuple(tokens[: r.stop])
-            self._blocks[key] = (
-                [k[:, r].copy() for k, _ in past], [v[:, r].copy() for _, v in past]
-            )
+        for b in range(s0 // _BLOCK, min(len(blocks), capacity)):
+            key = tuple(tokens[: (b + 1) * _BLOCK])
+            self._blocks[key] = blocks[b]
             self._blocks.move_to_end(key)  # a recomputed last block is in use too
             if len(self._blocks) > capacity:
                 self._blocks.popitem(last=False)

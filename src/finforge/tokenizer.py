@@ -140,22 +140,21 @@ def _expected_counts(
     prune round. EM also drops tokens within a round; the forward pass
     leaves out the edges whose token is not in ``logp`` and keeps the rest,
     with their log-probabilities, for the backward pass and the counts.
+    Single bytes are never dropped, so every position has a live edge in
+    and out, and every alpha and beta that is read is finite.
 
     Alpha and beta are ``_logsumexp``s, whose one- and two-term cases are
-    taken inline; they do not depend on the order of their terms, and every
-    term is finite, so the two-term case needs no -inf check. The counts
+    taken inline; they do not depend on the order of their terms. The counts
     are added in ``(word, i, j)`` order."""
     exp_counts: dict[bytes, float] = defaultdict(float)
     total_ll = 0.0
-    neg_inf = float("-inf")
     get, exp, log = logp.get, math.exp, math.log
     for freq, m, edges in lattices:
         # Forward, in start order: every edge into i starts before i, so
         # alpha[i] is complete when the first live edge out of i is reached.
         live = []
         into: list[list[float]] = [[] for _ in range(m + 1)]
-        alpha = [neg_inf] * (m + 1)
-        alpha[0] = 0.0
+        alpha = [0.0] * (m + 1)
         last = 0
         for i, j, t in edges:
             lp = get(t)
@@ -172,19 +171,15 @@ def _expected_counts(
                     if a < b:
                         a, b = b, a
                     alpha[i] = a + log(1.0 + exp(b - a))
-                elif terms:
+                else:
                     alpha[i] = _logsumexp(terms)
-            if alpha[i] != neg_inf:
-                into[j].append(alpha[i] + lp)
-        if not into[m]:
-            continue  # unsegmentable under current vocab; contributes nothing
+            into[j].append(alpha[i] + lp)
         z = _logsumexp(into[m])
         # Backward, in reverse start order: beta[j] is complete before any
         # edge that ends at j is reached.
-        beta = [neg_inf] * (m + 1)
-        beta[m] = 0.0
+        beta: list = [None] * m + [0.0]  # a beta read before it is set fails
         terms = []
-        last = m
+        last = m - 1  # the start of the last live edge, the byte word[m - 1:]
         for i, j, _, lp in reversed(live):
             if i != last:
                 if len(terms) == 1:
@@ -194,30 +189,26 @@ def _expected_counts(
                     if a < b:
                         a, b = b, a
                     beta[last] = a + log(1.0 + exp(b - a))
-                elif terms:
+                else:
                     beta[last] = _logsumexp(terms)
                 terms = []
                 last = i
-            if beta[j] != neg_inf:
-                terms.append(lp + beta[j])
+            terms.append(lp + beta[j])
         # The first start's beta is never read: no edge ends there.
         total_ll += freq * z
         for i, j, t, lp in live:
-            if alpha[i] != neg_inf and beta[j] != neg_inf:
-                exp_counts[t] += freq * exp(alpha[i] + lp + beta[j] - z)
+            exp_counts[t] += freq * exp(alpha[i] + lp + beta[j] - z)
     return exp_counts, total_ll
 
 
 def _logsumexp(xs: list[float]) -> float:
-    """``log(sum(exp(x) for x in xs))`` for non-empty ``xs``, summed by
-    ``math.fsum`` after scaling by the largest term ``m``. With two terms,
-    ``m``'s is exactly ``exp(0) = 1.0``, and the ``fsum`` of two floats is
-    their correctly rounded sum, which is what ``+`` gives."""
+    """``log(sum(exp(x) for x in xs))`` for non-empty, finite ``xs``, summed
+    by ``math.fsum`` after scaling by the largest term ``m``. With two
+    terms, ``m``'s is exactly ``exp(0) = 1.0``, and the ``fsum`` of two
+    floats is their correctly rounded sum, which is what ``+`` gives."""
     if len(xs) == 1:
         return xs[0]  # the general form gives x + log(1.0), which is x
     m = max(xs)
-    if m == float("-inf"):
-        return m
     if len(xs) == 2:
         return m + math.log(1.0 + math.exp(min(xs) - m))
     return m + math.log(math.fsum([math.exp(x - m) for x in xs]))
@@ -225,34 +216,29 @@ def _logsumexp(xs: list[float]) -> float:
 
 def _viterbi(
     data: bytes, logp: dict[bytes, float], prefixes: set[bytes]
-) -> tuple[list[bytes], float] | None:
+) -> tuple[list[bytes], float]:
     """Maximum-product segmentation of ``data`` over its ``_lattice``, whose
-    ``prefixes`` is ``_prefixes(logp)``.
+    ``prefixes`` is ``_prefixes(logp)``; every byte of ``data`` must have a
+    token, so a segmentation exists.
 
     Each suffix keeps the smallest ``(-logp, ntokens, first_token)``, so
     ties break by fewer tokens, then lexicographically smallest token,
     applied greedily from the left over suffix-optimal continuations.
-    Returns None when no segmentation exists.
     """
     m = len(data)
     # best[i]: (-logp, ntokens, first_token) for the suffix starting at i;
     # the lattice reversed reaches every edge out of i after those out of j > i.
-    best: list[tuple[float, int, bytes] | None] = [None] * (m + 1)
-    best[m] = (0.0, 0, b"")
+    best: list = [None] * m + [(0.0, 0, b"")]
     for i, j, tok in reversed(_lattice(data, logp, prefixes)):
         nxt = best[j]
-        if nxt is None:
-            continue
         # (-L) - lp is exactly -(lp + L): IEEE rounding is symmetric in sign.
         cand = (nxt[0] - logp[tok], 1 + nxt[1], tok)
         if best[i] is None or cand < best[i]:
             best[i] = cand
-    if best[0] is None:
-        return None
     tokens = []
     i = 0
     while i < m:
-        tok = best[i][2]  # type: ignore[index]
+        tok = best[i][2]
         tokens.append(tok)
         i += len(tok)
     return tokens, -best[0][0]
@@ -404,9 +390,9 @@ class TokenizerModel:
     """Finalized tokenizer: its log-probability table, whose tokens take ids
     1, 2, ... in the table's order. Id 0 is always ``<|endoftext|>``;
     ``id_to_token`` and ``token_to_id`` are derived from the table, so they
-    cannot disagree with it. Every single byte has a token, so any byte
-    string is encodable: ``finalize`` builds such tables, and
-    ``load_tokenizer`` checks that a file holds one.
+    cannot disagree with it. Every single byte must have a token, so that
+    any byte string is encodable: a table without one is a ``ValueError``
+    here, and ``encode`` relies on it.
 
     Every ``encode`` call on a model shares its ``BoundedMemo`` of pretoken
     -> ids, so each distinct pretoken is segmented once per model. The
@@ -421,6 +407,9 @@ class TokenizerModel:
     _prefix_set: set | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        missing = [b.hex() for b in _ALL_BYTES if b not in self.logp]
+        if missing:
+            raise ValueError(f"no single-byte token for {len(missing)} bytes, first 0x{missing[0]}")
         self.id_to_token = [b"", *self.logp]
         self.token_to_id = {t: i for i, t in enumerate(self.logp, 1)}
 
@@ -436,9 +425,8 @@ class TokenizerModel:
         """The ids of ``pretoken``'s Viterbi segmentation, kept in the memo."""
         if self._prefix_set is None:
             self._prefix_set = _prefixes(self.logp)
-        best = _viterbi(pretoken, self.logp, self._prefix_set)
-        assert best is not None  # single-byte coverage guarantees totality
-        return self._memo.put(pretoken, tuple([self.token_to_id[t] for t in best[0]]))
+        tokens = _viterbi(pretoken, self.logp, self._prefix_set)[0]
+        return self._memo.put(pretoken, tuple([self.token_to_id[t] for t in tokens]))
 
 
 def finalize(vocab: UnigramVocab) -> TokenizerModel:
@@ -530,8 +518,8 @@ def load_tokenizer(path: str) -> TokenizerModel:
     where there is one, the first bad line: one that does not parse, an id
     that is not the next one, or a token that ``encode`` cannot use (an
     empty or repeated token, or a log-probability that is not finite or is
-    above 0). Then the header's size and the single-byte coverage are
-    checked."""
+    above 0). Then the header's size is checked, and ``TokenizerModel``
+    checks the single-byte coverage."""
     lines = read_lines(path)
     head = next(lines, (1, ""))[1].split()
     special = next(lines, None)
@@ -561,7 +549,7 @@ def load_tokenizer(path: str) -> TokenizerModel:
         raise ValueError(f"{path}:{lineno}: token id {k}: {what}")
     if len(logp) + 1 != int(head[1]):
         raise ValueError(f"{path}: vocab size mismatch")
-    missing = [b.hex() for b in _ALL_BYTES if b not in logp]
-    if missing:
-        raise ValueError(f"{path}: no single-byte token for {len(missing)} bytes, first 0x{missing[0]}")
-    return TokenizerModel(logp)
+    try:
+        return TokenizerModel(logp)
+    except ValueError as exc:  # a byte without a token
+        raise ValueError(f"{path}: {exc}") from None

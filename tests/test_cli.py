@@ -403,6 +403,32 @@ def test_train_cli_divergence_exits_3_naming_the_step_and_last_checkpoint(capsys
     assert err.splitlines()[-1] == message
 
 
+def test_a_fresh_train_refuses_an_out_dir_that_holds_a_run(capsys, workspace):
+    # A second fresh run would append its rows to the first run's and leave
+    # its later checkpoints; it exits 2 before it writes anything.
+    cfgpath, out, _ = make_train_setup(workspace, capsys, "used", steps=4)
+    assert run_cli(capsys, "train", "--config", cfgpath)[0] == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    cfg2, _, _ = make_train_setup(workspace, capsys, "used", steps=2)
+    code, stdout, err = run_cli(capsys, "train", "--config", cfg2)
+    assert (code, stdout) == (2, ""), err
+    first = out / "checkpoint-00000002.bin"
+    assert err.splitlines()[-1] == (
+        f"data error: {first}: out_dir holds an earlier run; "
+        "resume it with --resume, or train into an empty out_dir"
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # diagnostics.csv alone, as a run killed before its first checkpoint
+    # leaves it, is refused too; other files are not a run.
+    for p in out.iterdir():
+        if p.name != "diagnostics.csv":
+            p.rename(workspace / p.name)
+    code, _, err = run_cli(capsys, "train", "--config", cfg2)
+    assert code == 2 and f"data error: {out / 'diagnostics.csv'}: out_dir holds" in err, err
+    (out / "diagnostics.csv").rename(out / "notes.txt")
+    assert run_cli(capsys, "train", "--config", cfg2)[0] == 0
+
+
 @pytest.mark.parametrize("extra", [["--override", "max_lr=5e-4"], ["--reshuffle"]])
 def test_train_cli_resume_options_without_resume_are_usage_errors(capsys, workspace, extra):
     cfgpath, out, _ = make_train_setup(workspace, capsys, "noresume", steps=2)

@@ -118,32 +118,26 @@ sys.exit(1 if bad else 0)
 """
 
 
-@pytest.fixture(scope="module")
-def cache_oracle_runs(tmp_path_factory):
-    # BLAS reads its thread count when numpy loads, hence a fresh process per
-    # thread count; both start at once and run side by side, and each test
-    # below waits for its own. Output goes to files, so neither run can block
-    # on a full pipe while the other is read.
+def start_cache_oracle_runs(logs, runs):
+    """Start ``CACHE_SCRIPT`` at 1 and at 2 BLAS threads, side by side, each
+    put into ``runs`` with its log file, by thread count, as it starts.
+
+    BLAS reads its thread count when numpy loads, hence a fresh process per
+    thread count. Output goes to files, so neither run can block on a full
+    pipe while the other is read. ``conftest.py`` starts both when the test
+    session starts, so they run beside the rest of the suite."""
     src = os.path.dirname(os.path.dirname(finforge.__file__))
-    logs = tmp_path_factory.mktemp("cache_oracle")
-    runs = {}
-    try:
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            with open(logs / f"threads{threads}.log", "w") as out:
-                runs[threads] = (
-                    subprocess.Popen(
-                        [sys.executable, "-c", CACHE_SCRIPT], env=env, text=True,
-                        stdout=out, stderr=subprocess.STDOUT,
-                    ),
-                    logs / f"threads{threads}.log",
-                )
-        yield runs
-    finally:
-        for run, _ in runs.values():
-            run.kill()
-            run.wait()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        with open(logs / f"threads{threads}.log", "w") as out:
+            runs[threads] = (
+                subprocess.Popen(
+                    [sys.executable, "-c", CACHE_SCRIPT], env=env, text=True,
+                    stdout=out, stderr=subprocess.STDOUT,
+                ),
+                logs / f"threads{threads}.log",
+            )
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -166,9 +160,7 @@ def test_cache_capacity_is_set_in_bytes():
 
 
 def _held_bytes(lm):
-    return sum(
-        sum(a.nbytes for a in ks) + sum(a.nbytes for a in vs) for ks, vs in lm._blocks.values()
-    )
+    return sum(k.nbytes + v.nbytes for block in lm._blocks.values() for k, v in block)
 
 
 def test_cache_stays_within_its_bound(monkeypatch):
@@ -230,14 +222,22 @@ def test_start_must_name_a_column():
             lm.logits(tokens, start)
 
 
-def test_past_needs_an_inference_config_and_a_block_boundary():
+def test_past_needs_an_inference_config_and_holds_whole_blocks():
     params = M.init_params(SHAPE, 1)
     training = M.ForwardConfig(p_at=0.1)
     with pytest.raises(ValueError, match="inference config"):
         M.forward(params, [1, 2], SHAPE, training, past=[])
+    # A cached block holds one (K, V) pair per layer for _BLOCK positions,
+    # each its own (N, _BLOCK, Dh) array; positions of an unfinished block
+    # are not kept.
     past = []
-    M.forward(params, [1] * (B + 1), SHAPE, past=past)
-    assert [k.shape[1] for k, _ in past] == [B] * SHAPE.layers
-    past[0] = tuple(x[:, :-1] for x in past[0])
-    with pytest.raises(ValueError, match="block boundary"):
-        M.forward(params, [1], SHAPE, past=past)
+    M.forward(params, [1] * (2 * B + 1), SHAPE, past=past)
+    M.forward(params, [2] * (B - 1), SHAPE, past=past)
+    assert len(past) == 2
+    for block in past:
+        assert len(block) == SHAPE.layers
+        for k, v in block:
+            assert k.shape == v.shape == (SHAPE.heads, B, SHAPE.head_dim)
+            assert k.base is None and v.base is None
+    M.forward(params, [2] * B, SHAPE, past=past)
+    assert len(past) == 3

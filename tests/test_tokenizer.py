@@ -289,6 +289,15 @@ def test_encode_prefers_high_probability_merge():
     assert [model.id_to_token[i] for i in ids] == [b"ab"]
 
 
+def test_tokenizer_model_needs_a_token_for_every_byte():
+    logp = {bytes([b]): -6.0 for b in range(256)}
+    T.TokenizerModel(logp)
+    del logp[b"A"], logp[b"\x7f"]
+    logp[b"AB"] = -1.0
+    with pytest.raises(ValueError, match=r"^no single-byte token for 2 bytes, first 0x41$"):
+        T.TokenizerModel(logp)
+
+
 def test_encode_empty():
     model = make_model({b"a": 1.0})
     assert T.encode(model, b"") == []
@@ -479,6 +488,19 @@ def test_tokenizer_file_first_bad_line_is_named_before_the_header_size(tmp_path)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: token id 3: empty token$"):
         T.load_tokenizer(str(path))
+
+
+def test_tokenizer_file_without_a_byte_is_named(tmp_path):
+    # TokenizerModel checks the coverage; the loader names its file.
+    path = tmp_path / "tok.txt"
+    T.save_tokenizer(make_model({b"a": 1.0}), str(path))
+    lines = path.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.split("\t")[1:2] == ["00"])
+    lines[k] = lines[k].replace("\t00\t", "\t0000\t")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        T.load_tokenizer(str(path))
+    assert str(exc.value) == f"{path}: no single-byte token for 1 bytes, first 0x00"
 
 
 def test_training_determinism_byte_identical(tmp_path):

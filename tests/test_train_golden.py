@@ -5,14 +5,24 @@ change to the trainer that moves any digest changes the trajectory; the
 digests may only be re-recorded together with a note that says why.
 
 The run covers batch 2, dropout, a validation pass, a `checkpoint_interval`
-that divides `steps` and the loss mask of `loss_on_separator = false`."""
+that divides `steps` and the loss mask of `loss_on_separator = false`.
+
+OpenBLAS picks its GEMM kernel for the CPU when it loads, and kernels sum in
+different orders, so the trajectory's last bits depend on the kernel. The
+golden run therefore runs in a subprocess under `OPENBLAS_CORETYPE=Haswell`
+(AVX2, which every x86-64 CI runner executes) at one BLAS thread, and checks
+that OpenBLAS runs that kernel. The run-against-run tests stay in-process."""
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import finforge
 from finforge import cli
 from finforge import tokenizer as T
 from finforge import trainer as R
@@ -21,16 +31,16 @@ from test_tokenizer_lattice import finance_text
 
 GOLDEN = {
     "train": {
-        "checkpoint-00000002.bin": "b3072123fd964a3e36320665e2519d43bd74eb6b64a18f3470d93785800b105a",
-        "checkpoint-00000004.bin": "182a275dcbc8fb5edb13a515ca21effc3d720a6007e0e5138ec86412663045f7",
-        "diagnostics.csv": "9c31e8051d3108391cd30bffd5ab7f6a6df883055e521fd1c4a4614fe28394a8",
+        "checkpoint-00000002.bin": "b3a783898397be350469a7e765f3e8bfaaab777ef26e70e3a91b99b60e5b5f65",
+        "checkpoint-00000004.bin": "714bacf52d26060a779f18e314e6a5ad855a9e82058af4abbef6fbd034e9c48c",
+        "diagnostics.csv": "32ffffe09fd7002fee9c940be765dbfc8839e4099810f48c34348b72e6a19d44",
     },
     "resume": {
-        "checkpoint-00000002.bin": "b3072123fd964a3e36320665e2519d43bd74eb6b64a18f3470d93785800b105a",
-        "checkpoint-00000004.bin": "182a275dcbc8fb5edb13a515ca21effc3d720a6007e0e5138ec86412663045f7",
-        "checkpoint-00000006.bin": "0cf5c27b527960f1041fd7d2139a569e23401ad2860d8e65d9d9d27472f5ef4d",
+        "checkpoint-00000002.bin": "b3a783898397be350469a7e765f3e8bfaaab777ef26e70e3a91b99b60e5b5f65",
+        "checkpoint-00000004.bin": "714bacf52d26060a779f18e314e6a5ad855a9e82058af4abbef6fbd034e9c48c",
+        "checkpoint-00000006.bin": "63191b7ccbc1b84a806c7e286beb41a1731f8438506f251d1b8b5d7c6f32d624",
         # Its weight norms in the uninterrupted run's order (see the last test).
-        "diagnostics.csv": "4b3b8e19e8b1c930486e0a41c8ccc990f576ff6b9f67580882f24a906ea36e60",
+        "diagnostics.csv": "088f476059d984beb7e7d1f4f738c4e99b96fa1347a88c8fb381ca63c6cd29ee",
     },
 }
 
@@ -78,16 +88,44 @@ def _digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
-def test_train_and_resume_outputs_are_golden(tmp_path, capsys):
+KERNEL = "Haswell"
+
+# Exits naming the kernel that numpy's bundled OpenBLAS runs unless it is
+# argv[1]; else runs the CLI on the rest of argv.
+KERNEL_CLI = """
+import ctypes, sys
+import numpy as np
+from finforge import cli
+
+corename = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+corename.argtypes, corename.restype = [], ctypes.c_char_p
+kernel = corename().decode()
+if kernel != sys.argv[1]:
+    sys.exit(f"OpenBLAS runs its {kernel} kernel, not {sys.argv[1]}")
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def _cli_under_kernel(*argv):
+    src = os.path.dirname(os.path.dirname(finforge.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE=KERNEL, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", KERNEL_CLI, KERNEL, *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_train_and_resume_outputs_are_golden(tmp_path):
     _fixture(tmp_path)
-    assert cli.main(["train", "--config", str(tmp_path / "run4.cfg")]) == 0, capsys.readouterr().err
+    _cli_under_kernel("train", "--config", str(tmp_path / "run4.cfg"))
     got = {"train": _digests(tmp_path / "out")}
-    code = cli.main([
+    _cli_under_kernel(
         "train", "--config", str(tmp_path / "run6.cfg"),
         "--resume", str(tmp_path / "out" / "checkpoint-00000004.bin"),
         "--override", "max_lr=5e-3",
-    ])
-    assert code == 0, capsys.readouterr().err
+    )
     got["resume"] = _digests(tmp_path / "out")
     assert got == GOLDEN
 
