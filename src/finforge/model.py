@@ -22,6 +22,13 @@ on the sequence length, so BLAS reduces it in the same order; keys after a
 query get exact-zero probabilities, and adding a zero product is exact.
 Padded rows never reach a real position: they sit after it.
 
+Training keeps no attention probabilities: ``backward`` recomputes each
+query block's softmax from the cached Q and K through the one helper the
+forward used, with the same GEMM shapes and operations, so the bits are the
+same (exact recomputation as in FlashAttention, trading compute for memory
+as in Chen et al. 2016, arXiv:1604.06174). The attention-dropout mask is
+held as a bool keep mask and scaled one query block at a time.
+
 The same alignment makes a cached prefix exact. Once a block is complete,
 its K and V rows are the same bits whatever comes after it, so ``forward``
 can start from the K/V rows of the completed blocks of a prefix (``past``)
@@ -237,15 +244,36 @@ def init_params(shape: ModelShape, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-def _dropout_mask(cfg: ForwardConfig, layer: int, site: int, p: float, *dims):
-    if p <= 0.0:
-        return None
+def _philox(cfg: ForwardConfig, layer: int, site: int) -> np.random.Generator:
+    """The dropout stream of one site of one layer at ``cfg.step``."""
     key = np.array(
         [cfg.rng_seed & 0xFFFFFFFFFFFFFFFF, (cfg.step << 16) ^ (layer << 4) ^ site],
         dtype=np.uint64,
     )
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return (rng.random(dims) >= p) / (1.0 - p)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _dropout_mask(cfg: ForwardConfig, layer: int, site: int, p: float, *dims):
+    if p <= 0.0:
+        return None
+    return (_philox(cfg, layer, site).random(dims) >= p) / (1.0 - p)
+
+
+def _attention_keep(cfg: ForwardConfig, layer: int, N: int, T: int, Tp: int):
+    """Layer ``layer``'s attention-dropout mask as bool (N, Tp, Tp) by (head,
+    query, key), False on padding: the draw of ``_dropout_mask(cfg, layer,
+    _DROP_ATTN, p_at, N, T, T)`` by (head, key, query), ``_BLOCK`` key rows
+    at a time. ``keep[:, q0:k1, :k1] / (1.0 - p_at)`` is that mask's block."""
+    if cfg.p_at <= 0.0:
+        return None
+    rng = _philox(cfg, layer, _DROP_ATTN)
+    keep = np.zeros((N, Tp, Tp), dtype=bool)
+    by_key = keep.transpose(0, 2, 1)
+    for n in range(N):
+        for k0 in range(0, T, _BLOCK):
+            k1 = min(k0 + _BLOCK, T)
+            np.greater_equal(rng.random((k1 - k0, T)), cfg.p_at, out=by_key[n, k0:k1, :T])
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +327,20 @@ def _cached_block_bias(heads: int, Tp: int) -> np.ndarray:
         full.flags.writeable = False
         _BIASES[heads] = full
     return full[:, :, full.shape[2] - Tp :]
+
+
+def _block_softmax(q, k, bias, inv_sqrt_dh, scale):
+    """Row softmax (N, _BLOCK, k1) of query block ``q`` over its keys ``k``
+    (N, k1, Dh), with the last k1 columns of the padded length's ``bias``:
+    the one computation of ``_forward`` that ``_attention_back`` repeats."""
+    s = q @ k.transpose(0, 2, 1)
+    s *= inv_sqrt_dh
+    s += bias[:, :, bias.shape[2] - k.shape[1] :]
+    s /= scale
+    s -= s.max(axis=2, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=2, keepdims=True)
+    return s
 
 
 def _attn_maps(params, p, shape: ModelShape):
@@ -364,24 +406,14 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
             K = np.concatenate([block[l][0] for block in past] + [K], axis=1)
             Vv = np.concatenate([block[l][1] for block in past] + [Vv], axis=1)
 
-        # (N, query, key), transposed from the (N, key, query) draw
-        amask = _dropout_mask(cfg, l, _DROP_ATTN, cfg.p_at, N, T, T)
-        amask = _padded(None if amask is None else amask.transpose(0, 2, 1), (N, Tp, Tp))
+        keep = _attention_keep(cfg, l, N, T, Tp)
         scale = float(l + 1) if cfg.qk_layer_scaling else 1.0
-        probs = []  # per query block: pre-dropout softmax over keys [0, k1)
         ybar = np.empty((rows, N, Dh))
         for q0 in range(s0, Tp, _BLOCK):
             k1 = q0 + _BLOCK
-            s = Q[:, q0 - s0 : k1 - s0] @ K[:, :k1].transpose(0, 2, 1)
-            s *= inv_sqrt_dh
-            s += bias[:, :, Tp - k1 :]
-            s /= scale
-            s -= s.max(axis=2, keepdims=True)
-            np.exp(s, out=s)
-            s /= s.sum(axis=2, keepdims=True)
-            if keep_cache:
-                probs.append(s)
-            pd = s if amask is None else s * amask[:, q0:k1, :k1]
+            pd = _block_softmax(Q[:, q0 - s0 : k1 - s0], K[:, :k1], bias, inv_sqrt_dh, scale)
+            if keep is not None:
+                pd *= keep[:, q0:k1, :k1] / (1.0 - cfg.p_at)
             ybar[q0 - s0 : k1 - s0] = (pd @ Vv[:, :k1]).transpose(1, 0, 2)
         ybar = ybar.reshape(rows, N * Dh)
 
@@ -405,10 +437,11 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         _check_finite(h_next, f"layer {l} FFN output")
 
         if keep_cache:
-            # xn and xf are left out: backward rebuilds them from their
-            # LayerNorm caches with the same bits.
+            # xn, xf and the attention probabilities are left out: backward
+            # rebuilds them from the LayerNorm caches and Q and K with the
+            # same bits.
             layer_caches.append(dict(
-                ln_in=ln_in_cache, qkv=(Q, K, Vv), probs=probs, amask=amask, ybar=ybar,
+                ln_in=ln_in_cache, qkv=(Q, K, Vv), keep=keep, ybar=ybar,
                 hmask=hmask, ln_at=ln_at_cache, g=g, gg=gg, fmask=fmask, scale=scale,
             ))
         h = h_next
@@ -422,7 +455,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         return logits.T, None
     return logits.T, dict(
         tokens=tokens, ln_em=ln_em_cache, layers=layer_caches, ln_f=ln_f_cache,
-        z=z, inv_sqrt_dh=inv_sqrt_dh,
+        z=z, bias=bias, inv_sqrt_dh=inv_sqrt_dh,
     )
 
 
@@ -441,6 +474,11 @@ def target_nll(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
     log-likelihood (nats) of its target: the one log-softmax/NLL primitive."""
     targets = np.asarray(targets, dtype=np.intp)
     logits = np.asarray(logits).T
+    if targets.shape != logits.shape[:1]:
+        raise ValueError(f"{targets.size} targets for {logits.shape[0]} positions")
+    bad = targets[(targets < 0) | (targets >= logits.shape[1])]
+    if bad.size:
+        raise ValueError(f"target id {bad[0]} out of range [0, {logits.shape[1]})")
     logp = logits - logits.max(axis=1, keepdims=True)
     logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
     return logp, -logp[np.arange(targets.shape[0]), targets]
@@ -477,10 +515,13 @@ def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, emi
 
     Memory: besides the parameters, the gradients not yet handed over (at
     most one layer's) and one sequence's activations, of which the cache
-    keeps only what backward reads (gelu(a) and gelu'(a), not a), each freed
-    after its last read. A step accumulating through ``emit`` thus holds four
-    model copies (parameters, accumulator, AdamW's m and v) plus those
-    activations.
+    keeps only what backward reads (gelu(a) and gelu'(a), not a; Q, K and V,
+    not the attention probabilities, which are recomputed per query block;
+    the attention-dropout mask as bool), each freed after its last read. No
+    float (N, T, T) array outlives one query block: at T=2048 (L2 N4 Dh16,
+    V 1024) one call peaks at 81.1 MiB, 111.1 MiB with attention dropout. A
+    step accumulating through ``emit`` thus holds four model copies
+    (parameters, accumulator, AdamW's m and v) plus those activations.
 
     Padded rows get exactly zero upstream gradient, so they add nothing to
     the weight gradients."""
@@ -521,7 +562,7 @@ def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, emi
         emit(p + "attn.U", np.ascontiguousarray(dU))
         dybar = (dy @ Ucat.T).reshape(Tp, N, Dh).transpose(1, 0, 2)
         del dy, dU, Ucat
-        dqkv = _attention_back(dybar, c, cache["inv_sqrt_dh"] / c["scale"])
+        dqkv = _attention_back(dybar, c, cache["bias"], cache["inv_sqrt_dh"], cfg.p_at)
         del dybar
         dW = (dqkv.T @ _ln_out(c["ln_in"], params[p + "ln_in.b"])).reshape(3, N, Dh, D)
         db = dqkv.sum(axis=0).reshape(3, N, Dh)
@@ -541,18 +582,21 @@ def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, emi
     return loss
 
 
-def _attention_back(dybar, c, coef):
+def _attention_back(dybar, c, bias, inv_sqrt_dh, p_at):
     """One layer's stacked Q, K and V gradient (Tp, 3*N*Dh) from that of its
     attention output ``dybar`` (N, Tp, Dh), per query block as the forward
-    ran; ``coef`` is the scale of the scores."""
+    ran, each block's probabilities recomputed from Q and K as the forward
+    computed them."""
     N, Tp, Dh = dybar.shape
     Q, K, Vv = c["qkv"]
-    amask = c["amask"]
+    keep, scale = c["keep"], c["scale"]
+    coef = inv_sqrt_dh / scale
     dqkv = np.zeros((Tp, 3, N, Dh))
     dQ, dK, dV = dqkv.transpose(1, 2, 0, 3)  # each (N, Tp, Dh)
-    for qb, P in enumerate(c["probs"]):
-        q0, k1 = qb * _BLOCK, (qb + 1) * _BLOCK
-        am = None if amask is None else amask[:, q0:k1, :k1]
+    for q0 in range(0, Tp, _BLOCK):
+        k1 = q0 + _BLOCK
+        P = _block_softmax(Q[:, q0:k1], K[:, :k1], bias, inv_sqrt_dh, scale)
+        am = None if keep is None else keep[:, q0:k1, :k1] / (1.0 - p_at)
         pd = P if am is None else P * am
         dyb = dybar[:, q0:k1]
         dV[:, :k1] += pd.transpose(0, 2, 1) @ dyb
@@ -573,6 +617,8 @@ def span_nll(lm, tokens, scored) -> float:
     start = min(scored, default=1) - 1
     if start < 0:
         raise ValueError("position 0 has no context to be scored from")
+    if max(scored, default=0) >= len(tokens):
+        raise ValueError(f"scored position {max(scored)} out of range [1, {len(tokens)})")
     logits = lm.logits(tokens[:-1], start)  # column j predicts token start + j + 1
     scored = np.asarray(scored, dtype=np.intp)
     _, nll = target_nll(np.asarray(logits)[:, scored - 1 - start], np.asarray(tokens)[scored])

@@ -522,7 +522,7 @@ def _mean_gradients(params, shape, batch, fcfg, cfg: TrainConfig, eot_id, grads,
 
     Memory: no sequence's whole gradient dict ever exists, so a step holds
     the four model copies plus one sequence's activations and one layer's
-    gradients, 20.8 MiB together at the train-wide bench shape, T=128."""
+    gradients, 18.4 MiB together at the train-wide bench shape, T=128."""
 
     def copy_in(name, g):
         grads[name][...] = g

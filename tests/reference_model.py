@@ -6,17 +6,22 @@ projection is an `np.einsum` contraction. It is slow and kept only as the
 oracle that tests compare the blocked kernels in `finforge.model` against.
 Its ALiBi biases and causal mask are the dense (N, T, T) matrices of
 `alibi_matrices`, built from the same `alibi_slopes`.
+
+`cached_probs_gradients` is the other oracle: the blocked path with the
+attention probabilities and a float dropout mask kept from the forward.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
 from finforge import model as M
 from finforge.model import (
+    _BLOCK,
     _DROP_ATTN,
     _DROP_FFN,
     _DROP_HIDDEN,
@@ -271,6 +276,108 @@ def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, wei
     grads["ln_em.b"] += dbem
     np.add.at(grads["Wem"].T, tok, demb)
     return loss, grads
+
+
+# The blocked path as it was before the backward recomputed the attention
+# probabilities: the forward keeps each query block's softmax and a float
+# (N, Tp, Tp) attention-dropout mask, and the attention backward reads them.
+# Everything else is `finforge.model`'s own code, so comparing the two checks
+# the recompute and the bool keep mask bit for bit.
+
+
+def _cached_forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: bool):
+    L, N = shape.layers, shape.heads
+    D, Dh = shape.hidden, shape.head_dim
+    tokens = np.asarray(tokens, dtype=np.intp)
+    T = tokens.shape[0]
+    Tp = -(-T // _BLOCK) * _BLOCK
+    inv_sqrt_dh = 1.0 / math.sqrt(Dh)
+    bias = M._cached_block_bias(N, Tp)
+
+    emb = M._padded(params["Wem"][:, tokens].T, (Tp, D))
+    h, ln_em_cache = M._ln_fwd(emb, params["ln_em.g"], params["ln_em.b"], cfg.eps)
+    layer_caches = []
+    for l in range(L):
+        p = f"layer{l}."
+        xn, ln_in_cache = M._ln_fwd(h, params[p + "ln_in.g"], params[p + "ln_in.b"], cfg.eps)
+        Wqkv, Ucat = M._attn_maps(params, p, shape)
+        qkv = M._rows(xn, Wqkv.T).reshape(Tp, 3, N, Dh)
+        qkv[:, 0] += params[p + "attn.bq"]
+        qkv[:, 2] += params[p + "attn.bv"]
+        Q, K, Vv = qkv.transpose(1, 2, 0, 3)
+
+        # (N, query, key), transposed from the (N, key, query) draw
+        amask = _dropout_mask(cfg, l, _DROP_ATTN, cfg.p_at, N, T, T)
+        amask = M._padded(None if amask is None else amask.transpose(0, 2, 1), (N, Tp, Tp))
+        scale = float(l + 1) if cfg.qk_layer_scaling else 1.0
+        probs = []  # per query block: pre-dropout softmax over keys [0, k1)
+        ybar = np.empty((Tp, N, Dh))
+        for q0 in range(0, Tp, _BLOCK):
+            k1 = q0 + _BLOCK
+            s = Q[:, q0:k1] @ K[:, :k1].transpose(0, 2, 1)
+            s *= inv_sqrt_dh
+            s += bias[:, :, Tp - k1 :]
+            s /= scale
+            s -= s.max(axis=2, keepdims=True)
+            np.exp(s, out=s)
+            s /= s.sum(axis=2, keepdims=True)
+            probs.append(s)
+            pd = s if amask is None else s * amask[:, q0:k1, :k1]
+            ybar[q0:k1] = (pd @ Vv[:, :k1]).transpose(1, 0, 2)
+        ybar = ybar.reshape(Tp, N * Dh)
+
+        y = M._rows(ybar, Ucat) + params[p + "attn.c"]
+        hmask = M._padded(_dropout_mask(cfg, l, _DROP_HIDDEN, cfg.p_h, T, D), (Tp, D))
+        hbar = h + (y if hmask is None else y * hmask)
+        xf, ln_at_cache = M._ln_fwd(hbar, params[p + "ln_at.g"], params[p + "ln_at.b"], cfg.eps)
+        a = M._rows(xf, params[p + "ffn.W"].T)
+        a += params[p + "ffn.b"]
+        g, gg = M._gelu_rows(a, np.empty_like(a))
+        o = M._rows(g, params[p + "ffn.U"].T) + params[p + "ffn.c"]
+        fmask = M._padded(_dropout_mask(cfg, l, _DROP_FFN, cfg.p_f, T, D), (Tp, D))
+        h_next = hbar + (o if fmask is None else o * fmask)
+        layer_caches.append(dict(
+            ln_in=ln_in_cache, qkv=(Q, K, Vv), probs=probs, amask=amask, ybar=ybar,
+            hmask=hmask, ln_at=ln_at_cache, g=g, gg=gg, fmask=fmask, scale=scale,
+        ))
+        h = h_next
+
+    z, ln_f_cache = M._ln_fwd(h, params["ln_f.g"], params["ln_f.b"], cfg.eps)
+    logits = M._rows(z, params["Wem"])[:T]
+    return logits.T, dict(
+        tokens=tokens, ln_em=ln_em_cache, layers=layer_caches, ln_f=ln_f_cache,
+        z=z, bias=bias, inv_sqrt_dh=inv_sqrt_dh,
+    )
+
+
+def _cached_attention_back(dybar, c, bias, inv_sqrt_dh, p_at):
+    N, Tp, Dh = dybar.shape
+    Q, K, Vv = c["qkv"]
+    amask = c["amask"]
+    coef = inv_sqrt_dh / c["scale"]
+    dqkv = np.zeros((Tp, 3, N, Dh))
+    dQ, dK, dV = dqkv.transpose(1, 2, 0, 3)  # each (N, Tp, Dh)
+    for qb, P in enumerate(c["probs"]):
+        q0, k1 = qb * _BLOCK, (qb + 1) * _BLOCK
+        am = None if amask is None else amask[:, q0:k1, :k1]
+        pd = P if am is None else P * am
+        dyb = dybar[:, q0:k1]
+        dV[:, :k1] += pd.transpose(0, 2, 1) @ dyb
+        dp = dyb @ Vv[:, :k1].transpose(0, 2, 1)
+        if am is not None:
+            dp *= am
+        ds = P * (dp - (dp * P).sum(axis=2, keepdims=True))
+        ds *= coef
+        dK[:, :k1] += ds.transpose(0, 2, 1) @ Q[:, q0:k1]
+        dQ[:, q0:k1] = ds @ K[:, :k1]
+    return dqkv.reshape(Tp, 3 * N * Dh)
+
+
+def cached_probs_gradients(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig):
+    """``gradients`` with the forward keeping each block's probabilities and
+    a float attention-dropout mask, which the attention backward reads."""
+    with mock.patch.multiple(M, _forward=_cached_forward, _attention_back=_cached_attention_back):
+        return gradients(params, tokens, targets, shape, cfg)
 
 
 def finite_diff_check(

@@ -167,6 +167,15 @@ def test_span_nll_rejects_position_0():
         M.span_nll(uniform_stub(4), [1, 2, 3], [0, 1])
 
 
+def test_span_nll_rejects_a_position_or_a_token_out_of_range():
+    lm = M.LanguageModel(SHAPE, M.init_params(SHAPE, 0))
+    with pytest.raises(ValueError, match=r"scored position 3 out of range \[1, 3\)"):
+        lm.span_nll([1, 2, 3], [1, 3])
+    # a scored token that is no id: it was read as id V-1
+    with pytest.raises(ValueError, match=rf"target id -1 out of range \[0, {SHAPE.vocab}\)"):
+        lm.span_nll([1, 2, -1], [2])
+
+
 # ---------------------------------------------------------------------------
 # Span-score memo
 

@@ -266,6 +266,20 @@ def test_dropout_mask_scaling():
     assert abs((m > 0).mean() - 0.75) < 0.05
 
 
+@pytest.mark.parametrize("T", [1, 2 * M._BLOCK + 13])
+def test_attention_keep_mask_is_the_one_shot_draw_transposed_and_padded(T):
+    # Drawn _BLOCK key rows at a time; T=77 ends in a partial chunk.
+    cfg = M.ForwardConfig(p_at=0.3, rng_seed=11, step=4)
+    N, Tp = 3, -(-T // M._BLOCK) * M._BLOCK
+    keep = M._attention_keep(cfg, 2, N, T, Tp)
+    drawn = M._dropout_mask(cfg, 2, M._DROP_ATTN, 0.3, N, T, T)  # (N, key, query)
+    want = np.zeros((N, Tp, Tp), dtype=bool)
+    want[:, :T, :T] = (drawn > 0).transpose(0, 2, 1)
+    assert keep.dtype == bool and np.array_equal(keep, want)
+    assert np.array_equal(keep / (1.0 - 0.3), M._padded(drawn.transpose(0, 2, 1), (N, Tp, Tp)))
+    assert M._attention_keep(M.ForwardConfig(rng_seed=11), 2, N, T, Tp) is None
+
+
 # ---------------------------------------------------------------------------
 # Loss
 
@@ -281,6 +295,25 @@ def test_loss_hand_example_two_classes():
     logits = np.array([[math.log(3.0)], [0.0]])  # p = (0.75, 0.25)
     assert M.cross_entropy_loss(logits, [0]) == pytest.approx(-math.log(0.75), rel=1e-12)
     assert M.cross_entropy_loss(logits, [1]) == pytest.approx(-math.log(0.25), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-1, 16])
+def test_loss_and_backward_reject_a_target_out_of_range(bad):
+    # -1 used to score as id V-1, and V raised numpy's bare IndexError
+    logits = np.zeros((16, 3))
+    with pytest.raises(ValueError, match=rf"target id {bad} out of range \[0, 16\)"):
+        M.cross_entropy_loss(logits, [0, bad, 2])
+    with pytest.raises(ValueError, match=rf"target id {bad} out of range \[0, 16\)"):
+        M.backward(make_params(), [1, 2, 3], [0, bad, 2], SHAPE, M.ForwardConfig(),
+                   lambda name, g: None)
+
+
+def test_loss_rejects_a_target_count_that_is_not_the_position_count():
+    # two targets for three positions used to average over the first two
+    with pytest.raises(ValueError, match="2 targets for 3 positions"):
+        M.cross_entropy_loss(np.zeros((16, 3)), [0, 1])
+    with pytest.raises(ValueError, match="4 targets for 3 positions"):
+        M.cross_entropy_loss(np.zeros((16, 3)), [0, 1, 2, 3])
 
 
 def weighted_loss(logits, targets, weights):

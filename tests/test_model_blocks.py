@@ -69,6 +69,20 @@ def test_gradients_match_reference(T, name):
         assert not np.any(grads[f"layer{l}.attn.bk"])
 
 
+@pytest.mark.parametrize("T", (1, B - 1, B, B + 1, 2 * B + 3, 4 * B + 2))
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_recomputed_attention_matches_cached_probabilities_bit_for_bit(T, name):
+    # The backward rebuilds each block's probabilities and expands the bool
+    # keep mask; the oracle reads the forward's own probabilities and float mask.
+    params = M.init_params(SHAPE, 24)
+    tokens, targets = sequence(T, 200 + T)
+    loss, grads = R.gradients(params, tokens, targets, SHAPE, CONFIGS[name])
+    want_loss, want = R.cached_probs_gradients(params, tokens, targets, SHAPE, CONFIGS[name])
+    assert loss == want_loss
+    for k in params:
+        assert np.array_equal(grads[k], want[k]), k
+
+
 PREFIX_SCRIPT = """
 import sys
 import numpy as np

@@ -227,8 +227,8 @@ def test_a_wide_step_allocates_less_than_one_parameter_copy():
 def test_a_wide_step_at_the_bench_length_holds_only_what_backward_reads():
     # At the train-wide bench shape and length (T=128), the activations a
     # step holds above the parameters and the accumulator: each layer's
-    # gelu(a) and gelu'(a), K/V and probabilities, LayerNorm caches and the
-    # attention output, with every temporary freed after its last read.
+    # gelu(a) and gelu'(a), Q/K/V, LayerNorm caches and the attention
+    # output, with every temporary freed after its last read.
     shape = bench_shape(4, 8, 32, 1024)
     params = M.init_params(shape, 3)
     acc, grads = R._tiled({k: v.shape for k, v in params.items()})
@@ -241,7 +241,26 @@ def test_a_wide_step_at_the_bench_length_holds_only_what_backward_reads():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 23 << 20, peak / 2**20
+    assert peak <= 20 << 20, peak / 2**20
+
+
+@pytest.mark.parametrize("p_at, bound_mib", [(0.0, 44), (0.1, 52)])
+def test_one_backward_at_a_long_length_holds_no_attention_probabilities(p_at, bound_mib):
+    # At T=1024 (L2 N4 Dh16, V 1024) the backward recomputes each block's
+    # probabilities instead of keeping every layer's (N, T, T) of them, and
+    # holds the attention-dropout mask as bool: 40.6 and 47.6 MiB, where
+    # cached probabilities and a float mask took 73.6 and 136.6 MiB.
+    shape = bench_shape(2, 4, 16, 1024)
+    params = M.init_params(shape, 3)
+    tokens = np.random.default_rng(4).integers(0, shape.vocab, size=1025)
+    cfg = M.ForwardConfig(p_at=p_at, rng_seed=5, step=1)
+    tracemalloc.start()
+    try:
+        M.backward(params, tokens[:-1], tokens[1:], shape, cfg, lambda name, g: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib << 20, peak / 2**20
 
 
 def reference_mean_gradients(params, shape, batch, fcfg, cfg, eot_id, grads, acc):
