@@ -238,6 +238,10 @@ def cmd_train(args) -> int:
     ckpt = R.load_checkpoint(args.resume) if args.resume else None
     if ckpt:
         _check_vocab(tok, values["tokenizer"], ckpt[0], args.resume)
+        for key in ("layers", "heads", "head_dim"):
+            if values[key] != getattr(ckpt[0], key):
+                raise ValueError(f"{args.config} has {key} = {values[key]}, but checkpoint "
+                                 f"{args.resume} has {key} = {getattr(ckpt[0], key)}")
     docs_raw = read_documents(values["corpus"])
     docs = [T.encode(tok, d) for d in docs_raw]
     docs = R.shuffle_stream(docs, R.derive_seed(cfg.seed, "doc-shuffle"))

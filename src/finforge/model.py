@@ -26,8 +26,8 @@ Training keeps no attention probabilities: ``backward`` recomputes each
 query block's softmax from the cached Q and K through the one helper the
 forward used, with the same GEMM shapes and operations, so the bits are the
 same (exact recomputation as in FlashAttention, trading compute for memory
-as in Chen et al. 2016, arXiv:1604.06174). The attention-dropout mask is
-held as a bool keep mask and scaled one query block at a time.
+as in Chen et al. 2016, arXiv:1604.06174). Every dropout mask is held as a
+bool keep mask, the attention one scaled one query block at a time.
 
 The same alignment makes a cached prefix exact. Once a block is complete,
 its K and V rows are the same bits whatever comes after it, so ``forward``
@@ -253,26 +253,22 @@ def _philox(cfg: ForwardConfig, layer: int, site: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _dropout_mask(cfg: ForwardConfig, layer: int, site: int, p: float, *dims):
+def _dropout_keep(cfg: ForwardConfig, layer: int, site: int, p: float, dims, padded):
+    """Layer ``layer``'s dropout keep mask at ``site``, None when ``p`` is 0:
+    bool of shape ``padded``, False on padding, True where the site's stream,
+    drawn over ``dims`` in C order ``_BLOCK`` rows at a time, is at least
+    ``p``. ``keep / (1.0 - p)`` is the dropout multiplier. The attention
+    mask (N, Tp, Tp) is held by (head, query, key) but drawn by (head, key,
+    query)."""
     if p <= 0.0:
         return None
-    return (_philox(cfg, layer, site).random(dims) >= p) / (1.0 - p)
-
-
-def _attention_keep(cfg: ForwardConfig, layer: int, N: int, T: int, Tp: int):
-    """Layer ``layer``'s attention-dropout mask as bool (N, Tp, Tp) by (head,
-    query, key), False on padding: the draw of ``_dropout_mask(cfg, layer,
-    _DROP_ATTN, p_at, N, T, T)`` by (head, key, query), ``_BLOCK`` key rows
-    at a time. ``keep[:, q0:k1, :k1] / (1.0 - p_at)`` is that mask's block."""
-    if cfg.p_at <= 0.0:
-        return None
-    rng = _philox(cfg, layer, _DROP_ATTN)
-    keep = np.zeros((N, Tp, Tp), dtype=bool)
-    by_key = keep.transpose(0, 2, 1)
-    for n in range(N):
-        for k0 in range(0, T, _BLOCK):
-            k1 = min(k0 + _BLOCK, T)
-            np.greater_equal(rng.random((k1 - k0, T)), cfg.p_at, out=by_key[n, k0:k1, :T])
+    rng = _philox(cfg, layer, site)
+    keep = np.zeros(padded, dtype=bool)
+    drawn = (keep.transpose(0, 2, 1) if site == _DROP_ATTN else keep)[tuple(map(slice, dims))]
+    for i in np.ndindex(dims[:-2]):
+        for r in range(0, dims[-2], _BLOCK):
+            rows = drawn[i][r : r + _BLOCK]
+            np.greater_equal(rng.random(rows.shape), p, out=rows)
     return keep
 
 
@@ -286,9 +282,7 @@ def _check_finite(x: np.ndarray, where: str) -> None:
 
 
 def _padded(x, shape):
-    """``x`` zero-padded at the end of every axis to ``shape``; None stays None."""
-    if x is None:
-        return None
+    """``x`` zero-padded at the end of every axis to ``shape``."""
     out = np.zeros(shape)
     out[tuple(slice(0, n) for n in x.shape)] = x
     return out
@@ -406,7 +400,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
             K = np.concatenate([block[l][0] for block in past] + [K], axis=1)
             Vv = np.concatenate([block[l][1] for block in past] + [Vv], axis=1)
 
-        keep = _attention_keep(cfg, l, N, T, Tp)
+        keep = _dropout_keep(cfg, l, _DROP_ATTN, cfg.p_at, (N, T, T), (N, Tp, Tp))
         scale = float(l + 1) if cfg.qk_layer_scaling else 1.0
         ybar = np.empty((rows, N, Dh))
         for q0 in range(s0, Tp, _BLOCK):
@@ -418,8 +412,8 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         ybar = ybar.reshape(rows, N * Dh)
 
         y = _rows(ybar, Ucat) + params[p + "attn.c"]
-        hmask = _padded(_dropout_mask(cfg, l, _DROP_HIDDEN, cfg.p_h, T, D), (rows, D))
-        yd = y if hmask is None else y * hmask
+        hkeep = _dropout_keep(cfg, l, _DROP_HIDDEN, cfg.p_h, (T, D), (rows, D))
+        yd = y if hkeep is None else y * (hkeep / (1.0 - cfg.p_h))
         hbar = h + yd
         _check_finite(hbar, f"layer {l} attention output")
 
@@ -431,8 +425,8 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         # g over a, which nothing reads again; gelu'(a) only for backward
         g, gg = _gelu_rows(a, np.empty_like(a) if keep_cache else None)
         o = _rows(g, params[p + "ffn.U"].T) + params[p + "ffn.c"]
-        fmask = _padded(_dropout_mask(cfg, l, _DROP_FFN, cfg.p_f, T, D), (rows, D))
-        od = o if fmask is None else o * fmask
+        fkeep = _dropout_keep(cfg, l, _DROP_FFN, cfg.p_f, (T, D), (rows, D))
+        od = o if fkeep is None else o * (fkeep / (1.0 - cfg.p_f))
         h_next = hbar + od
         _check_finite(h_next, f"layer {l} FFN output")
 
@@ -442,7 +436,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
             # same bits.
             layer_caches.append(dict(
                 ln_in=ln_in_cache, qkv=(Q, K, Vv), keep=keep, ybar=ybar,
-                hmask=hmask, ln_at=ln_at_cache, g=g, gg=gg, fmask=fmask, scale=scale,
+                hkeep=hkeep, ln_at=ln_at_cache, g=g, gg=gg, fkeep=fkeep, scale=scale,
             ))
         h = h_next
 
@@ -517,9 +511,10 @@ def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, emi
     most one layer's) and one sequence's activations, of which the cache
     keeps only what backward reads (gelu(a) and gelu'(a), not a; Q, K and V,
     not the attention probabilities, which are recomputed per query block;
-    the attention-dropout mask as bool), each freed after its last read. No
+    every dropout mask as bool), each freed after its last read. No
     float (N, T, T) array outlives one query block: at T=2048 (L2 N4 Dh16,
-    V 1024) one call peaks at 81.1 MiB, 111.1 MiB with attention dropout. A
+    V 1024, the ALiBi bias already built) one call peaks at 79.1 MiB, 111.1
+    MiB with attention dropout and 111.6 MiB with dropout at all three sites. A
     step accumulating through ``emit`` thus holds four model copies
     (parameters, accumulator, AdamW's m and v) plus those activations.
 
@@ -544,7 +539,7 @@ def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, emi
         p = f"layer{l}."
         c = cache["layers"].pop()  # frees each layer's activations once used
         # h_next = hbar + drop(o)
-        do = dh if c["fmask"] is None else dh * c["fmask"]
+        do = dh if c["fkeep"] is None else dh * (c["fkeep"] / (1.0 - cfg.p_f))
         emit(p + "ffn.U", do.T @ c.pop("g"))
         emit(p + "ffn.c", do.sum(axis=0))
         da = do @ params[p + "ffn.U"]
@@ -556,7 +551,7 @@ def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, emi
         del da, dh
 
         Wqkv, Ucat = _attn_maps(params, p, shape)
-        dy = dhbar if c["hmask"] is None else dhbar * c["hmask"]
+        dy = dhbar if c["hkeep"] is None else dhbar * (c["hkeep"] / (1.0 - cfg.p_h))
         emit(p + "attn.c", dy.sum(axis=0))
         dU = (dy.T @ c["ybar"]).reshape(D, N, Dh).transpose(1, 0, 2)
         emit(p + "attn.U", np.ascontiguousarray(dU))

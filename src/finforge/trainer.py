@@ -475,14 +475,19 @@ class DiagnosticsLog:
 def cut_diagnostics(out_dir: str, step: int) -> None:
     """Keep in ``out_dir``'s ``diagnostics.csv`` only the rows of steps up to
     ``step``, the checkpoint a run resumes from, so the resumed run appends
-    the rows of an uninterrupted one. A last line without its newline, left
-    by a killed write, is dropped. The cut rows move, in order, to
-    ``diagnostics-<step>-<last cut step>.csv``, written only when a row is
-    cut. A row whose step is not an int is a ValueError naming ``path:line``."""
+    the rows of an uninterrupted one. Of ``step``'s own rows, those after its
+    last ``checkpoint`` row are cut too (all of them if it has none): an
+    earlier resume from ``step`` wrote its override rows there. A last line
+    without its newline, left by a killed write, is dropped. The cut rows
+    are appended, in order, to ``diagnostics-<step>-<last cut step>.csv``,
+    which is replaced whole before ``diagnostics.csv`` is, so a killed cut
+    loses no row. A row whose step is not an int is a ValueError naming
+    ``path:line``."""
     path = os.path.join(out_dir, "diagnostics.csv")
     if not os.path.exists(path):
         return
-    cut = []
+    ckpt_row = f"{step},checkpoint,".encode()
+    cut, held = [], []  # held: ``step``'s rows since its last checkpoint row
     with open(path, "rb") as f, atomic_write(path) as kept:
         for lineno, line in enumerate(f, 1):
             if not line.endswith(b"\n"):
@@ -491,14 +496,24 @@ def cut_diagnostics(out_dir: str, step: int) -> None:
             if not head.isdigit():
                 raise ValueError(f"{path}:{lineno}: row step {head.decode(errors='replace')!r} "
                                  "is not an int")
-            if int(head) <= step:
+            if int(head) > step:
+                cut.append(line)
+            elif int(head) < step:
                 kept.write(line)
             else:
-                cut.append(line)
-    if cut:
-        last = cut[-1].partition(b",")[0].decode()
-        with atomic_write(os.path.join(out_dir, f"diagnostics-{step}-{last}.csv")) as f:
-            f.writelines(cut)
+                held.append(line)
+                if line.startswith(ckpt_row):
+                    kept.writelines(held)
+                    held = []
+        cut[:0] = held
+        if cut:
+            last = cut[-1].partition(b",")[0].decode()
+            sidecar = os.path.join(out_dir, f"diagnostics-{step}-{last}.csv")
+            with atomic_write(sidecar) as side:
+                if os.path.exists(sidecar):
+                    with open(sidecar, "rb") as earlier:
+                        side.write(earlier.read())
+                side.writelines(cut)
 
 
 def _epoch_order(n: int, cfg: TrainConfig, epoch: int, salt: int) -> list[int]:
@@ -518,7 +533,8 @@ def _mean_gradients(params, shape, batch, fcfg, cfg: TrainConfig, eot_id, grads,
     that tile ``acc``. ``backward`` hands over each group's gradient as soon
     as it is final: the first sequence's is copied in, each later one's
     added, in batch order, and ``acc`` is then divided by the batch size
-    once.
+    once. Each sequence draws its own dropout masks: its ``rng_seed`` is
+    derived from ``cfg.seed`` and its place in the batch.
 
     Memory: no sequence's whole gradient dict ever exists, so a step holds
     the four model copies plus one sequence's activations and one layer's
@@ -533,8 +549,9 @@ def _mean_gradients(params, shape, batch, fcfg, cfg: TrainConfig, eot_id, grads,
     total_loss = 0.0
     for i, chunk in enumerate(batch):
         total_loss += M.backward(
-            params, chunk[:-1], chunk[1:], shape, fcfg, emit=add_in if i else copy_in,
-            weights=_loss_weights(chunk, eot_id, cfg),
+            params, chunk[:-1], chunk[1:], shape,
+            replace(fcfg, rng_seed=derive_seed(cfg.seed, f"dropout:{i}")),
+            emit=add_in if i else copy_in, weights=_loss_weights(chunk, eot_id, cfg),
         )
     acc /= len(batch)
     return total_loss / len(batch)
@@ -604,8 +621,7 @@ def train(
             step = state.step + 1
             batch = next_batch(batch_size_at(step, cfg))
             fcfg = M.ForwardConfig(
-                p_at=cfg.dropout_at, p_h=cfg.dropout_h, p_f=cfg.dropout_f,
-                rng_seed=derive_seed(cfg.seed, "dropout"), step=step,
+                p_at=cfg.dropout_at, p_h=cfg.dropout_h, p_f=cfg.dropout_f, step=step,
                 eps=cfg.ln_eps, qk_layer_scaling=cfg.qk_layer_scaling,
             )
             try:

@@ -28,7 +28,6 @@ from finforge.model import (
     GELU_C0,
     GELU_C1,
     _check_finite,
-    _dropout_mask,
     _weighted_mean,
     ForwardConfig,
     alibi_slopes,
@@ -90,6 +89,19 @@ def _ln_bwd(dy, cache):
     return dx, dgain, dbias
 
 
+def dropout_mask(cfg: ForwardConfig, layer: int, site: int, p: float, *dims):
+    """One site's float dropout mask over ``dims``, drawn whole from the
+    site's `finforge.model._philox` stream: ``(rand >= p) / (1 - p)``, or
+    None when ``p`` is 0."""
+    if p <= 0.0:
+        return None
+    return (M._philox(cfg, layer, site).random(dims) >= p) / (1.0 - p)
+
+
+def _padded_mask(mask, shape):
+    return None if mask is None else M._padded(mask, shape)
+
+
 @dataclass(frozen=True)
 class AlibiSpec:
     heads: int
@@ -141,7 +153,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig):
         K = np.einsum("td,nhd->nth", xn, Wk) + bk[:, None, :]
         Vv = np.einsum("td,nhd->nth", xn, Wv) + bv[:, None, :]
 
-        amask = _dropout_mask(cfg, l, _DROP_ATTN, p_at, N, T, T)
+        amask = dropout_mask(cfg, l, _DROP_ATTN, p_at, N, T, T)
         scale = float(l + 1) if cfg.qk_layer_scaling else 1.0
         probs = []  # per query: pre-dropout softmax over its prefix keys
         ybar = np.empty((N, T, Dh))
@@ -159,7 +171,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig):
 
         U, c = params[p + "attn.U"], params[p + "attn.c"]
         y = np.einsum("nth,ndh->td", ybar, U) + c
-        hmask = _dropout_mask(cfg, l, _DROP_HIDDEN, p_h, T, D)
+        hmask = dropout_mask(cfg, l, _DROP_HIDDEN, p_h, T, D)
         yd = y if hmask is None else y * hmask
         hbar = h + yd
         _check_finite(hbar, f"layer {l} attention output")
@@ -170,7 +182,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig):
         a = np.einsum("td,fd->tf", xf, params[p + "ffn.W"]) + params[p + "ffn.b"]
         g = gelu(a)
         o = np.einsum("tf,df->td", g, params[p + "ffn.U"]) + params[p + "ffn.c"]
-        fmask = _dropout_mask(cfg, l, _DROP_FFN, p_f, T, D)
+        fmask = dropout_mask(cfg, l, _DROP_FFN, p_f, T, D)
         od = o if fmask is None else o * fmask
         h_next = hbar + od
         _check_finite(h_next, f"layer {l} FFN output")
@@ -280,9 +292,11 @@ def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, wei
 
 # The blocked path as it was before the backward recomputed the attention
 # probabilities: the forward keeps each query block's softmax and a float
-# (N, Tp, Tp) attention-dropout mask, and the attention backward reads them.
-# Everything else is `finforge.model`'s own code, so comparing the two checks
-# the recompute and the bool keep mask bit for bit.
+# (N, Tp, Tp) attention-dropout mask drawn whole, and the attention backward
+# reads them. The hidden and FFN masks are drawn whole too, and cached as the
+# bool keep masks that `finforge.model.backward` reads. Everything else is
+# `finforge.model`'s own code, so comparing the two checks the recompute and
+# the chunked bool keep masks bit for bit.
 
 
 def _cached_forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: bool):
@@ -307,8 +321,8 @@ def _cached_forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_
         Q, K, Vv = qkv.transpose(1, 2, 0, 3)
 
         # (N, query, key), transposed from the (N, key, query) draw
-        amask = _dropout_mask(cfg, l, _DROP_ATTN, cfg.p_at, N, T, T)
-        amask = M._padded(None if amask is None else amask.transpose(0, 2, 1), (N, Tp, Tp))
+        amask = dropout_mask(cfg, l, _DROP_ATTN, cfg.p_at, N, T, T)
+        amask = _padded_mask(None if amask is None else amask.transpose(0, 2, 1), (N, Tp, Tp))
         scale = float(l + 1) if cfg.qk_layer_scaling else 1.0
         probs = []  # per query block: pre-dropout softmax over keys [0, k1)
         ybar = np.empty((Tp, N, Dh))
@@ -327,18 +341,19 @@ def _cached_forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_
         ybar = ybar.reshape(Tp, N * Dh)
 
         y = M._rows(ybar, Ucat) + params[p + "attn.c"]
-        hmask = M._padded(_dropout_mask(cfg, l, _DROP_HIDDEN, cfg.p_h, T, D), (Tp, D))
+        hmask = _padded_mask(dropout_mask(cfg, l, _DROP_HIDDEN, cfg.p_h, T, D), (Tp, D))
         hbar = h + (y if hmask is None else y * hmask)
         xf, ln_at_cache = M._ln_fwd(hbar, params[p + "ln_at.g"], params[p + "ln_at.b"], cfg.eps)
         a = M._rows(xf, params[p + "ffn.W"].T)
         a += params[p + "ffn.b"]
         g, gg = M._gelu_rows(a, np.empty_like(a))
         o = M._rows(g, params[p + "ffn.U"].T) + params[p + "ffn.c"]
-        fmask = M._padded(_dropout_mask(cfg, l, _DROP_FFN, cfg.p_f, T, D), (Tp, D))
+        fmask = _padded_mask(dropout_mask(cfg, l, _DROP_FFN, cfg.p_f, T, D), (Tp, D))
         h_next = hbar + (o if fmask is None else o * fmask)
         layer_caches.append(dict(
             ln_in=ln_in_cache, qkv=(Q, K, Vv), probs=probs, amask=amask, ybar=ybar,
-            hmask=hmask, ln_at=ln_at_cache, g=g, gg=gg, fmask=fmask, scale=scale,
+            hkeep=None if hmask is None else hmask > 0, ln_at=ln_at_cache, g=g, gg=gg,
+            fkeep=None if fmask is None else fmask > 0, scale=scale,
         ))
         h = h_next
 

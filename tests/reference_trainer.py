@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 
@@ -121,12 +122,14 @@ def flat_adamw_step(params, grads, state, lr: float, cfg: TrainConfig) -> None:
 def batch_gradients(params, shape, batch, fcfg, cfg: TrainConfig, eot_id):
     """Mean loss and mean gradients of one step's batch: the first
     sequence's gradient dict is kept and every later one added to it, group
-    by group, in batch order, then each group is divided by the batch size."""
+    by group, in batch order, then each group is divided by the batch size.
+    Each sequence's dropout stream is keyed by its place in the batch."""
     total_loss = 0.0
     grads = None
-    for chunk in batch:
+    for i, chunk in enumerate(batch):
+        seq_cfg = replace(fcfg, rng_seed=TR.derive_seed(cfg.seed, f"dropout:{i}"))
         loss, g = gradients(
-            params, chunk[:-1], chunk[1:], shape, fcfg, weights=_loss_weights(chunk, eot_id, cfg)
+            params, chunk[:-1], chunk[1:], shape, seq_cfg, weights=_loss_weights(chunk, eot_id, cfg)
         )
         total_loss += loss
         if grads is None:

@@ -677,7 +677,8 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     elif case in ("checkpoint-order-beyond-corpus", "checkpoint-with-params-only"):
         corpus = tmp_path / "corpus.txt"
         corpus.write_bytes(b"a" * 64)
-        cfgpath = write_config(tmp_path, BASE_CFG.format(corpus=corpus, tok=tokpath, out=tmp_path))
+        cfg = BASE_CFG.format(corpus=corpus, tok=tokpath, out=tmp_path)
+        cfgpath = write_config(tmp_path, cfg.replace("heads = 2", "heads = 1"))  # the checkpoint's
         argv = ["train", "--config", cfgpath, "--resume", str(ckpt)]
     elif case in BAD_CONFIG or case in ("override-adam-eps-0", "config-not-utf8"):
         corpus = tmp_path / "corpus.txt"
@@ -839,6 +840,32 @@ def test_resume_rejects_a_tokenizer_of_another_vocabulary(capsys, tmp_path, tok_
     assert err == (
         f"data error: tokenizer {other} has {tok_size} tokens, but checkpoint {ckpt} "
         f"has a vocabulary of {vocab}\n"
+    )
+    assert not (tmp_path / "b").exists()  # nothing was written
+
+
+@pytest.mark.parametrize("key, value", [("layers", 3), ("heads", 4), ("head_dim", 8)])
+def test_resume_rejects_a_config_of_another_shape(capsys, tmp_path, key, value):
+    # The shape comes from the checkpoint; a config file that names another
+    # one would be ignored and echoed as if it had been used.
+    corpus, tok = tmp_path / "corpus.txt", tmp_path / "tok.txt"
+    corpus.write_bytes(b"ab ba " * 40)
+    _tokenizer_of_size(tok, 257)
+    cfg = BASE_CFG.format(corpus=corpus, tok=tok, out=tmp_path / "a")
+    cfg = cfg.replace("steps = 3", "steps = 2")
+    code, out, err = run_cli(capsys, "train", "--config", write_config(tmp_path, cfg, "a.cfg"))
+    assert code == 0, err
+    ckpt = dict(l.split(",", 1) for l in out.strip().splitlines())["final_checkpoint"]
+    was = {"layers": 1, "heads": 2, "head_dim": 4}[key]
+    cfg = cfg.replace(f"{key} = {was}", f"{key} = {value}")
+    cfg = cfg.replace(str(tmp_path / "a"), str(tmp_path / "b"))
+    code, out, err = run_cli(
+        capsys, "train", "--config", write_config(tmp_path, cfg, "b.cfg"), "--resume", ckpt,
+    )
+    assert (code, out) == (2, ""), err
+    assert err == (
+        f"data error: {tmp_path / 'b.cfg'} has {key} = {value}, but checkpoint {ckpt} "
+        f"has {key} = {was}\n"
     )
     assert not (tmp_path / "b").exists()  # nothing was written
 

@@ -5,7 +5,7 @@ import pytest
 
 from finforge import model as M
 from finforge.scaling import ModelShape, count_parameters
-from reference_model import alibi_matrices, finite_diff_check, gradients
+from reference_model import alibi_matrices, dropout_mask, finite_diff_check, gradients
 
 SHAPE = ModelShape(2, 2, 8, 4, 32, 16)
 CFG = M.ForwardConfig()
@@ -258,26 +258,29 @@ def test_dropout_deterministic_and_keyed():
 
 
 def test_dropout_mask_scaling():
-    m = M._dropout_mask(
-        M.ForwardConfig(rng_seed=1), 0, 0, 0.25, 2000
-    )
-    kept = m[m > 0]
-    assert np.allclose(kept, 1.0 / 0.75)
-    assert abs((m > 0).mean() - 0.75) < 0.05
+    cfg = M.ForwardConfig(rng_seed=1)
+    keep = M._dropout_keep(cfg, 0, M._DROP_HIDDEN, 0.25, (2000, 1), (2016, 1))
+    m = keep / (1.0 - 0.25)
+    assert np.array_equal(m[keep], np.full(keep.sum(), 1.0 / 0.75))
+    assert not keep[2000:].any()  # padding
+    assert abs(keep[:2000].mean() - 0.75) < 0.05
 
 
+@pytest.mark.parametrize("site", [M._DROP_ATTN, M._DROP_HIDDEN, M._DROP_FFN])
 @pytest.mark.parametrize("T", [1, 2 * M._BLOCK + 13])
-def test_attention_keep_mask_is_the_one_shot_draw_transposed_and_padded(T):
-    # Drawn _BLOCK key rows at a time; T=77 ends in a partial chunk.
-    cfg = M.ForwardConfig(p_at=0.3, rng_seed=11, step=4)
-    N, Tp = 3, -(-T // M._BLOCK) * M._BLOCK
-    keep = M._attention_keep(cfg, 2, N, T, Tp)
-    drawn = M._dropout_mask(cfg, 2, M._DROP_ATTN, 0.3, N, T, T)  # (N, key, query)
-    want = np.zeros((N, Tp, Tp), dtype=bool)
-    want[:, :T, :T] = (drawn > 0).transpose(0, 2, 1)
-    assert keep.dtype == bool and np.array_equal(keep, want)
-    assert np.array_equal(keep / (1.0 - 0.3), M._padded(drawn.transpose(0, 2, 1), (N, Tp, Tp)))
-    assert M._attention_keep(M.ForwardConfig(rng_seed=11), 2, N, T, Tp) is None
+def test_dropout_keep_mask_is_the_one_shot_draw_padded(T, site):
+    # Drawn _BLOCK rows at a time; T=77 ends in a partial chunk. The attention
+    # mask is drawn by (head, key, query) and held by (head, query, key).
+    cfg = M.ForwardConfig(rng_seed=11, step=4)
+    N, D, Tp = 3, 40, -(-T // M._BLOCK) * M._BLOCK
+    dims, padded = ((N, T, T), (N, Tp, Tp)) if site == M._DROP_ATTN else ((T, D), (Tp, D))
+    keep = M._dropout_keep(cfg, 2, site, 0.3, dims, padded)
+    drawn = dropout_mask(cfg, 2, site, 0.3, *dims)
+    want = M._padded(drawn.transpose(0, 2, 1) if site == M._DROP_ATTN else drawn, padded)
+    assert keep.dtype == bool and keep.shape == padded
+    assert np.array_equal(keep, want > 0)  # False on padding
+    assert np.array_equal(keep / (1.0 - 0.3), want)
+    assert M._dropout_keep(cfg, 2, site, 0.0, dims, padded) is None
 
 
 # ---------------------------------------------------------------------------

@@ -31,16 +31,16 @@ from test_tokenizer_lattice import finance_text
 
 GOLDEN = {
     "train": {
-        "checkpoint-00000002.bin": "b3a783898397be350469a7e765f3e8bfaaab777ef26e70e3a91b99b60e5b5f65",
-        "checkpoint-00000004.bin": "714bacf52d26060a779f18e314e6a5ad855a9e82058af4abbef6fbd034e9c48c",
-        "diagnostics.csv": "32ffffe09fd7002fee9c940be765dbfc8839e4099810f48c34348b72e6a19d44",
+        "checkpoint-00000002.bin": "c7f001be094be2bdc3ff37240e30ceb2fa095c7ea9d09047802ae2ae12b39036",
+        "checkpoint-00000004.bin": "4e1374d6e005033c02304ba0c0a236e48913e26675e61b3b129ec97be802fbaf",
+        "diagnostics.csv": "617e8e63a45b89c5b03932bcc07a0345c4bfffa5b38c1c6db0c8792b881f14c2",
     },
     "resume": {
-        "checkpoint-00000002.bin": "b3a783898397be350469a7e765f3e8bfaaab777ef26e70e3a91b99b60e5b5f65",
-        "checkpoint-00000004.bin": "714bacf52d26060a779f18e314e6a5ad855a9e82058af4abbef6fbd034e9c48c",
-        "checkpoint-00000006.bin": "63191b7ccbc1b84a806c7e286beb41a1731f8438506f251d1b8b5d7c6f32d624",
+        "checkpoint-00000002.bin": "c7f001be094be2bdc3ff37240e30ceb2fa095c7ea9d09047802ae2ae12b39036",
+        "checkpoint-00000004.bin": "4e1374d6e005033c02304ba0c0a236e48913e26675e61b3b129ec97be802fbaf",
+        "checkpoint-00000006.bin": "170051e123fd9fa7d2dd34b15ce2c6a30b425de7f6079b4c483420deaa033acd",
         # Its weight norms in the uninterrupted run's order (see the last test).
-        "diagnostics.csv": "088f476059d984beb7e7d1f4f738c4e99b96fa1347a88c8fb381ca63c6cd29ee",
+        "diagnostics.csv": "add19d04cf4a3199a174a0399cd17daf0a21ab0c4c4ab3b24a2ff7bd805a7315",
     },
 }
 
@@ -210,3 +210,27 @@ def test_the_resume_cut_drops_a_torn_last_line_and_names_a_bad_row(tmp_path, cap
     assert cli.main(["train", "--config", str(tmp_path / "torn.cfg"), *resume]) == 2
     assert f"data error: {diag}:{line}: row step 'x2' is not an int" in capsys.readouterr().err
     assert diag.read_text() == text
+
+
+def test_resuming_twice_from_one_checkpoint_keeps_every_cut_row_once(tmp_path):
+    # A 6-step run resumed from checkpoint 4 with one override, then again
+    # with another: the second cut also takes the first resume's override
+    # row of step 4, and appends to the sidecar the first cut wrote.
+    # It ends with the rows of a copy of the run resumed once.
+    _fixture(tmp_path)
+    full = _train(tmp_path, 6, "out")
+    shutil.copytree(tmp_path / "out", tmp_path / "once")
+    ckpt = str(tmp_path / "out" / "checkpoint-00000004.bin")
+    first = _train(tmp_path, 6, "out", "--resume", ckpt, "--override", "max_lr=2e-2")
+    second = _train(tmp_path, 6, "out", "--resume", ckpt, "--override", "max_lr=3e-2")
+    once_ckpt = str(tmp_path / "once" / "checkpoint-00000004.bin")
+    once = _train(tmp_path, 6, "once", "--resume", once_ckpt, "--override", "max_lr=3e-2")
+    assert second == once
+    assert [row for row in second if ",override," in row] == ["4,override,max_lr,0.03"]
+    later = [row for row in first if int(row.split(",")[0]) > 4 or ",override," in row]
+    assert (tmp_path / "out" / "diagnostics-4-6.csv").read_text().splitlines() == (
+        [row for row in full if int(row.split(",")[0]) > 4] + later
+    )
+    assert sorted(p.name for p in (tmp_path / "out").glob("diagnostics*")) == [
+        "diagnostics-4-6.csv", "diagnostics.csv"
+    ]

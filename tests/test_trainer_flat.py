@@ -166,8 +166,8 @@ def test_mean_gradients_match_the_per_group_accumulation():
     shape = bench_shape(1, 2, 8, 64)
     params = M.init_params(shape, 7)
     rng = np.random.default_rng(8)
-    fcfg = M.ForwardConfig()
-    for sep in (True, False):
+    for sep, fcfg in ((True, M.ForwardConfig()), (False, M.ForwardConfig()),
+                      (False, M.ForwardConfig(p_at=0.1, p_h=0.1, p_f=0.1, step=2))):
         cfg = R.TrainConfig(seq_len=16, loss_on_separator=sep)
         batch = [[int(t) for t in rng.integers(0, 4, size=17)] for _ in range(3)]
         acc, grads = R._tiled({k: v.shape for k, v in params.items()})
@@ -175,6 +175,25 @@ def test_mean_gradients_match_the_per_group_accumulation():
         ref_loss, ref_grads = REF.batch_gradients(params, shape, batch, fcfg, cfg, 0)
         assert loss == ref_loss
         assert all(same(grads[k], ref_grads[k]) for k in params)
+
+
+def test_each_sequence_of_a_step_draws_its_own_dropout_masks(monkeypatch):
+    # Dropout draws an independent mask per training case, so two identical
+    # chunks of one batch score differently.
+    shape = bench_shape(1, 2, 8, 64)
+    params = M.init_params(shape, 7)
+    chunk = [int(t) for t in np.random.default_rng(8).integers(0, 64, size=17)]
+    fcfg = M.ForwardConfig(p_at=0.1, p_h=0.1, p_f=0.1, step=1)
+    losses, backward = [], M.backward
+
+    def recording(*args, **kwargs):
+        losses.append(backward(*args, **kwargs))
+        return losses[-1]
+
+    monkeypatch.setattr(M, "backward", recording)
+    acc, grads = R._tiled({k: v.shape for k, v in params.items()})
+    R._mean_gradients(params, shape, [chunk, chunk], fcfg, R.TrainConfig(seq_len=16), 0, grads, acc)
+    assert len(losses) == 2 and losses[0] != losses[1]
 
 
 @pytest.mark.parametrize("shape", [bench_shape(2, 2, 8, 512), bench_shape(4, 8, 32, 1024)],
@@ -261,6 +280,25 @@ def test_one_backward_at_a_long_length_holds_no_attention_probabilities(p_at, bo
     finally:
         tracemalloc.stop()
     assert peak <= bound_mib << 20, peak / 2**20
+
+
+def test_one_backward_with_dropout_at_every_site_holds_bool_masks():
+    # At T=1024 (L2 N4 Dh16, V 1024) with dropout 0.1 at all three sites,
+    # every layer keeps its hidden and FFN masks as bool (T, D), not float:
+    # 47.8 MiB, where float hidden and FFN masks took 49.6 MiB. The ALiBi
+    # bias is built first, so the bound does not depend on test order.
+    shape = bench_shape(2, 4, 16, 1024)
+    params = M.init_params(shape, 3)
+    tokens = np.random.default_rng(4).integers(0, shape.vocab, size=1025)
+    cfg = M.ForwardConfig(p_at=0.1, p_h=0.1, p_f=0.1, rng_seed=5, step=1)
+    M._cached_block_bias(shape.heads, 1024)
+    tracemalloc.start()
+    try:
+        M.backward(params, tokens[:-1], tokens[1:], shape, cfg, lambda name, g: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 49 << 20, peak / 2**20
 
 
 def reference_mean_gradients(params, shape, batch, fcfg, cfg, eot_id, grads, acc):
