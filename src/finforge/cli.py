@@ -216,6 +216,13 @@ def _parse_shape(spec: str, vocab: int) -> S.ModelShape:
 def cmd_train(args) -> int:
     if not args.resume and (args.override or args.reshuffle):
         raise _UsageError("--override and --reshuffle apply only with --resume")
+    try:
+        overrides = C.parse_overrides(args.override)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    if "seed" in overrides:
+        raise _UsageError("--override cannot change seed, which ordered the documents packed "
+                          "into the checkpoint's chunks; --reshuffle re-permutes unseen chunks")
     values = C.parse_config(args.config)
     out_dir = values["out_dir"]
     if not args.resume and os.path.isdir(out_dir):
@@ -238,10 +245,13 @@ def cmd_train(args) -> int:
     ckpt = R.load_checkpoint(args.resume) if args.resume else None
     if ckpt:
         _check_vocab(tok, values["tokenizer"], ckpt[0], args.resume)
-        for key in ("layers", "heads", "head_dim"):
-            if values[key] != getattr(ckpt[0], key):
-                raise ValueError(f"{args.config} has {key} = {values[key]}, but checkpoint "
-                                 f"{args.resume} has {key} = {getattr(ckpt[0], key)}")
+        # The seed shuffles the documents before they are packed into the
+        # chunks that the checkpoint's order indexes.
+        have, saved = dict(values, seed=cfg.seed), dict(vars(ckpt[0]), seed=ckpt[1].seed)
+        for key in ("layers", "heads", "head_dim", "seed"):
+            if have[key] != saved[key]:
+                raise ValueError(f"{args.config} has {key} = {have[key]}, but checkpoint "
+                                 f"{args.resume} has {key} = {saved[key]}")
     docs_raw = read_documents(values["corpus"])
     docs = [T.encode(tok, d) for d in docs_raw]
     docs = R.shuffle_stream(docs, R.derive_seed(cfg.seed, "doc-shuffle"))
@@ -251,10 +261,6 @@ def cmd_train(args) -> int:
         val_docs = [T.encode(tok, d) for d in val_raw]
 
     if args.resume:
-        try:
-            overrides = C.parse_overrides(args.override)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
         os.makedirs(out_dir, exist_ok=True)
         R.cut_diagnostics(out_dir, ckpt[3].step)
         with R.DiagnosticsLog(os.path.join(out_dir, "diagnostics.csv")) as diag:

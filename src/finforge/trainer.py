@@ -35,7 +35,7 @@ from .model import _offsets, _tiled
 from .scaling import ModelShape
 
 CHECKPOINT_MAGIC = b"BGPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -319,29 +319,19 @@ class TrainingDiverged(RuntimeError):
         return f"{self.args[0]}; last good checkpoint: {good}"
 
 
-def _manifest(shapes: dict, kinds) -> list[dict]:
-    """The manifest of a payload of ``kinds`` (param, m, v) of tensors of
-    ``shapes``: each kind's buffer in the one layout, one after another."""
-    size, offsets = sum(math.prod(s) for s in shapes.values()), _offsets(shapes)
-    return [{"name": f"{kind}:{name}", "dtype": "<f8", "shape": list(shapes[name]),
-             "offset": 8 * (i * size + off)}
-            for i, kind in enumerate(kinds) for name, off in offsets.items()]
-
-
 def save_checkpoint(path, shape: ModelShape, cfg: TrainConfig, params, state: TrainState):
-    """Binary checkpoint: magic, version, JSON header, then the raw
-    little-endian float64 buffers of the parameters and, unless ``state``
-    has none, the m and v moments, each written whole in the layout
-    ``_flat`` checks, written atomically. save->load->save is byte-identical."""
-    kinds = ({"param": params, "m": state.m, "v": state.v} if state.m or state.v
-             else {"param": params})
-    bufs = [_flat(kind, tensors, params) for kind, tensors in kinds.items()]
+    """Binary checkpoint: magic, version, a JSON header of the shape, step,
+    config and training state, then the raw little-endian float64 buffers of
+    the parameters and the m and v moments, each written whole in the layout
+    ``_flat`` checks (``model._offsets``), written atomically.
+    save->load->save is byte-identical."""
+    bufs = [_flat(kind, tensors, params)
+            for kind, tensors in (("param", params), ("m", state.m), ("v", state.v))]
     header = {
         "shape": asdict(shape),
         "step": state.step,
         "config": asdict(cfg),
         "state": {key: getattr(state, key) for key in _STATE_FIELDS if key != "step"},
-        "manifest": _manifest({name: t.shape for name, t in params.items()}, kinds),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with atomic_write(path) as f:
@@ -378,12 +368,13 @@ _STATE_FIELDS = {
 def load_checkpoint(path, moments: bool = True):
     """Returns (shape, cfg, params, state).
 
-    The manifest must be the one ``save_checkpoint`` writes for the header's
-    shape: param, m and v, or, with ``moments=False``, param alone. Each
-    kind read gets one native float64 buffer in the layout ``init_params``
-    gives its own, filled by one ``readinto``, so no other copy of the
-    payload is made. With ``moments=False`` only the parameters are read,
-    and ``state.m`` and ``state.v`` are empty."""
+    The payload must be param, m and v in the layout of the header's shape,
+    ``3 * 8 * n`` bytes for ``n`` parameters; a version 1 header's list of
+    the tensors, always the one that layout gives, is not read. Each kind
+    read gets one native float64 buffer in the layout ``init_params`` gives
+    its own, filled by one ``readinto``, so no other copy of the payload is
+    made. With ``moments=False`` only the parameters are read, and
+    ``state.m`` and ``state.v`` are empty."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -392,7 +383,7 @@ def load_checkpoint(path, moments: bool = True):
         if len(prefix) < 12:
             raise ValueError(f"{path}: truncated checkpoint header")
         version, hlen = struct.unpack("<IQ", prefix)
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         size = os.fstat(f.fileno()).st_size
         if hlen > size - f.tell():
@@ -403,26 +394,10 @@ def load_checkpoint(path, moments: bool = True):
             shape = ModelShape(**header["shape"])
             cfg = TrainConfig(**header["config"])
             shapes = M.param_shapes(shape)
-            got, want = header["manifest"], _manifest(shapes, ("param", "m", "v"))
-            for i, (entry, ref) in enumerate(zip(got, want)):
-                if entry == ref:
-                    continue
-                key = next(k for k in (*ref, *entry) if entry.get(k, ...) != ref.get(k, ...))
-                if key == "name":
-                    raise ValueError(f"manifest entry {i} is {reprlib.repr(entry.get(key))}, "
-                                     f"not {ref[key]!r}")
-                raise ValueError(f"manifest entry {ref['name']!r} has {key} "
-                                 f"{reprlib.repr(entry.get(key))}, not {ref.get(key)!r}")
-            if len(got) > len(want):
-                raise ValueError(f"manifest entry {reprlib.repr(got[len(want)].get('name'))} "
-                                 f"follows the last one, {want[-1]['name']!r}")
-            if len(got) < len(want) and (moments or len(got) != len(shapes)):
-                raise ValueError(f"manifest has no entry {want[len(got)]['name']!r}")
-            end = got[-1]["offset"] + 8 * math.prod(got[-1]["shape"])
-            if end != payload:
-                raise ValueError(f"manifest entry {got[-1]['name']!r} ends at payload byte {end}, "
-                                 + (f"past the payload's {payload} bytes" if end > payload
-                                    else f"{payload - end} bytes before the payload does"))
+            want = 3 * 8 * sum(math.prod(dims) for dims in shapes.values())
+            if payload != want:
+                raise ValueError(f"the payload is {payload} bytes, not the {want} bytes of "
+                                 "param, m and v at the header's shape")
             st = dict(header["state"], step=header["step"])
             for key, (what, ok) in _STATE_FIELDS.items():
                 if not ok(st[key]):
@@ -572,19 +547,21 @@ def train(
 
     Returns the final state and the path of the last checkpoint written.
     Raises TrainingDiverged, pointing at the last good checkpoint written by
-    this call, if a non-finite loss or gradient appears; before the first
-    step, StateMismatch if ``state.order`` names a chunk the corpus does not
-    have, and ValueError if ``params`` or the moments of ``state`` do not
-    tile the flat buffers that ``adamw_step`` updates in place (see ``_flat``).
+    this call, if a non-finite loss or gradient appears; before it writes
+    anything, ValueError if the corpus, or a validation corpus given, packs
+    into no sequence; before the first step, StateMismatch if
+    ``state.order`` names a chunk the corpus does not have, and ValueError
+    if ``params`` or the moments of ``state`` do not tile the flat buffers
+    that ``adamw_step`` updates in place (see ``_flat``).
     """
+    chunks = pack_documents(train_docs, cfg.seq_len, eot_id)
+    val_chunks = pack_documents(val_docs or [], cfg.seq_len, eot_id)
+    if not chunks:
+        raise ValueError("corpus too small to fill a single training sequence")
+    if val_docs and not val_chunks:
+        raise ValueError("validation corpus too small to fill a single sequence")
     os.makedirs(out_dir, exist_ok=True)
     with DiagnosticsLog(os.path.join(out_dir, "diagnostics.csv")) as diag:
-        chunks = pack_documents(train_docs, cfg.seq_len, eot_id)
-        if not chunks:
-            raise ValueError("corpus too small to fill a single training sequence")
-        val_chunks = (
-            pack_documents(val_docs, cfg.seq_len, eot_id) if val_docs else []
-        )
         if state is None:
             state = TrainState.fresh(params)
         if not state.order:

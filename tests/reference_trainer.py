@@ -29,26 +29,29 @@ from reference_model import gradients
 
 def load_checkpoint(path):
     """(shape, cfg, params, state) of a valid checkpoint: each kind's
-    tensors (param, m, v) copied, in manifest order, into one buffer with
-    ``np.frombuffer`` from the payload read whole."""
+    tensors (param, m, v) copied into one buffer with ``np.frombuffer`` from
+    the payload read whole, where they lie one after another in sorted name
+    order at the header's shape, the kinds in turn."""
     with open(path, "rb") as f:
         _, hlen = struct.unpack("<IQ", f.read(16)[4:])
         header = json.loads(f.read(hlen))
         payload = f.read()
-    groups: dict[str, dict] = {"param": {}, "m": {}, "v": {}}
-    for entry in header["manifest"]:
-        kind, _, name = entry["name"].partition(":")
-        groups[kind][name] = np.frombuffer(
-            payload, dtype="<f8", count=math.prod(entry["shape"]), offset=entry["offset"]
-        ).reshape(entry["shape"])
-    groups = {kind: tiled(named) for kind, named in groups.items()}
+    shape, groups, offset = ModelShape(**header["shape"]), {}, 0
+    for kind in ("param", "m", "v"):
+        named = {}
+        for name, dims in sorted(M.param_shapes(shape).items()):
+            named[name] = np.frombuffer(
+                payload, dtype="<f8", count=math.prod(dims), offset=offset
+            ).reshape(dims)
+            offset += named[name].nbytes
+        groups[kind] = tiled(named)
     st = header["state"]
     state = TrainState(
         step=header["step"], m=groups["m"], v=groups["v"],
         **{k: st[k] for k in ("smooth_num", "smooth_den", "epoch", "stream_pos", "order",
                               "shuffle_salt")},
     )
-    return ModelShape(**header["shape"]), TrainConfig(**header["config"]), groups["param"], state
+    return shape, TrainConfig(**header["config"]), groups["param"], state
 
 
 def grad_global_norm(grads: dict[str, np.ndarray]) -> float:

@@ -505,18 +505,17 @@ def test_eval_cli_malformed_tasks_exit_2(capsys, workspace, tmp_path):
     assert code == 2
 
 
-def _write_checkpoint(path, edit=None, vocab=257, moments=True):
-    """A tiny valid checkpoint, with its AdamW moments unless ``moments`` is
-    false, or one whose header ``edit`` changed in place. Its vocabulary is
-    by default that of ``finalize`` over one token, 256 bytes and
-    ``<|endoftext|>``, the tokenizer that the tests pair it with."""
+def _write_checkpoint(path, edit=None, vocab=257):
+    """A tiny valid checkpoint, or one whose header ``edit`` changed in
+    place. Its vocabulary is by default that of ``finalize`` over one token,
+    256 bytes and ``<|endoftext|>``, the tokenizer that the tests pair it
+    with."""
     from finforge import model as M
     from finforge.scaling import ModelShape
 
     shape = ModelShape(1, 1, 4, 4, 16, vocab)
     params = M.init_params(shape, 0)
-    state = R.TrainState.fresh(params) if moments else R.TrainState()
-    R.save_checkpoint(str(path), shape, TrainConfig(), params, state)
+    R.save_checkpoint(str(path), shape, TrainConfig(), params, R.TrainState.fresh(params))
     if edit is None:
         return
     raw = path.read_bytes()
@@ -527,20 +526,12 @@ def _write_checkpoint(path, edit=None, vocab=257, moments=True):
     path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen :])
 
 
-# Manifests that do not tile the payload of ``_write_checkpoint``'s file:
-# case -> (edit of the manifest or None, bytes appended to the file (> 0) or
-# cut from its end (< 0), the entry the error names). The last entry is
-# ``v:ln_f.g``, of 4 floats.
-TILING = {
-    "checkpoint-payload-short": (None, -8, "v:ln_f.g"),
-    "checkpoint-offset-negative": (lambda m: m[1].update(offset=-8), 0, "param:layer0.attn.U"),
-    "checkpoint-offset-repeated": (lambda m: m[1].update(offset=0), 0, "param:layer0.attn.U"),
-    "checkpoint-offset-bool": (lambda m: m[0].update(offset=True), 0, "param:Wem"),
-    "checkpoint-trailing-bytes": (None, 64, "v:ln_f.g"),
-    # the last entry again after it, with its 32 bytes
-    "checkpoint-entry-duplicated": (
-        lambda m: m.append(dict(m[-1], offset=m[-1]["offset"] + 32)), 32, "v:ln_f.g"
-    ),
+# Payloads other than the param, m and v of ``_write_checkpoint``'s file:
+# case -> the payload's byte count, given the count it has.
+PAYLOAD = {
+    "checkpoint-payload-short": lambda n: n - 8,
+    "checkpoint-trailing-bytes": lambda n: n + 64,
+    "checkpoint-with-params-only": lambda n: n // 3,
 }
 
 
@@ -574,11 +565,9 @@ def _config_with(text, **values):
         "empty-tokenizer",
         "checkpoint-without-state",
         "checkpoint-without-shape",
-        "checkpoint-without-manifest",
         "checkpoint-truncated",
         "checkpoint-order-beyond-corpus",
-        "checkpoint-with-params-only",
-        *TILING,
+        *PAYLOAD,
         "jsonl-line-not-an-object",
         "task-line-not-an-object",
         "task-context-not-a-string",
@@ -618,16 +607,12 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         ))
     elif case == "checkpoint-beta1-1":
         _write_checkpoint(ckpt, edit=lambda header: header["config"].update(beta1=1.0))
-    elif case == "checkpoint-with-params-only":
-        # saved from TrainState(): every param entry, no m or v entry
-        _write_checkpoint(
-            ckpt, edit=lambda header: header["config"].update(seq_len=16), moments=False
-        )
-    elif case in TILING:
-        edit, extra, _ = TILING[case]
-        _write_checkpoint(ckpt, edit=edit and (lambda header: edit(header["manifest"])))
+    elif case in PAYLOAD:
+        _write_checkpoint(ckpt)
         raw = ckpt.read_bytes()
-        ckpt.write_bytes(raw[:extra] if extra < 0 else raw + bytes(extra))
+        start = 16 + int.from_bytes(raw[8:16], "little")
+        n = len(raw) - start
+        ckpt.write_bytes((raw + bytes(64))[: start + PAYLOAD[case](n)])
     else:
         _write_checkpoint(ckpt)
     if case == "empty-tokenizer":
@@ -674,7 +659,7 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         corpus.write_bytes(b"the quick brown fox jumps over the lazy dog")
         argv = ["train-tokenizer", "--corpus", str(corpus), "--target-vocab", "100",
                 "--chunk-vocab", "50", "--out", str(tmp_path / "o.txt")]
-    elif case in ("checkpoint-order-beyond-corpus", "checkpoint-with-params-only"):
+    elif case == "checkpoint-order-beyond-corpus":
         corpus = tmp_path / "corpus.txt"
         corpus.write_bytes(b"a" * 64)
         cfg = BASE_CFG.format(corpus=corpus, tok=tokpath, out=tmp_path)
@@ -731,10 +716,8 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     if case == "checkpoint-order-beyond-corpus":
         assert f"data error: {ckpt}: checkpoint field 'order' holds chunk 99999" in err, err
         assert "chunks" in err, err
-    if case == "checkpoint-with-params-only":
-        assert f"data error: {ckpt}: manifest has no entry 'm:Wem'" in err, err
-    if case in TILING:
-        assert f"{ckpt}: manifest entry {TILING[case][2]!r}" in err, err
+    if case in PAYLOAD:
+        assert f"data error: {ckpt}: the payload is {PAYLOAD[case](n)} bytes, not the {n} " in err
     if case == "target-vocab-too-small":
         assert "too small for byte coverage" in err
     if case == "tokenizer-missing-byte":
@@ -870,27 +853,50 @@ def test_resume_rejects_a_config_of_another_shape(capsys, tmp_path, key, value):
     assert not (tmp_path / "b").exists()  # nothing was written
 
 
-@pytest.mark.parametrize(
-    "entry, renamed, named",
-    [
-        (0, "param:layer0.attn.Wx", "param:layer0.attn.Wx"),  # not a parameter
-        (3, "param:ln_em.g", "param:ln_em.g"),  # a parameter of another shape
-        (3, "param:layer0.attn.Wk", "param:layer0.attn.Wq"),  # a duplicate: Wq is missing
-        (5, "state:Wem", "state:Wem"),  # not a tensor kind
-    ],
-)
-def test_checkpoint_manifest_must_fit_the_model_shape(capsys, tmp_path, entry, renamed, named):
-    ckpt = tmp_path / "model.ckpt"
-    tokpath = tmp_path / "tok.txt"
-    T.save_tokenizer(T.finalize(T.UnigramVocab({b"a": 1.0}, 1.0)), str(tokpath))
-    _write_checkpoint(ckpt, edit=lambda header: header["manifest"][entry].update(name=renamed))
-    code, _, err = run_cli(
-        capsys, "eval", "generate", "--model", str(ckpt), "--tokenizer", str(tokpath),
-        "--prompt", "a",
+def test_resume_keeps_the_checkpoint_seed(capsys, tmp_path):
+    # The seed shuffles the documents before they are packed into the chunks
+    # that the checkpoint's order indexes: a config file of another seed is a
+    # data error, and an override of it a usage error that names the option
+    # which re-permutes unseen chunks. Neither writes anything.
+    corpus, tok = tmp_path / "corpus.txt", tmp_path / "tok.txt"
+    corpus.write_bytes(b"ab ba " * 40)
+    _tokenizer_of_size(tok, 257)
+    cfg = BASE_CFG.format(corpus=corpus, tok=tok, out=tmp_path / "a")
+    cfg = _config_with(cfg.replace("steps = 3", "steps = 2"), seed=3)
+    code, out, err = run_cli(capsys, "train", "--config", write_config(tmp_path, cfg, "a.cfg"))
+    assert code == 0, err
+    ckpt = dict(l.split(",", 1) for l in out.strip().splitlines())["final_checkpoint"]
+    cfg = cfg.replace(str(tmp_path / "a"), str(tmp_path / "b"))
+    for seed, extra in ((9, []), (None, []), (3, ["--override", "seed=9"])):
+        text = _config_with(cfg, seed=seed) if seed else cfg.replace("seed = 3\n", "")
+        resume = ["--resume", ckpt, *extra]
+        code, out, err = run_cli(
+            capsys, "train", "--config", write_config(tmp_path, text, "b.cfg"), *resume
+        )
+        if extra:
+            assert (code, out) == (1, "") and err.startswith("usage error: --override"), err
+            assert "--reshuffle" in err, err
+        else:
+            assert (code, out) == (2, ""), err
+            assert err == (f"data error: {tmp_path / 'b.cfg'} has seed = {seed or 0}, but "
+                           f"checkpoint {ckpt} has seed = 3\n")
+        assert not (tmp_path / "b").exists()
+
+
+def test_train_rejects_a_validation_corpus_too_small_for_one_sequence(capsys, tmp_path):
+    # Packed into no sequence, it would turn validation off without a word.
+    corpus, val, tok = tmp_path / "corpus.txt", tmp_path / "val.jsonl", tmp_path / "tok.txt"
+    corpus.write_bytes(b"ab ba " * 40)
+    val.write_text('{"text": "a b"}\n')
+    _tokenizer_of_size(tok, 257)
+    cfg = _config_with(BASE_CFG.format(corpus=corpus, tok=tok, out=tmp_path / "run"),
+                       val_corpus=val)
+    code, out, err = run_cli(capsys, "train", "--config", write_config(tmp_path, cfg))
+    assert (code, out) == (2, ""), err
+    assert err.splitlines()[-1] == (
+        "data error: validation corpus too small to fill a single sequence"
     )
-    assert code == 2, err
-    assert "data error" in err and "Traceback" not in err
-    assert repr(named) in err, err
+    assert not (tmp_path / "run" / "diagnostics.csv").exists()  # a rerun is not refused
 
 
 @pytest.mark.parametrize("byte, bit", [(15, 6), (13, 0)])
@@ -911,21 +917,6 @@ def test_checkpoint_header_length_beyond_the_file_is_a_data_error(capsys, tmp_pa
     assert code == 2, err
     assert "data error" in err and "Traceback" not in err
     assert f"{ckpt}: header length" in err, err
-
-
-@pytest.mark.parametrize("dtype", ["<i8", "|u1", "<f4", ">f8"])
-def test_checkpoint_tensors_must_be_little_endian_float64(capsys, tmp_path, dtype):
-    ckpt = tmp_path / "model.ckpt"
-    tokpath = tmp_path / "tok.txt"
-    T.save_tokenizer(T.finalize(T.UnigramVocab({b"a": 1.0}, 1.0)), str(tokpath))
-    _write_checkpoint(ckpt, edit=lambda header: header["manifest"][0].update(dtype=dtype))
-    code, _, err = run_cli(
-        capsys, "eval", "generate", "--model", str(ckpt), "--tokenizer", str(tokpath),
-        "--prompt", "a",
-    )
-    assert code == 2, err
-    assert "data error" in err and "Traceback" not in err and "Warning" not in err
-    assert f"entry 'param:Wem' has dtype {dtype!r}" in err, err
 
 
 @pytest.mark.parametrize(

@@ -31,14 +31,14 @@ from test_tokenizer_lattice import finance_text
 
 GOLDEN = {
     "train": {
-        "checkpoint-00000002.bin": "c7f001be094be2bdc3ff37240e30ceb2fa095c7ea9d09047802ae2ae12b39036",
-        "checkpoint-00000004.bin": "4e1374d6e005033c02304ba0c0a236e48913e26675e61b3b129ec97be802fbaf",
+        "checkpoint-00000002.bin": "72f1e2bdbea6681179c0e73f34a9be201385055bfc1d5ebacaaedaa8940ab2a8",
+        "checkpoint-00000004.bin": "0b77af4107a043708aa31cc8d3c77defa9ccb74b2741e3b70170ec64204ae474",
         "diagnostics.csv": "617e8e63a45b89c5b03932bcc07a0345c4bfffa5b38c1c6db0c8792b881f14c2",
     },
     "resume": {
-        "checkpoint-00000002.bin": "c7f001be094be2bdc3ff37240e30ceb2fa095c7ea9d09047802ae2ae12b39036",
-        "checkpoint-00000004.bin": "4e1374d6e005033c02304ba0c0a236e48913e26675e61b3b129ec97be802fbaf",
-        "checkpoint-00000006.bin": "170051e123fd9fa7d2dd34b15ce2c6a30b425de7f6079b4c483420deaa033acd",
+        "checkpoint-00000002.bin": "72f1e2bdbea6681179c0e73f34a9be201385055bfc1d5ebacaaedaa8940ab2a8",
+        "checkpoint-00000004.bin": "0b77af4107a043708aa31cc8d3c77defa9ccb74b2741e3b70170ec64204ae474",
+        "checkpoint-00000006.bin": "8805ab61f7e594ad9b18c099d8f52fa9c26c1022ebe5225ed77cc07683bb6ca7",
         # Its weight norms in the uninterrupted run's order (see the last test).
         "diagnostics.csv": "add19d04cf4a3199a174a0399cd17daf0a21ab0c4c4ab3b24a2ff7bd805a7315",
     },

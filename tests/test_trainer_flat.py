@@ -440,7 +440,7 @@ def test_checkpoint_reads_in_place_the_reference_bits(tmp_path, moments):
     shape, cfg, params, state = R.load_checkpoint(str(path), moments=moments)
     ref_shape, ref_cfg, ref_params, ref_state = REF.load_checkpoint(str(path))
     assert (shape, cfg) == (ref_shape, ref_cfg)
-    # the order of init_params, not the sorted order of the manifest
+    # the order of init_params, not the sorted order of the payload
     assert list(params) == list(M.param_shapes(shape)) != list(ref_params)
     for k in ref_params:
         assert same(params[k], ref_params[k]), k
