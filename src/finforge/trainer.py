@@ -558,7 +558,7 @@ def train(
     val_chunks = pack_documents(val_docs or [], cfg.seq_len, eot_id)
     if not chunks:
         raise ValueError("corpus too small to fill a single training sequence")
-    if val_docs and not val_chunks:
+    if val_docs is not None and not val_chunks:
         raise ValueError("validation corpus too small to fill a single sequence")
     os.makedirs(out_dir, exist_ok=True)
     with DiagnosticsLog(os.path.join(out_dir, "diagnostics.csv")) as diag:

@@ -883,11 +883,14 @@ def test_resume_keeps_the_checkpoint_seed(capsys, tmp_path):
         assert not (tmp_path / "b").exists()
 
 
-def test_train_rejects_a_validation_corpus_too_small_for_one_sequence(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "records", ['{"text": "a b"}\n', "\n"], ids=["one-short-record", "no-record"]
+)
+def test_train_rejects_a_validation_corpus_too_small_for_one_sequence(capsys, tmp_path, records):
     # Packed into no sequence, it would turn validation off without a word.
     corpus, val, tok = tmp_path / "corpus.txt", tmp_path / "val.jsonl", tmp_path / "tok.txt"
     corpus.write_bytes(b"ab ba " * 40)
-    val.write_text('{"text": "a b"}\n')
+    val.write_text(records)
     _tokenizer_of_size(tok, 257)
     cfg = _config_with(BASE_CFG.format(corpus=corpus, tok=tok, out=tmp_path / "run"),
                        val_corpus=val)

@@ -351,18 +351,53 @@ def test_checkpoint_magic_and_version(tmp_path):
         TR.load_checkpoint(str(bad))
 
 
+def _saved(path, params=None):
+    """The bytes of a checkpoint of ``SHAPE`` with fresh moments, saved to ``path``."""
+    params = M.init_params(SHAPE, 0) if params is None else params
+    TR.save_checkpoint(str(path), SHAPE, tiny_cfg(), params, TR.TrainState.fresh(params))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("version", [0, 3, 2**32 - 1])
+def test_checkpoint_versions_other_than_1_and_2_are_refused(tmp_path, version):
+    path = tmp_path / "c.bin"
+    raw = _saved(path)
+    path.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:])
+    with pytest.raises(ValueError) as exc:
+        TR.load_checkpoint(str(path))
+    assert str(exc.value) == f"{path}: unsupported checkpoint version {version}"
+
+
+@pytest.mark.parametrize("size", [4, 8, 15])
+def test_checkpoint_cut_inside_its_version_and_header_length_is_refused(tmp_path, size):
+    path = tmp_path / "c.bin"
+    path.write_bytes(_saved(path)[:size])
+    with pytest.raises(ValueError) as exc:
+        TR.load_checkpoint(str(path))
+    assert str(exc.value) == f"{path}: truncated checkpoint header"
+
+
 @pytest.mark.parametrize(
     "edit",
-    [lambda p: p[:-8], lambda p: p + bytes(64), lambda p: p[: len(p) // 3]],
-    ids=["payload-short", "trailing-bytes", "params-only"],  # the last: the param buffer alone
+    [
+        lambda p: p[:-8],
+        lambda p: p + bytes(64),
+        lambda p: p[: len(p) // 3],  # the param buffer alone
+        lambda p: p[:-1],
+        lambda p: p + bytes(1),
+        lambda p: p[: 2 * len(p) // 3],  # param and m, no v
+        lambda p: p + p[: len(p) // 3],  # a fourth buffer
+        lambda p: b"",
+    ],
+    ids=["payload-short", "trailing-bytes", "params-only", "one-byte-short", "one-byte-over",
+         "param-and-m", "four-buffers", "empty"],
 )
 def test_checkpoint_payload_must_be_param_m_and_v(tmp_path, edit):
     # The payload is param, m and v at the header's shape; a payload of any
     # other length is named with both byte counts, whatever the load reads.
     path = tmp_path / "c.bin"
     params = M.init_params(SHAPE, 0)
-    TR.save_checkpoint(str(path), SHAPE, tiny_cfg(), params, TR.TrainState.fresh(params))
-    raw = path.read_bytes()
+    raw = _saved(path, params)
     start = 16 + int.from_bytes(raw[8:16], "little")
     payload = edit(raw[start:])
     path.write_bytes(raw[:start] + payload)
@@ -372,6 +407,24 @@ def test_checkpoint_payload_must_be_param_m_and_v(tmp_path, edit):
             TR.load_checkpoint(str(path), moments=moments)
         assert str(exc.value) == (f"{path}: the payload is {len(payload)} bytes, not the {want} "
                                   "bytes of param, m and v at the header's shape")
+
+
+def _as_version_1(raw, params, kinds=("param", "m", "v")):
+    """The version 1 file of the version 2 checkpoint ``raw`` of ``params``:
+    its header plus the manifest the version 1 writer gave ``kinds``, over
+    the payload of those kinds."""
+    hlen = int.from_bytes(raw[8:16], "little")
+    header, offset = json.loads(raw[16 : 16 + hlen]), 0
+    header["manifest"] = []
+    for kind in kinds:
+        for name, t in sorted(params.items()):
+            header["manifest"].append(
+                {"name": f"{kind}:{name}", "dtype": "<f8", "shape": list(t.shape), "offset": offset}
+            )
+            offset += t.nbytes
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return (b"BGPT" + (1).to_bytes(4, "little") + len(blob).to_bytes(8, "little") + blob
+            + raw[16 + hlen :][:offset])
 
 
 def test_a_version_1_checkpoint_loads_to_the_same_tensors_and_state(tmp_path):
@@ -386,19 +439,9 @@ def test_a_version_1_checkpoint_loads_to_the_same_tensors_and_state(tmp_path):
     v2, v1 = tmp_path / "v2.bin", tmp_path / "v1.bin"
     TR.save_checkpoint(str(v2), SHAPE, tiny_cfg(), params, state)
     raw = v2.read_bytes()
+    v1.write_bytes(_as_version_1(raw, params))
     hlen = int.from_bytes(raw[8:16], "little")
-    header, offset = json.loads(raw[16 : 16 + hlen]), 0
-    header["manifest"] = []
-    for kind in ("param", "m", "v"):
-        for name, t in sorted(params.items()):
-            header["manifest"].append(
-                {"name": f"{kind}:{name}", "dtype": "<f8", "shape": list(t.shape), "offset": offset}
-            )
-            offset += t.nbytes
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    v1.write_bytes(b"BGPT" + (1).to_bytes(4, "little") + len(blob).to_bytes(8, "little") + blob
-                   + raw[16 + hlen :])
-    assert raw[4:8] == (2).to_bytes(4, "little") and offset == len(raw) - 16 - hlen
+    assert raw[4:8] == (2).to_bytes(4, "little") and v1.read_bytes().endswith(raw[16 + hlen :])
     old, new = TR.load_checkpoint(str(v1)), TR.load_checkpoint(str(v2))
     assert old[:2] == new[:2] and old[3].order == [1, 0]
     for got, want in zip((old[2], old[3].m, old[3].v), (new[2], new[3].m, new[3].v)):
@@ -407,6 +450,43 @@ def test_a_version_1_checkpoint_loads_to_the_same_tensors_and_state(tmp_path):
     assert replace(old[3], m={}, v={}) == replace(new[3], m={}, v={})
     TR.save_checkpoint(str(tmp_path / "again.bin"), *old)
     assert (tmp_path / "again.bin").read_bytes() == raw
+
+
+def test_a_version_1_params_only_file_is_refused_naming_both_byte_counts(tmp_path):
+    # The version 1 writer saved a state without moments as the param
+    # entries alone; such a file no longer loads, with or without moments.
+    params = M.init_params(SHAPE, 0)
+    path = tmp_path / "v1.bin"
+    path.write_bytes(_as_version_1(_saved(tmp_path / "v2.bin", params), params, ["param"]))
+    n = 8 * sum(t.size for t in params.values())
+    for moments in (True, False):
+        with pytest.raises(ValueError) as exc:
+            TR.load_checkpoint(str(path), moments=moments)
+        assert str(exc.value) == (f"{path}: the payload is {n} bytes, not the {3 * n} "
+                                  "bytes of param, m and v at the header's shape")
+
+
+@pytest.mark.parametrize(
+    "moments, kind, group",
+    [
+        (lambda s: ({}, {}), "m", 0),  # TrainState(): no moments at all
+        (lambda s: (s.m, {}), "v", 0),
+        (lambda s: (s.m, {k: s.v[k] for k in list(s.v)[:-1]}), "v", -1),  # v short of a group
+    ],
+    ids=["no-moments", "no-v", "v-without-its-last-group"],
+)
+def test_save_checkpoint_needs_both_moments_of_every_group(tmp_path, moments, kind, group):
+    # A checkpoint always holds param, m and v; a state without them is
+    # refused before anything is written.
+    params = M.init_params(SHAPE, 0)
+    fresh = TR.TrainState.fresh(params)
+    m, v = moments(fresh)
+    path = tmp_path / "c.bin"
+    with pytest.raises(ValueError) as exc:
+        TR.save_checkpoint(str(path), SHAPE, tiny_cfg(), params, replace(fresh, m=m, v=v))
+    name = list(params)[group]
+    assert str(exc.value).startswith(f"{kind} group {name!r} is not at its offset"), exc.value
+    assert not path.exists() and list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
