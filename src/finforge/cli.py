@@ -7,11 +7,11 @@ Stdout carries data (tables, results); stderr carries diagnostics.
 from __future__ import annotations
 
 import argparse
-import fnmatch
 import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -224,17 +224,11 @@ def cmd_train(args) -> int:
         raise _UsageError("--override cannot change seed, which ordered the documents packed "
                           "into the checkpoint's chunks; --reshuffle re-permutes unseen chunks")
     values = C.parse_config(args.config)
-    out_dir = values["out_dir"]
-    if not args.resume and os.path.isdir(out_dir):
-        # A fresh run would append to an earlier run's rows and leave its
-        # later checkpoints, which belong to another trajectory.
-        for name in sorted(os.listdir(out_dir)):
-            if name == "diagnostics.csv" or fnmatch.fnmatch(name, "checkpoint-*.bin"):
-                raise ValueError(f"{os.path.join(out_dir, name)}: out_dir holds an earlier run; "
-                                 "resume it with --resume, or train into an empty out_dir")
     tok = T.load_tokenizer(values["tokenizer"])
     try:
         cfg = C.train_config_from(values)
+        if not values["val_max_chunks"] >= 1:
+            raise ValueError(f"val_max_chunks must be at least 1, got {values['val_max_chunks']!r}")
         hidden = values["heads"] * values["head_dim"]
         shape = S.ModelShape(
             values["layers"], values["heads"], hidden, values["head_dim"], 4 * hidden,
@@ -242,16 +236,19 @@ def cmd_train(args) -> int:
         )
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
-    ckpt = R.load_checkpoint(args.resume) if args.resume else None
-    if ckpt:
-        _check_vocab(tok, values["tokenizer"], ckpt[0], args.resume)
+    if args.resume:
+        shape, ckpt_cfg, params, state = R.load_checkpoint(args.resume)
+        _check_vocab(tok, values["tokenizer"], shape, args.resume)
         # The seed shuffles the documents before they are packed into the
         # chunks that the checkpoint's order indexes.
-        have, saved = dict(values, seed=cfg.seed), dict(vars(ckpt[0]), seed=ckpt[1].seed)
+        have, saved = dict(values, seed=cfg.seed), dict(vars(shape), seed=ckpt_cfg.seed)
         for key in ("layers", "heads", "head_dim", "seed"):
             if have[key] != saved[key]:
                 raise ValueError(f"{args.config} has {key} = {have[key]}, but checkpoint "
                                  f"{args.resume} has {key} = {saved[key]}")
+        cfg = replace(ckpt_cfg, **overrides)
+    else:
+        params, state = M.init_params(shape, values["init_seed"]), None
     docs_raw = read_documents(values["corpus"])
     docs = [T.encode(tok, d) for d in docs_raw]
     docs = R.shuffle_stream(docs, R.derive_seed(cfg.seed, "doc-shuffle"))
@@ -260,23 +257,12 @@ def cmd_train(args) -> int:
         val_raw = read_documents(values["val_corpus"])[: values["val_max_chunks"]]
         val_docs = [T.encode(tok, d) for d in val_raw]
 
-    if args.resume:
-        os.makedirs(out_dir, exist_ok=True)
-        R.cut_diagnostics(out_dir, ckpt[3].step)
-        with R.DiagnosticsLog(os.path.join(out_dir, "diagnostics.csv")) as diag:
-            shape, cfg, params, state = R.resume_with_overrides(
-                ckpt, overrides, args.reshuffle, diag
-            )
-    else:
-        params = M.init_params(shape, values["init_seed"])
-        state = None
-
     for line in C.resolved_lines(values, cfg):
         print(line, file=sys.stderr)
     try:
         state, last = R.train(
-            params, shape, docs, cfg, values["steps"], out_dir,
-            eot_id=tok.eot_id, val_docs=val_docs, state=state,
+            params, shape, docs, cfg, values["steps"], values["out_dir"], eot_id=tok.eot_id,
+            val_docs=val_docs, state=state, overrides=overrides, reshuffle=args.reshuffle,
         )
     except R.TrainingDiverged as exc:
         exc.last_checkpoint = exc.last_checkpoint or args.resume  # where this run began

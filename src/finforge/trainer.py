@@ -18,6 +18,7 @@ uninterrupted run.
 
 from __future__ import annotations
 
+import fnmatch
 import hashlib
 import json
 import math
@@ -75,8 +76,6 @@ class TrainConfig:
             raise ValueError("need 0 < final_lr <= max_lr")
         if self.warmup_steps >= self.horizon_steps:
             raise ValueError("warmup_steps must be below horizon_steps")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
         if not self.seq_len >= 2:
             raise ValueError(f"seq_len must be at least 2, got {self.seq_len!r}")
         # The values a run divides by or scales with; a NaN fails every test.
@@ -87,8 +86,11 @@ class TrainConfig:
         for name in ("beta1", "beta2", "dropout_at", "dropout_h", "dropout_f"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
-        if not self.adam_eps > 0:
-            raise ValueError(f"adam_eps must be positive, got {self.adam_eps!r}")
+        for name in ("clip_norm", "adam_eps", "ln_eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be in [0, inf), got {self.weight_decay!r}")
         if not 0 <= self.smooth_alpha <= 1:
             raise ValueError(f"smooth_alpha must be in [0, 1], got {self.smooth_alpha!r}")
 
@@ -166,8 +168,8 @@ def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float):
     A non-finite norm raises ``NonFiniteError`` naming the first group, in
     ``grads``'s order, whose gradient is not finite, or saying that the
     squared norm overflowed while every group was finite."""
-    if clip_norm <= 0:
-        raise ValueError("clip_norm must be positive")
+    if not clip_norm > 0:  # a NaN too
+        raise ValueError(f"clip_norm must be positive, got {clip_norm!r}")
     norm = grad_global_norm(grads)
     if not math.isfinite(norm):
         for name in grads:
@@ -542,38 +544,62 @@ def train(
     eot_id: int = 0,
     val_docs: list[list[int]] | None = None,
     state: TrainState | None = None,
+    overrides: dict | None = None,
+    reshuffle: bool = False,
 ) -> tuple[TrainState, str]:
-    """Run (or continue) training for ``steps`` total optimizer steps.
+    """Run (or continue, from ``state``) training for ``steps`` total
+    optimizer steps; returns the final state and the last checkpoint's path.
 
-    Returns the final state and the path of the last checkpoint written.
-    Raises TrainingDiverged, pointing at the last good checkpoint written by
-    this call, if a non-finite loss or gradient appears; before it writes
-    anything, ValueError if the corpus, or a validation corpus given, packs
-    into no sequence; before the first step, StateMismatch if
-    ``state.order`` names a chunk the corpus does not have, and ValueError
-    if ``params`` or the moments of ``state`` do not tile the flat buffers
-    that ``adamw_step`` updates in place (see ``_flat``).
+    Every check comes before the first write to ``out_dir``: ValueError if a
+    fresh run's ``out_dir`` holds an earlier run, if ``steps`` is not above
+    the step the run starts from, if the corpus, or a validation corpus
+    given, packs into no sequence, or if ``params`` or the moments of
+    ``state`` do not tile ``_flat``'s buffers; StateMismatch if
+    ``state.order`` names a chunk the corpus does not have. Then a resume
+    cuts the rows after its step (``cut_diagnostics``) and records
+    ``overrides``, which ``cfg`` already holds, and ``reshuffle`` of the
+    chunks not yet seen this epoch. A non-finite loss or gradient raises
+    TrainingDiverged, naming the last good checkpoint this call wrote.
     """
+    if state is None and os.path.isdir(out_dir):
+        # A fresh run would append to an earlier run's rows and leave its
+        # later checkpoints, which belong to another trajectory.
+        for name in sorted(os.listdir(out_dir)):
+            if name == "diagnostics.csv" or fnmatch.fnmatch(name, "checkpoint-*.bin"):
+                raise ValueError(f"{os.path.join(out_dir, name)}: out_dir holds an earlier run; "
+                                 "resume it with --resume, or train into an empty out_dir")
+    start = 0 if state is None else state.step
+    if not steps > start:
+        raise ValueError(f"steps = {steps} is not above step {start}, where the run starts")
     chunks = pack_documents(train_docs, cfg.seq_len, eot_id)
     val_chunks = pack_documents(val_docs or [], cfg.seq_len, eot_id)
     if not chunks:
         raise ValueError("corpus too small to fill a single training sequence")
     if val_docs is not None and not val_chunks:
         raise ValueError("validation corpus too small to fill a single sequence")
+    if state is None:
+        state = TrainState.fresh(params)
+    if not state.order:
+        state.order = _epoch_order(len(chunks), cfg, state.epoch, state.shuffle_salt)
+    if max(state.order) >= len(chunks):
+        raise StateMismatch(
+            f"checkpoint field 'order' holds chunk {max(state.order)}, but the corpus "
+            f"packs into {len(chunks)} chunks"
+        )
+    acc, grads = _tiled({name: t.shape for name, t in params.items()})
+    flat = (_flat("parameter", params, params), acc, _flat("m", state.m, params),
+            _flat("v", state.v, params), _decayed_ranges(params))
     os.makedirs(out_dir, exist_ok=True)
+    cut_diagnostics(out_dir, state.step)  # a fresh run's out_dir has no rows, as checked
     with DiagnosticsLog(os.path.join(out_dir, "diagnostics.csv")) as diag:
-        if state is None:
-            state = TrainState.fresh(params)
-        if not state.order:
-            state.order = _epoch_order(len(chunks), cfg, state.epoch, state.shuffle_salt)
-        if max(state.order) >= len(chunks):
-            raise StateMismatch(
-                f"checkpoint field 'order' holds chunk {max(state.order)}, but the corpus "
-                f"packs into {len(chunks)} chunks"
-            )
-        acc, grads = _tiled({name: t.shape for name, t in params.items()})
-        flat = (_flat("parameter", params, params), acc, _flat("m", state.m, params),
-                _flat("v", state.v, params), _decayed_ranges(params))
+        for k, v in sorted((overrides or {}).items()):
+            diag.record(state.step, "override", k, v)
+        if reshuffle:
+            state.shuffle_salt += 1
+            seed = derive_seed(cfg.seed, f"reshuffle:{state.shuffle_salt}")
+            rest = state.order[state.stream_pos :]
+            state.order[state.stream_pos :] = [rest[i] for i in _fisher_yates(len(rest), seed)]
+            diag.record(state.step, "override", "reshuffle_remaining", seed)
 
         last_ckpt: str | None = None
 
@@ -637,25 +663,3 @@ def validation_loss(params, shape, val_chunks, cfg: TrainConfig) -> float:
         for c in val_chunks
     ]
     return float(np.mean(losses))
-
-
-def resume_with_overrides(ckpt, overrides: dict, reshuffle_remaining: bool, diag: DiagnosticsLog):
-    """To ``ckpt``, what ``load_checkpoint`` returned, apply partial config
-    overrides, and optionally re-permute the not-yet-seen chunks with a
-    newly derived seed. Returns (shape, cfg, params, state). Override
-    provenance goes to ``diag``."""
-    shape, cfg, params, state = ckpt
-    unknown = set(overrides) - set(asdict(cfg))
-    if unknown:
-        raise ValueError(f"unknown config overrides: {sorted(unknown)}")
-    cfg = replace(cfg, **overrides)
-    for k, v in sorted(overrides.items()):
-        diag.record(state.step, "override", k, v)
-    if reshuffle_remaining:
-        state.shuffle_salt += 1
-        seed = derive_seed(cfg.seed, f"reshuffle:{state.shuffle_salt}")
-        rest = state.order[state.stream_pos :]
-        perm = _fisher_yates(len(rest), seed)
-        state.order = state.order[: state.stream_pos] + [rest[i] for i in perm]
-        diag.record(state.step, "override", "reshuffle_remaining", seed)
-    return shape, cfg, params, state

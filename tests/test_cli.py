@@ -429,6 +429,44 @@ def test_a_fresh_train_refuses_an_out_dir_that_holds_a_run(capsys, workspace):
     assert run_cli(capsys, "train", "--config", cfg2)[0] == 0
 
 
+# A resume that fails: case -> (config values, --override, the error).
+FAILED_RESUME = {
+    "train-corpus-too-small": ({"corpus": "tiny.jsonl"}, "max_lr=5e-4",
+                               "corpus too small to fill a single training sequence"),
+    "val-corpus-too-small": ({"val_corpus": "tiny.jsonl"}, "max_lr=5e-4",
+                             "validation corpus too small to fill a single sequence"),
+    "order-beyond-corpus": ({"corpus": "few.jsonl"}, "max_lr=5e-4",
+                            "checkpoint-00000002.bin: checkpoint field 'order' holds chunk "),
+    "override-clip-norm-negative": ({}, "clip_norm=-1", "clip_norm must be positive, got -1.0"),
+    "steps-at-the-checkpoint": ({"steps": 2}, "max_lr=5e-4",
+                                "steps = 2 is not above step 2, where the run starts"),
+}
+
+
+@pytest.mark.parametrize("case", FAILED_RESUME)
+def test_a_failed_resume_leaves_out_dir_as_it_was(capsys, workspace, case):
+    # Every check runs before the resume cuts diagnostics.csv or writes an
+    # override row, so the run it would resume keeps its files, rows and all,
+    # and no sidecar of cut rows appears.
+    cfgpath, out, _ = make_train_setup(workspace, capsys, "failed", steps=4)
+    assert run_cli(capsys, "train", "--config", cfgpath)[0] == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    (workspace / "tiny.jsonl").write_text(json.dumps({"text": "a"}) + "\n")
+    (workspace / "few.jsonl").write_text(
+        "".join(line + "\n" for line in (workspace / "docs.jsonl").read_text().splitlines()[:5])
+    )
+    values, override, error = FAILED_RESUME[case]
+    values = {k: workspace / v if k.endswith("corpus") else v for k, v in values.items()}
+    write_config(workspace, _config_with((workspace / "failed.cfg").read_text(), **values),
+                 "failed.cfg")
+    code, stdout, err = run_cli(capsys, "train", "--config", cfgpath,
+                                "--resume", str(out / "checkpoint-00000002.bin"),
+                                "--override", override)
+    assert (code, stdout) == (2, ""), err
+    assert "data error: " in err and error in err and "Traceback" not in err, err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("extra", [["--override", "max_lr=5e-4"], ["--reshuffle"]])
 def test_train_cli_resume_options_without_resume_are_usage_errors(capsys, workspace, extra):
     cfgpath, out, _ = make_train_setup(workspace, capsys, "noresume", steps=2)
@@ -549,6 +587,10 @@ BAD_CONFIG = {
     "config-dropout-h-1.5": ("dropout_h", "1.5"),
     "config-beta1-1": ("beta1", "1.0"),
     "config-seq-len-1": ("seq_len", "1"),
+    "config-clip-norm-nan": ("clip_norm", "nan"),
+    "config-ln-eps-negative": ("ln_eps", "-1"),
+    "config-weight-decay-nan": ("weight_decay", "nan"),
+    "config-val-max-chunks-negative": ("val_max_chunks", "-29"),
 }
 
 

@@ -578,16 +578,17 @@ def test_resume_bit_identical_to_uninterrupted(tmp_path):
 
 def test_resume_with_lr_override(tmp_path):
     _, _, ckpt, _ = run_training(tmp_path, steps=5)
-    with TR.DiagnosticsLog(str(tmp_path / "d.csv")) as diag:
-        shape, cfg, params, state = TR.resume_with_overrides(
-            TR.load_checkpoint(ckpt), {"max_lr": 5e-3, "final_lr": 5e-4}, False, diag
-        )
-        assert cfg.max_lr == 5e-3 and cfg.final_lr == 5e-4
-        assert state.step == 5
-        with pytest.raises(ValueError):
-            TR.resume_with_overrides(TR.load_checkpoint(ckpt), {"not_a_key": 1}, False, diag)
-    rows = (tmp_path / "d.csv").read_text().splitlines()
-    assert rows == ["5,override,final_lr,0.0005", "5,override,max_lr,0.005"]
+    shape, cfg, params, state = TR.load_checkpoint(ckpt)
+    overrides = {"max_lr": 5e-3, "final_lr": 5e-4}
+    cfg = replace(cfg, **overrides)
+    state, last = TR.train(params, shape, synth_docs(), cfg, 6, str(tmp_path / "b"),
+                           state=state, overrides=overrides)
+    assert state.step == 6
+    saved = TR.load_checkpoint(last)[1]
+    assert saved.max_lr == 5e-3 and saved.final_lr == 5e-4
+    rows = (tmp_path / "b" / "diagnostics.csv").read_text().splitlines()
+    assert rows[:2] == ["5,override,final_lr,0.0005", "5,override,max_lr,0.005"]
+    assert {r.split(",")[0] for r in rows[2:]} == {"6"}
 
 
 def test_resume_reshuffle_only_permutes_unseen(tmp_path):
@@ -596,13 +597,32 @@ def test_resume_reshuffle_only_permutes_unseen(tmp_path):
     params = M.init_params(SHAPE, 3)
     state, ckpt = TR.train(params, SHAPE, docs, cfg, 2, str(tmp_path / "r"))
     seen = state.order[: state.stream_pos]
-    with TR.DiagnosticsLog(str(tmp_path / "d.csv")) as diag:
-        _, _, _, state2 = TR.resume_with_overrides(TR.load_checkpoint(ckpt), {}, True, diag)
-    rows = (tmp_path / "d.csv").read_text().splitlines()
-    assert len(rows) == 1 and rows[0].startswith("2,override,reshuffle_remaining,")
-    assert state2.order[: state2.stream_pos] == seen
-    assert sorted(state2.order) == sorted(state.order)
+    shape, cfg2, params2, state2 = TR.load_checkpoint(ckpt)
+    state2, _ = TR.train(params2, shape, docs, cfg2, 3, str(tmp_path / "b"),
+                         state=state2, reshuffle=True)
+    rows = (tmp_path / "b" / "diagnostics.csv").read_text().splitlines()
+    assert rows[0].startswith("2,override,reshuffle_remaining,")
+    assert [r for r in rows if ",override," in r] == rows[:1]
+    assert state2.epoch == state.epoch  # the reshuffled order is the one trained on
+    assert state2.order[: len(seen)] == seen
+    assert state2.order != state.order and sorted(state2.order) == sorted(state.order)
     assert state2.shuffle_salt == state.shuffle_salt + 1
+
+
+def test_train_refuses_steps_at_or_below_its_start(tmp_path):
+    # A fresh run of 0 steps, and a resume to the step it starts from,
+    # would rewrite that step's checkpoint; each is refused before any write.
+    params = M.init_params(SHAPE, 3)
+    with pytest.raises(ValueError, match="^steps = 0 is not above step 0, where the run starts$"):
+        TR.train(params, SHAPE, synth_docs(), tiny_cfg(), 0, str(tmp_path / "fresh"))
+    assert not (tmp_path / "fresh").exists()
+    _, _, ckpt, out = run_training(tmp_path, steps=4)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    shape, cfg, params, state = TR.load_checkpoint(ckpt)
+    for steps in (4, 3):
+        with pytest.raises(ValueError, match=f"^steps = {steps} is not above step 4, "):
+            TR.train(params, shape, synth_docs(), cfg, steps, str(out), state=state)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_epoch_reshuffle_differs_between_epochs(tmp_path):
