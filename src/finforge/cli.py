@@ -7,8 +7,8 @@ Stdout carries data (tables, results); stderr carries diagnostics.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -36,28 +36,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _number(kind, low, high=math.inf, above=False):
-    """An argparse ``type=`` for a ``kind`` of at least ``low`` (above
-    ``low`` when ``above``) and at most ``high``. argparse turns a rejected
-    value into a usage error that names the flag."""
-    want = f"{kind.__name__} {'above' if above else 'at least'} {low}"
-    if high < math.inf:
-        want += f" and at most {high}"
+def _number(kind, interval: str):
+    """An argparse ``type=`` for a ``kind`` in ``interval``, checked as a
+    config key is (``trainer.check_key``). argparse turns a rejected value
+    into a usage error that names the flag."""
 
     def parse(text: str):
         try:
             value = kind(text)
+            R.check_key("value", value, kind, interval)
         except ValueError:
-            value = math.nan  # fails every comparison below, as a NaN input does
-        if not (low < value if above else low <= value) or not value <= high:
-            raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__} in {interval}, "
+                                             f"got {text!r}") from None
         return value
 
     return parse
 
 
-_count = _number(int, 1)
-_positive = _number(float, 0, above=True)
+_count = _number(int, "[1, inf)")
+_positive = _number(float, "(0, inf]")
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +221,15 @@ def cmd_train(args) -> int:
         raise _UsageError("--override cannot change seed, which ordered the documents packed "
                           "into the checkpoint's chunks; --reshuffle re-permutes unseen chunks")
     values = C.parse_config(args.config)
-    tok = T.load_tokenizer(values["tokenizer"])
     try:
         cfg = C.train_config_from(values)
-        if not values["val_max_chunks"] >= 1:
-            raise ValueError(f"val_max_chunks must be at least 1, got {values['val_max_chunks']!r}")
-        hidden = values["heads"] * values["head_dim"]
-        shape = S.ModelShape(
-            values["layers"], values["heads"], hidden, values["head_dim"], 4 * hidden,
-            tok.vocab_size,
-        )
-    except ValueError as exc:
+    except ValueError as exc:  # a rule across keys; parse_config checked each one
         raise ValueError(f"{args.config}: {exc}") from None
+    tok = T.load_tokenizer(values["tokenizer"])
+    hidden = values["heads"] * values["head_dim"]
+    shape = S.ModelShape(
+        values["layers"], values["heads"], hidden, values["head_dim"], 4 * hidden, tok.vocab_size
+    )
     if args.resume:
         shape, ckpt_cfg, params, state = R.load_checkpoint(args.resume)
         _check_vocab(tok, values["tokenizer"], shape, args.resume)
@@ -246,7 +240,10 @@ def cmd_train(args) -> int:
             if have[key] != saved[key]:
                 raise ValueError(f"{args.config} has {key} = {have[key]}, but checkpoint "
                                  f"{args.resume} has {key} = {saved[key]}")
-        cfg = replace(ckpt_cfg, **overrides)
+        try:
+            cfg = replace(ckpt_cfg, **overrides)
+        except ValueError as exc:
+            raise ValueError(f"--override: {exc}") from None
     else:
         params, state = M.init_params(shape, values["init_seed"]), None
     docs_raw = read_documents(values["corpus"])
@@ -296,7 +293,8 @@ def cmd_eval(args) -> int:
     records = E.load_tasks(args.tasks)
     methods = E.METHODS if args.method == "all" else (args.method,)
     failures = 0
-    print("example_id,method,chosen,correct")
+    rows = csv.writer(sys.stdout, lineterminator="\n")
+    rows.writerow(["example_id", "method", "chosen", "correct"])
     for i, rec in enumerate(records):
         try:
             if "candidates" not in rec:
@@ -316,7 +314,7 @@ def cmd_eval(args) -> int:
             for method in methods:
                 chosen = E.classify(lm, tok, task, method)
                 correct = "" if task.gold is None else int(chosen == task.gold)
-                print(f"{i},{method},{chosen.decode('utf-8', 'replace')},{correct}")
+                rows.writerow([i, method, chosen.decode("utf-8", "replace"), correct])
         except ValueError as exc:
             failures += 1
             print(f"example {i}: {exc}", file=sys.stderr)
@@ -351,7 +349,7 @@ def build_parser() -> _Parser:
     pl = sub.add_parser("plan")
     pl.add_argument("--gpu-hours", type=_positive, default=1.3e6)
     pl.add_argument("--tflops", type=_positive, default=102.0)
-    pl.add_argument("--discount", type=_number(float, 0, high=1, above=True), default=0.75)
+    pl.add_argument("--discount", type=_number(float, "(0, 1]"), default=0.75)
     pl.add_argument("--vocab", type=_count, default=2**17)
     pl.add_argument("--params-only", type=_positive, default=None)
     pl.add_argument("--shape", default=None, help="layers,heads,head_dim")
@@ -372,12 +370,12 @@ def build_parser() -> _Parser:
         e.add_argument("--tokenizer", required=True)
         if name == "bpb":
             e.add_argument("--docs", required=True)
-            e.add_argument("--window", type=_number(int, 2), default=E.WINDOW)
+            e.add_argument("--window", type=_number(int, "[2, inf)"), default=E.WINDOW)
             e.add_argument("--stride", type=_count, default=E.STRIDE)
         elif name == "classify":
             e.add_argument("--tasks", required=True)
             e.add_argument("--method", default="all", choices=("all",) + E.METHODS)
-            e.add_argument("--shots", type=_number(int, 0), default=0)
+            e.add_argument("--shots", type=_number(int, "[0, inf)"), default=0)
             e.add_argument("--seed", type=int, default=0)
         else:
             e.add_argument("--prompt", required=True)

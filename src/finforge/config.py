@@ -10,7 +10,7 @@ from dataclasses import fields
 from typing import Any
 
 from .atomic import read_lines
-from .trainer import TrainConfig
+from .trainer import KINDS, TrainConfig, check_key
 
 
 def _bool(s: str) -> bool:
@@ -22,35 +22,36 @@ def _bool(s: str) -> bool:
 
 
 # Keys beyond the optimizer config: data locations, model shape, run length.
-RUN_KEYS: dict[str, tuple[type, Any]] = {
-    "corpus": (str, None),
-    "val_corpus": (str, ""),
-    "tokenizer": (str, None),
-    "out_dir": (str, None),
-    "steps": (int, None),
-    "layers": (int, None),
-    "heads": (int, None),
-    "head_dim": (int, None),
-    "init_seed": (int, 0),
-    "val_max_chunks": (int, 16),
+# key -> (type, default, interval), as ``TrainConfig`` declares its fields;
+# a default of None makes the key required.
+RUN_KEYS: dict[str, tuple[type, Any, str | None]] = {
+    "corpus": (str, None, None),
+    "val_corpus": (str, "", None),
+    "tokenizer": (str, None, None),
+    "out_dir": (str, None, None),
+    "steps": (int, None, "[1, inf)"),
+    "layers": (int, None, "[0, inf)"),  # 0: a model with no blocks
+    "heads": (int, None, "[1, inf)"),
+    "head_dim": (int, None, "[1, inf)"),
+    "init_seed": (int, 0, "[0, inf)"),  # numpy's rule for a seed
+    "val_max_chunks": (int, 16, "[1, inf)"),
 }
 
-# ``from __future__ import annotations`` makes each field's type its name.
-TRAIN_KEYS: dict[str, type] = {
-    f.name: {"int": int, "float": float, "bool": bool}[f.type] for f in fields(TrainConfig)
+TRAIN_KEYS: dict[str, tuple[type, Any, str | None]] = {
+    f.name: (KINDS[f.type], f.default, f.metadata["interval"]) for f in fields(TrainConfig)
 }
 
-_KEY_TYPES: dict[str, type] = {k: t for k, (t, _) in RUN_KEYS.items()} | TRAIN_KEYS
+KEYS = RUN_KEYS | TRAIN_KEYS
 
 
-def _pair(text: str, types: dict[str, type]) -> tuple[str, Any]:
-    """The typed ``key = value`` in ``text``; the key must be one of ``types``."""
+def _pair(text: str, keys: dict[str, tuple]) -> tuple[str, Any]:
+    """The typed ``key = value`` in ``text``; the key must be one of ``keys``."""
     key, sep, raw = (s.strip() for s in text.partition("="))
     if not sep:
         raise ValueError("expected 'key = value'")
-    if key not in types:
+    if key not in keys:
         raise ValueError(f"unknown config key {key!r}")
-    typ = types[key]
+    typ = keys[key][0]
     try:
         return key, _bool(raw) if typ is bool else typ(raw)
     except ValueError as exc:
@@ -58,23 +59,29 @@ def _pair(text: str, types: dict[str, type]) -> tuple[str, Any]:
 
 
 def parse_config(path: str) -> dict[str, Any]:
-    values: dict[str, Any] = {k: d for k, (_, d) in RUN_KEYS.items()}
+    """Every key's value, each checked against its type and interval."""
+    values: dict[str, Any] = {k: d for k, (_, d, _) in RUN_KEYS.items()}
     seen = set()
     for lineno, line in read_lines(path):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            key, value = _pair(line, _KEY_TYPES)
+            key, value = _pair(line, KEYS)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         if key in seen:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         seen.add(key)
         values[key] = value
-    missing = [k for k, (_, d) in RUN_KEYS.items() if d is None and values.get(k) is None]
+    missing = [k for k, (_, d, _) in RUN_KEYS.items() if d is None and values.get(k) is None]
     if missing:
         raise ValueError(f"{path}: missing required keys: {missing}")
+    try:
+        for key, value in values.items():
+            check_key(key, value, KEYS[key][0], KEYS[key][2])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return values
 
 

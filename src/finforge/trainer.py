@@ -26,7 +26,7 @@ import os
 import reprlib
 import struct
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,55 +44,62 @@ def derive_seed(root: int, label: str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def _key(default, interval: str | None = None):
+    """A config field: its default and, for a number, the interval its value
+    must lie in, such as ``[0, 1)``, where ``(`` or ``)`` is an open end."""
+    return field(default=default, metadata={"interval": interval})
+
+
+KINDS = {"int": int, "float": float, "bool": bool}  # a field's annotation -> its type
+
+
+def check_key(key: str, value, kind: type, interval: str | None) -> None:
+    """ValueError naming ``key`` and ``value`` unless it is a ``kind`` (an
+    int may stand for a float) inside ``interval``; a NaN is inside none."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {reprlib.repr(value)}")
+    if interval:
+        low, high = (float(end) for end in interval[1:-1].split(","))
+        if not ((low < value if interval[0] == "(" else low <= value)
+                and (value < high if interval[-1] == ")" else value <= high)):
+            raise ValueError(f"{key} must be in {interval}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    max_lr: float = 6e-5
-    final_lr: float = 6e-6
-    warmup_steps: int = 1800
-    horizon_steps: int = 139_200
-    beta1: float = 0.9
-    beta2: float = 0.95
-    weight_decay: float = 0.1
-    clip_norm: float = 0.3
-    seq_len: int = 2048
-    batch_warmup_size: int = 1024
-    batch_main_size: int = 2048
-    batch_warmup_steps: int = 7200
-    dropout_at: float = 0.0
-    dropout_h: float = 0.0
-    dropout_f: float = 0.0
-    qk_layer_scaling: bool = False
-    adam_eps: float = 1e-8
-    ln_eps: float = 1e-5
-    smooth_alpha: float = 0.001
-    loss_on_separator: bool = True
-    train_loss_interval: int = 5
-    val_interval: int = 300
-    checkpoint_interval: int = 300
-    seed: int = 0
+    max_lr: float = _key(6e-5, "(0, inf)")
+    final_lr: float = _key(6e-6, "(0, inf)")
+    warmup_steps: int = _key(1800, "[0, inf)")
+    horizon_steps: int = _key(139_200, "[1, inf)")
+    beta1: float = _key(0.9, "[0, 1)")
+    beta2: float = _key(0.95, "[0, 1)")
+    weight_decay: float = _key(0.1, "[0, inf)")
+    clip_norm: float = _key(0.3, "(0, inf]")  # inf: no clipping
+    seq_len: int = _key(2048, "[2, inf)")  # a shorter sequence holds no target
+    batch_warmup_size: int = _key(1024, "[1, inf)")
+    batch_main_size: int = _key(2048, "[1, inf)")
+    batch_warmup_steps: int = _key(7200, "[0, inf)")
+    dropout_at: float = _key(0.0, "[0, 1)")
+    dropout_h: float = _key(0.0, "[0, 1)")
+    dropout_f: float = _key(0.0, "[0, 1)")
+    qk_layer_scaling: bool = _key(False)
+    adam_eps: float = _key(1e-8, "(0, inf)")
+    ln_eps: float = _key(1e-5, "(0, inf)")
+    smooth_alpha: float = _key(0.001, "[0, 1]")
+    loss_on_separator: bool = _key(True)
+    train_loss_interval: int = _key(5, "[1, inf)")
+    val_interval: int = _key(300, "[1, inf)")
+    checkpoint_interval: int = _key(300, "[1, inf)")
+    seed: int = _key(0, "(-inf, inf)")  # it only labels hashes, so any int
 
     def __post_init__(self):
-        if not 0 < self.final_lr <= self.max_lr:
-            raise ValueError("need 0 < final_lr <= max_lr")
-        if self.warmup_steps >= self.horizon_steps:
-            raise ValueError("warmup_steps must be below horizon_steps")
-        if not self.seq_len >= 2:
-            raise ValueError(f"seq_len must be at least 2, got {self.seq_len!r}")
-        # The values a run divides by or scales with; a NaN fails every test.
-        for name in ("batch_warmup_size", "batch_main_size", "train_loss_interval",
-                     "val_interval", "checkpoint_interval"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-        for name in ("beta1", "beta2", "dropout_at", "dropout_h", "dropout_f"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
-        for name in ("clip_norm", "adam_eps", "ln_eps"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ValueError(f"weight_decay must be in [0, inf), got {self.weight_decay!r}")
-        if not 0 <= self.smooth_alpha <= 1:
-            raise ValueError(f"smooth_alpha must be in [0, 1], got {self.smooth_alpha!r}")
+        for f in fields(self):
+            check_key(f.name, getattr(self, f.name), KINDS[f.type], f.metadata["interval"])
+        if not self.final_lr <= self.max_lr:
+            raise ValueError(f"final_lr must be at most max_lr, got {self.final_lr!r}")
+        if not self.warmup_steps < self.horizon_steps:
+            raise ValueError(f"warmup_steps must be below horizon_steps, got {self.warmup_steps!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +136,11 @@ def shuffle_stream(docs: list, seed: int):
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
-    """Linear warmup from 0, cosine decay to final_lr, then flat."""
+    """Linear warmup from 0 (none if warmup_steps is 0), cosine decay to final_lr, then flat."""
     if step < 0:
         raise ValueError("step must be non-negative")
     if step <= cfg.warmup_steps:
-        return cfg.max_lr * step / cfg.warmup_steps
+        return cfg.max_lr * step / cfg.warmup_steps if cfg.warmup_steps else cfg.max_lr
     if step >= cfg.horizon_steps:
         return cfg.final_lr
     frac = (step - cfg.warmup_steps) / (cfg.horizon_steps - cfg.warmup_steps)
@@ -168,8 +175,6 @@ def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float):
     A non-finite norm raises ``NonFiniteError`` naming the first group, in
     ``grads``'s order, whose gradient is not finite, or saying that the
     squared norm overflowed while every group was finite."""
-    if not clip_norm > 0:  # a NaN too
-        raise ValueError(f"clip_norm must be positive, got {clip_norm!r}")
     norm = grad_global_norm(grads)
     if not math.isfinite(norm):
         for name in grads:
@@ -345,25 +350,15 @@ def save_checkpoint(path, shape: ModelShape, cfg: TrainConfig, params, state: Tr
             f.write(memoryview(buf.astype("<f8", copy=False)).cast("B"))  # the bytes, no copy
 
 
-def _is_count(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-# What a checkpoint header's training-state fields must hold, and how to tell.
+# A checkpoint header's training-state fields: their types and intervals.
 _STATE_FIELDS = {
-    "step": ("a non-negative int", _is_count),
-    "epoch": ("a non-negative int", _is_count),
-    "stream_pos": ("a non-negative int", _is_count),
-    "shuffle_salt": ("a non-negative int", _is_count),
-    "order": (
-        "a list of non-negative ints", lambda x: isinstance(x, list) and all(map(_is_count, x))
-    ),
-    "smooth_num": ("a number", _is_number),
-    "smooth_den": ("a number", _is_number),
+    "step": (int, "[0, inf)"),
+    "epoch": (int, "[0, inf)"),
+    "stream_pos": (int, "[0, inf)"),
+    "shuffle_salt": (int, "[0, inf)"),
+    "order": (list, None),  # of chunks, each an int in [0, inf)
+    "smooth_num": (float, None),
+    "smooth_den": (float, None),
 }
 
 
@@ -401,11 +396,10 @@ def load_checkpoint(path, moments: bool = True):
                 raise ValueError(f"the payload is {payload} bytes, not the {want} bytes of "
                                  "param, m and v at the header's shape")
             st = dict(header["state"], step=header["step"])
-            for key, (what, ok) in _STATE_FIELDS.items():
-                if not ok(st[key]):
-                    raise ValueError(
-                        f"checkpoint field {key!r} must be {what}, got {reprlib.repr(st[key])}"
-                    )
+            for key, (kind, interval) in _STATE_FIELDS.items():
+                check_key(f"checkpoint field {key!r}", st[key], kind, interval)
+            for chunk in st["order"]:
+                check_key("checkpoint field 'order'", chunk, int, "[0, inf)")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         except (KeyError, TypeError, AttributeError) as exc:

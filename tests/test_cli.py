@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import os
 import random
 
@@ -437,7 +440,8 @@ FAILED_RESUME = {
                              "validation corpus too small to fill a single sequence"),
     "order-beyond-corpus": ({"corpus": "few.jsonl"}, "max_lr=5e-4",
                             "checkpoint-00000002.bin: checkpoint field 'order' holds chunk "),
-    "override-clip-norm-negative": ({}, "clip_norm=-1", "clip_norm must be positive, got -1.0"),
+    "override-clip-norm-negative": ({}, "clip_norm=-1",
+                                    "--override: clip_norm must be in (0, inf], got -1.0"),
     "steps-at-the-checkpoint": ({"steps": 2}, "max_lr=5e-4",
                                 "steps = 2 is not above step 2, where the run starts"),
 }
@@ -573,9 +577,10 @@ PAYLOAD = {
 }
 
 
-# Training-config values that a run divides by or scales with, or a
-# sequence too short to hold a target, each set in a config file:
-# case -> (key, value).
+# Config values outside their key's interval, each set in a config file:
+# case -> (key, value). Every numeric key but ``seed``, which may be any
+# int, has a case out of range, and every float key one with NaN too
+# (test_every_numeric_config_key_has_bad_config_cases).
 BAD_CONFIG = {
     "config-batch-warmup-size-0": ("batch_warmup_size", "0"),
     "config-batch-main-size-0": ("batch_main_size", "0"),
@@ -591,6 +596,33 @@ BAD_CONFIG = {
     "config-ln-eps-negative": ("ln_eps", "-1"),
     "config-weight-decay-nan": ("weight_decay", "nan"),
     "config-val-max-chunks-negative": ("val_max_chunks", "-29"),
+    "config-max-lr-inf": ("max_lr", "inf"),
+    "config-max-lr-nan": ("max_lr", "nan"),
+    "config-final-lr-0": ("final_lr", "0"),
+    "config-final-lr-nan": ("final_lr", "nan"),
+    "config-warmup-steps-negative": ("warmup_steps", "-5"),
+    "config-horizon-steps-0": ("horizon_steps", "0"),
+    "config-beta1-nan": ("beta1", "nan"),
+    "config-beta2-negative": ("beta2", "-0.1"),
+    "config-beta2-nan": ("beta2", "nan"),
+    "config-weight-decay-inf": ("weight_decay", "inf"),
+    "config-clip-norm-0": ("clip_norm", "0"),
+    "config-batch-warmup-steps-negative": ("batch_warmup_steps", "-3"),
+    "config-dropout-at-1": ("dropout_at", "1.0"),
+    "config-dropout-at-nan": ("dropout_at", "nan"),
+    "config-dropout-h-nan": ("dropout_h", "nan"),
+    "config-dropout-f-negative": ("dropout_f", "-0.5"),
+    "config-dropout-f-nan": ("dropout_f", "nan"),
+    "config-adam-eps-inf": ("adam_eps", "inf"),
+    "config-adam-eps-nan": ("adam_eps", "nan"),
+    "config-ln-eps-inf": ("ln_eps", "inf"),
+    "config-ln-eps-nan": ("ln_eps", "nan"),
+    "config-smooth-alpha-nan": ("smooth_alpha", "nan"),
+    "config-steps-0": ("steps", "0"),
+    "config-layers-negative": ("layers", "-1"),
+    "config-heads-0": ("heads", "0"),
+    "config-head-dim-0": ("head_dim", "0"),
+    "config-init-seed-negative": ("init_seed", "-1"),
 }
 
 
@@ -629,7 +661,9 @@ def _config_with(text, **values):
         "tokenizer-not-utf8",
         *BAD_CONFIG,
         "override-adam-eps-0",
+        "override-max-lr-inf",
         "checkpoint-beta1-1",
+        "checkpoint-max-lr-inf",
         "jsonl-line-not-json",
         "jsonl-not-utf8",
         "config-not-utf8",
@@ -649,6 +683,8 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         ))
     elif case == "checkpoint-beta1-1":
         _write_checkpoint(ckpt, edit=lambda header: header["config"].update(beta1=1.0))
+    elif case == "checkpoint-max-lr-inf":  # json writes it as Infinity
+        _write_checkpoint(ckpt, edit=lambda header: header["config"].update(max_lr=math.inf))
     elif case in PAYLOAD:
         _write_checkpoint(ckpt)
         raw = ckpt.read_bytes()
@@ -707,7 +743,7 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         cfg = BASE_CFG.format(corpus=corpus, tok=tokpath, out=tmp_path)
         cfgpath = write_config(tmp_path, cfg.replace("heads = 2", "heads = 1"))  # the checkpoint's
         argv = ["train", "--config", cfgpath, "--resume", str(ckpt)]
-    elif case in BAD_CONFIG or case in ("override-adam-eps-0", "config-not-utf8"):
+    elif case in BAD_CONFIG or case.startswith("override-") or case == "config-not-utf8":
         corpus = tmp_path / "corpus.txt"
         corpus.write_bytes(b"a" * 64)
         base = BASE_CFG.format(corpus=corpus, tok=tokpath, out=tmp_path / "run")
@@ -723,7 +759,8 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
             assert cli.main(argv) == 0
             cfgpath.write_text(base)
             argv += ["--resume", str(tmp_path / "run" / "checkpoint-00000002.bin"),
-                     "--override", "adam_eps=0"]
+                     "--override", {"override-adam-eps-0": "adam_eps=0",
+                                    "override-max-lr-inf": "max_lr=inf"}[case]]
     elif case.startswith("task-"):
         tasks = tmp_path / "tasks.ndjson"
         rec = {"context": "a", "candidates": ["a", "b"], "gold": "a"}
@@ -746,8 +783,10 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     if case in BAD_CONFIG:
         assert f"data error: {tmp_path / 'run.cfg'}: {BAD_CONFIG[case][0]} must be" in err, err
     want = {
-        "override-adam-eps-0": "data error: adam_eps must be positive, got 0.0",
+        "override-adam-eps-0": "data error: --override: adam_eps must be in (0, inf), got 0.0",
+        "override-max-lr-inf": "data error: --override: max_lr must be in (0, inf), got inf",
         "checkpoint-beta1-1": f"data error: {ckpt}: beta1 must be in [0, 1), got 1.0",
+        "checkpoint-max-lr-inf": f"data error: {ckpt}: max_lr must be in (0, inf), got inf",
         "jsonl-line-not-json": f"{tmp_path / 'corpus.jsonl'}:2: not JSON: Expecting value",
         "jsonl-not-utf8": f"{tmp_path / 'corpus.jsonl'}:2: not UTF-8: invalid start byte",
         "config-not-utf8": f"{tmp_path / 'run.cfg'}:2: not UTF-8: invalid start byte",
@@ -770,6 +809,28 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         assert f"{tokpath}:3: not UTF-8: invalid start byte" in err, err
     elif case.startswith("tokenizer-"):
         assert f"{tokpath}:{len(lines)}: token id {sid}:" in err, err
+
+
+def test_every_numeric_config_key_has_bad_config_cases_and_a_readme_entry():
+    # config.KEYS is the one declaration of each key's type, default and
+    # interval; BAD_CONFIG and README's list under "Config files" follow it.
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        readme = f.read()
+    entries = readme.partition("### Config files")[2].partition("\n#")[0]
+    for key, (kind, default, interval) in C.KEYS.items():
+        if kind not in (int, float):
+            assert f"`{key}`" in entries, key
+            continue
+        entry = f"- `{key}`: {kind.__name__} in {interval}, " + (
+            "required" if default is None else f"default {default!r}"
+        )
+        assert f"\n{entry}" in entries, entry
+        if interval == "(-inf, inf)":
+            continue  # seed: no int is out of its range
+        values = [value for k, value in BAD_CONFIG.values() if k == key]
+        assert any(value != "nan" for value in values), f"no BAD_CONFIG case puts {key} out of range"
+        if kind is float:
+            assert "nan" in values, f"no BAD_CONFIG case sets {key} to NaN"
 
 
 def test_tokenizer_file_fuzz_exits_0_or_2_naming_the_line(capfdbinary, tmp_path):
@@ -1007,3 +1068,30 @@ def test_classify_record_without_candidates_says_so(capsys, tmp_path):
     assert code == 2
     assert out == "example_id,method,chosen,correct\n"
     assert err == "example 0: record has no 'candidates' to classify\n"
+
+
+def test_classify_output_is_csv_whatever_the_candidates_hold(capsys, tmp_path):
+    # A candidate with a comma or a newline is quoted, so every row parses
+    # into 4 fields; one without them is written as it is.
+    ckpt = tmp_path / "model.ckpt"
+    tokpath = tmp_path / "tok.txt"
+    T.save_tokenizer(T.finalize(T.UnigramVocab({b"a": 1.0}, 1.0)), str(tokpath))
+    _write_checkpoint(ckpt)
+    tasks = tmp_path / "tasks.ndjson"
+    tasks.write_text(
+        json.dumps({"context": "a", "candidates": ["up, sharply", "down\nhard"], "gold": "a"})
+        + "\n" + json.dumps({"context": "a", "candidates": [" positive", " negative"]}) + "\n"
+    )
+    code, out, err = run_cli(
+        capsys, "eval", "classify", "--model", str(ckpt), "--tokenizer", str(tokpath),
+        "--tasks", str(tasks),
+    )
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["example_id", "method", "chosen", "correct"]
+    assert [row[:2] for row in rows[1:]] == [[i, m] for i in "01" for m in E.METHODS]
+    assert all(len(row) == 4 for row in rows)
+    assert {row[2] for row in rows[1:len(E.METHODS) + 1]} <= {"up, sharply", "down\nhard"}
+    assert {row[3] for row in rows[1:len(E.METHODS) + 1]} == {"0"}
+    plain = rows[len(E.METHODS) + 1:]
+    assert out.endswith("".join(f"1,{m},{chosen},\n" for _, m, chosen, _ in plain))

@@ -32,6 +32,23 @@ def synth_docs(n_docs=40, seed=0, lo=5, hi=30):
     ]
 
 
+def test_config_intervals_hold_their_closed_ends_and_refuse_the_rest():
+    # At a closed end, inf where clipping is off, any int for seed, and an
+    # int standing for a float: all accepted.
+    TR.TrainConfig(smooth_alpha=1.0, clip_norm=math.inf, beta1=0, warmup_steps=0, seed=-3)
+    for key, value, error in [
+        ("smooth_alpha", 1.0000001, "must be in [0, 1], got 1.0000001"),
+        ("beta1", 1.0, "must be in [0, 1), got 1.0"),
+        ("max_lr", math.inf, "must be in (0, inf), got inf"),
+        ("seq_len", 16.0, "must be of type int, got 16.0"),
+        ("warmup_steps", True, "must be of type int, got True"),
+        ("qk_layer_scaling", 1, "must be of type bool, got 1"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            TR.TrainConfig(**{key: value})
+        assert str(exc.value) == f"{key} {error}"
+
+
 # ---------------------------------------------------------------------------
 # Packing and shuffling
 
@@ -54,7 +71,7 @@ def test_pack_documents_separator_after_every_doc():
 def test_pack_documents_drops_final_partial():
     assert TR.pack_documents([[1, 2]], seq_len=4, eot_id=0) == []
     # a 1-token sequence holds no target: the run's config rejects it
-    with pytest.raises(ValueError, match="seq_len must be at least 2, got 1"):
+    with pytest.raises(ValueError, match=r"seq_len must be in \[2, inf\), got 1"):
         tiny_cfg(seq_len=1)
 
 
@@ -117,6 +134,12 @@ def test_lr_schedule_exact_values():
     )
     assert TR.lr_at(139_200, cfg) == pytest.approx(6e-6, rel=1e-12)
     assert TR.lr_at(500_000, cfg) == pytest.approx(6e-6, rel=1e-12)
+    # warmup_steps = 0: no warmup, max_lr at step 0 and the cosine after it
+    flat = TR.TrainConfig(warmup_steps=0, horizon_steps=100)
+    assert TR.lr_at(0, flat) == flat.max_lr
+    assert TR.lr_at(1, flat) == flat.final_lr + 0.5 * (flat.max_lr - flat.final_lr) * (
+        1.0 + math.cos(math.pi * (1 / 100))
+    )
 
 
 def test_lr_schedule_continuous_at_joins():
