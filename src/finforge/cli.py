@@ -38,13 +38,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _number(kind, interval: str):
     """An argparse ``type=`` for a ``kind`` in ``interval``, checked as a
-    config key is (``trainer.check_key``). argparse turns a rejected value
+    config key is (``scaling.check_key``). argparse turns a rejected value
     into a usage error that names the flag."""
 
     def parse(text: str):
         try:
             value = kind(text)
-            R.check_key("value", value, kind, interval)
+            S.check_key("value", value, kind, interval)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {kind.__name__} in {interval}, "
                                              f"got {text!r}") from None
@@ -217,9 +217,9 @@ def cmd_train(args) -> int:
         overrides = C.parse_overrides(args.override)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    if "seed" in overrides:
-        raise _UsageError("--override cannot change seed, which ordered the documents packed "
-                          "into the checkpoint's chunks; --reshuffle re-permutes unseen chunks")
+    if fixed := sorted({"seed", "seq_len"} & overrides.keys()):
+        raise _UsageError(f"--override cannot change {fixed[0]}, which fixes the chunks that the "
+                          "checkpoint's order indexes; --reshuffle re-permutes unseen chunks")
     values = C.parse_config(args.config)
     try:
         cfg = C.train_config_from(values)
@@ -294,6 +294,7 @@ def cmd_eval(args) -> int:
     methods = E.METHODS if args.method == "all" else (args.method,)
     failures = 0
     rows = csv.writer(sys.stdout, lineterminator="\n")
+    quoted = csv.writer(sys.stdout, "unix")  # all quoted: 3.11 leaves a bare CR unquoted
     rows.writerow(["example_id", "method", "chosen", "correct"])
     for i, rec in enumerate(records):
         try:
@@ -314,7 +315,8 @@ def cmd_eval(args) -> int:
             for method in methods:
                 chosen = E.classify(lm, tok, task, method)
                 correct = "" if task.gold is None else int(chosen == task.gold)
-                rows.writerow([i, method, chosen.decode("utf-8", "replace"), correct])
+                text = chosen.decode("utf-8", "replace")
+                (quoted if "\r" in text else rows).writerow([i, method, text, correct])
         except ValueError as exc:
             failures += 1
             print(f"example {i}: {exc}", file=sys.stderr)

@@ -6,11 +6,12 @@ defaults. Every run logs its fully resolved configuration.
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import MISSING
 from typing import Any
 
 from .atomic import read_lines
-from .trainer import KINDS, TrainConfig, check_key
+from .scaling import KINDS, ModelShape, check_key, declared
+from .trainer import TrainConfig
 
 
 def _bool(s: str) -> bool:
@@ -21,25 +22,27 @@ def _bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _declared(cls, *names: str) -> dict[str, tuple[type, Any, str | None]]:
+    """key -> (type, default or None, interval) of ``cls``'s declared ``names`` (or all)."""
+    return {f.name: (KINDS[f.type], None if f.default is MISSING else f.default,
+                     f.metadata["interval"]) for f in declared(cls) if not names or f.name in names}
+
+
 # Keys beyond the optimizer config: data locations, model shape, run length.
-# key -> (type, default, interval), as ``TrainConfig`` declares its fields;
-# a default of None makes the key required.
+# key -> (type, default, interval), as ``TrainConfig`` and ``ModelShape``
+# declare their fields; a default of None makes the key required.
 RUN_KEYS: dict[str, tuple[type, Any, str | None]] = {
     "corpus": (str, None, None),
     "val_corpus": (str, "", None),
     "tokenizer": (str, None, None),
     "out_dir": (str, None, None),
     "steps": (int, None, "[1, inf)"),
-    "layers": (int, None, "[0, inf)"),  # 0: a model with no blocks
-    "heads": (int, None, "[1, inf)"),
-    "head_dim": (int, None, "[1, inf)"),
+    **_declared(ModelShape, "layers", "heads", "head_dim"),
     "init_seed": (int, 0, "[0, inf)"),  # numpy's rule for a seed
     "val_max_chunks": (int, 16, "[1, inf)"),
 }
 
-TRAIN_KEYS: dict[str, tuple[type, Any, str | None]] = {
-    f.name: (KINDS[f.type], f.default, f.metadata["interval"]) for f in fields(TrainConfig)
-}
+TRAIN_KEYS = _declared(TrainConfig)
 
 KEYS = RUN_KEYS | TRAIN_KEYS
 

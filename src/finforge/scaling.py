@@ -1,11 +1,13 @@
 """Compute-budget planning: FLOPs accounting with the activation-checkpointing
-discount, Chinchilla-style fits, the depth-width rule, shape rounding, and
-exact per-component parameter accounting."""
+discount, Chinchilla-style fits, the depth-width rule, shape rounding, exact
+per-component parameter accounting, and ``check_key``, of every declared field."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import reprlib
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 
 CHECKPOINT_DISCOUNT = 0.75
 
@@ -17,17 +19,48 @@ HEAD_COUNTS = range(8, 129, 8)
 HEAD_DIMS = (64, 128, 192, 256)
 
 
+def _key(default=MISSING, interval: str | None = None, **kw):
+    """A declared field: its default, if any, and for a number the interval it
+    must lie in, such as ``[0, 1)``, where ``(`` or ``)`` is an open end."""
+    return field(default=default, metadata={"interval": interval}, **kw)
+
+
+KINDS = {"int": int, "float": float, "bool": bool, "list": list}  # annotation -> type
+
+
+def check_key(key: str, value, kind: type, interval: str | None) -> None:
+    """ValueError naming ``key`` and ``value`` unless it is a ``kind`` (an int
+    a float can hold may stand for one) inside ``interval``; a NaN is in none."""
+    accepted = (int, float) if kind is float else kind
+    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted)
+            or kind is float and isinstance(value, int) and abs(value) > sys.float_info.max):
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {reprlib.repr(value)}")
+    if interval:
+        low, high = (float(end) for end in interval[1:-1].split(","))
+        if not ((low < value if interval[0] == "(" else low <= value)
+                and (value < high if interval[-1] == ")" else value <= high)):
+            raise ValueError(f"{key} must be in {interval}, got {value!r}")
+
+
+def declared(cls) -> list:
+    """The fields of the dataclass (or instance) ``cls`` that ``_key`` declared."""
+    return [f for f in fields(cls) if "interval" in f.metadata]
+
+
+def check_fields(obj) -> None:
+    """``check_key`` of each declared field of ``obj``."""
+    for f in declared(obj):
+        check_key(f.name, getattr(obj, f.name), KINDS[f.type], f.metadata["interval"])
+
+
 @dataclass(frozen=True)
 class ComputeBudget:
-    gpu_hours: float
-    flops_per_gpu_second: float
-    checkpoint_discount: float = CHECKPOINT_DISCOUNT
+    gpu_hours: float = _key(interval="(0, inf]")
+    flops_per_gpu_second: float = _key(interval="(0, inf]")
+    checkpoint_discount: float = _key(CHECKPOINT_DISCOUNT, "(0, 1]")
 
     def __post_init__(self):
-        if min(self.gpu_hours, self.flops_per_gpu_second, self.checkpoint_discount) <= 0:
-            raise ValueError("budget fields must be strictly positive")
-        if self.checkpoint_discount > 1.0:
-            raise ValueError("checkpoint_discount must be in (0, 1]")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -72,18 +105,15 @@ def levine_width(layers: int) -> float:
 
 @dataclass(frozen=True)
 class ModelShape:
-    layers: int
-    heads: int
-    hidden: int
-    head_dim: int
-    ffn_hidden: int
-    vocab: int
+    layers: int = _key(interval="[0, inf)")  # 0: a model with no blocks
+    heads: int = _key(interval="[1, inf)")
+    hidden: int = _key(interval="[1, inf)")
+    head_dim: int = _key(interval="[1, inf)")
+    ffn_hidden: int = _key(interval="[1, inf)")
+    vocab: int = _key(interval="[1, inf)")
 
     def __post_init__(self):
-        if self.layers < 0:
-            raise ValueError("layers must be non-negative")
-        if min(self.heads, self.hidden, self.head_dim, self.ffn_hidden, self.vocab) <= 0:
-            raise ValueError("shape dimensions must be positive")
+        check_fields(self)
         if self.hidden != self.heads * self.head_dim:
             raise ValueError("hidden must equal heads * head_dim")
         if self.ffn_hidden != 4 * self.hidden:

@@ -23,17 +23,16 @@ import hashlib
 import json
 import math
 import os
-import reprlib
 import struct
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import model as M
 from .atomic import atomic_write
 from .model import _offsets, _tiled
-from .scaling import ModelShape
+from .scaling import ModelShape, _key, check_fields, check_key, count_parameters, declared
 
 CHECKPOINT_MAGIC = b"BGPT"
 CHECKPOINT_VERSION = 2
@@ -42,28 +41,6 @@ CHECKPOINT_VERSION = 2
 def derive_seed(root: int, label: str) -> int:
     h = hashlib.blake2b(f"{root}:{label}".encode(), digest_size=8)
     return int.from_bytes(h.digest(), "little")
-
-
-def _key(default, interval: str | None = None):
-    """A config field: its default and, for a number, the interval its value
-    must lie in, such as ``[0, 1)``, where ``(`` or ``)`` is an open end."""
-    return field(default=default, metadata={"interval": interval})
-
-
-KINDS = {"int": int, "float": float, "bool": bool}  # a field's annotation -> its type
-
-
-def check_key(key: str, value, kind: type, interval: str | None) -> None:
-    """ValueError naming ``key`` and ``value`` unless it is a ``kind`` (an
-    int may stand for a float) inside ``interval``; a NaN is inside none."""
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ValueError(f"{key} must be of type {kind.__name__}, got {reprlib.repr(value)}")
-    if interval:
-        low, high = (float(end) for end in interval[1:-1].split(","))
-        if not ((low < value if interval[0] == "(" else low <= value)
-                and (value < high if interval[-1] == ")" else value <= high)):
-            raise ValueError(f"{key} must be in {interval}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +71,7 @@ class TrainConfig:
     seed: int = _key(0, "(-inf, inf)")  # it only labels hashes, so any int
 
     def __post_init__(self):
-        for f in fields(self):
-            check_key(f.name, getattr(self, f.name), KINDS[f.type], f.metadata["interval"])
+        check_fields(self)
         if not self.final_lr <= self.max_lr:
             raise ValueError(f"final_lr must be at most max_lr, got {self.final_lr!r}")
         if not self.warmup_steps < self.horizon_steps:
@@ -287,16 +263,16 @@ def component_weight_norms(params: dict[str, np.ndarray]) -> dict[str, float]:
 
 
 @dataclass
-class TrainState:
-    step: int = 0
+class TrainState:  # its declared fields are a checkpoint header's; m and v, its payload
+    step: int = _key(0, "[0, inf)")
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    smooth_num: float = 0.0
-    smooth_den: float = 0.0
-    epoch: int = 0
-    stream_pos: int = 0
-    order: list[int] = field(default_factory=list)
-    shuffle_salt: int = 0
+    smooth_num: float = _key(0.0, "[0, inf)")  # a sum of losses, each at least 0
+    smooth_den: float = _key(0.0, "[0, inf)")
+    epoch: int = _key(0, "[0, inf)")
+    stream_pos: int = _key(0, "[0, inf)")
+    order: list = _key(default_factory=list)  # of chunks, each an int in [0, inf)
+    shuffle_salt: int = _key(0, "[0, inf)")
 
     @classmethod
     def fresh(cls, params):
@@ -338,7 +314,7 @@ def save_checkpoint(path, shape: ModelShape, cfg: TrainConfig, params, state: Tr
         "shape": asdict(shape),
         "step": state.step,
         "config": asdict(cfg),
-        "state": {key: getattr(state, key) for key in _STATE_FIELDS if key != "step"},
+        "state": {f.name: getattr(state, f.name) for f in declared(state) if f.name != "step"},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with atomic_write(path) as f:
@@ -348,18 +324,6 @@ def save_checkpoint(path, shape: ModelShape, cfg: TrainConfig, params, state: Tr
         f.write(blob)
         for buf in bufs:
             f.write(memoryview(buf.astype("<f8", copy=False)).cast("B"))  # the bytes, no copy
-
-
-# A checkpoint header's training-state fields: their types and intervals.
-_STATE_FIELDS = {
-    "step": (int, "[0, inf)"),
-    "epoch": (int, "[0, inf)"),
-    "stream_pos": (int, "[0, inf)"),
-    "shuffle_salt": (int, "[0, inf)"),
-    "order": (list, None),  # of chunks, each an int in [0, inf)
-    "smooth_num": (float, None),
-    "smooth_den": (float, None),
-}
 
 
 def load_checkpoint(path, moments: bool = True):
@@ -390,28 +354,28 @@ def load_checkpoint(path, moments: bool = True):
             payload = size - f.tell()
             shape = ModelShape(**header["shape"])
             cfg = TrainConfig(**header["config"])
-            shapes = M.param_shapes(shape)
-            want = 3 * 8 * sum(math.prod(dims) for dims in shapes.values())
+            want = 3 * 8 * count_parameters(shape).grand_total
             if payload != want:
                 raise ValueError(f"the payload is {payload} bytes, not the {want} bytes of "
                                  "param, m and v at the header's shape")
-            st = dict(header["state"], step=header["step"])
-            for key, (kind, interval) in _STATE_FIELDS.items():
-                check_key(f"checkpoint field {key!r}", st[key], kind, interval)
-            for chunk in st["order"]:
-                check_key("checkpoint field 'order'", chunk, int, "[0, inf)")
+            if diff := {"step", *header["state"]} ^ {f.name for f in declared(TrainState)}:
+                raise ValueError(f"missing or unknown state keys: {', '.join(sorted(diff))}")
+            state = TrainState(**header["state"], step=header["step"])
+            check_fields(state)
+            for chunk in state.order:
+                check_key("a chunk of order", chunk, int, "[0, inf)")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"{path}: malformed checkpoint header: {exc!r}") from exc
-        groups = {"m": {}, "v": {}}
+        shapes, groups = M.param_shapes(shape), {"m": {}, "v": {}}
         for kind in ("param", "m", "v") if moments else ("param",):
             buf, groups[kind] = _tiled(shapes)
             if f.readinto(buf) != buf.nbytes:
                 raise ValueError(f"{path}: the {kind} buffer is cut short")
             if sys.byteorder == "big":  # the payload is little-endian
                 buf.byteswap(inplace=True)
-    state = TrainState(m=groups["m"], v=groups["v"], **{k: st[k] for k in _STATE_FIELDS})
+    state.m, state.v = groups["m"], groups["v"]
     return shape, cfg, groups["param"], state
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import reprlib
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from finforge import config as C
 from finforge import evalharness as E
 from finforge import tokenizer as T
 from finforge import trainer as R
+from finforge.scaling import ModelShape, count_parameters, declared
 from finforge.trainer import TrainConfig
 
 
@@ -577,6 +579,40 @@ PAYLOAD = {
 }
 
 
+def _payload(layers):
+    """The bytes of param, m and v at ``_write_checkpoint``'s shape, vocabulary
+    300, with ``layers``."""
+    return 3 * 8 * count_parameters(ModelShape(layers, 1, 4, 4, 16, 300)).grand_total
+
+
+# Checkpoint header values that a load refuses: case -> (header section,
+# field, value, the message after the path).
+HEADER = {
+    "checkpoint-vocab-float": ("shape", "vocab", 300.0, "vocab must be of type int, got 300.0"),
+    "checkpoint-layers-bool": ("shape", "layers", True, "layers must be of type int, got True"),
+    "checkpoint-heads-string": ("shape", "heads", "2", "heads must be of type int, got '2'"),
+    "checkpoint-head-dim-0": ("shape", "head_dim", 0, "head_dim must be in [1, inf), got 0"),
+    "checkpoint-epoch-float": ("state", "epoch", 1.0, "epoch must be of type int, got 1.0"),
+    "checkpoint-shuffle-salt-bool": (
+        "state", "shuffle_salt", True, "shuffle_salt must be of type int, got True"),
+    "checkpoint-stream-pos-string": (
+        "state", "stream_pos", "0", "stream_pos must be of type int, got '0'"),
+    "checkpoint-smooth-den-negative": (
+        "state", "smooth_den", -1.0, "smooth_den must be in [0, inf), got -1.0"),
+    # a value of ... drops the field: each state field is required, and no other is allowed
+    **{f"checkpoint-state-without-{key}": ("state", key, ..., f"missing or unknown state keys: {key}")
+       for key in ("epoch", "stream_pos", "order", "shuffle_salt", "smooth_num", "smooth_den")},
+    "checkpoint-state-with-m": ("state", "m", {}, "missing or unknown state keys: m"),
+    # more layers than a file can hold, refused by the payload size before a layout is built
+    "checkpoint-layers-2-64": ("shape", "layers", 2**64, f"the payload is {_payload(1)} bytes, "
+                               f"not the {_payload(2**64)} bytes of param, m and v at the "
+                               "header's shape"),
+    # an int no float can hold does not stand for one
+    "checkpoint-ln-eps-huge-int": (
+        "config", "ln_eps", 10**400, f"ln_eps must be of type float, got {reprlib.repr(10**400)}"),
+}
+
+
 # Config values outside their key's interval, each set in a config file:
 # case -> (key, value). Every numeric key but ``seed``, which may be any
 # int, has a case out of range, and every float key one with NaN too
@@ -626,6 +662,13 @@ BAD_CONFIG = {
 }
 
 
+def _set(section, key, value):
+    """An edit of a checkpoint header: ``key`` of ``section`` set to ``value``,
+    or dropped for a value of ``...``."""
+    return lambda header: (header[section].pop(key) if value is ...
+                           else header[section].update({key: value}))
+
+
 def _config_with(text, **values):
     """``text`` with a ``key = value`` line for each of ``values``, in place
     of the one it had."""
@@ -642,6 +685,7 @@ def _config_with(text, **values):
         "checkpoint-truncated",
         "checkpoint-order-beyond-corpus",
         *PAYLOAD,
+        *HEADER,
         "jsonl-line-not-an-object",
         "task-line-not-an-object",
         "task-context-not-a-string",
@@ -685,6 +729,10 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         _write_checkpoint(ckpt, edit=lambda header: header["config"].update(beta1=1.0))
     elif case == "checkpoint-max-lr-inf":  # json writes it as Infinity
         _write_checkpoint(ckpt, edit=lambda header: header["config"].update(max_lr=math.inf))
+    elif case in HEADER:  # at vocabulary 300, so that a vocab of 300.0 fits the payload
+        section, key, value, _ = HEADER[case]
+        _write_checkpoint(ckpt, edit=_set(section, key, value), vocab=300)
+        _tokenizer_of_size(tokpath, 300)
     elif case in PAYLOAD:
         _write_checkpoint(ckpt)
         raw = ckpt.read_bytes()
@@ -797,6 +845,8 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     if case == "checkpoint-order-beyond-corpus":
         assert f"data error: {ckpt}: checkpoint field 'order' holds chunk 99999" in err, err
         assert "chunks" in err, err
+    if case in HEADER:
+        assert f"data error: {ckpt}: {HEADER[case][3]}\n" in err, err
     if case in PAYLOAD:
         assert f"data error: {ckpt}: the payload is {PAYLOAD[case](n)} bytes, not the {n} " in err
     if case == "target-vocab-too-small":
@@ -831,6 +881,13 @@ def test_every_numeric_config_key_has_bad_config_cases_and_a_readme_entry():
         assert any(value != "nan" for value in values), f"no BAD_CONFIG case puts {key} out of range"
         if kind is float:
             assert "nan" in values, f"no BAD_CONFIG case sets {key} to NaN"
+    # The shape's and the state's declared fields, and README's list of them
+    # under "Checkpoint headers".
+    entries = readme.partition("### Checkpoint headers")[2].partition("\n#")[0]
+    for f in [*declared(ModelShape), *declared(R.TrainState)]:
+        interval = f.metadata["interval"]
+        entry = f"- `{f.name}`: {f.type}" + (f" in {interval}" if interval else "")
+        assert f"\n{entry}" in entries, entry
 
 
 def test_tokenizer_file_fuzz_exits_0_or_2_naming_the_line(capfdbinary, tmp_path):
@@ -970,7 +1027,8 @@ def test_resume_keeps_the_checkpoint_seed(capsys, tmp_path):
     assert code == 0, err
     ckpt = dict(l.split(",", 1) for l in out.strip().splitlines())["final_checkpoint"]
     cfg = cfg.replace(str(tmp_path / "a"), str(tmp_path / "b"))
-    for seed, extra in ((9, []), (None, []), (3, ["--override", "seed=9"])):
+    for seed, extra in ((9, []), (None, []), (3, ["--override", "seed=9"]),
+                        (3, ["--override", "seq_len=8"])):  # seq_len packs the chunks
         text = _config_with(cfg, seed=seed) if seed else cfg.replace("seed = 3\n", "")
         resume = ["--resume", ckpt, *extra]
         code, out, err = run_cli(
@@ -978,7 +1036,7 @@ def test_resume_keeps_the_checkpoint_seed(capsys, tmp_path):
         )
         if extra:
             assert (code, out) == (1, "") and err.startswith("usage error: --override"), err
-            assert "--reshuffle" in err, err
+            assert "--reshuffle" in err and extra[1].split("=")[0] in err, err
         else:
             assert (code, out) == (2, ""), err
             assert err == (f"data error: {tmp_path / 'b.cfg'} has seed = {seed or 0}, but "
@@ -1025,6 +1083,70 @@ def test_checkpoint_header_length_beyond_the_file_is_a_data_error(capsys, tmp_pa
     assert f"{ckpt}: header length" in err, err
 
 
+@pytest.mark.parametrize("cmd", ["bpb", "resume"])  # generate: the malformed-input cases
+@pytest.mark.parametrize("case", [case for case in HEADER if HEADER[case][0] == "shape"])
+def test_a_malformed_shape_field_is_a_data_error_in_eval_and_resume(capsys, tmp_path, cmd, case):
+    ckpt, tokpath, docs = tmp_path / "model.ckpt", tmp_path / "tok.txt", tmp_path / "docs.txt"
+    section, key, value, message = HEADER[case]
+    _write_checkpoint(ckpt, edit=_set(section, key, value), vocab=300)
+    _tokenizer_of_size(tokpath, 300)
+    docs.write_bytes(b"a" * 64)
+    if cmd == "bpb":
+        argv = ["eval", "bpb", "--model", str(ckpt), "--tokenizer", str(tokpath),
+                "--docs", str(docs)]
+    else:
+        cfg = BASE_CFG.format(corpus=docs, tok=tokpath, out=tmp_path / "run")
+        argv = ["train", "--config", write_config(tmp_path, cfg), "--resume", str(ckpt)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"data error: {ckpt}: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_checkpoint_header_fuzz_exits_0_or_2(capfdbinary, tmp_path):
+    # Seeded edits of a tiny checkpoint: a header value rewritten, a header
+    # key dropped or added, the header-length field changed, or the file cut
+    # short. Each loads or is a data error; none is a traceback.
+    rng = random.Random(0)
+    ckpt, tokpath = tmp_path / "model.ckpt", tmp_path / "tok.txt"
+    _write_checkpoint(ckpt, vocab=300)
+    _tokenizer_of_size(tokpath, 300)
+    raw = ckpt.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    values = [None, True, 0, -1, 1.0, 300.0, 1e-3, math.inf, math.nan, "2", [], {}, [0, -1],
+              2**64, 10**400]
+    codes = set()
+    for case in range(64):
+        kind = ("rewrite", "drop", "add", "length", "truncate")[case % 5]
+        header = json.loads(raw[16 : 16 + hlen])
+        where = rng.choice([header, *(v for v in header.values() if isinstance(v, dict))])
+        key = rng.choice(sorted(where))
+        # a shape or state key dropped, or a key added to a section, is refused;
+        # a dropped config key takes its default
+        refused = (kind == "drop" and where is not header["config"]
+                   or kind == "add" and where is not header)
+        if kind == "rewrite":
+            where[key] = rng.choice(values)
+        elif kind == "drop":
+            del where[key]
+        elif kind == "add":
+            where[f"{key}_{case}"] = rng.choice(values)
+        if kind in ("rewrite", "drop", "add"):
+            blob = json.dumps(header).encode()
+            data = raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen :]
+        elif kind == "length":
+            data = raw[:8] + rng.randrange(2 * hlen).to_bytes(8, "little") + raw[16:]
+        else:
+            data = raw[: rng.randrange(len(raw))]
+        ckpt.write_bytes(data)
+        code = cli.main(["eval", "generate", "--model", str(ckpt), "--tokenizer", str(tokpath),
+                         "--prompt", "a", "--max-new-tokens", "1"])
+        err = capfdbinary.readouterr().err.decode("utf-8", "replace")
+        assert code in (0, 2) and (code == 2 or not refused), (case, kind, err)
+        assert "Traceback" not in err and (code == 0 or err.startswith("data error: ")), err
+        codes.add(code)
+    assert codes == {0, 2}
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -1051,7 +1173,7 @@ def test_resume_needs_a_well_typed_checkpoint_state(capsys, tmp_path, key, value
     code, _, err = run_cli(capsys, "train", "--config", cfgpath, "--resume", str(ckpt))
     assert code == 2, err
     assert "data error" in err and "Traceback" not in err
-    assert f"checkpoint field {key!r}" in err, err
+    assert f"data error: {ckpt}: " in err and f"{key} must be" in err, err
 
 
 def test_classify_record_without_candidates_says_so(capsys, tmp_path):
@@ -1071,15 +1193,18 @@ def test_classify_record_without_candidates_says_so(capsys, tmp_path):
 
 
 def test_classify_output_is_csv_whatever_the_candidates_hold(capsys, tmp_path):
-    # A candidate with a comma or a newline is quoted, so every row parses
-    # into 4 fields; one without them is written as it is.
+    # A candidate with a comma, a newline or a bare CR is quoted, so every
+    # row parses into 4 fields; one without them is written as it is. Every
+    # method picks the only candidate of example 1, so its rows hold a CR.
     ckpt = tmp_path / "model.ckpt"
     tokpath = tmp_path / "tok.txt"
     T.save_tokenizer(T.finalize(T.UnigramVocab({b"a": 1.0}, 1.0)), str(tokpath))
     _write_checkpoint(ckpt)
     tasks = tmp_path / "tasks.ndjson"
     tasks.write_text(
-        json.dumps({"context": "a", "candidates": ["up, sharply", "down\nhard"], "gold": "a"})
+        json.dumps({"context": "a", "candidates": ["up, sharply", "down\nhard", "a\rb"],
+                    "gold": "a"})
+        + "\n" + json.dumps({"context": "a", "candidates": ["a\rb"], "gold": "a\rb"})
         + "\n" + json.dumps({"context": "a", "candidates": [" positive", " negative"]}) + "\n"
     )
     code, out, err = run_cli(
@@ -1089,9 +1214,11 @@ def test_classify_output_is_csv_whatever_the_candidates_hold(capsys, tmp_path):
     assert (code, err) == (0, "")
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["example_id", "method", "chosen", "correct"]
-    assert [row[:2] for row in rows[1:]] == [[i, m] for i in "01" for m in E.METHODS]
+    assert [row[:2] for row in rows[1:]] == [[i, m] for i in "012" for m in E.METHODS]
     assert all(len(row) == 4 for row in rows)
-    assert {row[2] for row in rows[1:len(E.METHODS) + 1]} <= {"up, sharply", "down\nhard"}
-    assert {row[3] for row in rows[1:len(E.METHODS) + 1]} == {"0"}
-    plain = rows[len(E.METHODS) + 1:]
-    assert out.endswith("".join(f"1,{m},{chosen},\n" for _, m, chosen, _ in plain))
+    n = len(E.METHODS)
+    assert {row[2] for row in rows[1:n + 1]} <= {"up, sharply", "down\nhard", "a\rb"}
+    assert {row[3] for row in rows[1:n + 1]} == {"0"}
+    assert "".join(f'"1","{m}","a\rb","1"\n' for m in E.METHODS) in out
+    plain = rows[2 * n + 1:]
+    assert out.endswith("".join(f"2,{m},{chosen},\n" for _, m, chosen, _ in plain))

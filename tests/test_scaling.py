@@ -40,6 +40,8 @@ def test_budget_validation():
         S.ComputeBudget(0.0, 1e12)
     with pytest.raises(ValueError):
         S.ComputeBudget(1.0, 1e12, checkpoint_discount=1.5)
+    with pytest.raises(ValueError, match=r"gpu_hours must be in \(0, inf\], got nan"):
+        S.ComputeBudget(math.nan, 1e12)  # NaN is in no interval
 
 
 # ---------------------------------------------------------------------------
