@@ -37,9 +37,18 @@ per-block GEMMs and scores against the same keys ``[0, (qb+1)*_BLOCK)``
 with the same bias as in a full forward. ``LanguageModel`` keeps a bounded
 cache of the K/V rows of such blocks, keyed by the tokens up to each
 block's end (K/V caching, Pope et al. 2022, arXiv:2211.05102); its callers
-ask only for the logit columns they read, so no logits are cached. Its
-``span_nll`` keeps the one float each scored span comes to, so a span that
-eval scores again runs no forward at all.
+ask only for the logit columns they read, so no logits are cached.
+
+The same row independence lets a forward skip the rows no caller reads.
+``forward``'s ``start`` is the first column asked for: the last layer still
+computes Q, K and V for every row, but its query blocks that end before
+``start`` run no softmax, output projection or FFN, and no final LayerNorm
+or head row is computed for them. ``span_nll`` runs the log-softmax and the
+NLL one ``_BLOCK`` of scored rows at a time, so besides the head output no
+array holds more than a block of vocabulary-wide rows (the per-block
+scoring of Wijmans et al. 2024, arXiv:2411.09009). ``LanguageModel`` keeps
+the one float each scored span comes to, so a span that eval scores again
+runs no forward at all.
 """
 
 from __future__ import annotations
@@ -277,7 +286,9 @@ def _dropout_keep(cfg: ForwardConfig, layer: int, site: int, p: float, dims, pad
 
 
 def _check_finite(x: np.ndarray, where: str) -> None:
-    if not np.all(np.isfinite(x)):
+    """Raise unless every value of ``x`` is finite: a NaN anywhere makes the
+    max and the min NaN, so no bool array of ``x``'s size is needed."""
+    if not (math.isfinite(x.max()) and math.isfinite(x.min())):
         raise NonFiniteError(f"non-finite values at {where}")
 
 
@@ -323,17 +334,22 @@ def _cached_block_bias(heads: int, Tp: int) -> np.ndarray:
     return full[:, :, full.shape[2] - Tp :]
 
 
-def _block_softmax(q, k, bias, inv_sqrt_dh, scale):
+def _block_softmax(q, k, bias, inv_sqrt_dh, scale, r0=0):
     """Row softmax (N, _BLOCK, k1) of query block ``q`` over its keys ``k``
     (N, k1, Dh), with the last k1 columns of the padded length's ``bias``:
-    the one computation of ``_forward`` that ``_attention_back`` repeats."""
+    the one computation of ``_forward`` that ``_attention_back`` repeats.
+    Only rows from ``r0`` on are a softmax, the others raw scores that the
+    caller does not read; the scores are one GEMM of all ``_BLOCK`` rows and
+    the rest works row by row, so a row's bits do not depend on ``r0``."""
     s = q @ k.transpose(0, 2, 1)
-    s *= inv_sqrt_dh
-    s += bias[:, :, bias.shape[2] - k.shape[1] :]
-    s /= scale
-    s -= s.max(axis=2, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=2, keepdims=True)
+    t = s[:, r0:]
+    t *= inv_sqrt_dh
+    t += bias[:, r0:, bias.shape[2] - k.shape[1] :]
+    if scale != 1.0:  # dividing by 1.0 changes no bit
+        t /= scale
+    t -= np.maximum.reduce(t, axis=2, keepdims=True)
+    np.exp(t, out=t)
+    t /= np.add.reduce(t, axis=2, keepdims=True)
     return s
 
 
@@ -345,17 +361,24 @@ def _attn_maps(params, p, shape: ModelShape):
     return Wqkv, params[p + "attn.U"].transpose(0, 2, 1).reshape(N * Dh, D)
 
 
-def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: bool, past=None):
-    """Run the network; returns (logits (V, T), cache for backward), the
-    cache None unless ``keep_cache``.
+def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: bool, past=None,
+             start=0):
+    """Run the network; returns (logits (V, T - start) of the positions from
+    ``start`` on, cache for backward), the cache None unless ``keep_cache``.
 
     The cache holds activations of all Tp padded rows; rows from T on are
-    padding that no real position attends to.
+    padding that no real position attends to. ``backward`` reads it, and
+    asks for every position.
 
     ``past``, when given, is a list of the cached blocks of the positions
     before ``tokens``, in order: each block a list of one (K, V) pair per
     layer, each (N, _BLOCK, Dh). Only the blocks after them are computed,
-    and the call appends to ``past`` the blocks that it completes."""
+    and the call appends to ``past`` the blocks that it completes.
+
+    Past its Q, K and V, the last layer runs only from the block that holds
+    ``start`` on (the softmax from ``start`` itself), and so do the final
+    LayerNorm, the head and their finiteness checks; each column returned
+    has the bits of a call with ``start`` 0."""
     L, N = shape.layers, shape.heads
     D, Dh, V = shape.hidden, shape.head_dim, shape.vocab
     tokens = np.asarray(tokens, dtype=np.intp)
@@ -369,6 +392,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
             "a cached prefix needs an inference config: dropout masks span the whole sequence"
         )
     s0 = len(past) * _BLOCK if past else 0
+    lo = start - start % _BLOCK  # the first row of the block that holds ``start``
     done = [[] for _ in range(T // _BLOCK)] if past is not None else []  # the blocks completed here
 
     Tp = s0 + -(-T // _BLOCK) * _BLOCK  # padded length of the whole sequence
@@ -400,22 +424,26 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
             K = np.concatenate([block[l][0] for block in past] + [K], axis=1)
             Vv = np.concatenate([block[l][1] for block in past] + [Vv], axis=1)
 
+        # The first row of this layer's output that is read, and the first
+        # row of its block: from there on the layer runs past Q, K and V.
+        first, fb = (start, lo) if l == L - 1 else (0, 0)
         keep = _dropout_keep(cfg, l, _DROP_ATTN, cfg.p_at, (N, T, T), (N, Tp, Tp))
         scale = float(l + 1) if cfg.qk_layer_scaling else 1.0
-        ybar = np.empty((rows, N, Dh))
-        for q0 in range(s0, Tp, _BLOCK):
-            k1 = q0 + _BLOCK
-            pd = _block_softmax(Q[:, q0 - s0 : k1 - s0], K[:, :k1], bias, inv_sqrt_dh, scale)
+        ybar = np.empty((rows - fb, N, Dh))
+        for q in range(fb, rows, _BLOCK):
+            k0, k1 = s0 + q, s0 + q + _BLOCK  # the block's absolute rows, and its keys [0, k1)
+            pd = _block_softmax(Q[:, q : q + _BLOCK], K[:, :k1], bias, inv_sqrt_dh, scale,
+                                max(first - q, 0))
             if keep is not None:
-                pd *= keep[:, q0:k1, :k1] / (1.0 - cfg.p_at)
-            ybar[q0 - s0 : k1 - s0] = (pd @ Vv[:, :k1]).transpose(1, 0, 2)
-        ybar = ybar.reshape(rows, N * Dh)
+                pd *= keep[:, k0:k1, :k1] / (1.0 - cfg.p_at)
+            ybar[q - fb : q - fb + _BLOCK] = (pd @ Vv[:, :k1]).transpose(1, 0, 2)
+        ybar = ybar.reshape(rows - fb, N * Dh)
 
         y = _rows(ybar, Ucat) + params[p + "attn.c"]
         hkeep = _dropout_keep(cfg, l, _DROP_HIDDEN, cfg.p_h, (T, D), (rows, D))
-        yd = y if hkeep is None else y * (hkeep / (1.0 - cfg.p_h))
-        hbar = h + yd
-        _check_finite(hbar, f"layer {l} attention output")
+        yd = y if hkeep is None else y * (hkeep[fb:] / (1.0 - cfg.p_h))
+        hbar = h[fb:] + yd
+        _check_finite(hbar[first - fb :], f"layer {l} attention output")
 
         xf, ln_at_cache = _ln_fwd(
             hbar, params[p + "ln_at.g"], params[p + "ln_at.b"], cfg.eps
@@ -426,9 +454,9 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         g, gg = _gelu_rows(a, np.empty_like(a) if keep_cache else None)
         o = _rows(g, params[p + "ffn.U"].T) + params[p + "ffn.c"]
         fkeep = _dropout_keep(cfg, l, _DROP_FFN, cfg.p_f, (T, D), (rows, D))
-        od = o if fkeep is None else o * (fkeep / (1.0 - cfg.p_f))
+        od = o if fkeep is None else o * (fkeep[fb:] / (1.0 - cfg.p_f))
         h_next = hbar + od
-        _check_finite(h_next, f"layer {l} FFN output")
+        _check_finite(h_next[first - fb :], f"layer {l} FFN output")
 
         if keep_cache:
             # xn, xf and the attention probabilities are left out: backward
@@ -440,8 +468,9 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
             ))
         h = h_next
 
-    z, ln_f_cache = _ln_fwd(h, params["ln_f.g"], params["ln_f.b"], cfg.eps)
-    logits = _rows(z, params["Wem"])[:T]  # tied head, no bias
+    # h's rows from ``lo`` on, whether or not a last layer has dropped the others
+    z, ln_f_cache = _ln_fwd(h[lo - rows :], params["ln_f.g"], params["ln_f.b"], cfg.eps)
+    logits = _rows(z, params["Wem"])[start - lo : T - lo]  # tied head, no bias
     _check_finite(logits, "lm head")
     if done:
         past.extend(done)
@@ -456,11 +485,13 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
 # A diverging run's overflows are reported by ``_check_finite`` and
 # ``clip_gradients``, which name the site, not as numpy warnings ahead of them.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def forward(params, tokens, shape: ModelShape, cfg: ForwardConfig | None = None, past=None):
-    """Logits (V, T) for a token sequence, or for the T positions after a
-    cached prefix ``past`` (see ``_forward``), which the call extends."""
+def forward(params, tokens, shape: ModelShape, cfg: ForwardConfig | None = None, past=None,
+            start=0):
+    """Logits (V, T - start) for the positions ``start .. T-1`` of a token
+    sequence, or of the T positions after a cached prefix ``past``, which
+    the call extends (see ``_forward``)."""
     cfg = cfg or ForwardConfig()
-    return _forward(params, tokens, shape, cfg, False, past)[0]
+    return _forward(params, tokens, shape, cfg, False, past, start)[0]
 
 
 def target_nll(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -614,9 +645,16 @@ def span_nll(lm, tokens, scored) -> float:
         raise ValueError("position 0 has no context to be scored from")
     if max(scored, default=0) >= len(tokens):
         raise ValueError(f"scored position {max(scored)} out of range [1, {len(tokens)})")
-    logits = lm.logits(tokens[:-1], start)  # column j predicts token start + j + 1
+    # row j of the head output predicts token start + j + 1
+    head = np.asarray(lm.logits(tokens[:-1], start)).T
     scored = np.asarray(scored, dtype=np.intp)
-    _, nll = target_nll(np.asarray(logits)[:, scored - 1 - start], np.asarray(tokens)[scored])
+    targets = np.asarray(tokens)[scored]
+    # One _BLOCK of scored rows at a time, so no copy of the head output
+    # holds more; each row's NLL is the same bits, and one sum adds them.
+    nll = np.empty(len(scored))
+    for i in range(0, len(scored), _BLOCK):
+        cols = scored[i : i + _BLOCK] - 1 - start
+        nll[i : i + _BLOCK] = target_nll(head[cols].T, targets[i : i + _BLOCK])[1]
     return float(nll.sum())
 
 
@@ -648,7 +686,8 @@ class LanguageModel:
         return _CACHE_BYTES // block_bytes if block_bytes else 0
 
     def logits(self, tokens, start: int = 0) -> np.ndarray:
-        """Columns ``start .. T-1`` of ``forward(tokens)``, shape (V, T - start)."""
+        """Columns ``start .. T-1`` of ``forward(tokens)``, shape (V, T - start),
+        from a forward that computes no head row before ``start``'s block."""
         if not 0 <= start < len(tokens):
             raise ValueError(f"start {start} is outside [0, {len(tokens)})")
         cfg = ForwardConfig(eps=self.eps, qk_layer_scaling=self.qk_layer_scaling)
@@ -660,7 +699,7 @@ class LanguageModel:
             self._blocks.move_to_end(key)
             blocks.append(self._blocks[key])
         s0 = len(blocks) * _BLOCK
-        tail = forward(self.params, tokens[s0:], self.shape, cfg, blocks)
+        cols = forward(self.params, tokens[s0:], self.shape, cfg, blocks, start - s0)
         # Only the first blocks that fit are stored, so a long input never
         # evicts its own prefix: the least recently used entries go first.
         capacity = self.cache_capacity()
@@ -670,7 +709,7 @@ class LanguageModel:
             self._blocks.move_to_end(key)  # a recomputed last block is in use too
             if len(self._blocks) > capacity:
                 self._blocks.popitem(last=False)
-        return tail[:, start - s0 :]
+        return cols
 
     def span_nll(self, tokens, scored) -> float:
         """``span_nll(self, tokens, scored)``, the same float, computed once

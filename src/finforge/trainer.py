@@ -353,6 +353,8 @@ def load_checkpoint(path, moments: bool = True):
             header = json.loads(f.read(hlen))
             payload = size - f.tell()
             shape = ModelShape(**header["shape"])
+            if diff := set(header["config"]) ^ {f.name for f in declared(TrainConfig)}:
+                raise ValueError(f"missing or unknown config keys: {', '.join(sorted(diff))}")
             cfg = TrainConfig(**header["config"])
             want = 3 * 8 * count_parameters(shape).grand_total
             if payload != want:

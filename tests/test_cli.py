@@ -603,6 +603,9 @@ HEADER = {
     **{f"checkpoint-state-without-{key}": ("state", key, ..., f"missing or unknown state keys: {key}")
        for key in ("epoch", "stream_pos", "order", "shuffle_salt", "smooth_num", "smooth_den")},
     "checkpoint-state-with-m": ("state", "m", {}, "missing or unknown state keys: m"),
+    # each config key is required too: a resume would train at a missing one's default
+    **{f"checkpoint-config-without-{key}": (
+        "config", key, ..., f"missing or unknown config keys: {key}") for key in ("seed", "max_lr")},
     # more layers than a file can hold, refused by the payload size before a layout is built
     "checkpoint-layers-2-64": ("shape", "layers", 2**64, f"the payload is {_payload(1)} bytes, "
                                f"not the {_payload(2**64)} bytes of param, m and v at the "
@@ -1083,8 +1086,11 @@ def test_checkpoint_header_length_beyond_the_file_is_a_data_error(capsys, tmp_pa
     assert f"{ckpt}: header length" in err, err
 
 
-@pytest.mark.parametrize("cmd", ["bpb", "resume"])  # generate: the malformed-input cases
-@pytest.mark.parametrize("case", [case for case in HEADER if HEADER[case][0] == "shape"])
+# The shape cases, and the dropped config keys, through eval and a resume
+# (generate: the malformed-input cases).
+@pytest.mark.parametrize("cmd", ["bpb", "resume"])
+@pytest.mark.parametrize("case", [case for case in HEADER if HEADER[case][0] == "shape"
+                                  or case.startswith("checkpoint-config-without-")])
 def test_a_malformed_shape_field_is_a_data_error_in_eval_and_resume(capsys, tmp_path, cmd, case):
     ckpt, tokpath, docs = tmp_path / "model.ckpt", tmp_path / "tok.txt", tmp_path / "docs.txt"
     section, key, value, message = HEADER[case]
@@ -1120,10 +1126,8 @@ def test_checkpoint_header_fuzz_exits_0_or_2(capfdbinary, tmp_path):
         header = json.loads(raw[16 : 16 + hlen])
         where = rng.choice([header, *(v for v in header.values() if isinstance(v, dict))])
         key = rng.choice(sorted(where))
-        # a shape or state key dropped, or a key added to a section, is refused;
-        # a dropped config key takes its default
-        refused = (kind == "drop" and where is not header["config"]
-                   or kind == "add" and where is not header)
+        # a key dropped, or a key added to a section, is refused
+        refused = kind == "drop" or kind == "add" and where is not header
         if kind == "rewrite":
             where[key] = rng.choice(values)
         elif kind == "drop":

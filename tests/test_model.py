@@ -214,6 +214,24 @@ def test_forward_raises_on_nonfinite_params():
         M.forward(params, TOKENS, SHAPE)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_nonfinite_head_output_names_the_lm_head(monkeypatch, value, where):
+    params = make_params()
+    real = M._rows
+
+    def rows(x, w):  # the head output, with one value replaced
+        out = real(x, w)
+        if w is params["Wem"]:
+            flat = out[: len(TOKENS)].reshape(-1)  # a view of the rows of real positions
+            flat[{"first": 0, "middle": flat.size // 2, "last": -1}[where]] = value
+        return out
+
+    monkeypatch.setattr(M, "_rows", rows)
+    with pytest.raises(M.NonFiniteError, match="^non-finite values at lm head$"):
+        M.forward(params, TOKENS, SHAPE)
+
+
 def test_embedding_layernorm_is_applied():
     params = make_params(4)
     base = M.forward(params, TOKENS, SHAPE)

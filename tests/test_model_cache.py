@@ -1,10 +1,13 @@
-"""The prefix cache of `finforge.model.LanguageModel` and the `past` argument
-of `forward` against the uncached forward: logits bit for bit, and the same
-generated ids, classification choices and bits per byte."""
+"""The prefix cache of `finforge.model.LanguageModel` and the `past` and
+`start` arguments of `forward` against the uncached forward: logits bit for
+bit, and the same generated ids, classification choices and bits per byte;
+and what `start` saves: query blocks, and memory at the paper's
+vocabulary."""
 
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,42 +30,48 @@ from finforge.scaling import ModelShape
 
 B = M._BLOCK
 bad = []
-for shape in (
-    ModelShape(2, 2, 8, 4, 32, 16),
-    ModelShape(2, 4, 64, 16, 256, 512),
-    ModelShape(0, 2, 8, 4, 32, 16),  # no layers: nothing to cache
+for shape, qk in (
+    (ModelShape(2, 2, 8, 4, 32, 16), False),
+    (ModelShape(2, 4, 64, 16, 256, 512), False),
+    (ModelShape(1, 2, 8, 4, 32, 16), False),  # its only layer is the last one
+    (ModelShape(2, 2, 8, 4, 32, 16), True),  # the softmax divides by the layer number
+    (ModelShape(0, 2, 8, 4, 32, 16), False),  # no layers: nothing to cache
 ):
+    case = (shape.layers, shape.hidden, qk)
     params = M.init_params(shape, 3)
+    cfg = M.ForwardConfig(qk_layer_scaling=qk)
     tokens = np.random.default_rng(4).integers(0, shape.vocab, 3 * B + 1).tolist()
-    grown = M.LanguageModel(shape, params)
+    grown = M.LanguageModel(shape, params, qk_layer_scaling=qk)
     for t in range(1, 3 * B + 2):
-        want = M.forward(params, tokens[:t], shape)
+        want = M.forward(params, tokens[:t], shape, cfg)
         # the cache cold, and warmed at every block boundary, in mid-block
         # and one token before the end; a mid-block warm-up caches what the
         # boundary before it does. A fresh copy of each distinct cache is
         # asked for every start from the end of its blocks on, where all of
         # them are reused, and for 0 and that end minus 1, where the reuse
         # stops early (a smaller cache reuses all its blocks at the others).
-        caches = {(): M.LanguageModel(shape, params)}
+        # So the start falls at every row of the first block the forward
+        # computes, the cache cold and warm.
+        caches = {(): M.LanguageModel(shape, params, qk_layer_scaling=qk)}
         for s in sorted({s for s in range(1, t) if s % B in (0, B // 2)} | {t - 1} - {0}):
-            warm = M.LanguageModel(shape, params)
+            warm = M.LanguageModel(shape, params, qk_layer_scaling=qk)
             warm.logits(tokens[:s])
             caches.setdefault(tuple(warm._blocks), warm)
             if s % B == 0 and shape.layers:
                 past = []
-                head = M.forward(params, tokens[:s], shape, past=past)
-                tail = M.forward(params, tokens[s:t], shape, past=past)
+                head = M.forward(params, tokens[:s], shape, cfg, past)
+                tail = M.forward(params, tokens[s:t], shape, cfg, past)
                 if not np.array_equal(np.concatenate([head, tail], axis=1), want):
-                    bad.append(("past", shape.hidden, t, s))
+                    bad.append(("past", *case, t, s))
         for blocks, warm in caches.items():
             for start in sorted(({0, len(blocks) * B - 1} | set(range(len(blocks) * B, t))) - {-1}):
-                lm = M.LanguageModel(shape, params)
+                lm = M.LanguageModel(shape, params, qk_layer_scaling=qk)
                 lm._blocks.update(warm._blocks)
                 if not np.array_equal(lm.logits(tokens[:t], start), want[:, start:]):
-                    bad.append(("split", shape.layers, shape.hidden, t, len(blocks), start))
+                    bad.append(("split", *case, t, len(blocks), start))
         # the cache grown one token at a time, as greedy decoding asks
         if not np.array_equal(grown.logits(tokens[:t], t - 1), want[:, t - 1 :]):
-            bad.append(("grow", shape.layers, shape.hidden, t))
+            bad.append(("grow", *case, t))
 
 
 class Uncached:
@@ -241,3 +250,57 @@ def test_past_needs_an_inference_config_and_holds_whole_blocks():
             assert k.base is None and v.base is None
     M.forward(params, [2] * B, SHAPE, past=past)
     assert len(past) == 3
+
+
+def test_the_last_layer_runs_only_the_query_blocks_it_reads(monkeypatch):
+    # With qk_layer_scaling each layer divides by its number, so the scale
+    # tells the layers apart.
+    shape = ModelShape(2, 2, 8, 4, 32, 16)
+    lm = M.LanguageModel(shape, M.init_params(shape, 1), qk_layer_scaling=True)
+    tokens = np.random.default_rng(7).integers(0, shape.vocab, 5 * B).tolist()
+    scales = []
+    real = M._block_softmax
+    monkeypatch.setattr(M, "_block_softmax", lambda *a: scales.append(a[4]) or real(*a))
+    lm.logits(tokens, len(tokens) - 1)
+    assert scales == [1.0] * 5 + [2.0]
+
+
+def test_span_nll_is_the_whole_span_formula_bit_for_bit():
+    # Blockwise scoring against the formula it replaced: the scored columns
+    # of the logits gathered at once, one target_nll, one sum.
+    shape = ModelShape(2, 4, 64, 16, 256, 512)
+    params = M.init_params(shape, 2)
+    tokens = np.random.default_rng(9).integers(0, shape.vocab, 4 * B + 3).tolist()
+    spans = (
+        range(1, len(tokens)),  # every position
+        range(B // 2, 2 * B + 9),  # starts mid-block, longer than a block
+        [5, 6, 40, 41, 42, 77, 90, 100, 101, 102, 130],  # not contiguous
+        [*range(3, 3 + B + 4, 2), len(tokens) - 1],  # more than a block, strided
+        [len(tokens) - 1],
+    )
+    for scored in spans:
+        scored = np.asarray(scored)
+        start = scored.min() - 1
+        logits = M.forward(params, tokens[:-1], shape)[:, start:]
+        want = float(M.target_nll(logits[:, scored - 1 - start], np.asarray(tokens)[scored])[1].sum())
+        assert M.span_nll(M.LanguageModel(shape, params), tokens, scored) == want
+
+
+def test_span_nll_at_the_paper_vocab_holds_at_most_one_head_output():
+    # L2 N4 Dh16, V 2**17, T 256. Scoring every position holds the head's
+    # (T, V) output and a few blocks of 32 rows; scoring the last 3 runs
+    # the head on one block only.
+    shape = ModelShape(2, 4, 64, 16, 256, 2**17)
+    params = M.init_params(shape, 1)
+    tokens = np.random.default_rng(3).integers(0, shape.vocab, 256).tolist()
+    head, block = 256 * shape.vocab * 8, B * shape.vocab * 8
+    for scored, bound in ((range(1, 256), head + 4 * block + (16 << 20)),
+                          (range(253, 256), 2 * block)):
+        lm = M.LanguageModel(shape, params)
+        tracemalloc.start()
+        try:
+            lm.span_nll(tokens, list(scored))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (len(scored), peak / 2**20)

@@ -93,13 +93,11 @@ KERNEL = "Haswell"
 # Exits naming the kernel that numpy's bundled OpenBLAS runs unless it is
 # argv[1]; else runs the CLI on the rest of argv.
 KERNEL_CLI = """
-import ctypes, sys
-import numpy as np
+import sys
+import finforge
 from finforge import cli
 
-corename = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
-corename.argtypes, corename.restype = [], ctypes.c_char_p
-kernel = corename().decode()
+kernel = finforge.machine()["openblas_kernel"]
 if kernel != sys.argv[1]:
     sys.exit(f"OpenBLAS runs its {kernel} kernel, not {sys.argv[1]}")
 sys.exit(cli.main(sys.argv[2:]))
