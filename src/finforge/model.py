@@ -43,12 +43,13 @@ The same row independence lets a forward skip the rows no caller reads.
 ``forward``'s ``start`` is the first column asked for: the last layer still
 computes Q, K and V for every row, but its query blocks that end before
 ``start`` run no softmax, output projection or FFN, and no final LayerNorm
-or head row is computed for them. ``span_nll`` runs the log-softmax and the
-NLL one ``_BLOCK`` of scored rows at a time, so besides the head output no
-array holds more than a block of vocabulary-wide rows (the per-block
-scoring of Wijmans et al. 2024, arXiv:2411.09009). ``LanguageModel`` keeps
-the one float each scored span comes to, so a span that eval scores again
-runs no forward at all.
+or head row is computed for them. ``target_nll`` overwrites logit rows with
+their log-softmax one ``_BLOCK`` at a time, ``span_nll`` scores a block of
+rows at a time and ``backward`` turns the head output into the loss
+gradient in place: training included, besides the head output no array
+holds more than a block of vocabulary-wide rows (the per-block scoring of
+Wijmans et al. 2024, arXiv:2411.09009). ``LanguageModel`` keeps the float
+of each scored span, so a span that eval scores again runs no forward.
 """
 
 from __future__ import annotations
@@ -286,17 +287,10 @@ def _dropout_keep(cfg: ForwardConfig, layer: int, site: int, p: float, dims, pad
 
 
 def _check_finite(x: np.ndarray, where: str) -> None:
-    """Raise unless every value of ``x`` is finite: a NaN anywhere makes the
-    max and the min NaN, so no bool array of ``x``'s size is needed."""
-    if not (math.isfinite(x.max()) and math.isfinite(x.min())):
-        raise NonFiniteError(f"non-finite values at {where}")
-
-
-def _padded(x, shape):
-    """``x`` zero-padded at the end of every axis to ``shape``."""
-    out = np.zeros(shape)
-    out[tuple(slice(0, n) for n in x.shape)] = x
-    return out
+    """Raise unless all of ``x`` is finite, read once, ``_BLOCK`` rows at a time."""
+    for r in range(0, x.shape[0], _BLOCK):
+        if not np.isfinite(x[r : r + _BLOCK]).all():
+            raise NonFiniteError(f"non-finite values at {where}")
 
 
 def _rows(x, w):
@@ -366,9 +360,9 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
     """Run the network; returns (logits (V, T - start) of the positions from
     ``start`` on, cache for backward), the cache None unless ``keep_cache``.
 
-    The cache holds activations of all Tp padded rows; rows from T on are
-    padding that no real position attends to. ``backward`` reads it, and
-    asks for every position.
+    The cache holds activations of all Tp padded rows, the (Tp, V) head
+    output among them; rows from T on are padding that no real position
+    attends to. ``backward`` reads it, and asks for every position.
 
     ``past``, when given, is a list of the cached blocks of the positions
     before ``tokens``, in order: each block a list of one (K, V) pair per
@@ -400,7 +394,8 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
     inv_sqrt_dh = 1.0 / math.sqrt(Dh)
     bias = _cached_block_bias(N, Tp)
 
-    emb = _padded(params["Wem"][:, tokens].T, (rows, D))
+    emb = np.zeros((rows, D))
+    emb[:T] = params["Wem"][:, tokens].T
     h, ln_em_cache = _ln_fwd(emb, params["ln_em.g"], params["ln_em.b"], cfg.eps)
     _check_finite(h, "embedding LayerNorm")
 
@@ -470,7 +465,8 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
 
     # h's rows from ``lo`` on, whether or not a last layer has dropped the others
     z, ln_f_cache = _ln_fwd(h[lo - rows :], params["ln_f.g"], params["ln_f.b"], cfg.eps)
-    logits = _rows(z, params["Wem"])[start - lo : T - lo]  # tied head, no bias
+    head = _rows(z, params["Wem"])  # tied head, no bias
+    logits = head[start - lo : T - lo]
     _check_finite(logits, "lm head")
     if done:
         past.extend(done)
@@ -478,7 +474,7 @@ def _forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_cache: 
         return logits.T, None
     return logits.T, dict(
         tokens=tokens, ln_em=ln_em_cache, layers=layer_caches, ln_f=ln_f_cache,
-        z=z, bias=bias, inv_sqrt_dh=inv_sqrt_dh,
+        z=z, head=head, bias=bias, inv_sqrt_dh=inv_sqrt_dh,
     )
 
 
@@ -494,41 +490,40 @@ def forward(params, tokens, shape: ModelShape, cfg: ForwardConfig | None = None,
     return _forward(params, tokens, shape, cfg, False, past, start)[0]
 
 
-def target_nll(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Log-softmax (T, V) of logits (V, T), and each position's negative
-    log-likelihood (nats) of its target: the one log-softmax/NLL primitive."""
+def target_nll(rows: np.ndarray, targets) -> np.ndarray:
+    """Each row's negative log-likelihood (nats) of its target, the C-ordered
+    logit rows (n, V) overwritten by their log-softmax one ``_BLOCK`` at a
+    time: the one log-softmax/NLL primitive."""
     targets = np.asarray(targets, dtype=np.intp)
-    logits = np.asarray(logits).T
-    if targets.shape != logits.shape[:1]:
-        raise ValueError(f"{targets.size} targets for {logits.shape[0]} positions")
-    bad = targets[(targets < 0) | (targets >= logits.shape[1])]
+    if targets.shape != rows.shape[:1]:
+        raise ValueError(f"{targets.size} targets for {rows.shape[0]} positions")
+    bad = targets[(targets < 0) | (targets >= rows.shape[1])]
     if bad.size:
-        raise ValueError(f"target id {bad[0]} out of range [0, {logits.shape[1]})")
-    logp = logits - logits.max(axis=1, keepdims=True)
-    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    return logp, -logp[np.arange(targets.shape[0]), targets]
-
-
-def _weighted_mean(x: np.ndarray, weights) -> tuple[float, np.ndarray]:
-    """Mean of ``x`` under optional position weights, and its derivative."""
-    if weights is None:
-        return float(np.mean(x)), np.full(x.shape[0], 1.0 / x.shape[0])
-    w = np.asarray(weights, dtype=float)
-    return float((x * w).sum() / w.sum()), w / w.sum()
+        raise ValueError(f"target id {bad[0]} out of range [0, {rows.shape[1]})")
+    e = np.empty((min(len(rows), _BLOCK), rows.shape[1]))  # each block's exp
+    for r in range(0, len(rows), _BLOCK):
+        x = rows[r : r + _BLOCK]
+        x -= np.maximum.reduce(x, axis=1, keepdims=True)
+        x -= np.log(np.add.reduce(np.exp(x, out=e[: len(x)]), axis=1, keepdims=True))
+    return -rows[np.arange(targets.shape[0]), targets]
 
 
 def cross_entropy_loss(logits: np.ndarray, targets) -> float:
-    """Mean next-token negative log-likelihood in nats; logits are (V, T)."""
-    return float(np.mean(target_nll(logits, targets)[1]))
+    """Mean next-token NLL (nats) of logits (V, T), scored in a copy."""
+    return float(np.mean(target_nll(np.array(np.asarray(logits).T, order="C"), targets)))
 
 
-def _loss_grad_logits(logits, targets, weights=None) -> tuple[float, np.ndarray]:
-    logp, nll = target_nll(logits, targets)
-    loss, dloss = _weighted_mean(nll, weights)
-    dlt = np.exp(logp, out=logp)
-    dlt[np.arange(nll.shape[0]), targets] -= 1.0
+def _loss_grad(head: np.ndarray, T: int, targets, weights) -> float:
+    """Mean NLL of the head output's first ``T`` rows under optional position
+    weights, ``head`` (Tp, V) overwritten by its gradient: exact zeros from T on."""
+    nll = target_nll(head[:T], targets)
+    w = np.ones(T) if weights is None else np.asarray(weights, dtype=float)
+    loss, dloss = float((nll * w).sum() / w.sum()), w / w.sum()
+    dlt = np.exp(head[:T], out=head[:T])
+    dlt[np.arange(T), targets] -= 1.0
     dlt *= dloss[:, None]
-    return loss, dlt  # (T, V)
+    head[T:] = 0.0
+    return loss
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as ``forward``
@@ -545,18 +540,18 @@ def backward(params, tokens, targets, shape: ModelShape, cfg: ForwardConfig, emi
     every dropout mask as bool), each freed after its last read. No
     float (N, T, T) array outlives one query block: at T=2048 (L2 N4 Dh16,
     V 1024, the ALiBi bias already built) one call peaks at 79.1 MiB, 111.1
-    MiB with attention dropout and 111.6 MiB with dropout at all three sites. A
+    MiB with attention dropout and 111.6 MiB with dropout at all three sites.
+    At V=2**17, T=511 the head output, turned into the loss gradient in
+    place, is the one (Tp, V) array: 512 of the 580 MiB one call peaks at. A
     step accumulating through ``emit`` thus holds four model copies
     (parameters, accumulator, AdamW's m and v) plus those activations.
 
     Padded rows get exactly zero upstream gradient, so they add nothing to
     the weight gradients."""
-    logits, cache = _forward(params, tokens, shape, cfg, True)
-    loss, dlt = _loss_grad_logits(logits, targets, weights)
-    del logits
-    N, D, Dh = shape.heads, shape.hidden, shape.head_dim
-    Tp = cache["z"].shape[0]
-    dlt = _padded(dlt, (Tp, shape.vocab))
+    _, cache = _forward(params, tokens, shape, cfg, True)
+    dlt = cache.pop("head")  # (Tp, V), the loss gradient from here on
+    loss = _loss_grad(dlt, len(cache["tokens"]), targets, weights)
+    N, D, Dh, Tp = shape.heads, shape.hidden, shape.head_dim, dlt.shape[0]
 
     def ln_back(dy, ln_cache, prefix):
         dx, dgain, dbias = _ln_bwd(dy, ln_cache)
@@ -654,7 +649,7 @@ def span_nll(lm, tokens, scored) -> float:
     nll = np.empty(len(scored))
     for i in range(0, len(scored), _BLOCK):
         cols = scored[i : i + _BLOCK] - 1 - start
-        nll[i : i + _BLOCK] = target_nll(head[cols].T, targets[i : i + _BLOCK])[1]
+        nll[i : i + _BLOCK] = target_nll(head[cols], targets[i : i + _BLOCK])
     return float(nll.sum())
 
 

@@ -249,28 +249,28 @@ def _split_logps(tokens: list[bytes], logp: dict[bytes, float]) -> list[float]:
     log-probability of its best segmentation into two or more tokens, or
     -inf if there is none.
 
-    The best full segmentation of a suffix is computed once, keyed by its
-    bytes, and shared by every token that ends with it. Each best is a max
+    Each string reached, token or suffix, is scored once, keyed by its
+    bytes, and shared by every string that ends with it. Each best is a max
     over the same ``lp + best`` sums as in ``_viterbi``, so every score is
     the float that the per-token ``_split_logp`` of
     ``tests/reference_tokenizer.py`` returns."""
-    full = {b"": 0.0}  # suffix -> its best segmentation's log-probability
+    memo = {b"": (float("-inf"), 0.0)}  # string -> (its best split, its best segmentation)
 
-    def best(s: bytes, stop: int) -> float:
-        # The best of s[:j] followed by the best of s[j:], for j in 1..stop.
-        top = float("-inf")
-        for j in range(1, stop + 1):
-            lp = logp.get(s[:j])
-            if lp is not None:
-                rest = s[j:]
-                tail = full.get(rest)
-                if tail is None:
-                    tail = full[rest] = best(rest, len(rest))
-                if lp + tail > top:
-                    top = lp + tail
-        return top
+    def best(s: bytes) -> tuple[float, float]:
+        got = memo.get(s)
+        if got is None:
+            top = float("-inf")  # the best of s[:j] then the best of s[j:], j in 1..len(s)-1
+            for j in range(1, len(s)):
+                lp = logp.get(s[:j])
+                if lp is not None:
+                    tail = best(s[j:])[1]
+                    if lp + tail > top:
+                        top = lp + tail
+            lp = logp.get(s)  # the segmentation is the better of the split and s itself
+            got = memo[s] = (top, top if lp is None else max(top, lp))
+        return got
 
-    return [best(t, len(t) - 1) for t in tokens]
+    return [best(t)[0] for t in tokens]
 
 
 def train_chunk_unigram(chunk: bytes, target_size: int) -> UnigramVocab:

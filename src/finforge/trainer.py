@@ -618,8 +618,9 @@ def train(
 
 def validation_loss(params, shape, val_chunks, cfg: TrainConfig) -> float:
     fcfg = M.ForwardConfig(eps=cfg.ln_eps, qk_layer_scaling=cfg.qk_layer_scaling)
+    # each chunk's head output, fresh from its forward, is scored in place
     losses = [
-        M.cross_entropy_loss(M.forward(params, c[:-1], shape, fcfg), c[1:])
+        float(np.mean(M.target_nll(M.forward(params, c[:-1], shape, fcfg).T, c[1:])))
         for c in val_chunks
     ]
     return float(np.mean(losses))

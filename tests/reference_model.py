@@ -28,7 +28,6 @@ from finforge.model import (
     GELU_C0,
     GELU_C1,
     _check_finite,
-    _weighted_mean,
     ForwardConfig,
     alibi_slopes,
 )
@@ -58,6 +57,14 @@ def target_nll(logits, targets):
     shifted = shifted - shifted.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return logp, -logp[np.arange(targets.shape[0]), targets]
+
+
+def _weighted_mean(x, weights):
+    """Mean of ``x`` under optional position weights, and its derivative."""
+    if weights is None:
+        return float(np.mean(x)), np.full(x.shape[0], 1.0 / x.shape[0])
+    w = np.asarray(weights, dtype=float)
+    return float((x * w).sum() / w.sum()), w / w.sum()
 
 
 def _loss_grad_logits(logits, targets, weights=None):
@@ -98,8 +105,15 @@ def dropout_mask(cfg: ForwardConfig, layer: int, site: int, p: float, *dims):
     return (M._philox(cfg, layer, site).random(dims) >= p) / (1.0 - p)
 
 
+def _padded(x, shape):
+    """``x`` zero-padded at the end of every axis to ``shape``."""
+    out = np.zeros(shape)
+    out[tuple(slice(0, n) for n in x.shape)] = x
+    return out
+
+
 def _padded_mask(mask, shape):
-    return None if mask is None else M._padded(mask, shape)
+    return None if mask is None else _padded(mask, shape)
 
 
 @dataclass(frozen=True)
@@ -308,7 +322,7 @@ def _cached_forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_
     inv_sqrt_dh = 1.0 / math.sqrt(Dh)
     bias = M._cached_block_bias(N, Tp)
 
-    emb = M._padded(params["Wem"][:, tokens].T, (Tp, D))
+    emb = _padded(params["Wem"][:, tokens].T, (Tp, D))
     h, ln_em_cache = M._ln_fwd(emb, params["ln_em.g"], params["ln_em.b"], cfg.eps)
     layer_caches = []
     for l in range(L):
@@ -358,10 +372,10 @@ def _cached_forward(params, tokens, shape: ModelShape, cfg: ForwardConfig, keep_
         h = h_next
 
     z, ln_f_cache = M._ln_fwd(h, params["ln_f.g"], params["ln_f.b"], cfg.eps)
-    logits = M._rows(z, params["Wem"])[:T]
-    return logits.T, dict(
+    head = M._rows(z, params["Wem"])
+    return head[:T].T, dict(
         tokens=tokens, ln_em=ln_em_cache, layers=layer_caches, ln_f=ln_f_cache,
-        z=z, bias=bias, inv_sqrt_dh=inv_sqrt_dh,
+        z=z, head=head, bias=bias, inv_sqrt_dh=inv_sqrt_dh,
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from finforge import model as M
 from finforge.scaling import ModelShape, count_parameters
-from reference_model import alibi_matrices, dropout_mask, finite_diff_check, gradients
+from reference_model import _padded, alibi_matrices, dropout_mask, finite_diff_check, gradients
 
 SHAPE = ModelShape(2, 2, 8, 4, 32, 16)
 CFG = M.ForwardConfig()
@@ -215,21 +215,25 @@ def test_forward_raises_on_nonfinite_params():
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("where", ["first", "middle", "last", "later block"])
 def test_a_nonfinite_head_output_names_the_lm_head(monkeypatch, value, where):
+    # "later block": one value in the second block of a three-block head,
+    # which a check of the first block alone would miss
     params = make_params()
+    tokens = TOKENS if where != "later block" else (TOKENS * 9)[: 2 * M._BLOCK + 5]
     real = M._rows
 
     def rows(x, w):  # the head output, with one value replaced
         out = real(x, w)
         if w is params["Wem"]:
-            flat = out[: len(TOKENS)].reshape(-1)  # a view of the rows of real positions
-            flat[{"first": 0, "middle": flat.size // 2, "last": -1}[where]] = value
+            flat = out[: len(tokens)].reshape(-1)  # a view of the rows of real positions
+            later = (M._BLOCK + 3) * SHAPE.vocab + 5
+            flat[{"first": 0, "middle": flat.size // 2, "last": -1, "later block": later}[where]] = value
         return out
 
     monkeypatch.setattr(M, "_rows", rows)
     with pytest.raises(M.NonFiniteError, match="^non-finite values at lm head$"):
-        M.forward(params, TOKENS, SHAPE)
+        M.forward(params, tokens, SHAPE)
 
 
 def test_embedding_layernorm_is_applied():
@@ -294,7 +298,7 @@ def test_dropout_keep_mask_is_the_one_shot_draw_padded(T, site):
     dims, padded = ((N, T, T), (N, Tp, Tp)) if site == M._DROP_ATTN else ((T, D), (Tp, D))
     keep = M._dropout_keep(cfg, 2, site, 0.3, dims, padded)
     drawn = dropout_mask(cfg, 2, site, 0.3, *dims)
-    want = M._padded(drawn.transpose(0, 2, 1) if site == M._DROP_ATTN else drawn, padded)
+    want = _padded(drawn.transpose(0, 2, 1) if site == M._DROP_ATTN else drawn, padded)
     assert keep.dtype == bool and keep.shape == padded
     assert np.array_equal(keep, want > 0)  # False on padding
     assert np.array_equal(keep / (1.0 - 0.3), want)
@@ -340,7 +344,7 @@ def test_loss_rejects_a_target_count_that_is_not_the_position_count():
 def weighted_loss(logits, targets, weights):
     """The position-weighted loss that ``backward`` takes (``train`` under
     ``loss_on_separator = false``)."""
-    return M._loss_grad_logits(logits, targets, weights)[0]
+    return M._loss_grad(np.array(logits.T), logits.shape[1], targets, weights)
 
 
 def test_loss_weights_exclude_positions():
@@ -357,7 +361,8 @@ def test_loss_grad_logits_matches_loss():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(7, 4))
     targets = [1, 6, 0, 3]
-    loss, dlt = M._loss_grad_logits(logits, targets)
+    dlt = np.array(logits.T)
+    loss = M._loss_grad(dlt, len(targets), targets, None)
     assert loss == pytest.approx(M.cross_entropy_loss(logits, targets), rel=1e-15)
     # gradient columns sum to zero (softmax minus one-hot, averaged)
     assert np.allclose(dlt.sum(axis=1), 0.0, atol=1e-15)

@@ -267,7 +267,7 @@ def test_the_last_layer_runs_only_the_query_blocks_it_reads(monkeypatch):
 
 def test_span_nll_is_the_whole_span_formula_bit_for_bit():
     # Blockwise scoring against the formula it replaced: the scored columns
-    # of the logits gathered at once, one target_nll, one sum.
+    # of the logits gathered as rows at once, one target_nll, one sum.
     shape = ModelShape(2, 4, 64, 16, 256, 512)
     params = M.init_params(shape, 2)
     tokens = np.random.default_rng(9).integers(0, shape.vocab, 4 * B + 3).tolist()
@@ -282,7 +282,7 @@ def test_span_nll_is_the_whole_span_formula_bit_for_bit():
         scored = np.asarray(scored)
         start = scored.min() - 1
         logits = M.forward(params, tokens[:-1], shape)[:, start:]
-        want = float(M.target_nll(logits[:, scored - 1 - start], np.asarray(tokens)[scored])[1].sum())
+        want = float(M.target_nll(logits.T[scored - 1 - start], np.asarray(tokens)[scored]).sum())
         assert M.span_nll(M.LanguageModel(shape, params), tokens, scored) == want
 
 

@@ -71,27 +71,49 @@ def test_blocked_in_place_gelu_matches_reference(n):
     assert same(inference, want)
 
 
-@pytest.mark.parametrize("layout", ["forward", "contiguous", "columns"])
+@pytest.mark.parametrize("T", [1, 31, 32, 33, 130])
 @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
-def test_loss_and_its_gradient_in_place_match_reference(layout, weighted):
+def test_loss_and_its_gradient_in_place_match_reference(T, weighted):
+    # The padded (Tp, V) head output, turned into the loss gradient in
+    # place, against the reference's (T, V) gradient zero-padded: every
+    # byte, the padded rows' exact zeros included.
+    rng = np.random.default_rng(T)
+    V, Tp = 50, -(-T // M._BLOCK) * M._BLOCK
+    head = rng.normal(0.0, 4.0, size=(Tp, V))
+    targets = rng.integers(0, V, size=T)
+    weights = rng.random(T) if weighted else None
+    want_loss, want = REF._loss_grad_logits(head[:T].T, targets, weights)
+    assert M._loss_grad(head, T, targets, weights) == want_loss
+    assert same(head, REF._padded(want, (Tp, V)))
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 130])
+def test_target_nll_on_rows_matches_reference(n):
+    # C-ordered rows, overwritten one block at a time by their log-softmax,
+    # against the reference's (V, T) form of the same rows
+    rng = np.random.default_rng(n)
+    logits = rng.normal(0.0, 4.0, size=(n, 50))
+    targets = rng.integers(0, 50, size=n)
+    want_logp, want_nll = REF.target_nll(logits.T, targets)
+    assert same(M.target_nll(logits, targets), want_nll)
+    assert same(logits, want_logp)
+
+
+@pytest.mark.parametrize("layout", ["forward", "contiguous", "columns"])
+def test_cross_entropy_loss_leaves_its_logits_as_they_are(layout):
     rng = np.random.default_rng(6)
     V, T = 50, 37
-    # logits (V, T) as backward passes them (the transpose of a (T, V)
-    # array), as a (V, T) array, and as the eval harness's column selection
+    # logits (V, T) as forward returns them (the transpose of a (T, V)
+    # array), as a (V, T) array, and as a column selection
     logits = {
         "forward": lambda: rng.normal(0.0, 4.0, size=(T, V)).T,
         "contiguous": lambda: rng.normal(0.0, 4.0, size=(V, T)),
         "columns": lambda: rng.normal(0.0, 4.0, size=(V, 2 * T))[:, rng.permutation(2 * T)[:T]],
     }[layout]()
     targets = rng.integers(0, V, size=T)
-    weights = rng.random(T) if weighted else None
     kept = logits.copy()
-    for got, want in zip(M.target_nll(logits, targets), REF.target_nll(logits, targets)):
-        assert same(got, want)
-    (loss, dlt), (want_loss, want_dlt) = (
-        f(logits, targets, weights) for f in (M._loss_grad_logits, REF._loss_grad_logits)
-    )
-    assert loss == want_loss and same(dlt, want_dlt)
+    want = REF.target_nll(np.ascontiguousarray(logits.T).T, targets)[1]
+    assert M.cross_entropy_loss(logits, targets) == float(np.mean(want))
     assert same(logits, kept)
 
 

@@ -29,6 +29,7 @@ PROGRAM = [*SRC.glob("*.py")] + [
 ]
 
 KEPT = {
+    "cross_entropy_loss": "the loss of a (V, T) logits array, the oracle of the gradient checks",
     "gelu": "a model primitive, tested against its reference form",
     "gelu_grad": "a model primitive, tested against its reference form",
     "layer_norm": "a model primitive, tested against its reference form",

@@ -716,3 +716,8 @@ def test_validation_loss_is_inference_mode(tmp_path):
     a = TR.validation_loss(params, SHAPE, chunks, cfg)
     b = TR.validation_loss(params, SHAPE, chunks, cfg)
     assert a == b  # no dropout noise at eval time
+    # each chunk's mean NLL, the float of cross_entropy_loss on its logits
+    fcfg = M.ForwardConfig(eps=cfg.ln_eps, qk_layer_scaling=cfg.qk_layer_scaling)
+    assert a == float(np.mean([
+        M.cross_entropy_loss(M.forward(params, c[:-1], SHAPE, fcfg), c[1:]) for c in chunks
+    ]))

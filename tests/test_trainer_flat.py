@@ -215,7 +215,7 @@ def test_backward_hands_over_each_group_once_with_the_dict_bits(shape, variant):
 
     loss = M.backward(params, tokens[:-1], tokens[1:], shape, cfg, emit=emit, weights=weights)
     logits = M.forward(params, tokens[:-1], shape, cfg)
-    assert loss == M._loss_grad_logits(logits, tokens[1:], weights)[0]
+    assert loss == M._loss_grad(logits.T.copy(), len(tokens) - 1, tokens[1:], weights)
     names = [name for name, _ in got]
     assert len(names) == len(set(names)) and set(names) == set(params)
     assert names[-1] == "Wem"  # final only after the embedding's scatter-add
@@ -299,6 +299,48 @@ def test_one_backward_with_dropout_at_every_site_holds_bool_masks():
     finally:
         tracemalloc.stop()
     assert peak <= 49 << 20, peak / 2**20
+
+
+# L2 N4 Dh16 at the paper's vocabulary, 64.8 MiB of parameters; a 512-token
+# chunk trains and scores T=511 positions, one (512, V) float64 head output.
+PAPER_VOCAB = bench_shape(2, 4, 16, 2**17)
+HEAD_BYTES = 512 * PAPER_VOCAB.vocab * 8
+
+
+def test_one_backward_at_the_paper_vocab_holds_one_head_output():
+    # The head output is scored and turned into the loss gradient in place,
+    # so above the parameters and the gradients' targets one backward holds
+    # it, dWem (D, V) and the rest of the activations: 580 MiB, where a
+    # log-softmax copy, its exp temporary and a padded gradient copy took
+    # 1,542 MiB.
+    params = M.init_params(PAPER_VOCAB, 3)
+    grads = {k: np.empty_like(v) for k, v in params.items()}
+    tokens = np.random.default_rng(4).integers(0, PAPER_VOCAB.vocab, size=512)
+    M._cached_block_bias(PAPER_VOCAB.heads, 512)
+    tracemalloc.start()
+    try:
+        M.backward(params, tokens[:-1], tokens[1:], PAPER_VOCAB, M.ForwardConfig(),
+                   lambda name, g: np.copyto(grads[name], g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= HEAD_BYTES + grads["Wem"].nbytes + (64 << 20), peak / 2**20
+
+
+def test_one_validation_chunk_at_the_paper_vocab_holds_one_head_output():
+    # The chunk's head output is scored in place, one block of exp at a
+    # time: 544 MiB, where a log-softmax copy and its exp temporary took
+    # 1,534 MiB.
+    params = M.init_params(PAPER_VOCAB, 3)
+    chunk = np.random.default_rng(4).integers(0, PAPER_VOCAB.vocab, size=512)
+    M._cached_block_bias(PAPER_VOCAB.heads, 512)
+    tracemalloc.start()
+    try:
+        R.validation_loss(params, PAPER_VOCAB, [chunk], R.TrainConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= HEAD_BYTES + (64 << 20), peak / 2**20
 
 
 def reference_mean_gradients(params, shape, batch, fcfg, cfg, eot_id, grads, acc):
