@@ -378,7 +378,7 @@ def build_parser() -> _Parser:
             e.add_argument("--tasks", required=True)
             e.add_argument("--method", default="all", choices=("all",) + E.METHODS)
             e.add_argument("--shots", type=_number(int, "[0, inf)"), default=0)
-            e.add_argument("--seed", type=int, default=0)
+            e.add_argument("--seed", type=_number(int, "[0, inf)"), default=0)
         else:
             e.add_argument("--prompt", required=True)
             e.add_argument("--max-new-tokens", type=_count, default=32)

@@ -181,21 +181,12 @@ def propose_shape(target_params: float, vocab: int) -> ModelShape:
     """
     if target_params <= vocab * 1000:
         raise ValueError("target_params implausibly small for this vocabulary")
-    best = None
-    for layers in range(1, 129):
+
+    def candidate(layers: int) -> tuple[tuple, ModelShape]:
         d_raw = levine_width(layers)
-        rounded = None
-        for dh in HEAD_DIMS:
-            for n in HEAD_COUNTS:
-                cand = (abs(n * dh - d_raw), n, dh)
-                if rounded is None or cand < rounded:
-                    rounded = cand
-        resid, n, dh = rounded
-        d = n * dh
-        shape = ModelShape(layers, n, d, dh, 4 * d, vocab)
+        resid, n, dh = min((abs(n * dh - d_raw), n, dh) for dh in HEAD_DIMS for n in HEAD_COUNTS)
+        shape = ModelShape(layers, n, n * dh, dh, 4 * n * dh, vocab)
         total = count_parameters(shape).grand_total
-        key = (abs(total - target_params), layers, resid, n)
-        if best is None or key < best[0]:
-            best = (key, shape)
-    assert best is not None
-    return best[1]
+        return (abs(total - target_params), layers, resid, n), shape
+
+    return min(map(candidate, range(1, 129)), key=lambda c: c[0])[1]

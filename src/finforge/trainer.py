@@ -563,11 +563,10 @@ def train(
 
         last_ckpt: str | None = None
 
-        def checkpoint() -> str:
-            path = os.path.join(out_dir, f"checkpoint-{state.step:08d}.bin")
-            save_checkpoint(path, shape, cfg, params, state)
-            diag.record(state.step, "checkpoint", "path", os.path.basename(path))
-            return path
+        def checkpoint_row() -> str:
+            name = f"checkpoint-{state.step:08d}.bin"
+            diag.record(state.step, "checkpoint", "path", name)
+            return os.path.join(out_dir, name)
 
         def next_batch(size: int) -> list[list[int]]:
             batch = []
@@ -608,12 +607,15 @@ def train(
             if val_chunks and step % cfg.val_interval == 0:
                 vloss = validation_loss(params, shape, val_chunks, cfg)
                 diag.record(step, "val_loss", "mean", vloss)
-            if step % cfg.checkpoint_interval == 0:
-                last_ckpt = checkpoint()
-            diag.flush()
+            ckpt = checkpoint_row() if step % cfg.checkpoint_interval == 0 else None
+            diag.flush()  # before the checkpoint, so a resume from it keeps this step's rows
+            if ckpt:
+                save_checkpoint(ckpt, shape, cfg, params, state)
+                last_ckpt = ckpt
 
-        last_ckpt = checkpoint()
-        return state, last_ckpt
+        last_ckpt = checkpoint_row()
+    save_checkpoint(last_ckpt, shape, cfg, params, state)  # once closing the log flushed its row
+    return state, last_ckpt
 
 
 def validation_loss(params, shape, val_chunks, cfg: TrainConfig) -> float:

@@ -191,6 +191,7 @@ def test_usage_errors_exit_1(capsys):
         "sweep-vocab --corpus c.txt --candidates 300,abc",
         "eval generate --prompt a --max-new-tokens 0",
         "eval classify --tasks t.ndjson --shots -1",
+        "eval classify --tasks t.ndjson --seed -1",
         "eval bpb --docs d.txt --window 1",
         "eval bpb --docs d.txt --stride 0",
         "eval bpb --docs d.txt --window 4 --stride 8",
