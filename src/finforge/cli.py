@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from dataclasses import replace
@@ -21,7 +20,7 @@ from . import model as M
 from . import scaling as S
 from . import tokenizer as T
 from . import trainer as R
-from .atomic import read_lines
+from .atomic import read_json_lines
 from .vocabselect import best_size, round_up_pow2, sweep
 
 EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 1, 2, 3
@@ -75,14 +74,7 @@ def read_documents(path: str) -> list[bytes]:
         return docs
     if path.endswith(".jsonl"):
         docs = []
-        for lineno, line in read_lines(path):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from None
+        for lineno, rec in read_json_lines(path):
             text = rec.get("text") if isinstance(rec, dict) else None
             if not isinstance(text, str) or not text:
                 raise ValueError(f"{path}:{lineno}: record without text")
@@ -245,6 +237,13 @@ def cmd_train(args) -> int:
         except ValueError as exc:
             raise ValueError(f"--override: {exc}") from None
     else:
+        # train holds four model copies: the parameters, the step's gradients and two moments
+        count = S.count_parameters(shape).grand_total
+        need, memory = 4 * 8 * count, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > memory:
+            raise ValueError(f"{args.config}: the shape {shape} has {count:,} parameters, whose "
+                             f"four copies in training take {need:,} bytes, more than this "
+                             f"machine's {memory:,} bytes of memory")
         params, state = M.init_params(shape, values["init_seed"]), None
     docs_raw = read_documents(values["corpus"])
     docs = [T.encode(tok, d) for d in docs_raw]
@@ -398,6 +397,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # a run larger than the memory it is given
+        print(f"data error: out of memory: {exc!r}", file=sys.stderr)
         return EXIT_DATA
 
 

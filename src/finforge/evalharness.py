@@ -3,13 +3,12 @@ greedy decoding, and weighted F1."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import read_lines
+from .atomic import read_json_lines
 from .model import LanguageModel
 from .tokenizer import TokenizerModel, encode
 
@@ -201,12 +200,8 @@ def load_tasks(path: str) -> list[dict]:
     ``gold``) or ``gold`` alone. An optional ``shots_pool`` is a list of
     objects with string ``context`` and ``gold``."""
     records = []
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, rec in read_json_lines(path):
         try:
-            rec = json.loads(line)
             if not isinstance(rec, dict):
                 raise ValueError("not a JSON object")
             if "context" not in rec:

@@ -177,16 +177,21 @@ def propose_shape(target_params: float, vocab: int) -> ModelShape:
     rounded to the admissible head layout closest to that width. Across
     layer counts, the shape whose exact parameter count is closest to the
     target wins. Ties break toward fewer layers, then smaller width
-    residual, then fewer heads.
+    residual, then fewer heads. A target outside ``(1000 * vocab, the
+    largest total searched]`` is a ValueError: no shape is closest to it.
     """
-    if target_params <= vocab * 1000:
+    if target_params <= vocab * 1000:  # first: a huge vocab would overflow the float key
         raise ValueError("target_params implausibly small for this vocabulary")
 
-    def candidate(layers: int) -> tuple[tuple, ModelShape]:
+    def candidate(layers: int) -> tuple[int, tuple, ModelShape]:
         d_raw = levine_width(layers)
         resid, n, dh = min((abs(n * dh - d_raw), n, dh) for dh in HEAD_DIMS for n in HEAD_COUNTS)
         shape = ModelShape(layers, n, n * dh, dh, 4 * n * dh, vocab)
-        total = count_parameters(shape).grand_total
-        return (abs(total - target_params), layers, resid, n), shape
+        return count_parameters(shape).grand_total, (layers, resid, n), shape
 
-    return min(map(candidate, range(1, 129)), key=lambda c: c[0])[1]
+    candidates = [candidate(layers) for layers in range(1, 129)]
+    largest = max(total for total, _, _ in candidates)
+    if not target_params <= largest:  # NaN and inf too
+        raise ValueError(f"a target of {target_params} parameters is outside ({vocab * 1000}, "
+                         f"{largest}], the totals that the search reaches at vocabulary {vocab}")
+    return min(candidates, key=lambda c: (abs(c[0] - target_params), *c[1]))[2]

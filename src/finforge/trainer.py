@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import model as M
-from .atomic import atomic_write
+from .atomic import atomic_write, json_value
 from .model import _offsets, _tiled
 from .scaling import ModelShape, _key, check_fields, check_key, count_parameters, declared
 
@@ -326,6 +326,14 @@ def save_checkpoint(path, shape: ModelShape, cfg: TrainConfig, params, state: Tr
             f.write(memoryview(buf.astype("<f8", copy=False)).cast("B"))  # the bytes, no copy
 
 
+def _section(header: dict, name: str, cls, **extra):
+    """The ``cls`` of the header's ``name`` section and ``extra``, whose keys
+    together must be exactly the fields that ``cls`` declares."""
+    if diff := {*header[name], *extra} ^ {f.name for f in declared(cls)}:
+        raise ValueError(f"missing or unknown {name} keys: {', '.join(sorted(diff))}")
+    return cls(**header[name], **extra)
+
+
 def load_checkpoint(path, moments: bool = True):
     """Returns (shape, cfg, params, state).
 
@@ -350,19 +358,15 @@ def load_checkpoint(path, moments: bool = True):
         if hlen > size - f.tell():
             raise ValueError(f"{path}: header length {hlen} runs past the end of the file")
         try:
-            header = json.loads(f.read(hlen))
+            header = json_value(f.read(hlen), "checkpoint header")
             payload = size - f.tell()
-            shape = ModelShape(**header["shape"])
-            if diff := set(header["config"]) ^ {f.name for f in declared(TrainConfig)}:
-                raise ValueError(f"missing or unknown config keys: {', '.join(sorted(diff))}")
-            cfg = TrainConfig(**header["config"])
+            shape = _section(header, "shape", ModelShape)
+            cfg = _section(header, "config", TrainConfig)
             want = 3 * 8 * count_parameters(shape).grand_total
             if payload != want:
                 raise ValueError(f"the payload is {payload} bytes, not the {want} bytes of "
                                  "param, m and v at the header's shape")
-            if diff := {"step", *header["state"]} ^ {f.name for f in declared(TrainState)}:
-                raise ValueError(f"missing or unknown state keys: {', '.join(sorted(diff))}")
-            state = TrainState(**header["state"], step=header["step"])
+            state = _section(header, "state", TrainState, step=header["step"])
             check_fields(state)
             for chunk in state.order:
                 check_key("a chunk of order", chunk, int, "[0, inf)")

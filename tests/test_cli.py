@@ -288,6 +288,22 @@ def test_plan_cli_explicit_shape_and_params_only(capsys):
     assert "heads=4" in rows["shape"]
 
 
+@pytest.mark.parametrize("args", [
+    "--params-only 1e16 --vocab 512",  # above the 128-layer shape's 1,649,338,875,904
+    "--params-only inf",
+    "--params-only 1e300",
+    "--gpu-hours inf",
+    "--gpu-hours 1e300",
+])
+def test_plan_cli_target_beyond_the_searched_shapes_is_a_data_error(capsys, args):
+    # Every candidate is equally far from an infinite target, so without the
+    # refusal the search would print its first, 1-layer shape
+    code, stdout, err = run_cli(capsys, "plan", *args.split())
+    assert code == 2, err
+    assert "parameters is outside (" in err and "the totals that the search reaches at" in err
+    assert "shape," not in stdout
+
+
 @pytest.mark.parametrize("spec", ["2,4", "2,4,x", "0,4,8", "2,-4,8"])
 def test_plan_cli_malformed_shape_is_usage_error(capsys, spec):
     code, stdout, err = run_cli(capsys, "plan", "--shape", spec, "--params-only", "1e9")
@@ -604,6 +620,9 @@ HEADER = {
     **{f"checkpoint-state-without-{key}": ("state", key, ..., f"missing or unknown state keys: {key}")
        for key in ("epoch", "stream_pos", "order", "shuffle_salt", "smooth_num", "smooth_den")},
     "checkpoint-state-with-m": ("state", "m", {}, "missing or unknown state keys: m"),
+    # the shape's keys follow the same rule
+    "checkpoint-shape-without-vocab": ("shape", "vocab", ..., "missing or unknown shape keys: vocab"),
+    "checkpoint-shape-with-width": ("shape", "width", 8, "missing or unknown shape keys: width"),
     # each config key is required too: a resume would train at a missing one's default
     **{f"checkpoint-config-without-{key}": (
         "config", key, ..., f"missing or unknown config keys: {key}") for key in ("seed", "max_lr")},
@@ -614,6 +633,17 @@ HEADER = {
     # an int no float can hold does not stand for one
     "checkpoint-ln-eps-huge-int": (
         "config", "ln_eps", 10**400, f"ln_eps must be of type float, got {reprlib.repr(10**400)}"),
+}
+
+
+# An array nested deeper than ``json`` decodes: a RecursionError to it.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+# Shapes inside every key's interval whose four model copies, as ``train``
+# holds them, no machine's memory holds: case -> config values.
+BEYOND_MEMORY = {
+    "config-layers-beyond-memory": {"layers": 100_000_000},
+    "config-head-dim-beyond-memory": {"heads": 1, "head_dim": 100_000_000_000},
 }
 
 
@@ -716,9 +746,14 @@ def _config_with(text, **values):
         "jsonl-not-utf8",
         "config-not-utf8",
         "task-not-utf8",
+        "jsonl-line-nested-too-deep",
+        "task-line-nested-too-deep",
+        "checkpoint-header-nested-too-deep",
+        *BEYOND_MEMORY,
+        "train-out-of-memory",
     ],
 )
-def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
+def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, monkeypatch, case):
     ckpt = tmp_path / "model.ckpt"
     tokpath = tmp_path / "tok.txt"
     T.save_tokenizer(T.finalize(T.UnigramVocab({b"a": 1.0}, 1.0)), str(tokpath))
@@ -743,6 +778,12 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         start = 16 + int.from_bytes(raw[8:16], "little")
         n = len(raw) - start
         ckpt.write_bytes((raw + bytes(64))[: start + PAYLOAD[case](n)])
+    elif case == "checkpoint-header-nested-too-deep":
+        _write_checkpoint(ckpt)
+        raw = ckpt.read_bytes()
+        blob = DEEP.encode()
+        ckpt.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                         + raw[16 + int.from_bytes(raw[8:16], "little"):])
     else:
         _write_checkpoint(ckpt)
     if case == "empty-tokenizer":
@@ -782,6 +823,7 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
             "jsonl-line-not-an-object": b'["a", "list"]\n',
             "jsonl-line-not-json": b'{"text": fine}\n',
             "jsonl-not-utf8": b'{"text": "\xff"}\n',
+            "jsonl-line-nested-too-deep": DEEP.encode() + b"\n",
         }[case])
         argv = ["train-tokenizer", "--corpus", str(corpus), "--out", str(tmp_path / "o.txt")]
     elif case == "target-vocab-too-small":
@@ -795,7 +837,8 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         cfg = BASE_CFG.format(corpus=corpus, tok=tokpath, out=tmp_path)
         cfgpath = write_config(tmp_path, cfg.replace("heads = 2", "heads = 1"))  # the checkpoint's
         argv = ["train", "--config", cfgpath, "--resume", str(ckpt)]
-    elif case in BAD_CONFIG or case.startswith("override-") or case == "config-not-utf8":
+    elif (case in BAD_CONFIG or case in BEYOND_MEMORY or case.startswith("override-")
+          or case in ("config-not-utf8", "train-out-of-memory")):
         corpus = tmp_path / "corpus.txt"
         corpus.write_bytes(b"a" * 64)
         base = BASE_CFG.format(corpus=corpus, tok=tokpath, out=tmp_path / "run")
@@ -806,6 +849,11 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
             cfgpath.write_text(_config_with(base, val_corpus=corpus, **{key: value}))
         elif case == "config-not-utf8":
             cfgpath.write_bytes(base.encode().replace(b"# comment", b"# \xff comment"))
+        elif case in BEYOND_MEMORY:  # refused before any allocation, so safe in-process
+            cfgpath.write_text(_config_with(base, **BEYOND_MEMORY[case]))
+        elif case == "train-out-of-memory":
+            cfgpath.write_text(base)
+            monkeypatch.setattr(cli.M, "init_params", _out_of_memory)
         else:  # resume a valid run with the value as an override
             cfgpath.write_text(_config_with(base, steps=2))
             assert cli.main(argv) == 0
@@ -823,7 +871,8 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
             "task-shots-pool-not-a-list": {"shots_pool": 7},
             "task-shot-without-gold": {"shots_pool": [{"context": "b"}]},
         }.get(case, {}))
-        tasks.write_text("5\n" if case == "task-line-not-an-object" else json.dumps(rec) + "\n")
+        tasks.write_text({"task-line-not-an-object": "5\n", "task-line-nested-too-deep": DEEP + "\n"}
+                         .get(case, json.dumps(rec) + "\n"))
         if case == "task-not-utf8":
             tasks.write_bytes(tasks.read_bytes().replace(b'"a"', b'"\xff"', 1))
         argv = ["eval", "classify", *model_args, "--tasks", str(tasks)]
@@ -843,6 +892,10 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         "jsonl-not-utf8": f"{tmp_path / 'corpus.jsonl'}:2: not UTF-8: invalid start byte",
         "config-not-utf8": f"{tmp_path / 'run.cfg'}:2: not UTF-8: invalid start byte",
         "task-not-utf8": f"{tmp_path / 'tasks.ndjson'}:1: not UTF-8: invalid start byte",
+        "jsonl-line-nested-too-deep": f"data error: {tmp_path / 'corpus.jsonl'}:2: not JSON: ",
+        "task-line-nested-too-deep": f"data error: {tmp_path / 'tasks.ndjson'}:1: not JSON: ",
+        "checkpoint-header-nested-too-deep": f"data error: {ckpt}: checkpoint header: not JSON: ",
+        "train-out-of-memory": "data error: out of memory: MemoryError('cannot allocate')\n",
     }.get(case)
     if want:
         assert want in err, err
@@ -853,6 +906,9 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         assert f"data error: {ckpt}: {HEADER[case][3]}\n" in err, err
     if case in PAYLOAD:
         assert f"data error: {ckpt}: the payload is {PAYLOAD[case](n)} bytes, not the {n} " in err
+    if case in BEYOND_MEMORY:
+        assert f"data error: {cfgpath}: the shape ModelShape(" in err, err
+        assert "bytes of memory" in err and not (tmp_path / "run").exists(), err
     if case == "target-vocab-too-small":
         assert "too small for byte coverage" in err
     if case == "tokenizer-missing-byte":
@@ -863,6 +919,10 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
         assert f"{tokpath}:3: not UTF-8: invalid start byte" in err, err
     elif case.startswith("tokenizer-"):
         assert f"{tokpath}:{len(lines)}: token id {sid}:" in err, err
+
+
+def _out_of_memory(*args):
+    raise MemoryError("cannot allocate")
 
 
 def test_every_numeric_config_key_has_bad_config_cases_and_a_readme_entry():

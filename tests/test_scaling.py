@@ -223,3 +223,20 @@ def test_propose_shape_monotone_layers_in_target():
 def test_propose_shape_rejects_tiny_target():
     with pytest.raises(ValueError):
         S.propose_shape(1e6, 131072)
+
+
+# The 128-layer shape at vocabulary 512, the largest that the search builds.
+TOP_512 = S.ModelShape(128, 128, 32768, 256, 4 * 32768, 512)
+
+
+@pytest.mark.parametrize("target", [math.inf, math.nan, 1e300, "just above"])
+def test_propose_shape_refuses_a_target_beyond_the_largest_shape(target):
+    # No shape is closest to these: every abs(total - inf) is inf, and a NaN
+    # compares with none
+    largest = S.count_parameters(TOP_512).grand_total
+    assert largest == 1_649_338_875_904
+    assert S.propose_shape(float(largest), 512) == TOP_512  # the end of the range is in it
+    if target == "just above":
+        target = math.nextafter(float(largest), math.inf)
+    with pytest.raises(ValueError, match=r"outside \(512000, 1649338875904\],.* vocabulary 512"):
+        S.propose_shape(target, 512)

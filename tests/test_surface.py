@@ -231,3 +231,32 @@ def test_the_check_finds_an_exception_class_that_nothing_catches(tmp_path):
         "import mod\n\ntry:\n    mod.run()\nexcept (mod.Caught, OSError):\n    pass\n"
     )
     assert _uncaught(tmp_path) == ["mod.Narrower", "mod.Never"]
+
+
+def _json_parses(src: Path) -> list[str]:
+    """``module:line`` of each ``json.load`` or ``json.loads`` that ``src``'s
+    modules read, and of each ``from json import``."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"
+                    or isinstance(node, ast.ImportFrom) and node.module == "json"):
+                out.append(f"{path.stem}:{node.lineno}")
+    return out
+
+
+def test_json_is_parsed_in_atomic_alone():
+    # atomic.json_value is the one parser, so every JSON input fails as a
+    # data error that names where it came from
+    parses = _json_parses(SRC)
+    assert [p for p in parses if not p.startswith("atomic:")] == [], "parse with atomic.json_value"
+    assert len(parses) == 1
+
+
+def test_the_check_finds_every_json_parse(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import json\nfrom json import loads\n\n\ndef read(f, text):\n"
+        "    return json.load(f), json.loads(text), json.dumps(text)\n"
+    )
+    assert _json_parses(tmp_path) == ["mod:2", "mod:6", "mod:6"]
